@@ -11,8 +11,12 @@ integrated once and scattered with factor 2 (factor 1 when E == F).
 
 On the structured criss-cross mesh every pair belongs to a translation
 class (cell offset plus the two triangle types), so each class matrix is
-computed once per mesh and reused for every pair in the class, both for
-global and for weighted subdomain assembly.
+computed once per mesh and reused for every pair in the class.  One
+weighted scatter, ``Assembler.assemble(pair_weights)``, builds every
+matrix over all mesh dofs: the global matrix is the unit-weight case, and
+a subdomain matrix weights each pair by the reciprocal number of
+subdomains holding both elements.  Callers slice out the rows and columns
+they need.
 
 Element pairs with coinciding or touching supports and a singular kernel
 use singularity-aware schemes: coinciding pairs integrate exactly in
@@ -26,7 +30,7 @@ before the product rule is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +43,7 @@ from .geometry import (
     square_interaction_cells,
 )
 from .kernels import KernelSpec, kernel_on_support
-from .mesh import COLLAR, INTERIOR, Mesh, p1_gradients, p1_values
+from .mesh import Mesh, p1_gradients, p1_values
 from .quadrature import gauss01, gauss_jacobi01, map_to_physical, triangle_rule
 
 
@@ -701,10 +705,6 @@ def _proximity_level(cell: np.ndarray, v2: np.ndarray, diam: float,
     return max(lev, 0)
 
 
-# Backwards-friendly spec name.
-assemble_pair = pair_matrix
-
-
 # ---------------------------------------------------------------------------
 # Structured-mesh assembler with translation-class caching
 
@@ -764,7 +764,8 @@ class Assembler:
         return out
 
     def class_matrix(self, key: tuple[int, int, int, int]):
-        """(patch matrix, patch node-id offsets, multiplicity factor)."""
+        """(patch matrix, (p, 2) lattice offsets of the patch nodes from the
+        anchor corner, multiplicity factor)."""
         if key in self._cache:
             return self._cache[key]
         dx, dy, t1, t2 = key
@@ -774,17 +775,14 @@ class Assembler:
         e2 = 2 * ((ay + dy) * N + (ax + dx)) + t2
         M, patch = pair_matrix(self.mesh, e1, e2, self.spec, self.strategy,
                                self.quad)
-        anchor = ay * (N + 1) + ax
-        offsets = patch - anchor
-        # lattice offsets of the patch nodes relative to the anchor corner
-        lat_i = patch % (N + 1) - ax
-        lat_j = patch // (N + 1) - ay
+        lattice = np.column_stack([patch % (N + 1) - ax, patch // (N + 1) - ay])
         factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
-        self._cache[key] = (M, offsets, factor, lat_i, lat_j)
+        self._cache[key] = (M, lattice, factor)
         return self._cache[key]
 
     def _anchors(self, key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """All anchor cells with the partner in bounds -> (e1, e2) arrays."""
+        """All anchor cells with the partner in bounds -> (e1, e2) arrays,
+        row-major over the (cy, cx) grid of anchor cells."""
         dx, dy, t1, t2 = key
         N = self.N
         cx = np.arange(max(0, -dx), N - max(0, dx))
@@ -794,164 +792,79 @@ class Assembler:
         cell2 = ((CY + dy) * N + (CX + dx)).ravel()
         return 2 * cell1 + t1, 2 * cell2 + t2
 
-    def _anchor_nodes(self, e1: np.ndarray) -> np.ndarray:
-        """Anchor corner node id of each element's cell."""
-        cell = e1 // 2
-        cx = cell % self.N
-        cy = cell // self.N
-        return cy * (self.N + 1) + cx
+    # -- assembly -----------------------------------------------------------
 
-    # -- scatter-based assembly --------------------------------------------
+    def assemble(self, pair_weights=None) -> sp.csr_matrix:
+        """Matrix over all mesh dofs: every pair of every class scattered
+        with weight ``factor * pair_weights(e1, e2)`` (1 when no function
+        is given).  Pairs weighted 0 add nothing, and anchors outside the
+        box of nonzero weights are skipped.
 
-    def assemble(
-        self,
-        element_mask: np.ndarray | None = None,
-        pair_weights=None,
-        node_map: np.ndarray | None = None,
-        n_local_nodes: int | None = None,
-    ) -> sp.csr_matrix:
-        """Assemble by scattering every pair (optionally masked/weighted).
-
-        ``pair_weights(e1, e2) -> w`` scales each pair contribution (used
-        for the counting-function-weighted subdomain forms).  ``node_map``
-        maps global node ids to local ids for subdomain matrices.
+        Entries accumulate in a dense table indexed by node-id shift
+        (column node minus row node) and row node.  For one class and one
+        patch node, the anchors form a box of distinct rows and the patch
+        nodes distinct shifts, so a plain fancy-index ``+=`` is exact.
+        With the shifts sorted, each row's columns come out sorted and the
+        table is read off as CSR.
         """
-        mesh = self.mesh
         c = self.spec.components
-        n_nodes = n_local_nodes if n_local_nodes is not None else mesh.n_vertices
-        ndof = c * n_nodes
-        rows_all, cols_all, vals_all = [], [], []
-        nnz_budget = 0
-        mats: list[sp.csr_matrix] = []
-        for key in self.classes():
-            e1, e2 = self._anchors(key)
-            if element_mask is not None:
-                keep = element_mask[e1] & element_mask[e2]
-                if not np.any(keep):
-                    continue
-                e1, e2 = e1[keep], e2[keep]
-            M, offsets, factor, _, _ = self.class_matrix(key)
-            base = self._anchor_nodes(e1)
-            nodes = base[:, None] + offsets[None, :]  # (na, p)
-            if node_map is not None:
-                nodes = node_map[nodes]
-            if c == 1:
-                dofs = nodes
+        N, N1 = self.N, self.N + 1
+        mats = [self.class_matrix(key) for key in self.classes()]
+
+        def node_shifts(lattice):
+            ids = lattice[:, 1] * N1 + lattice[:, 0]
+            return ids[None, :] - ids[:, None]  # [a, b]: node b - node a
+
+        shifts = np.unique(np.concatenate(
+            [node_shifts(lat).ravel() for _, lat, _ in mats]))
+        acc = np.zeros((len(shifts), N1, N1, c, c))
+        for key, (M, lat, factor) in zip(self.classes(), mats):
+            dx, dy = key[:2]
+            grid = (max(0, N - abs(dy)), max(0, N - abs(dx)))
+            if pair_weights is None:
+                w = np.full(grid, float(factor))
             else:
-                dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=2).reshape(
-                    len(e1), -1
-                )
-            pc = dofs.shape[1]
-            w = factor * (pair_weights(e1, e2) if pair_weights is not None
-                          else np.ones(len(e1)))
-            rows = np.broadcast_to(dofs[:, :, None], (len(e1), pc, pc))
-            cols = np.broadcast_to(dofs[:, None, :], (len(e1), pc, pc))
-            vals = w[:, None, None] * M[None, :, :]
-            rows_all.append(rows.ravel())
-            cols_all.append(cols.ravel())
-            vals_all.append(vals.ravel())
-            nnz_budget += rows_all[-1].size
-            if nnz_budget > 2_000_000:
-                mats.append(self._to_csr(rows_all, cols_all, vals_all, ndof))
-                rows_all, cols_all, vals_all = [], [], []
-                nnz_budget = 0
-        mats.append(self._to_csr(rows_all, cols_all, vals_all, ndof))
-        out = mats[0]
-        for m in mats[1:]:
-            out = out + m
-        return out
-
-    @staticmethod
-    def _to_csr(rows, cols, vals, ndof) -> sp.csr_matrix:
-        if not rows:
-            return sp.csr_matrix((ndof, ndof))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ndof, ndof),
-        )
-
-    # -- stencil-based assembly (interior rows) -----------------------------
-
-    def stencil(self) -> dict[tuple[int, int], np.ndarray]:
-        """Node-offset stencil: s[(di, dj)] is the (c, c) coupling block of
-        nodes m and m + (di, dj), valid whenever every contributing pair
-        exists (true for all rows of unknown nodes)."""
-        c = self.spec.components
-        s: dict[tuple[int, int], np.ndarray] = {}
-        for key in self.classes():
-            M, _, factor, di, dj = self.class_matrix(key)
-            p = len(di)
-            Mv = M.reshape(p, c, p, c)
-            for a in range(p):
-                for b in range(p):
-                    d = (int(di[b] - di[a]), int(dj[b] - dj[a]))
-                    blk = s.setdefault(d, np.zeros((c, c)))
-                    blk += factor * Mv[a, :, b, :]
-        # enforce exact symmetry of the stencil
-        for d in list(s):
-            dm = (-d[0], -d[1])
-            if dm in s:
-                avg = 0.5 * (s[d] + s[dm].T)
-                s[d] = avg
-                s[dm] = avg.T.copy()
-        return s
-
-    def assemble_interior_rows(self) -> sp.csr_matrix:
-        """Full-width matrix rows for unknown (interior) nodes via the
-        stencil; collar rows are left empty.  Exact for interior rows:
-        every real contributing pair exists and any assumed pair with a
-        fictitious element beyond the mesh has zero kernel support."""
-        mesh = self.mesh
-        c = self.spec.components
-        N1 = self.N + 1
-        s = self.stencil()
-        # node ids of interior nodes and their lattice coords
-        ids = np.flatnonzero(mesh.node_region == INTERIOR)
-        nix = ids % N1
-        niy = ids // N1
-        rows, cols, vals = [], [], []
-        for (di, dj), blk in s.items():
-            cix = nix + di
-            ciy = niy + dj
-            ok = (cix >= 0) & (cix <= self.N) & (ciy >= 0) & (ciy <= self.N)
-            r = ids[ok]
-            col = ciy[ok] * N1 + cix[ok]
-            for i in range(c):
-                for j in range(c):
-                    if blk[i, j] == 0.0:
-                        continue
-                    rows.append(c * r + i)
-                    cols.append(c * col + j)
-                    vals.append(np.full(len(r), blk[i, j]))
-        ndof = c * mesh.n_vertices
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ndof, ndof),
-        )
+                w = factor * pair_weights(*self._anchors(key)).reshape(grid)
+            live_y = np.flatnonzero(w.any(axis=1))
+            live_x = np.flatnonzero(w.any(axis=0))
+            if not live_y.size:
+                continue
+            w = w[live_y[0]:live_y[-1] + 1, live_x[0]:live_x[-1] + 1]
+            ny, nx = w.shape
+            y0 = max(0, -dy) + live_y[0]
+            x0 = max(0, -dx) + live_x[0]
+            p = len(lat)
+            slots = np.searchsorted(shifts, node_shifts(lat))
+            blocks = M.reshape(p, c, p, c).transpose(0, 2, 1, 3)  # [a, b, i, j]
+            for a, (lx, ly) in enumerate(lat):
+                box = (slice(y0 + ly, y0 + ly + ny), slice(x0 + lx, x0 + lx + nx))
+                acc[(slots[a],) + box] += (w[None, :, :, None, None]
+                                           * blocks[a][:, None, None])
+        # (shift, node, i, j) -> rows (node, i), columns (shift, j)
+        acc = acc.reshape(len(shifts), N1 * N1, c, c).transpose(1, 2, 0, 3)
+        acc = acc.reshape(c * N1 * N1, c * len(shifts))
+        nz = acc != 0
+        row, col = np.nonzero(nz)
+        cols = c * (row // c + shifts[col // c]) + col % c
+        indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+        ndof = c * self.mesh.n_vertices
+        return sp.csr_matrix((acc[nz], cols, indptr), shape=(ndof, ndof))
 
     # -- load vector --------------------------------------------------------
 
-    def assemble_load(
-        self,
-        f,
-        element_mask: np.ndarray | None = None,
-        element_weights: np.ndarray | None = None,
-        node_map: np.ndarray | None = None,
-        n_local_nodes: int | None = None,
-    ) -> np.ndarray:
-        """Load vector ``int psi_a f`` (optionally element-masked/weighted)."""
+    def assemble_load(self, f,
+                      element_weights: np.ndarray | None = None) -> np.ndarray:
+        """Load vector ``int psi_a f`` over all mesh dofs, each element
+        optionally scaled by ``element_weights``."""
         mesh = self.mesh
         c = self.spec.components
-        n_nodes = n_local_nodes if n_local_nodes is not None else mesh.n_vertices
-        els = (np.flatnonzero(element_mask) if element_mask is not None
-               else np.arange(mesh.n_elements))
         bary, wts = triangle_rule(self.quad.load_degree)
-        tri_verts = mesh.vertices[mesh.elements[els]]
+        tri_verts = mesh.vertices[mesh.elements]
         pts = np.einsum("qb,ebx->eqx", bary, tri_verts)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
         if c == 1 and fv.ndim == 1:
             fv = fv[:, None]
-        fv = fv.reshape(len(els), len(wts), c)
+        fv = fv.reshape(mesh.n_elements, len(wts), c)
         a = tri_verts[:, 1] - tri_verts[:, 0]
         b = tri_verts[:, 2] - tri_verts[:, 0]
         areas = 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
@@ -959,12 +872,9 @@ class Assembler:
             areas = areas * element_weights
         # contrib[e, a_local, comp]
         contrib = np.einsum("e,q,qa,eqc->eac", areas, wts, bary, fv)
-        out = np.zeros(c * n_nodes)
-        nodes = mesh.elements[els]
-        if node_map is not None:
-            nodes = node_map[nodes]
+        out = np.zeros(c * mesh.n_vertices)
         for i in range(c):
-            np.add.at(out, c * nodes + i, contrib[:, :, i])
+            np.add.at(out, c * mesh.elements + i, contrib[:, :, i])
         return out
 
 
@@ -1012,11 +922,11 @@ def assemble_global(
     """
     asm = assembler or Assembler(mesh, spec, strategy, quad)
     c = spec.components
-    full = asm.assemble_interior_rows()
     interior_dofs = _node_dofs(mesh.interior_nodes, c)
     collar_dofs = _node_dofs(mesh.collar_nodes, c)
-    A = full[interior_dofs][:, interior_dofs].tocsr()
-    B = full[interior_dofs][:, collar_dofs].tocsr()
+    rows = asm.assemble()[interior_dofs]
+    A = rows[:, interior_dofs].tocsr()
+    B = rows[:, collar_dofs].tocsr()
     load_full = asm.assemble_load(f)
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
     if c == 1 and gv.ndim > 1:

@@ -6,8 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (ExperimentConfig, export_artifacts, load_config,
-                      run_single, run_study, solution_csv, write_csv)
+from .harness import (export_artifacts, load_config, run_single, run_study,
+                      solution_csv)
 from .mesh import build_structured_mesh
 from .subdivision import build_subdivision, dump_subdivision
 

@@ -21,7 +21,8 @@ from .mesh import Mesh
 from .sparse_linalg import (Factorization, SingularMatrixError, dense_spd_solve,
                             factorize, projected_pcg)
 from .subdivision import (ConstraintSet, CountingFunction, Subdivision,
-                          SubdivisionError, build_constraints, build_counting)
+                          SubdivisionError, build_constraints, build_counting,
+                          rigid_modes)
 
 
 class ConsistencyError(RuntimeError):
@@ -183,39 +184,35 @@ def assemble_subdomain(
     inner = sub.inner_nodes[k]
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
-    local_nodes = np.concatenate([inner, inter, constrained])
-    node_map = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    node_map[local_nodes] = np.arange(len(local_nodes))
+    local_dofs = _node_dofs(np.concatenate([inner, inter, constrained]), c)
 
-    mask = np.zeros(mesh.n_elements, dtype=bool)
-    mask[sub.extended_elements[k]] = True
-    mask[sub.collar_elements[k]] = True
+    member = np.zeros(mesh.n_elements, dtype=bool)
+    member[sub.extended_elements[k]] = True
+    member[sub.collar_elements[k]] = True
 
     def weights(e1, e2):
-        z = cf.element(e1, e2)
+        w = np.zeros(len(e1))
+        both = np.flatnonzero(member[e1] & member[e2])
+        z = cf.element(e1[both], e2[both])
         if np.any(z == 0):
-            bad = int(np.flatnonzero(z == 0)[0])
+            bad = both[np.flatnonzero(z == 0)[0]]
             raise SubdivisionError(
                 f"element pair ({int(e1[bad])}, {int(e2[bad])}) assembled "
                 "with zero multiplicity"
             )
-        return 1.0 / z
+        w[both] = 1.0 / z
+        return w
 
-    A = asm.assemble(element_mask=mask, pair_weights=weights,
-                     node_map=node_map, n_local_nodes=len(local_nodes))
-    interior_mask = mask.copy()
-    interior_mask[sub.collar_elements[k]] = False
-    els = np.flatnonzero(interior_mask)
-    load = asm.assemble_load(
-        f, element_mask=interior_mask,
-        element_weights=1.0 / cf.elem_diag[els],
-        node_map=node_map, n_local_nodes=len(local_nodes),
-    )
+    A = asm.assemble(weights)[local_dofs][:, local_dofs]
+    els = sub.extended_elements[k]
+    elem_w = np.zeros(mesh.n_elements)
+    elem_w[els] = 1.0 / cf.elem_diag[els]
+    load = asm.assemble_load(f, elem_w)[local_dofs]
 
     nO, nG = c * len(inner), c * len(inter)
     O = np.arange(nO)
     G = np.arange(nO, nO + nG)
-    Cdofs = np.arange(nO + nG, c * len(local_nodes))
+    Cdofs = np.arange(nO + nG, len(local_dofs))
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
 
     A_OO = A[O][:, O].tocsr()
@@ -225,8 +222,8 @@ def assemble_subdomain(
     lift_G = A[G][:, Cdofs] @ gv
 
     floating = bool(sub.floating[k])
-    modes = _rigid_modes_full(mesh, inner, inter, c) if floating else np.zeros(
-        (nO + nG, 0))
+    modes = (rigid_modes(mesh.vertices[np.concatenate([inner, inter])], c)
+             if floating else np.zeros((nO + nG, 0)))
     return SubdomainSystem(
         k=k, components=c,
         inner_nodes=inner, interface_nodes=inter,
@@ -235,23 +232,6 @@ def assemble_subdomain(
         f_O=load[O] - lift_O, f_G=load[G] - lift_G, g=gv,
         floating=floating, modes=modes,
     )
-
-
-def _rigid_modes_full(mesh: Mesh, inner: np.ndarray, inter: np.ndarray,
-                      c: int) -> np.ndarray:
-    """Orthonormal rigid modes over the [inner | interface] dof layout."""
-    nodes = np.concatenate([inner, inter])
-    xy = mesh.vertices[nodes]
-    if c == 1:
-        block = np.ones((len(nodes), 1))
-    else:
-        ctr = xy.mean(axis=0)
-        t1 = np.zeros((len(nodes), 2)); t1[:, 0] = 1.0
-        t2 = np.zeros((len(nodes), 2)); t2[:, 1] = 1.0
-        rot = np.column_stack([-(xy[:, 1] - ctr[1]), xy[:, 0] - ctr[0]])
-        block = np.stack([t1, t2, rot], axis=2).reshape(len(nodes) * 2, 3)
-    q, _ = np.linalg.qr(block)
-    return q
 
 
 # ---------------------------------------------------------------------------

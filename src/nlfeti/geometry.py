@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-STRATEGIES = ("exact_linf", "polar", "barycenter", "nocaps", "approxcaps")
-
 _EPS = 1e-14
 
 

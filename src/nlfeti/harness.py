@@ -7,12 +7,12 @@ can be diffed and post-processed without touching the solver code.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import Assembler, AssembledSystem, assemble_global
 from .feti import (FetiSystem, build_feti_system, feti_solve, gather_solution)
@@ -166,14 +166,16 @@ class SolveOutput:
 
 def baseline_cg_solve(assembled: AssembledSystem, tol: float = 1e-10,
                       maxit: int = 20_000) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG on the reduced global system."""
+    """Jacobi-preconditioned CG on the reduced global system; returns
+    the solution, the iteration count and the relative residual reached."""
     A = assembled.A
     rhs = assembled.rhs
     dinv = 1.0 / A.diagonal()
+    trace: list[float] = []
     try:
-        u, iters = cg(lambda v: A @ v, rhs,
-                      apply_Minv=lambda r: dinv * r, tol=tol, maxit=maxit)
-        res = tol  # converged below this by construction
+        u, iters = cg(lambda v: A @ v, rhs, apply_Minv=lambda r: dinv * r,
+                      tol=tol, maxit=maxit, trace=trace)
+        res = trace[-1] if trace else 0.0
     except ConvergenceFailure as fail:
         u, iters, res = fail.x, fail.iterations, fail.residuals[-1]
     return u, iters, res
@@ -309,7 +311,8 @@ def run_study(config: ExperimentConfig, out_csv=None,
                 K=f"{rung.k1}x{rung.k2}", h=1.0 / rung.n, delta=rung.delta,
                 solver=rung.solver, iterations=-1, residual=float("nan"),
                 l2_error=float("nan"), seconds=0.0))
-            print(f"rung n={rung.n} K={rung.k1}x{rung.k2} failed: {exc}")
+            print(f"rung n={rung.n} K={rung.k1}x{rung.k2} failed: {exc}",
+                  file=sys.stderr)
     _with_rates(records)
     if out_csv:
         write_csv(out_csv, records)

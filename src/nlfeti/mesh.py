@@ -67,9 +67,6 @@ class Mesh:
             self._barycenters = self.vertices[self.elements].mean(axis=1)
         return self._barycenters
 
-    def element_vertices(self, e: int) -> np.ndarray:
-        return self.vertices[self.elements[e]]
-
     @property
     def interior_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.node_region == INTERIOR)
@@ -153,11 +150,6 @@ def element_adjacency_graph(mesh: Mesh) -> dict[int, list[int]]:
     for e in adj:
         adj[e].sort()
     return adj
-
-
-def shared_vertices(mesh: Mesh, e1: int, e2: int) -> np.ndarray:
-    """Global ids of vertices shared by two elements."""
-    return np.intersect1d(mesh.elements[e1], mesh.elements[e2])
 
 
 def p1_gradients(vertices: np.ndarray) -> np.ndarray:

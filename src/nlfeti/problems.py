@@ -21,11 +21,6 @@ class ManufacturedProblem:
     forcing: callable
     exact: callable
 
-    @property
-    def constraint_data(self):
-        """Constraint values on the collar: the exact solution itself."""
-        return self.exact
-
 
 def _diffusion_exact(p: np.ndarray) -> np.ndarray:
     p = np.atleast_2d(p)

@@ -7,7 +7,7 @@ reductions, so repeated runs on the same inputs are bitwise identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -79,13 +79,16 @@ def dense_spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cg(apply_A, b: np.ndarray, apply_Minv=None, tol: float = 1e-10,
-       maxit: int = 10_000) -> tuple[np.ndarray, int]:
+       maxit: int = 10_000,
+       trace: list[float] | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients with a relative residual test.
 
     Convergence is declared when the preconditioned residual norm drops
     below ``tol`` times its initial value (with a tiny absolute floor so
     a zero right-hand side terminates immediately).  Raises
     ConvergenceFailure carrying the best iterate if ``maxit`` is hit.
+    Each iteration's relative residual is appended to ``trace`` when
+    given.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
@@ -111,6 +114,8 @@ def cg(apply_A, b: np.ndarray, apply_Minv=None, tol: float = 1e-10,
         rz_new = float(r @ z)
         res = np.sqrt(abs(rz_new)) / norm0
         residuals.append(res)
+        if trace is not None:
+            trace.append(res)
         if res < tol:
             return x, it
         p = z + (rz_new / rz) * p

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .mesh import COLLAR, INTERIOR, Mesh, element_adjacency_graph
+from .mesh import INTERIOR, Mesh, element_adjacency_graph
 
 
 class SubdivisionError(RuntimeError):
@@ -262,20 +262,14 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
 class CountingFunction:
     """Overlap multiplicities of a subdivision.
 
-    ``node(i, j)`` and ``element(e1, e2)`` count the subdomains whose
-    extended sets contain both arguments; the diagonal values are the
-    usual per-node / per-element multiplicities.
+    ``element(e1, e2)`` counts the subdomains whose extended sets contain
+    both elements; the diagonal values are the usual per-node /
+    per-element multiplicities.
     """
 
-    C: sp.csr_matrix
     C_elem: sp.csr_matrix
     node_diag: np.ndarray
     elem_diag: np.ndarray
-
-    def node(self, i, j) -> np.ndarray:
-        i = np.atleast_1d(np.asarray(i))
-        j = np.atleast_1d(np.asarray(j))
-        return np.asarray(self.C[i].multiply(self.C[j]).sum(axis=1)).ravel()
 
     def element(self, e1, e2) -> np.ndarray:
         e1 = np.atleast_1d(np.asarray(e1))
@@ -287,7 +281,6 @@ class CountingFunction:
 
 def build_counting(mesh: Mesh, sub: Subdivision) -> CountingFunction:
     return CountingFunction(
-        C=sub.C.tocsr(),
         C_elem=sub.C_elem.tocsr(),
         node_diag=np.asarray(sub.C.sum(axis=1)).ravel().astype(np.int64),
         elem_diag=np.asarray(sub.C_elem.sum(axis=1)).ravel().astype(np.int64),
@@ -408,14 +401,29 @@ def _mode_counts(sub: Subdivision, c: int) -> list[int]:
     return [per if f else 0 for f in sub.floating]
 
 
+def rigid_modes(xy: np.ndarray, c: int) -> np.ndarray:
+    """Orthonormal rigid modes of the nodes at ``xy`` with ``c``
+    interleaved components: one constant for scalar problems; two
+    translations and one rotation about the nodes' centroid for vector
+    problems."""
+    if c == 1:
+        block = np.ones((len(xy), 1))
+    else:
+        ctr = xy.mean(axis=0)
+        t1 = np.zeros((len(xy), 2))
+        t1[:, 0] = 1.0
+        t2 = np.zeros((len(xy), 2))
+        t2[:, 1] = 1.0
+        rot = np.column_stack([-(xy[:, 1] - ctr[1]), xy[:, 0] - ctr[0]])
+        block = np.stack([t1, t2, rot], axis=2).reshape(len(xy) * 2, 3)
+    q, _ = np.linalg.qr(block)
+    return q
+
+
 def build_rigid_modes(sub: Subdivision, dof_multiplicity: int = 1) -> sp.csr_matrix:
     """Null-space basis of the floating subdomains, restricted to
-    interface dofs.
-
-    Scalar problems get one constant column per floating subdomain;
-    vector problems get two translations and one rotation about the
-    subdomain barycenter, orthonormalized blockwise.
-    """
+    interface dofs: ``rigid_modes`` of each floating subdomain's
+    interface nodes, one column per mode."""
     c = dof_multiplicity
     sizes = np.array([len(g) for g in sub.interface_nodes])
     offsets = np.concatenate([[0], np.cumsum(c * sizes)])
@@ -424,19 +432,7 @@ def build_rigid_modes(sub: Subdivision, dof_multiplicity: int = 1) -> sp.csr_mat
     for k, is_floating in enumerate(sub.floating):
         if not is_floating:
             continue
-        g = sub.interface_nodes[k]
-        xy = sub.mesh.vertices[g]
-        if c == 1:
-            block = np.ones((len(g), 1))
-        else:
-            ctr = xy.mean(axis=0)
-            t1 = np.zeros((len(g), 2))
-            t1[:, 0] = 1.0
-            t2 = np.zeros((len(g), 2))
-            t2[:, 1] = 1.0
-            rot = np.column_stack([-(xy[:, 1] - ctr[1]), xy[:, 0] - ctr[0]])
-            block = np.stack([t1, t2, rot], axis=2).reshape(len(g) * 2, 3)
-        q, _ = np.linalg.qr(block)
+        q = rigid_modes(sub.mesh.vertices[sub.interface_nodes[k]], c)
         for j in range(q.shape[1]):
             col = sp.csr_matrix(
                 (q[:, j], (np.arange(offsets[k], offsets[k + 1]),

@@ -1,10 +1,11 @@
-"""Stiffness assembly: pair integrals, stencils, and global systems."""
+"""Stiffness assembly: pair integrals, weighted class scatter, and global
+systems."""
 
 import numpy as np
 import pytest
 
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
-                             pair_matrix)
+                             default_strategy, pair_matrix)
 from nlfeti.kernels import KernelSpec, scaling_constant
 from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
 from nlfeti.quadrature import map_to_physical, triangle_rule
@@ -74,39 +75,82 @@ def test_symmetry_and_null_space(family):
     spec = make_spec(family, 0.25)
     mesh = build_structured_mesh(8, 0.25)
     asm = Assembler(mesh, spec)
-    full = asm.assemble_interior_rows()
     ids = np.flatnonzero(mesh.node_region == INTERIOR)
     c = spec.components
     dofs = np.concatenate([c * ids + i for i in range(c)])
-    sym = abs(full[dofs][:, dofs] - full[dofs][:, dofs].T).max()
-    assert sym <= 1e-12 * abs(full).max()
+    rows = asm.assemble()[dofs]
+    scale = abs(rows).max()
+    sym = abs(rows[:, dofs] - rows[:, dofs].T).max()
+    assert sym <= 1e-12 * scale
     # constants (and rigid modes) lie in the null space of the
     # unconstrained rows: row sums over all columns vanish
-    rows = np.asarray(full.sum(axis=1)).ravel()
-    assert np.abs(rows[dofs]).max() <= 1e-10 * abs(full).max()
+    assert np.abs(np.asarray(rows.sum(axis=1))).max() <= 1e-10 * scale
     if family == "peridynamic":
         # rotation mode: (-(y - c2), x - c1) at all nodes
         xy = mesh.vertices
         rot = np.column_stack([-(xy[:, 1] - 0.5), xy[:, 0] - 0.5]).ravel()
-        out = full @ rot
-        assert np.abs(out[2 * ids]).max() <= 1e-10 * abs(full).max()
-        assert np.abs(out[2 * ids + 1]).max() <= 1e-10 * abs(full).max()
+        assert np.abs(rows @ rot).max() <= 1e-10 * scale
 
 
-def test_stencil_rows_match_direct_scatter():
-    """The interior-row fast path and the generic scatter assembly must
-    produce identical rows for unknown nodes."""
-    mesh = build_structured_mesh(8, 0.25)
-    for family in ("constant", "peridynamic"):
-        spec = make_spec(family, 0.25)
-        asm = Assembler(mesh, spec)
-        fast = asm.assemble_interior_rows()
-        slow = asm.assemble()
-        ids = np.flatnonzero(mesh.node_region == INTERIOR)
-        c = spec.components
-        dofs = np.concatenate([c * ids + i for i in range(c)])
-        diff = abs(fast[dofs] - slow[dofs]).max()
-        assert diff <= 1e-11 * abs(slow).max()
+def _dense_oracle(mesh, spec, pair_weights):
+    """Every element pair e1 <= e2 integrated once by ``pair_matrix`` and
+    scattered densely with its weight, doubled when e1 != e2 for the
+    swapped pair.  Pairs whose barycenters lie farther apart than any
+    interaction can reach are skipped.  Pair matrices are memoized by the
+    lattice geometry of the pair, which fixes them up to translation."""
+    c = spec.components
+    A = np.zeros((c * mesh.n_vertices, c * mesh.n_vertices))
+    bary = mesh.barycenters
+    reach = np.sqrt(2.0) * spec.delta + 2.0 * mesh.spacing
+    memo = {}
+    for e1 in range(mesh.n_elements):
+        for e2 in range(e1, mesh.n_elements):
+            if np.linalg.norm(bary[e1] - bary[e2]) > reach:
+                continue
+            w = pair_weights(np.array([e1]), np.array([e2]))[0]
+            if w == 0:
+                continue
+            ids1, ids2 = mesh.elements[e1], mesh.elements[e2]
+            origin = mesh.vertices[ids1[0]]
+            key = tuple(np.round(
+                (mesh.vertices[np.concatenate([ids1, ids2])] - origin)
+                / mesh.spacing).astype(int).ravel())
+            patch = np.array(list(ids1) + [g for g in ids2 if g not in ids1])
+            if key not in memo:
+                M, got = pair_matrix(mesh, e1, e2, spec, default_strategy(spec),
+                                     QuadratureConfig())
+                assert np.array_equal(got, patch)
+                memo[key] = M
+            dofs = (c * patch[:, None] + np.arange(c)[None, :]).ravel()
+            A[np.ix_(dofs, dofs)] += (1 if e1 == e2 else 2) * w * memo[key]
+    return A
+
+
+def _unit_weights(e1, e2):
+    return np.ones(len(e1))
+
+
+def _mixed_weights(e1, e2):
+    """Symmetric and nonuniform; zero on a quarter of the pairs and, as
+    for a subdomain, on every pair with an element in the lowest cell row
+    or the leftmost cell column of the 6 x 6 cells of the n=4 mesh."""
+    cell1, cell2 = e1 // 2, e2 // 2
+    outside = (cell1 < 6) | (cell2 < 6) | (cell1 % 6 == 0) | (cell2 % 6 == 0)
+    return np.where(outside, 0.0, ((e1 + e2) % 4) / 3.0)
+
+
+@pytest.mark.parametrize("weights", [_unit_weights, _mixed_weights])
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_assemble_matches_pairwise_oracle(family, weights):
+    """The class scatter over all mesh dofs, collar rows included, equals
+    a dense scatter of every interacting element pair."""
+    mesh = build_structured_mesh(4, 0.25)
+    spec = make_spec(family, 0.25)
+    oracle = _dense_oracle(mesh, spec, weights)
+    asm = Assembler(mesh, spec)
+    got = asm.assemble(None if weights is _unit_weights else weights)
+    assert got.has_sorted_indices
+    assert np.abs(got.toarray() - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_constant_kernel_self_convergence():
@@ -114,9 +158,10 @@ def test_constant_kernel_self_convergence():
     1e-8 relative (the max-norm ball path is exact by construction)."""
     mesh = build_structured_mesh(8, 0.25)
     spec = KernelSpec("constant", 0.25)
-    A1 = Assembler(mesh, spec).assemble_interior_rows()
+    dofs = mesh.interior_nodes
+    A1 = Assembler(mesh, spec).assemble()[dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble_interior_rows()
+                   quad=QuadratureConfig().refined()).assemble()[dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-8
 
@@ -125,9 +170,10 @@ def test_constant_kernel_self_convergence():
 def test_fractional_self_convergence():
     mesh = build_structured_mesh(8, 0.25)
     spec = KernelSpec("fractional", 0.25, 0.4)
-    A1 = Assembler(mesh, spec).assemble_interior_rows()
+    dofs = mesh.interior_nodes
+    A1 = Assembler(mesh, spec).assemble()[dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble_interior_rows()
+                   quad=QuadratureConfig().refined()).assemble()[dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-5
 

@@ -22,6 +22,7 @@ from nlfeti.harness import (
 )
 from nlfeti.kernels import KernelSpec, kernel_on_support
 from nlfeti.problems import manufactured_problem
+from nlfeti.sparse_linalg import cg
 
 
 def test_parse_config_and_overrides(tmp_path):
@@ -195,7 +196,22 @@ def test_run_study_csv_and_rates(tmp_path):
     assert float(row["seconds"]) >= 0
 
 
-def test_run_study_records_failures(tmp_path, monkeypatch):
+def test_cg_row_reports_residual_reached():
+    config = ExperimentConfig(family="constant", delta=0.25, n=8,
+                              solver="cg", tol=1e-8)
+    out = run_single(config)
+    (rec,) = out.records
+    A = out.assembled.A
+    dinv = 1.0 / A.diagonal()
+    trace = []
+    cg(lambda v: A @ v, out.assembled.rhs, apply_Minv=lambda r: dinv * r,
+       tol=config.tol, maxit=config.maxit, trace=trace)
+    assert len(trace) == rec.iterations
+    assert rec.residual == trace[-1]
+    assert rec.residual <= config.tol
+
+
+def test_run_study_records_failures(tmp_path, monkeypatch, capsys):
     import nlfeti.harness as harness
 
     def boom(config, study=None):
@@ -208,6 +224,9 @@ def test_run_study_records_failures(tmp_path, monkeypatch):
     assert len(records) == 1
     assert records[0].iterations == -1
     assert np.isnan(records[0].l2_error)
+    captured = capsys.readouterr()
+    assert "failed" not in captured.out
+    assert "intentional rung failure" in captured.err
 
 
 def test_write_csv_roundtrip(tmp_path):
