@@ -11,9 +11,11 @@ integrated once and scattered with factor 2 (factor 1 when E == F).
 
 On the structured criss-cross mesh every pair belongs to a translation
 class (cell offset plus the two triangle types), so each class matrix is
-computed once per mesh and reused for every pair in the class.  One
-weighted scatter, ``Assembler.assemble(pair_weights)``, builds every
-matrix over all mesh dofs: the global matrix is the unit-weight case, and
+computed once per mesh and reused for every pair in the class.  Only
+classes whose two triangles come closer than the horizon are formed; the
+matrix of every other class is identically zero.  One weighted scatter,
+``Assembler.assemble(pair_weights)``, builds every matrix over all mesh
+dofs: the global matrix is the unit-weight case, and
 a subdomain matrix weights each pair by the reciprocal number of
 subdomains holding both elements.  Callers slice out the rows and columns
 they need.
@@ -26,6 +28,16 @@ relative coordinates anchored at the shared feature, where the kernel
 homogeneity yields a closed-form radial integral along every direction,
 horizon cut included.  Close-but-disjoint pairs are uniformly subdivided
 before the product rule is applied.
+
+For disjoint pairs and a Euclidean ball the inner rule is polar around
+each outer quadrature point, with every radial interval cut exactly at the
+horizon.  It is evaluated for all outer points of a pair at once: the
+angular panels of each point (three vertex directions plus at most two
+horizon crossings per edge) are padded to nine, a mask drops the unused
+panels and the directions that miss the inner element, and the outer
+points are taken in blocks that bound the working set.  The kernel
+contraction of every pair integrator is one weighted GEMM per kernel
+component.
 """
 
 from __future__ import annotations
@@ -36,7 +48,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import (
-    _segment_circle_params,
     ball_element_intersection,
     closest_point_triangle,
     disk_interaction_cells,
@@ -129,13 +140,12 @@ def _patch(ids1: np.ndarray, ids2: np.ndarray):
 
 
 def _basis_differences(
-    v1: np.ndarray, v2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
-    X: np.ndarray, Y: np.ndarray,
+    phi1: np.ndarray, phi2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
 ) -> np.ndarray:
-    """dpsi_a = psi_a(y) - psi_a(x) for every patch node, shape (m, p)."""
-    phi1 = p1_values(v1, X)  # (m, 3)
-    phi2 = p1_values(v2, Y)
-    m = X.shape[0]
+    """dpsi_a = psi_a(y) - psi_a(x) for every patch node, shape (m, p),
+    from the hat values (m, 3) of the first element at the points x and
+    of the second at the points y."""
+    m = phi1.shape[0]
     D = np.zeros((m, len(loc1)))
     for a in range(len(loc1)):
         if loc2[a] >= 0:
@@ -145,105 +155,141 @@ def _basis_differences(
     return D
 
 
-def _contract(spec: KernelSpec, W: np.ndarray, X: np.ndarray, Y: np.ndarray,
-              D: np.ndarray) -> np.ndarray:
-    """Weighted contraction sum_m W K(x,y) dpsi_a dpsi_b -> patch matrix."""
+def _tensor_contract(spec: KernelSpec, W: np.ndarray, m: np.ndarray,
+                     D: np.ndarray) -> np.ndarray:
+    """sum_q W[q] K(m[q]) D[q,a] D[q,b], interleaved for vector kernels;
+    one weighted GEMM per kernel component."""
+    K = kernel_on_support(spec, m)
     if spec.components == 1:
-        K = kernel_on_support(spec, Y - X)
         return (D * (W * K)[:, None]).T @ D
-    K = kernel_on_support(spec, Y - X)  # (m, 2, 2)
-    M = np.einsum("m,mij,ma,mb->aibj", W, K, D, D, optimize=True)
+    WK = W[:, None, None] * K  # (q, 2, 2)
     p = D.shape[1]
+    M = np.empty((p, 2, p, 2))
+    for i in range(2):
+        for j in range(2):
+            M[:, i, :, j] = (D * WK[:, i, j, None]).T @ D
     return M.reshape(2 * p, 2 * p)
 
 
-def _polar_inner_points(
-    x: np.ndarray, tri: np.ndarray, spec: KernelSpec, quad: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for int_{tri cap B(x, delta)} around an exterior point x
-    in polar coordinates: per direction the radial interval [entry, exit]
-    is clipped exactly at the horizon, so no geometric ball approximation
-    enters.  The angular range is paneled at the triangle vertex angles
-    and at the angles where the horizon circle crosses a triangle edge,
-    which are the only non-smooth directions.
+# Angular panels per outer point of the polar rule: the three vertex
+# directions plus at most two horizon crossings per edge.
+_POLAR_PANELS = 9
+
+
+def _polar_inner_rule(
+    X: np.ndarray, tri: np.ndarray, spec: KernelSpec, quad: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature for int_{tri cap B(x, delta)} around every exterior
+    outer point x in X, in polar coordinates centred at x.
+
+    Per direction the radial interval [entry, exit] is clipped exactly at
+    the horizon, so no geometric ball approximation enters.  The angular
+    range is paneled at the triangle vertex angles and at the angles
+    where the horizon circle crosses a triangle edge, the only non-smooth
+    directions.  All outer points are handled at once on arrays padded to
+    ``_POLAR_PANELS`` panels; a mask drops the unused panels and the
+    directions that miss the triangle.  Points whose triangle lies inside
+    the horizon and well away take the plain triangle rule.
+
+    Returns (owner, points, weights): inner point q belongs to outer point
+    ``X[owner[q]]``, and each outer point's inner points are contiguous,
+    ordered by panel, then direction, then radial node.
     """
     delta = spec.delta
-    d = np.linalg.norm(tri - x[None, :], axis=1)
+    rel = tri[None, :, :] - X[:, None, :]  # (m, 3, 2) vertex offsets
+    d = np.linalg.norm(rel, axis=2)
     diam = max(np.linalg.norm(tri[1] - tri[0]), np.linalg.norm(tri[2] - tri[0]),
                np.linalg.norm(tri[2] - tri[1]))
-    if d.max() <= delta and d.min() >= 2.0 * diam:
-        # entirely inside the horizon and well separated: smooth integrand
-        bary, wts = triangle_rule(quad.inner_degree)
-        return map_to_physical(tri, bary, wts)
-    bounds = [float(np.arctan2(v[1] - x[1], v[0] - x[0])) for v in tri]
-    edges = []
+    smooth = (d.max(axis=1) <= delta) & (d.min(axis=1) >= 2.0 * diam)
+    rows = np.flatnonzero(~smooth)
+    x = X[rows]
+    bounds = np.full((len(rows), _POLAR_PANELS), np.inf)
+    bounds[:, :3] = np.arctan2(rel[rows, :, 1], rel[rows, :, 0])
+    normals = []
     for i in range(3):
         a, b = tri[i], tri[(i + 1) % 3]
         e = b - a
         n = np.array([-e[1], e[0]])
         if n @ (tri[(i + 2) % 3] - a) < 0:
             n = -n
-        edges.append((a, n))
-        for t in _segment_circle_params(a, b, x, delta):
-            p = a + t * e
-            bounds.append(float(np.arctan2(p[1] - x[1], p[0] - x[0])))
-    th = np.sort(np.asarray(bounds))
-    th = np.concatenate([th, [th[0] + 2.0 * np.pi]])
+        normals.append((a, n))
+        # horizon crossings a + t e, 0 < t < 1, of the circle around x;
+        # row-wise dot products are taken as stacked matmuls, which round
+        # each row as a 1-D dot product does
+        f = (a[None, :] - x)[:, None, :]
+        A = e @ e
+        B = 2.0 * (f @ e)[:, 0]
+        disc = B * B - 4.0 * A * ((f @ f.transpose(0, 2, 1))[:, 0, 0]
+                                  - delta * delta)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        for k, t in enumerate(((-B - sq) / (2 * A), (-B + sq) / (2 * A))):
+            hit = (disc > 0.0) & (1e-12 < t) & (t < 1.0 - 1e-12)
+            p = a[None, :] + t[:, None] * e[None, :]
+            ang = np.arctan2(p[:, 1] - x[:, 1], p[:, 0] - x[:, 0])
+            bounds[:, 3 + 2 * i + k] = np.where(hit, ang, np.inf)
+    # panel j runs from the j-th to the next sorted angle, the last one
+    # wrapping around to the first angle plus 2 pi
+    th = np.sort(bounds, axis=1)
+    count = np.isfinite(th).sum(axis=1)
+    t1 = np.concatenate([th[:, 1:], np.full((len(rows), 1), np.inf)], axis=1)
+    t1[np.arange(len(rows)), count - 1] = th[:, 0] + 2.0 * np.pi
+    with np.errstate(invalid="ignore"):
+        width = t1 - th
+    panel = ((np.arange(_POLAR_PANELS)[None, :] < count[:, None])
+             & (width >= 1e-14))
+    width = np.where(panel, width, 0.0)
+    t0 = np.where(panel, th, 0.0)
     ga, gwa = gauss01(quad.polar_angular)
     gr, gwr = gauss01(quad.polar_radial)
-    pts_out: list[np.ndarray] = []
-    w_out: list[np.ndarray] = []
-    for t0, t1 in zip(th[:-1], th[1:]):
-        width = t1 - t0
-        if width < 1e-14:
-            continue
-        theta = t0 + width * ga
-        u = np.column_stack([np.cos(theta), np.sin(theta)])  # (na, 2)
-        lo = np.zeros(len(theta))
-        hi = np.full(len(theta), delta)
-        ok = np.ones(len(theta), dtype=bool)
-        for a, n in edges:
-            num = n @ (x - a)
-            den = u @ n
-            small = np.abs(den) < 1e-14
-            ok &= ~(small & (num < 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rr = -num / den
-            pos = den > 1e-14
-            neg = den < -1e-14
-            lo = np.where(pos, np.maximum(lo, rr), lo)
-            hi = np.where(neg, np.minimum(hi, rr), hi)
-        ok &= hi > lo + 1e-15
-        if not ok.any():
-            continue
-        lo, hi, u = lo[ok], hi[ok], u[ok]
-        wa = gwa[ok] * width
-        r = lo[:, None] + (hi - lo)[:, None] * gr[None, :]  # (na, nr)
-        w = (wa * (hi - lo))[:, None] * gwr[None, :] * r
-        pts_out.append((x[None, None, :] + r[:, :, None] * u[:, None, :])
-                       .reshape(-1, 2))
-        w_out.append(w.ravel())
-    if not pts_out:
-        return np.empty((0, 2)), np.empty(0)
-    return np.concatenate(pts_out), np.concatenate(w_out)
+    theta = t0[:, :, None] + width[:, :, None] * ga  # (m, panels, na)
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    lo = np.zeros(theta.shape)
+    hi = np.full(theta.shape, delta)
+    ok = np.broadcast_to(panel[:, :, None], theta.shape).copy()
+    for a, n in normals:
+        num = (x - a[None, :])[:, None, :] @ n[:, None]  # (m, 1, 1)
+        den = u @ n
+        ok &= ~((np.abs(den) < 1e-14) & (num < 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rr = -num / den
+        lo = np.where(den > 1e-14, np.maximum(lo, rr), lo)
+        hi = np.where(den < -1e-14, np.minimum(hi, rr), hi)
+    ok &= hi > lo + 1e-15
+    # kept directions, in (point, panel, direction) order
+    point = np.nonzero(ok)[0]
+    lo, hi, u = lo[ok], hi[ok], u[ok]
+    wa = (gwa * width[:, :, None])[ok]
+    r = lo[:, None] + (hi - lo)[:, None] * gr  # (directions, nr)
+    W = ((wa * (hi - lo))[:, None] * gwr * r).ravel()
+    Y = (x[point, None, :] + r[:, :, None] * u[:, None, :]).reshape(-1, 2)
+    owner = np.repeat(rows[point], len(gr))
+    if smooth.any():
+        bary, wts = triangle_rule(quad.inner_degree)
+        ys, ws = map_to_physical(tri, bary, wts)
+        near = np.flatnonzero(smooth)
+        owner = np.concatenate([owner, np.repeat(near, len(ws))])
+        Y = np.concatenate([Y, np.tile(ys, (len(near), 1))])
+        W = np.concatenate([W, np.tile(ws, len(near))])
+        order = np.argsort(owner, kind="stable")
+        owner, Y, W = owner[order], Y[order], W[order]
+    return owner, Y, W
 
 
 def _inner_rule_points(
     x: np.ndarray, v2: np.ndarray, spec: KernelSpec, strategy: str,
-    quad: QuadratureConfig, singular_near: bool,
+    quad: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points/weights for int_{v2 cap B(x)} around outer point x.
+    """Quadrature points/weights for int_{v2 cap B(x)} around outer point x
+    by clipping ``v2`` against the ball (the non-polar strategies).
 
     For singular kernels the inner element is fanned around its closest
     point to x and geometrically graded toward it, so the near-singular
     integrand is resolved at every scale down to dist(x, v2).
     """
-    if strategy == "polar":
-        return _polar_inner_points(x, v2, spec, quad)
     diam = max(np.linalg.norm(v2[1] - v2[0]), np.linalg.norm(v2[2] - v2[0]),
                np.linalg.norm(v2[2] - v2[1]))
     tris: list[np.ndarray]
-    if not singular_near:
+    if not spec.singular:
         tris = [v2]
     else:
         p = closest_point_triangle(x, v2)
@@ -342,12 +388,15 @@ def subdivide_triangle(tri: np.ndarray, levels: int) -> list[np.ndarray]:
     return out
 
 
+# Inner points contracted at once; bounds the working set of a pair.
+_FLUSH_POINTS = 500_000
+
+
 def regular_pair_matrix(
     v1: np.ndarray, v2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
     spec: KernelSpec, strategy: str, quad: QuadratureConfig,
     outer_tris: list[np.ndarray] | None = None,
     outer_degree: int | None = None,
-    inner_tris: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Pair matrix by outer rule x (clipped) inner rule."""
     bary, wts = triangle_rule(outer_degree or quad.outer_degree)
@@ -365,41 +414,40 @@ def regular_pair_matrix(
                        np.linalg.norm(v1[2] - v1[1]))
             if dist < quad.near_eta * diam:
                 outer_tris = _fan_graded(v1, p, max(dist, 0.25 * diam), quad)
-    if inner_tris is None:
-        inner_tris = [v2]
-    singular_near = spec.singular
-    p = len(loc1)
+    rules = [map_to_physical(tri, bary, wts) for tri in outer_tris]
+    X = np.concatenate([pts for pts, _ in rules])
+    WX = np.concatenate([w for _, w in rules])
+    PX = p1_values(v1, X)
+    if strategy == "polar":
+        # blocks of outer points with at most half the flush bound of
+        # inner points, so pending points never exceed it
+        slots = _POLAR_PANELS * quad.polar_angular * quad.polar_radial
+        step = max(1, _FLUSH_POINTS // (2 * slots))
+
+        def inner(xs):
+            return _polar_inner_rule(xs, v2, spec, quad)
+    else:
+        step = 1
+
+        def inner(xs):
+            Y, W = _inner_rule_points(xs[0], v2, spec, strategy, quad)
+            return np.zeros(len(W), dtype=np.int64), Y, W
+
     c = spec.components
-    M = np.zeros((p * c, p * c))
-    Xs, Ys, Ws = [], [], []
+    M = np.zeros((len(loc1) * c, len(loc1) * c))
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pending = 0
-
-    def flush():
-        nonlocal Xs, Ys, Ws, pending
-        X = np.concatenate(Xs)
-        Y = np.concatenate(Ys)
-        W = np.concatenate(Ws)
-        D = _basis_differences(v1, v2, loc1, loc2, X, Y)
-        Xs, Ys, Ws = [], [], []
-        pending = 0
-        return _contract(spec, W, X, Y, D)
-
-    for tri in outer_tris:
-        pts_x, w_x = map_to_physical(tri, bary, wts)
-        for xq, wq in zip(pts_x, w_x):
-            for itri in inner_tris:
-                pts_y, w_y = _inner_rule_points(xq, itri, spec, strategy,
-                                                quad, singular_near)
-                if len(w_y) == 0:
-                    continue
-                Xs.append(np.broadcast_to(xq, pts_y.shape))
-                Ys.append(pts_y)
-                Ws.append(wq * w_y)
-                pending += len(w_y)
-            if pending > 500_000:
-                M += flush()
-    if pending:
-        M += flush()
+    for start in range(0, len(WX), step):
+        owner, Y, W = inner(X[start:start + step])
+        parts.append((start + owner, Y, W))
+        pending += len(W)
+        if pending > _FLUSH_POINTS // 2 or start + step >= len(WX):
+            owner = np.concatenate([o for o, _, _ in parts])
+            Y = np.concatenate([y for _, y, _ in parts])
+            W = WX[owner] * np.concatenate([w for _, _, w in parts])
+            D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
+            M += _tensor_contract(spec, W, Y - X[owner], D)
+            parts, pending = [], 0
     return M
 
 
@@ -419,17 +467,6 @@ def _patch_gradients(
         if loc2[a] >= 0:
             P2[a] = g2[loc2[a]]
     return P1, P2
-
-
-def _tensor_contract(spec: KernelSpec, W: np.ndarray, m: np.ndarray,
-                     D: np.ndarray) -> np.ndarray:
-    """sum_q W[q] K(m[q]) D[q,a] D[q,b], interleaved for vector kernels."""
-    K = kernel_on_support(spec, m)
-    if spec.components == 1:
-        return (D * (W * K)[:, None]).T @ D
-    M = np.einsum("q,qij,qa,qb->aibj", W, K, D, D, optimize=True)
-    p = D.shape[1]
-    return M.reshape(2 * p, 2 * p)
 
 
 def common_vertex_pair_matrix(
@@ -589,7 +626,7 @@ def coinciding_pair_matrix(
     t_nodes, t_wts = gauss01(quad.angular_points)
     r_nodes, r_wts = gauss_jacobi01(quad.radial_points, alpha)
     c = spec.components
-    M = np.zeros((3 * c, 3 * c)) if c == 2 else np.zeros((3, 3))
+    M = np.zeros((3 * c, 3 * c))
     for k in range(6):
         r0, r1 = _HEX[k], _HEX[(k + 1) % 6]
         mh = r0[None, :] + t_nodes[:, None] * (r1 - r0)[None, :]  # (nt, 2)
@@ -612,15 +649,8 @@ def coinciding_pair_matrix(
         Aref = 0.5 * np.maximum(Lr, 0.0) ** 2
         radial = cut ** (alpha + 1.0) * (Aref * r_wts[None, :]).sum(axis=1)
         # (2|E|) converts the reference overlap area to physical.
-        Kdir = kernel_on_support(spec, mw)  # (nt,) or (nt, 2, 2)
         P = mw @ grads.T  # (nt, 3): grad(psi_a) . m
-        if c == 1:
-            fac = t_wts * radial * Kdir * 2.0 * area * detB
-            M += np.einsum("t,ta,tb->ab", fac, P, P)
-        else:
-            fac = t_wts * radial * 2.0 * area * detB
-            Mi = np.einsum("t,tij,ta,tb->aibj", fac, Kdir, P, P, optimize=True)
-            M += Mi.reshape(6, 6)
+        M += _tensor_contract(spec, t_wts * radial * 2.0 * area * detB, mw, P)
     return M
 
 
@@ -708,7 +738,42 @@ def _proximity_level(cell: np.ndarray, v2: np.ndarray, diam: float,
 # ---------------------------------------------------------------------------
 # Structured-mesh assembler with translation-class caching
 
-_BARY_T = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])  # lattice barycenters
+# Vertices of the lower and upper triangle of a cell, in cell units.
+_TRI_T = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+
+def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
+    """Whether the convex hull of each row of integer points ``diffs``
+    (k, q, 2) comes closer than R to the origin, in the l-infinity or the
+    Euclidean norm.  The hull distance is the least distance over the
+    segments between any two points, since the origin lies outside the
+    hull or is one of the points (two lattice triangles that meet share
+    a vertex).  Comparisons are exact on integer coordinates and
+    an integer R."""
+    i, j = np.triu_indices(diffs.shape[1])
+    a = diffs[:, i].astype(float)
+    e = diffs[:, j] - a
+    if linf:
+        # max(|a_x + t e_x|, |a_y + t e_y|) is least at an end point or
+        # where the two coordinates agree in magnitude, t = num / den
+        below = np.abs(a).max(axis=2) < R
+        below |= np.abs(a + e).max(axis=2) < R
+        for sign in (1.0, -1.0):
+            num = sign * a[..., 1] - a[..., 0]
+            den = e[..., 0] - sign * e[..., 1]
+            num, den = np.where(den < 0, -num, num), np.abs(den)
+            inside = (den > 0) & (num >= 0) & (num <= den)
+            at = np.abs(a[..., 0] * den + num * e[..., 0])
+            below |= inside & (at < R * den)
+    else:
+        aa = (a * a).sum(axis=2)
+        ae = (a * e).sum(axis=2)
+        ee = (e * e).sum(axis=2)
+        cross = a[..., 0] * e[..., 1] - a[..., 1] * e[..., 0]
+        below = np.where(ae >= 0, aa < R * R,
+                         np.where(ae + ee <= 0, aa + 2 * ae + ee < R * R,
+                                  cross * cross < R * R * ee))
+    return below.any(axis=1)
 
 
 class Assembler:
@@ -738,30 +803,30 @@ class Assembler:
     # -- translation classes ------------------------------------------------
 
     def classes(self) -> list[tuple[int, int, int, int]]:
-        """Canonical (unordered) interacting pair classes (dx, dy, t1, t2)."""
+        """Canonical (unordered) pair classes (dx, dy, t1, t2) whose two
+        triangles come closer than the horizon in the ball norm.  The
+        matrix of every other class is identically zero.
+
+        The distance is that of the origin to the Minkowski difference
+        of the two triangles, taken in cell units where the vertices are
+        integers and the horizon is the integer delta * n, so the test is
+        exact.
+        """
         if self._classes is not None:
             return self._classes
-        mesh = self.mesh
-        # Reach in cell units, measured in the norm of the interaction
-        # ball: vertices sit at most 2/3 (per axis) / sqrt(5)/3 (l2) from
-        # their barycenter, so pairs beyond the margin cannot touch.
-        linf = self.spec.ball_norm == "linf"
-        margin = 4.0 / 3.0 if linf else 2.0 * np.sqrt(5.0) / 3.0
-        reach = self.spec.delta * mesh.n + margin + 1e-12
-        rng = int(np.ceil(reach))
-        out = []
-        for dy in range(-rng, rng + 1):
-            for dx in range(-rng, rng + 1):
-                for t1 in range(2):
-                    for t2 in range(2):
-                        db = np.array([dx, dy]) + _BARY_T[t2] - _BARY_T[t1]
-                        dist = np.max(np.abs(db)) if linf else np.linalg.norm(db)
-                        if dist > reach:
-                            continue
-                        if (dy, dx) > (0, 0) or ((dx, dy) == (0, 0) and t1 <= t2):
-                            out.append((dx, dy, t1, t2))
-        self._classes = out
-        return out
+        R = self.spec.delta * self.mesh.n
+        rng = int(np.ceil(R)) + 1
+        keys = np.array([
+            (dx, dy, t1, t2)
+            for dy in range(0, rng + 1) for dx in range(-rng, rng + 1)
+            for t1 in range(2) for t2 in range(2)
+            if dy > 0 or dx > 0 or (dx == 0 and t1 <= t2)])
+        # vertex differences of the second triangle minus the first
+        diffs = (keys[:, None, None, :2] + _TRI_T[keys[:, 3]][:, :, None, :]
+                 - _TRI_T[keys[:, 2]][:, None, :, :]).reshape(len(keys), 9, 2)
+        near = _closer_than(diffs, R, self.spec.ball_norm == "linf")
+        self._classes = [tuple(int(v) for v in k) for k in keys[near]]
+        return self._classes
 
     def class_matrix(self, key: tuple[int, int, int, int]):
         """(patch matrix, (p, 2) lattice offsets of the patch nodes from the

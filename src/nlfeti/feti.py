@@ -29,6 +29,10 @@ class ConsistencyError(RuntimeError):
     """Interface copies of the gathered solution disagree."""
 
 
+class CoarseConstraintError(RuntimeError):
+    """A dual iterate violates the coarse constraint G^T lambda = e."""
+
+
 # ---------------------------------------------------------------------------
 # Subdomain systems
 
@@ -253,7 +257,7 @@ class FetiSystem:
     d: np.ndarray
     e: np.ndarray
     tol: float = 1e-10
-    maxit: int = 10_000
+    maxit: int = 20_000
     preconditioner: str = "dirichlet"
     reortho: bool = False
 
@@ -300,7 +304,7 @@ def build_feti_system(
     strategy: str | None = None,
     quad: QuadratureConfig | None = None,
     tol: float = 1e-10,
-    maxit: int = 10_000,
+    maxit: int = 20_000,
     preconditioner: str = "dirichlet",
     reortho: bool = False,
     assembler: Assembler | None = None,
@@ -356,7 +360,7 @@ def feti_solve(system: FetiSystem) -> FetiResult:
         if nm:
             res = np.linalg.norm(system.G.T @ lam - system.e)
             if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
-                raise SubdivisionError(
+                raise CoarseConstraintError(
                     f"initial multiplier violates the coarse constraint "
                     f"(residual {res:.3e})")
 

@@ -6,9 +6,12 @@ import pytest
 
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
                              default_strategy, pair_matrix)
+from nlfeti.feti import assemble_subdomain
 from nlfeti.kernels import KernelSpec, scaling_constant
 from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
+from nlfeti.problems import manufactured_problem
 from nlfeti.quadrature import map_to_physical, triangle_rule
+from nlfeti.subdivision import build_subdivision
 
 from conftest import make_spec
 
@@ -151,6 +154,81 @@ def test_assemble_matches_pairwise_oracle(family, weights):
     got = asm.assemble(None if weights is _unit_weights else weights)
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _classes_by_barycenter_reach(asm):
+    """Every canonical class whose barycenters lie within the horizon
+    plus the largest barycenter-to-vertex offset of both triangles, in
+    the ball norm: a superset of the interacting classes that includes
+    classes with an identically zero matrix."""
+    linf = asm.spec.ball_norm == "linf"
+    margin = 4.0 / 3.0 if linf else 2.0 * np.sqrt(5.0) / 3.0
+    reach = asm.spec.delta * asm.mesh.n + margin + 1e-12
+    rng = int(np.ceil(reach))
+    bary = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    out = []
+    for dy in range(-rng, rng + 1):
+        for dx in range(-rng, rng + 1):
+            for t1 in range(2):
+                for t2 in range(2):
+                    db = np.array([dx, dy]) + bary[t2] - bary[t1]
+                    dist = np.max(np.abs(db)) if linf else np.linalg.norm(db)
+                    if dist > reach:
+                        continue
+                    if (dy, dx) > (0, 0) or ((dx, dy) == (0, 0) and t1 <= t2):
+                        out.append((dx, dy, t1, t2))
+    return out
+
+
+class _AllClassesAssembler(Assembler):
+    """Scatters every candidate class, the all-zero ones included: the
+    reference for dropping them."""
+
+    def classes(self):
+        return _classes_by_barycenter_reach(self)
+
+
+@pytest.mark.parametrize("family, ratio", [
+    ("constant", 2), ("constant", 4), ("constant", 8),
+    ("fractional", 2), ("fractional", 4),
+    ("peridynamic", 2), ("peridynamic", 4)])
+def test_classes_drop_exactly_the_zero_classes(family, ratio):
+    """The kept classes are exactly those whose computed matrix has a
+    nonzero entry."""
+    mesh = build_structured_mesh(4, ratio / 4)
+    asm = Assembler(mesh, make_spec(family, ratio / 4))
+    candidates = _classes_by_barycenter_reach(asm)
+    nonzero = [key for key in candidates if np.any(asm.class_matrix(key)[0])]
+    assert asm.classes() == nonzero
+    assert len(nonzero) < len(candidates)
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_dropping_zero_classes_leaves_matrices_bitwise(family):
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    prob = manufactured_problem(family)
+    kept, full = Assembler(mesh, spec), _AllClassesAssembler(mesh, spec)
+    assert len(kept.classes()) < len(full.classes())
+    glob = [assemble_global(mesh, spec, prob.forcing, prob.exact,
+                            assembler=asm) for asm in (kept, full)]
+    for name in ("A", "B_coupling"):
+        a, b = (getattr(g, name) for g in glob)
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+    sub = build_subdivision(mesh, 3, 3, 0.25, ball_norm=spec.ball_norm)
+    for k in range(sub.K):
+        s1, s2 = (assemble_subdomain(mesh, sub, k, spec, prob.forcing,
+                                     prob.exact, assembler=asm)
+                  for asm in (kept, full))
+        for name in ("A_OO", "A_OG", "A_GG"):
+            a, b = getattr(s1, name), getattr(s2, name)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(s1.f_O, s2.f_O)
+        assert np.array_equal(s1.f_G, s2.f_G)
 
 
 def test_constant_kernel_self_convergence():

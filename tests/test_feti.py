@@ -1,20 +1,25 @@
 """Domain-decomposition solver: Schur operators, projections, and
 equivalence with the direct global solve."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nlfeti.feti import (
+    CoarseConstraintError,
     ConsistencyError,
+    FetiSystem,
     assemble_subdomain,
     build_feti_system,
     feti_solve,
     gather_solution,
 )
+from nlfeti.harness import ExperimentConfig
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
-from nlfeti.subdivision import build_subdivision
+from nlfeti.subdivision import SubdivisionError, build_subdivision
 
 from conftest import make_spec
 
@@ -179,3 +184,40 @@ def test_empty_interior_schur_is_stiffness_block(cache):
         # rhs condenses consistently
         rhs = s.schur_rhs()
         assert rhs.shape == (s.n_G,)
+
+
+def test_assemble_subdomain_detects_missing_pair(cache):
+    """A subdivision in which an interacting pair shares no subdomain
+    fails subdomain assembly: skipping the all-zero classes leaves every
+    interacting pair under the zero-multiplicity check."""
+    mesh = cache.mesh(8, 0.25)
+    sub = build_subdivision(mesh, 2, 2, 0.25)
+    # Sabotage: strip every subdomain back to its owned rectangle, so
+    # pairs straddling a partition boundary lose their common subdomain.
+    Z = sub.C_elem.tolil()
+    for k in range(sub.K):
+        extra = np.setdiff1d(sub.extended_elements[k], sub.owned_elements[k])
+        Z[extra, k] = 0
+    sub.C_elem = Z.tocsr()
+    prob = manufactured_problem("constant")
+    with pytest.raises(SubdivisionError, match="zero multiplicity"):
+        assemble_subdomain(mesh, sub, 0, make_spec("constant", 0.25),
+                           prob.forcing, prob.exact,
+                           assembler=cache.assembler("constant", 8, 0.25))
+
+
+def test_coarse_constraint_violation_has_its_own_error(cache):
+    system = _build("constant", 16, 0.125, 3, 3, cache)
+    assert system.G.shape[1] > 0
+    # a wrong coarse matrix puts the initial multiplier off G^T lam = e
+    system.GtG = 2.0 * system.GtG
+    with pytest.raises(CoarseConstraintError, match="coarse constraint"):
+        feti_solve(system)
+    assert not issubclass(CoarseConstraintError, SubdivisionError)
+
+
+def test_iteration_cap_defaults_match_the_config():
+    cap = ExperimentConfig().maxit
+    assert FetiSystem.__dataclass_fields__["maxit"].default == cap
+    params = inspect.signature(build_feti_system).parameters
+    assert params["maxit"].default == cap

@@ -1,4 +1,6 @@
-"""Import hygiene: every name a package module imports is used in it."""
+"""Code hygiene: every name a package module imports is used in it, and
+every private top-level function or class is referenced from elsewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,52 @@ def test_module_uses_every_import(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys, pi)\n"
     assert _unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private (``_``-prefixed) top-level functions and classes that no
+    other top-level statement of any of ``sources`` names; a function
+    calling only itself counts as unreferenced."""
+    defined: list[tuple[str, str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            statements.append(node)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined.append((module, node.name, node))
+
+    def names(stmt: ast.stmt) -> set[str]:
+        out: set[str] = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+        return out
+
+    named = [(stmt, names(stmt)) for stmt in statements]
+    return [f"{module}: {name}" for module, name, node in defined
+            if not any(name in used
+                       for stmt, used in named if stmt is not node)]
+
+
+def test_package_references_every_private_definition():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unreferenced_private(sources) == []
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+                "class _Imported:\n    pass\n",
+        "b.py": "from .a import _Imported, _used\n\n\n"
+                "print(_used, _Imported)\n",
+    }
+    assert _unreferenced_private(sources) == ["a.py: _dead",
+                                              "a.py: _recursive"]
