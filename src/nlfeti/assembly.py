@@ -976,8 +976,6 @@ def assemble_global(
     spec: KernelSpec,
     f,
     g,
-    strategy: str | None = None,
-    quad: QuadratureConfig | None = None,
     assembler: Assembler | None = None,
 ) -> AssembledSystem:
     """Assemble the volume-constrained global system.
@@ -985,7 +983,7 @@ def assemble_global(
     ``f`` is the forcing on the interior, ``g`` the constraint data on
     the collar; both map (m, 2) point arrays to values.
     """
-    asm = assembler or Assembler(mesh, spec, strategy, quad)
+    asm = assembler or Assembler(mesh, spec)
     c = spec.components
     interior_dofs = _node_dofs(mesh.interior_nodes, c)
     collar_dofs = _node_dofs(mesh.collar_nodes, c)

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Assembler, QuadratureConfig, _node_dofs
+from .assembly import Assembler, _node_dofs
 from .kernels import KernelSpec
 from .mesh import Mesh
 from .sparse_linalg import (Factorization, SingularMatrixError, dense_spd_solve,
                             factorize, projected_pcg)
-from .subdivision import (ConstraintSet, CountingFunction, Subdivision,
-                          SubdivisionError, build_constraints, build_counting,
-                          rigid_modes)
+from .subdivision import (ConstraintSet, Subdivision, SubdivisionError,
+                          build_constraints, rigid_modes)
 
 
 class ConsistencyError(RuntimeError):
@@ -104,16 +103,25 @@ class SubdomainSystem:
             f"could not pin {nmodes} dofs on subdomain {self.k}"
         )
 
+    def _neumann_matrix(self) -> sp.csr_matrix:
+        """The full matrix; on a floating subdomain the pinned rows and
+        columns are replaced by those of the identity."""
+        A = self.full_matrix()
+        if not self.floating:
+            return A
+        self._pinned = self._pin_dofs()
+        pinned = np.zeros(A.shape[0], dtype=bool)
+        pinned[self._pinned] = True
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        # zeroed in place: two diagonal products would hold three more
+        # copies of the matrix at the peak of the FETI build
+        A.data[pinned[rows] | pinned[A.indices]] = 0.0
+        A.eliminate_zeros()
+        return A + sp.diags(pinned.astype(float))
+
     def fact_neumann(self) -> Factorization:
         if self._fact_neumann is None:
-            A = self.full_matrix().tolil()
-            if self.floating:
-                self._pinned = self._pin_dofs()
-                for dof in self._pinned:
-                    A[dof, :] = 0.0
-                    A[:, dof] = 0.0
-                    A[dof, dof] = 1.0
-            self._fact_neumann = factorize(A.tocsr())
+            self._fact_neumann = factorize(self._neumann_matrix())
         return self._fact_neumann
 
     # -- operators ---------------------------------------------------------
@@ -168,50 +176,24 @@ def assemble_subdomain(
     spec: KernelSpec,
     f,
     g,
-    strategy: str | None = None,
-    quad: QuadratureConfig | None = None,
     assembler: Assembler | None = None,
-    counting: CountingFunction | None = None,
 ) -> SubdomainSystem:
     """Assemble the multiplicity-weighted system of subdomain k.
 
     Every element pair is weighted by the reciprocal of the number of
     subdomains containing both elements, and the load by the reciprocal
     element multiplicity, so subdomain energies sum exactly to the
-    global energy.  Raises SubdivisionError when an interacting pair has
-    zero multiplicity (coverage violation).
+    global energy.
     """
-    asm = assembler or Assembler(mesh, spec, strategy, quad)
-    cf = counting or build_counting(mesh, sub)
+    asm = assembler or Assembler(mesh, spec)
     c = spec.components
 
     inner = sub.inner_nodes[k]
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
     local_dofs = _node_dofs(np.concatenate([inner, inter, constrained]), c)
-
-    member = np.zeros(mesh.n_elements, dtype=bool)
-    member[sub.extended_elements[k]] = True
-    member[sub.collar_elements[k]] = True
-
-    def weights(e1, e2):
-        w = np.zeros(len(e1))
-        both = np.flatnonzero(member[e1] & member[e2])
-        z = cf.element(e1[both], e2[both])
-        if np.any(z == 0):
-            bad = both[np.flatnonzero(z == 0)[0]]
-            raise SubdivisionError(
-                f"element pair ({int(e1[bad])}, {int(e2[bad])}) assembled "
-                "with zero multiplicity"
-            )
-        w[both] = 1.0 / z
-        return w
-
-    A = asm.assemble(weights)[local_dofs][:, local_dofs]
-    els = sub.extended_elements[k]
-    elem_w = np.zeros(mesh.n_elements)
-    elem_w[els] = 1.0 / cf.elem_diag[els]
-    load = asm.assemble_load(f, elem_w)[local_dofs]
+    A = asm.assemble(sub.pair_weights(k))[local_dofs][:, local_dofs]
+    load = asm.assemble_load(f, sub.element_weights(k))[local_dofs]
 
     nO, nG = c * len(inner), c * len(inter)
     O = np.arange(nO)
@@ -301,8 +283,6 @@ def build_feti_system(
     spec: KernelSpec,
     f,
     g,
-    strategy: str | None = None,
-    quad: QuadratureConfig | None = None,
     tol: float = 1e-10,
     maxit: int = 20_000,
     preconditioner: str = "dirichlet",
@@ -310,14 +290,10 @@ def build_feti_system(
     assembler: Assembler | None = None,
 ) -> FetiSystem:
     """Assemble all subdomain systems and the coarse problem."""
-    asm = assembler or Assembler(mesh, spec, strategy, quad)
-    cf = build_counting(mesh, sub)
+    asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(mesh, sub, spec.components)
-    subs = [
-        assemble_subdomain(mesh, sub, k, spec, f, g, assembler=asm,
-                           counting=cf)
-        for k in range(sub.K)
-    ]
+    subs = [assemble_subdomain(mesh, sub, k, spec, f, g, assembler=asm)
+            for k in range(sub.K)]
     f_schur = np.concatenate([s.schur_rhs() for s in subs]) if subs else np.zeros(0)
     Z = cs.Z
     G = np.asarray((cs.B @ Z).todense()) if Z.shape[1] else np.zeros(

@@ -3,10 +3,12 @@
 A rectangular partition of the interior elements is grown into an
 overlapping family: every pair of elements whose interaction balls can
 touch must end up together in at least one subdomain, so the global
-bilinear form can be split into subdomain forms weighted by the overlap
-counting function.  The module also builds the interface constraint
-matrix, multiplicity scaling, and rigid-mode basis used by the FETI
-solver.
+bilinear form can be split into subdomain forms, each element pair
+weighted by the reciprocal of the number of subdomains holding both.
+Membership is stored once, as a packed element x subdomain bit table;
+every overlap count is the popcount of a membership row or of the AND of
+two rows.  The module also builds the interface constraint matrix,
+multiplicity scaling, and rigid-mode basis used by the FETI solver.
 """
 
 from __future__ import annotations
@@ -68,11 +70,16 @@ class Subdivision:
     unconstrained nodes seen by subdomain k, split into ``inner_nodes``
     (multiplicity 1) and ``interface_nodes`` (shared with another
     subdomain); ``constrained_nodes[k]`` carry Dirichlet-type data.
+    ``node_zeta`` counts the subdomains seeing each node.
+
+    ``membership`` is the (n_elements, ceil(K / 8)) uint8 table
+    ``np.packbits(member, axis=1, bitorder="little")`` of the boolean
+    element x subdomain matrix (extended and collar elements): bit
+    ``k % 8`` of byte ``k // 8`` is set when subdomain k holds the
+    element.
     """
 
     mesh: Mesh
-    k1: int
-    k2: int
     owned_elements: list[np.ndarray]
     extended_elements: list[np.ndarray]
     collar_elements: list[np.ndarray]
@@ -80,14 +87,40 @@ class Subdivision:
     inner_nodes: list[np.ndarray]
     interface_nodes: list[np.ndarray]
     constrained_nodes: list[np.ndarray]
-    C: sp.csr_matrix
-    C_elem: sp.csr_matrix
     floating: np.ndarray
-    node_zeta: np.ndarray = field(repr=False, default=None)
+    node_zeta: np.ndarray = field(repr=False)
+    membership: np.ndarray = field(repr=False)
 
     @property
     def K(self) -> int:
-        return self.k1 * self.k2
+        return len(self.owned_elements)
+
+    def pair_weights(self, k: int):
+        """``(e1, e2) -> w``: the reciprocal number of subdomains holding
+        both elements where subdomain k holds both, 0 elsewhere."""
+        m = self.membership
+        byte, bit = k >> 3, np.uint8(1 << (k & 7))
+
+        def weights(e1, e2):
+            w = np.zeros(len(e1))
+            hit = np.flatnonzero(m[e1, byte] & m[e2, byte] & bit)
+            w[hit] = 1.0 / _overlap(m[e1[hit]] & m[e2[hit]])
+            return w
+
+        return weights
+
+    def element_weights(self, k: int) -> np.ndarray:
+        """Reciprocal element multiplicity on the extended elements of k,
+        0 elsewhere."""
+        els = self.extended_elements[k]
+        w = np.zeros(self.mesh.n_elements)
+        w[els] = 1.0 / _overlap(self.membership[els])
+        return w
+
+
+def _overlap(rows: np.ndarray) -> np.ndarray:
+    """Number of subdomains set in each packed membership row."""
+    return np.bitwise_count(rows).sum(axis=1)
 
 
 def _reach(delta: float, ball_norm: str) -> float:
@@ -151,33 +184,18 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
         extended.append(ext)
         collars.append(col)
 
-    # Membership matrices over the extended sets (interior extension plus
-    # attached collar elements).
-    rows = np.concatenate(
-        [np.concatenate([extended[k], collars[k]]) for k in range(K)]
-    )
-    cols = np.concatenate(
-        [np.full(len(extended[k]) + len(collars[k]), k) for k in range(K)]
-    )
-    C_elem = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(mesh.n_elements, K),
-    )
-    # Node membership: a node belongs to k when it is a vertex of any
-    # element of the extended set of k.
-    nrows, ncols = [], []
+    # Element membership over the extended sets (interior extension plus
+    # attached collar elements); a node belongs to k when it is a vertex
+    # of any of those elements.
+    held = np.zeros((mesh.n_elements, K), dtype=bool)
+    nrows = []
     for k in range(K):
         els = np.concatenate([extended[k], collars[k]])
-        nodes = np.unique(mesh.elements[els])
-        nrows.append(nodes)
-        ncols.append(np.full(len(nodes), k))
-    C = sp.csr_matrix(
-        (np.ones(sum(len(r) for r in nrows), dtype=np.int64),
-         (np.concatenate(nrows), np.concatenate(ncols))),
-        shape=(mesh.n_vertices, K),
-    )
+        held[els, k] = True
+        nrows.append(np.unique(mesh.elements[els]))
+    membership = np.packbits(held, axis=1, bitorder="little")
+    zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
 
-    zeta = np.asarray(C.sum(axis=1)).ravel().astype(np.int64)
     unknown_nodes, inner_nodes, interface_nodes, constrained = [], [], [], []
     unconstrained = mesh.node_region == INTERIOR
     for k in range(K):
@@ -194,12 +212,12 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
     floating = np.array([len(c) == 0 for c in constrained])
 
     sub = Subdivision(
-        mesh=mesh, k1=0, k2=0,
+        mesh=mesh,
         owned_elements=owned, extended_elements=extended,
         collar_elements=collars,
         unknown_nodes=unknown_nodes, inner_nodes=inner_nodes,
         interface_nodes=interface_nodes, constrained_nodes=constrained,
-        C=C, C_elem=C_elem, floating=floating, node_zeta=zeta,
+        floating=floating, node_zeta=zeta, membership=membership,
     )
     if check:
         verify_coverage(mesh, sub, delta, ball_norm)
@@ -210,10 +228,9 @@ def build_subdivision(mesh: Mesh, k1: int, k2: int, delta: float | None = None,
                       ball_norm: str = "l2", check: bool = True) -> Subdivision:
     """Partition into k1 x k2 rectangles and extend nonlocally."""
     owner = partition_rectangles(mesh, k1, k2)
-    sub = extend_nonlocal(mesh, owner, delta if delta is not None else mesh.delta,
-                          ball_norm=ball_norm, check=check)
-    sub.k1, sub.k2 = k1, k2
-    return sub
+    return extend_nonlocal(mesh, owner,
+                           delta if delta is not None else mesh.delta,
+                           ball_norm=ball_norm, check=check)
 
 
 def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
@@ -231,20 +248,16 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
     interior = mesh.element_region == INTERIOR
     keep = interior[pairs[:, 0]] | interior[pairs[:, 1]]
     pairs = pairs[keep]
-    Z = sub.C_elem
+    m = sub.membership
     # Element self-pairs: every interior element must be in some subdomain.
-    self_cnt = np.asarray(Z.sum(axis=1)).ravel()
-    bad = np.flatnonzero(interior & (self_cnt == 0))
+    bad = np.flatnonzero(interior & (_overlap(m) == 0))
     if len(bad):
         raise SubdivisionError(
             f"element {bad[0]} belongs to no subdomain"
         )
     for lo in range(0, len(pairs), 500_000):
         chunk = pairs[lo:lo + 500_000]
-        cnt = np.asarray(
-            Z[chunk[:, 0]].multiply(Z[chunk[:, 1]]).sum(axis=1)
-        ).ravel()
-        bad = np.flatnonzero(cnt == 0)
+        bad = np.flatnonzero(_overlap(m[chunk[:, 0]] & m[chunk[:, 1]]) == 0)
         if len(bad):
             i, j = chunk[bad[0]]
             raise SubdivisionError(
@@ -252,39 +265,6 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
                 f"subdomain (barycenter distance "
                 f"{np.linalg.norm(bary[i] - bary[j]):.3g}, delta {delta:.3g})"
             )
-
-
-# ---------------------------------------------------------------------------
-# Counting function
-
-
-@dataclass
-class CountingFunction:
-    """Overlap multiplicities of a subdivision.
-
-    ``element(e1, e2)`` counts the subdomains whose extended sets contain
-    both elements; the diagonal values are the usual per-node /
-    per-element multiplicities.
-    """
-
-    C_elem: sp.csr_matrix
-    node_diag: np.ndarray
-    elem_diag: np.ndarray
-
-    def element(self, e1, e2) -> np.ndarray:
-        e1 = np.atleast_1d(np.asarray(e1))
-        e2 = np.atleast_1d(np.asarray(e2))
-        return np.asarray(
-            self.C_elem[e1].multiply(self.C_elem[e2]).sum(axis=1)
-        ).ravel()
-
-
-def build_counting(mesh: Mesh, sub: Subdivision) -> CountingFunction:
-    return CountingFunction(
-        C_elem=sub.C_elem.tocsr(),
-        node_diag=np.asarray(sub.C.sum(axis=1)).ravel().astype(np.int64),
-        elem_diag=np.asarray(sub.C_elem.sum(axis=1)).ravel().astype(np.int64),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +433,11 @@ def dump_subdivision(sub: Subdivision) -> str:
     """
     mesh = sub.mesh
     bary = mesh.barycenters
-    Z = sub.C_elem.tocsr()
+    held = np.unpackbits(sub.membership, axis=1, count=sub.K,
+                         bitorder="little")
     lines = ["element,x,y,zeta,subdomains"]
-    indptr, indices = Z.indptr, Z.indices
     for e in range(mesh.n_elements):
-        ks = indices[indptr[e]:indptr[e + 1]]
+        ks = np.flatnonzero(held[e])
         lines.append(
             f"{e},{bary[e, 0]:.17g},{bary[e, 1]:.17g},{len(ks)},"
             + ";".join(str(int(k)) for k in ks)

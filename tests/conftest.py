@@ -16,6 +16,15 @@ def make_spec(family: str, delta: float) -> KernelSpec:
     return KernelSpec(family, delta, 0.4 if family == "fractional" else None)
 
 
+def strip_to_owned(sub) -> None:
+    """Sabotage a subdivision: clear the membership bits of every
+    subdomain's overlap elements, so pairs straddling a partition
+    boundary lose their common subdomain."""
+    for k in range(sub.K):
+        extra = np.setdiff1d(sub.extended_elements[k], sub.owned_elements[k])
+        sub.membership[extra, k // 8] &= np.uint8(~(1 << (k % 8)) & 0xFF)
+
+
 class SolveCache:
     """Memoizes assemblers, global systems, and direct solves so the
     many FETI comparisons don't re-assemble identical problems."""

@@ -2,6 +2,7 @@
 equivalence with the direct global solve."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nlfeti.feti import (
     CoarseConstraintError,
     ConsistencyError,
     FetiSystem,
+    SubdomainSystem,
     assemble_subdomain,
     build_feti_system,
     feti_solve,
@@ -19,9 +21,10 @@ from nlfeti.feti import (
 from nlfeti.harness import ExperimentConfig
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
-from nlfeti.subdivision import SubdivisionError, build_subdivision
+from nlfeti.subdivision import (SubdivisionError, build_subdivision,
+                                verify_coverage)
 
-from conftest import make_spec
+from conftest import make_spec, strip_to_owned
 
 
 def _build(family, n, delta, k1, k2, cache, **kw):
@@ -186,24 +189,63 @@ def test_empty_interior_schur_is_stiffness_block(cache):
         assert rhs.shape == (s.n_G,)
 
 
-def test_assemble_subdomain_detects_missing_pair(cache):
-    """A subdivision in which an interacting pair shares no subdomain
-    fails subdomain assembly: skipping the all-zero classes leaves every
-    interacting pair under the zero-multiplicity check."""
+def test_uncovered_pair_is_rejected_before_assembly(cache):
+    """Subdomain forms weight a pair only through the subdomains holding
+    both elements, so a pair that no subdomain holds would drop out of
+    the split silently; coverage verification rejects such a table."""
     mesh = cache.mesh(8, 0.25)
     sub = build_subdivision(mesh, 2, 2, 0.25)
-    # Sabotage: strip every subdomain back to its owned rectangle, so
-    # pairs straddling a partition boundary lose their common subdomain.
-    Z = sub.C_elem.tolil()
-    for k in range(sub.K):
-        extra = np.setdiff1d(sub.extended_elements[k], sub.owned_elements[k])
-        Z[extra, k] = 0
-    sub.C_elem = Z.tocsr()
-    prob = manufactured_problem("constant")
-    with pytest.raises(SubdivisionError, match="zero multiplicity"):
-        assemble_subdomain(mesh, sub, 0, make_spec("constant", 0.25),
-                           prob.forcing, prob.exact,
-                           assembler=cache.assembler("constant", 8, 0.25))
+    strip_to_owned(sub)
+    with pytest.raises(SubdivisionError, match="covered by no subdomain") as err:
+        verify_coverage(mesh, sub, 0.25)
+    pair = [np.array([int(v)]) for v in
+            re.search(r"pair \((\d+), (\d+)\)", str(err.value)).groups()]
+    assert sum(sub.pair_weights(k)(*pair)[0] for k in range(sub.K)) == 0.0
+    whole = build_subdivision(mesh, 2, 2, 0.25)
+    total = sum(whole.pair_weights(k)(*pair)[0] for k in range(whole.K))
+    assert abs(total - 1.0) < 1e-15
+
+
+def _lil_neumann(s):
+    """The Neumann matrix as a LIL edit of the full matrix."""
+    A = s.full_matrix().tolil()
+    if s.floating:
+        for dof in s._pin_dofs():
+            A[dof, :] = 0.0
+            A[:, dof] = 0.0
+            A[dof, dof] = 1.0
+    return A.tocsr()
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_neumann_matrix_matches_lil_edit(family, cache):
+    system = _build(family, 16, 0.125, 3, 3, cache)
+    assert any(s.floating for s in system.subsystems)
+    for s in system.subsystems:
+        _assert_bitwise(s._neumann_matrix(), _lil_neumann(s))
+
+
+def test_neumann_matrix_matches_lil_edit_on_random_spd():
+    rng = np.random.default_rng(3)
+    n, nO = 12, 7
+    R = sp.random(n, n, density=0.4, random_state=rng, format="csr")
+    A = (R @ R.T - R - R.T + n * sp.eye(n)).tocsr()
+    A.eliminate_zeros()
+    assert A.min() < 0
+    s = SubdomainSystem(
+        k=0, components=1, inner_nodes=np.arange(nO),
+        interface_nodes=np.arange(nO, n), constrained_nodes=np.zeros(0, int),
+        A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
+        f_O=np.zeros(nO), f_G=np.zeros(n - nO), g=np.zeros(0),
+        floating=True, modes=np.full((n, 1), n ** -0.5))
+    _assert_bitwise(s._neumann_matrix(), _lil_neumann(s))
 
 
 def test_coarse_constraint_violation_has_its_own_error(cache):

@@ -9,12 +9,21 @@ from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.subdivision import (
     SubdivisionError,
     build_constraints,
-    build_counting,
     build_subdivision,
     dump_subdivision,
+    extend_nonlocal,
     partition_rectangles,
     verify_coverage,
 )
+
+from conftest import strip_to_owned
+
+
+def _held(sub):
+    """Brute-force membership: the element set of every subdomain."""
+    return [set(np.concatenate([sub.extended_elements[k],
+                                sub.collar_elements[k]]).tolist())
+            for k in range(sub.K)]
 
 
 def test_partition_counts_even_split():
@@ -65,8 +74,10 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     for k in range(K):
         union |= set(sub.unknown_nodes[k].tolist())
     assert union == set(mesh.interior_nodes.tolist())
-    # Multiplicities consistent with membership matrix.
-    zeta = np.asarray(sub.C.sum(axis=1)).ravel()
+    # Node multiplicities count the subdomains with an element at the node.
+    zeta = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for els in _held(sub):
+        zeta[np.unique(mesh.elements[sorted(els)])] += 1
     assert np.array_equal(zeta, sub.node_zeta)
     for k in range(K):
         assert np.all(sub.node_zeta[sub.inner_nodes[k]] == 1)
@@ -76,32 +87,44 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
 def test_coverage_detects_missing_pair():
     mesh = build_structured_mesh(8, 0.25)
     sub = build_subdivision(mesh, 2, 2, 0.25)
-    # Sabotage: strip every subdomain back to its owned rectangle, so
-    # pairs straddling a partition boundary lose their common subdomain.
-    Z = sub.C_elem.tolil()
-    for k in range(sub.K):
-        extra = np.setdiff1d(sub.extended_elements[k], sub.owned_elements[k])
-        Z[extra, k] = 0
-    sub.C_elem = Z.tocsr()
-    with pytest.raises(SubdivisionError):
+    strip_to_owned(sub)
+    with pytest.raises(SubdivisionError, match="covered by no subdomain"):
         verify_coverage(mesh, sub, 0.25)
 
 
 def test_counting_function_matches_bruteforce():
-    mesh = build_structured_mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
-    cnt = build_counting(mesh, sub)
-    member = [set(np.concatenate([sub.extended_elements[k],
-                                  sub.collar_elements[k]]).tolist())
-              for k in range(sub.K)]
+    """Pair and element weights read off the packed table equal brute-force
+    set counting, also when a row spans two bytes (K = 12)."""
     rng = np.random.default_rng(0)
-    e1 = rng.integers(0, mesh.n_elements, size=40)
-    e2 = rng.integers(0, mesh.n_elements, size=40)
-    expect = [sum(1 for m in member if int(a) in m and int(b) in m)
-              for a, b in zip(e1, e2)]
-    assert list(cnt.element(e1, e2)) == expect
-    assert np.array_equal(cnt.elem_diag, np.asarray(sub.C_elem.sum(axis=1)).ravel())
-    assert np.array_equal(cnt.node_diag, sub.node_zeta)
+    for n, delta, k1, k2 in [(8, 0.25, 2, 2), (16, 0.125, 3, 4)]:
+        mesh = build_structured_mesh(n, delta)
+        sub = build_subdivision(mesh, k1, k2, delta)
+        held = _held(sub)
+        assert sub.membership.shape == (mesh.n_elements, -(-sub.K // 8))
+        # random pairs, self-pairs, and pairs of overlap neighbours
+        e1 = np.concatenate([rng.integers(0, mesh.n_elements, 200),
+                             np.arange(mesh.n_elements)])
+        e2 = np.concatenate([rng.integers(0, mesh.n_elements, 200),
+                             np.arange(mesh.n_elements)])
+        e2 = np.concatenate([e2, (e1 + 2 * n + 1) % mesh.n_elements])
+        e1 = np.concatenate([e1, e1])
+        for k in range(sub.K):
+            expect = np.zeros(len(e1))
+            for i, (a, b) in enumerate(zip(e1.tolist(), e2.tolist())):
+                if a in held[k] and b in held[k]:
+                    expect[i] = 1.0 / sum(a in h and b in h for h in held)
+            assert np.array_equal(sub.pair_weights(k)(e1, e2), expect)
+            elem = np.zeros(mesh.n_elements)
+            for e in sub.extended_elements[k].tolist():
+                elem[e] = 1.0 / sum(e in h for h in held)
+            assert np.array_equal(sub.element_weights(k), elem)
+
+
+def test_extend_nonlocal_counts_its_subdomains():
+    mesh = build_structured_mesh(16, 0.125)
+    sub = extend_nonlocal(mesh, partition_rectangles(mesh, 3, 2), 0.125)
+    assert sub.K == 6
+    assert len(sub.extended_elements) == len(sub.floating) == 6
 
 
 def test_cross_point_multiplicity():
