@@ -14,11 +14,21 @@ class (cell offset plus the two triangle types), so each class matrix is
 computed once per mesh and reused for every pair in the class.  Only
 classes whose two triangles come closer than the horizon are formed; the
 matrix of every other class is identically zero.  One weighted scatter,
-``Assembler.assemble(pair_weights)``, builds every matrix over all mesh
-dofs: the global matrix is the unit-weight case, and
-a subdomain matrix weights each pair by the reciprocal number of
-subdomains holding both elements.  Callers slice out the rows and columns
-they need.
+``Assembler.assemble(pair_weights, cells, rows)``, builds every matrix:
+the global matrix is the unit-weight case on the whole mesh, restricted
+to the interior node rows, and a subdomain matrix weights each pair by
+the reciprocal number of subdomains holding both elements, on the cell
+window that bounds the subdomain.  Callers slice out the rows and
+columns they need.
+
+The scatter is a sparse times dense product.  A scatter table, built
+once per assembler, has a column per (class, patch node a) and a row per
+(node-id shift, component pair), holding the class matrix entries.  The
+weights of a window's pairs sit in a zero-padded grid of anchor cells per
+class; a row node reads, for each table column, the weight of the anchor
+it is node a of.  The rows are taken in strips of node rows, whose
+shifted weights are gathered at once, with a size bound like the one of
+the quadrature flushes.
 
 Element pairs with coinciding or touching supports and a singular kernel
 use singularity-aware schemes: coinciding pairs integrate exactly in
@@ -46,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
     ball_element_intersection,
@@ -741,6 +752,11 @@ def _proximity_level(cell: np.ndarray, v2: np.ndarray, diam: float,
 # Vertices of the lower and upper triangle of a cell, in cell units.
 _TRI_T = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
 
+# Entries of a strip's shifted weights (table columns x strip nodes) or of
+# its product (table rows x strip nodes), whichever is larger; bounds the
+# working set of a strip of the scatter.
+_STRIP_ENTRIES = 1 << 16
+
 
 def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
     """Whether the convex hull of each row of integer points ``diffs``
@@ -780,7 +796,8 @@ class Assembler:
     """Assembles stiffness matrices on a structured mesh.
 
     Pair integrals are cached per translation class (cell offset and the
-    two triangle types), then scattered vectorized over all anchors.
+    two triangle types), then scattered over the anchors of a window by
+    a sparse times dense product per strip of node rows.
     """
 
     def __init__(
@@ -799,6 +816,7 @@ class Assembler:
         self.N = mesh.cells_per_side
         self._classes: list[tuple[int, int, int, int]] | None = None
         self._cache: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray, int]] = {}
+        self._table = None
 
     # -- translation classes ------------------------------------------------
 
@@ -845,75 +863,139 @@ class Assembler:
         self._cache[key] = (M, lattice, factor)
         return self._cache[key]
 
-    def _anchors(self, key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """All anchor cells with the partner in bounds -> (e1, e2) arrays,
-        row-major over the (cy, cx) grid of anchor cells."""
-        dx, dy, t1, t2 = key
+    def _scatter_table(self):
+        """(Ct, shifts, lattice, klass): the scatter table.
+
+        Column r of ``Ct`` is a (class, patch node a) pair, in class order,
+        then patch-node order; ``lattice[r]`` is the offset of node a from
+        the anchor corner and ``klass[r]`` the class.  Row (slot, i, j)
+        is a node-id shift (column node minus row node; ``shifts`` holds
+        every class's, sorted) and a component pair.  The entry in column
+        r and the row of the shift from a to b is ``factor * M[a, b]``.
+        """
+        if self._table is not None:
+            return self._table
+        c = self.spec.components
+        N1 = self.N + 1
+        mats = [self.class_matrix(key) for key in self.classes()]
+        ids = [lat[:, 1] * N1 + lat[:, 0] for _, lat, _ in mats]
+        node_shifts = [i[None, :] - i[:, None] for i in ids]  # [a, b]: b - a
+        shifts = np.unique(np.concatenate([d.ravel() for d in node_shifts]))
+        comp = np.arange(c)
+        rows, cols, vals = [], [], []
+        r0 = 0
+        for (M, lat, factor), d in zip(mats, node_shifts):
+            p = len(lat)
+            slot = np.searchsorted(shifts, d)
+            # entry [a, i, b, j] of the patch matrix
+            row = (slot[:, None, :, None] * c + comp[None, :, None, None]) * c \
+                + comp[None, None, None, :]
+            col = np.broadcast_to(r0 + np.arange(p)[:, None, None, None], row.shape)
+            rows.append(row.ravel())
+            cols.append(col.ravel())
+            vals.append((factor * M).ravel())
+            r0 += p
+        Ct = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(shifts) * c * c, r0))
+        # sorted columns: the product then adds each entry's terms in
+        # (class, a) order
+        Ct.sort_indices()
+        Ct.eliminate_zeros()
+        lattice = np.concatenate([lat for _, lat, _ in mats]).reshape(-1, 2)
+        klass = np.repeat(np.arange(len(mats)), [len(lat) for _, lat, _ in mats])
+        self._table = (Ct, shifts, lattice, klass)
+        return self._table
+
+    def _pair_ids(self, valid: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+        """(e1, e2) of the pairs anchored at the true entries of ``valid``
+        (class, cy - y0, cx - x0) in the cell window ``cells``."""
         N = self.N
-        cx = np.arange(max(0, -dx), N - max(0, dx))
-        cy = np.arange(max(0, -dy), N - max(0, dy))
-        CX, CY = np.meshgrid(cx, cy, indexing="xy")
-        cell1 = (CY * N + CX).ravel()
-        cell2 = ((CY + dy) * N + (CX + dx)).ravel()
-        return 2 * cell1 + t1, 2 * cell2 + t2
+        x0, x1, y0, y1 = cells
+        dx, dy, t1, t2 = np.array(self.classes(), dtype=np.int64).reshape(-1, 4).T
+        e1 = 2 * (np.arange(y0, y1)[:, None] * N + np.arange(x0, x1))[None] \
+            + t1[:, None, None]
+        e2 = e1 + (2 * (dy * N + dx) + t2 - t1)[:, None, None]
+        return e1[valid], e2[valid]
 
     # -- assembly -----------------------------------------------------------
 
-    def assemble(self, pair_weights=None) -> sp.csr_matrix:
-        """Matrix over all mesh dofs: every pair of every class scattered
-        with weight ``factor * pair_weights(e1, e2)`` (1 when no function
-        is given).  Pairs weighted 0 add nothing, and anchors outside the
-        box of nonzero weights are skipped.
+    def assemble(self, pair_weights=None, cells=None,
+                 nodes=None) -> sp.csr_matrix:
+        """Rows of a lattice window: every pair of every class with both
+        elements in the cell window scattered with weight
+        ``factor * pair_weights(e1, e2)`` (1 when no function is given).
 
-        Entries accumulate in a dense table indexed by node-id shift
-        (column node minus row node) and row node.  For one class and one
-        patch node, the anchors form a box of distinct rows and the patch
-        nodes distinct shifts, so a plain fancy-index ``+=`` is exact.
-        With the shifts sorted, each row's columns come out sorted and the
-        table is read off as CSR.
+        ``cells = (x0, x1, y0, y1)`` is the half-open cell rectangle of
+        the window, the whole mesh by default.  The rows returned are the
+        dofs of ``nodes``, in that order, and default to every node of the
+        window by id; the columns run over all mesh dofs.  Only the node
+        rectangle bounding ``nodes``, which must lie in the window, is
+        scattered.
+
+        ``pair_weights`` is called once, on the pairs of every class
+        anchored in the window, and the weights go into a zero-padded
+        grid of anchor cells per class.  Row node q takes, for table column
+        r = (class, a), the weight of anchor q - lattice[r], so per strip
+        of node rows the shifted weights are one gather ``Wsh`` (r x node)
+        and the entries are ``Ct @ Wsh`` over (shift, node).  Each entry
+        sums its (class, a) terms in table order.  With the shifts sorted,
+        each row's columns come out sorted and the strip is read off as
+        CSR.
         """
         c = self.spec.components
         N, N1 = self.N, self.N + 1
-        mats = [self.class_matrix(key) for key in self.classes()]
-
-        def node_shifts(lattice):
-            ids = lattice[:, 1] * N1 + lattice[:, 0]
-            return ids[None, :] - ids[:, None]  # [a, b]: node b - node a
-
-        shifts = np.unique(np.concatenate(
-            [node_shifts(lat).ravel() for _, lat, _ in mats]))
-        acc = np.zeros((len(shifts), N1, N1, c, c))
-        for key, (M, lat, factor) in zip(self.classes(), mats):
-            dx, dy = key[:2]
-            grid = (max(0, N - abs(dy)), max(0, N - abs(dx)))
-            if pair_weights is None:
-                w = np.full(grid, float(factor))
-            else:
-                w = factor * pair_weights(*self._anchors(key)).reshape(grid)
-            live_y = np.flatnonzero(w.any(axis=1))
-            live_x = np.flatnonzero(w.any(axis=0))
-            if not live_y.size:
-                continue
-            w = w[live_y[0]:live_y[-1] + 1, live_x[0]:live_x[-1] + 1]
-            ny, nx = w.shape
-            y0 = max(0, -dy) + live_y[0]
-            x0 = max(0, -dx) + live_x[0]
-            p = len(lat)
-            slots = np.searchsorted(shifts, node_shifts(lat))
-            blocks = M.reshape(p, c, p, c).transpose(0, 2, 1, 3)  # [a, b, i, j]
-            for a, (lx, ly) in enumerate(lat):
-                box = (slice(y0 + ly, y0 + ly + ny), slice(x0 + lx, x0 + lx + nx))
-                acc[(slots[a],) + box] += (w[None, :, :, None, None]
-                                           * blocks[a][:, None, None])
-        # (shift, node, i, j) -> rows (node, i), columns (shift, j)
-        acc = acc.reshape(len(shifts), N1 * N1, c, c).transpose(1, 2, 0, 3)
-        acc = acc.reshape(c * N1 * N1, c * len(shifts))
-        nz = acc != 0
-        row, col = np.nonzero(nz)
-        cols = c * (row // c + shifts[col // c]) + col % c
-        indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+        Ct, shifts, lat, klass = self._scatter_table()
+        x0, x1, y0, y1 = cells or (0, N, 0, N)
+        if nodes is None:
+            nodes = (np.arange(y0, y1 + 1)[:, None] * N1
+                     + np.arange(x0, x1 + 1)).ravel()
+        ny, nx = np.divmod(nodes, N1)
+        rx0, rx1, ry0, ry1 = nx.min(), nx.max() + 1, ny.min(), ny.max() + 1
+        dx, dy = np.array(self.classes(), dtype=np.int64).reshape(-1, 4)[:, :2].T
+        ys, xs = np.arange(y0, y1), np.arange(x0, x1)
+        # anchor cells of the window whose partner cell is in it, per class
+        valid = (((ys + dy[:, None] >= y0) & (ys + dy[:, None] < y1))[:, :, None]
+                 & ((xs + dx[:, None] >= x0) & (xs + dx[:, None] < x1))[:, None, :])
+        # grid of anchor cells gy0 + iy, gx0 + ix per class, padded so
+        # that every row node minus every lattice offset falls inside it
+        lo, hi = lat.min(axis=0, initial=0), lat.max(axis=0, initial=1)
+        gx0, gy0 = x0 - hi[0], y0 - hi[1]
+        Wg, Hg = x1 - lo[0] + 1 - gx0, y1 - lo[1] + 1 - gy0
+        grid = np.zeros((len(dx), Hg, Wg))
+        window = grid[:, y0 - gy0:y1 - gy0, x0 - gx0:x1 - gx0]
+        if pair_weights is None:
+            window[valid] = 1.0
+        else:
+            window[valid] = pair_weights(*self._pair_ids(valid, (x0, x1, y0, y1)))
+        # table column r reads the weight of node (y, x) from grid row
+        # top[r] + y and column left[r] + x - rx0
+        top = klass * Hg - lat[:, 1] - gy0
+        left = rx0 - lat[:, 0] - gx0
+        grid = grid.reshape(-1, Wg)
+        S, L = len(shifts), rx1 - rx0
+        step = max(1, _STRIP_ENTRIES // (max(Ct.shape) * L))  # node rows
+        data, cols, counts = [], [], []
+        for y in range(ry0, ry1, step):
+            h = min(step, ry1 - y)
+            Wsh = sliding_window_view(grid, (h, L))[top + y, left]
+            # (shift, i, j, node) -> rows (node, i), columns (shift, j)
+            acc = (Ct @ Wsh.reshape(len(lat), h * L)).reshape(S, c, c, h * L)
+            acc = acc.transpose(3, 1, 0, 2).reshape(h * L * c, S * c)
+            nz = acc != 0
+            row, col = np.nonzero(nz)
+            node = ((y + np.arange(h))[:, None] * N1 + np.arange(rx0, rx1)).ravel()
+            data.append(acc[nz])
+            cols.append(c * (node[row // c] + shifts[col // c]) + col % c)
+            counts.append(nz.sum(axis=1))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         ndof = c * self.mesh.n_vertices
-        return sp.csr_matrix((acc[nz], cols, indptr), shape=(ndof, ndof))
+        box = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                            shape=(c * (ry1 - ry0) * L, ndof))
+        pos = (ny - ry0) * L + nx - rx0
+        if np.array_equal(pos, np.arange(len(pos))):
+            return box  # the rows are in box order: no copy
+        return box[_node_dofs(pos, c)]
 
     # -- load vector --------------------------------------------------------
 
@@ -987,7 +1069,7 @@ def assemble_global(
     c = spec.components
     interior_dofs = _node_dofs(mesh.interior_nodes, c)
     collar_dofs = _node_dofs(mesh.collar_nodes, c)
-    rows = asm.assemble()[interior_dofs]
+    rows = asm.assemble(nodes=mesh.interior_nodes)
     A = rows[:, interior_dofs].tocsr()
     B = rows[:, collar_dofs].tocsr()
     load_full = asm.assemble_load(f)

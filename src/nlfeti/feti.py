@@ -183,7 +183,9 @@ def assemble_subdomain(
     Every element pair is weighted by the reciprocal of the number of
     subdomains containing both elements, and the load by the reciprocal
     element multiplicity, so subdomain energies sum exactly to the
-    global energy.
+    global energy.  Only pairs with both elements in subdomain k weigh
+    anything, so the scatter runs on the cell bounding box of the
+    elements k holds.
     """
     asm = assembler or Assembler(mesh, spec)
     c = spec.components
@@ -191,8 +193,11 @@ def assemble_subdomain(
     inner = sub.inner_nodes[k]
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
-    local_dofs = _node_dofs(np.concatenate([inner, inter, constrained]), c)
-    A = asm.assemble(sub.pair_weights(k))[local_dofs][:, local_dofs]
+    nodes = np.concatenate([inner, inter, constrained])
+    local_dofs = _node_dofs(nodes, c)
+    cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
+    cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
+    A = asm.assemble(sub.pair_weights(k), cells, nodes)[:, local_dofs]
     load = asm.assemble_load(f, sub.element_weights(k))[local_dofs]
 
     nO, nG = c * len(inner), c * len(inter)

@@ -7,12 +7,15 @@ bilinear form can be split into subdomain forms, each element pair
 weighted by the reciprocal of the number of subdomains holding both.
 Membership is stored once, as a packed element x subdomain bit table;
 every overlap count is the popcount of a membership row or of the AND of
-two rows.  The module also builds the interface constraint matrix,
-multiplicity scaling, and rigid-mode basis used by the FETI solver.
+two rows.  Coverage is checked per translation class of the lattice, so
+no list of all interacting pairs is formed.  The module also builds the
+interface constraint matrix, multiplicity scaling, and rigid-mode basis
+used by the FETI solver.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,16 +98,21 @@ class Subdivision:
     def K(self) -> int:
         return len(self.owned_elements)
 
+    def holds(self, k: int) -> np.ndarray:
+        """Mask of the elements subdomain k holds."""
+        return (self.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
+
     def pair_weights(self, k: int):
         """``(e1, e2) -> w``: the reciprocal number of subdomains holding
         both elements where subdomain k holds both, 0 elsewhere."""
         m = self.membership
-        byte, bit = k >> 3, np.uint8(1 << (k & 7))
 
         def weights(e1, e2):
             w = np.zeros(len(e1))
-            hit = np.flatnonzero(m[e1, byte] & m[e2, byte] & bit)
-            w[hit] = 1.0 / _overlap(m[e1[hit]] & m[e2[hit]])
+            held = self.holds(k)
+            hit = np.flatnonzero(held[e1] & held[e2])
+            w[hit] = 1.0 / _overlap(np.take(m, e1[hit], axis=0)
+                                    & np.take(m, e2[hit], axis=0))
             return w
 
         return weights
@@ -120,7 +128,13 @@ class Subdivision:
 
 def _overlap(rows: np.ndarray) -> np.ndarray:
     """Number of subdomains set in each packed membership row."""
-    return np.bitwise_count(rows).sum(axis=1)
+    counts = np.bitwise_count(rows)
+    # summed byte column by byte column: a reduction over the few
+    # columns of a row is several times slower
+    total = counts[:, 0].astype(np.intp)
+    for b in range(1, counts.shape[1]):
+        total += counts[:, b]
+    return total
 
 
 def _reach(delta: float, ball_norm: str) -> float:
@@ -233,33 +247,60 @@ def build_subdivision(mesh: Mesh, k1: int, k2: int, delta: float | None = None,
                            ball_norm=ball_norm, check=check)
 
 
+def _interacting_pairs(mesh: Mesh, r: float):
+    """Unordered pairs of distinct elements whose barycenters lie within
+    ``r`` and of which at least one is interior, one (e1, e2) array pair
+    per translation class of the structured mesh.
+
+    The barycenter offset, and so the predicate, is fixed per class
+    (dx, dy, t1, t2); the class's pairs are all its anchors in the mesh.
+    """
+    N = mesh.cells_per_side
+    if N == 0:
+        raise ValueError("coverage check requires a structured mesh")
+    bary = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0  # per triangle type
+    cell = np.arange(N * N).reshape(N, N)
+    interior = (mesh.element_region == INTERIOR).reshape(N, N, 2)
+    rng = min(int(np.ceil(r / mesh.spacing)) + 1, N - 1)
+    for dy, dx, t1, t2 in itertools.product(range(rng + 1), range(-rng, rng + 1),
+                                            range(2), range(2)):
+        if not (dy > 0 or dx > 0 or (dx == 0 and t1 < t2)):
+            continue  # each unordered pair once, no self-pairs
+        off = (np.array([dx, dy]) + bary[t2] - bary[t1]) * mesh.spacing
+        if np.hypot(off[0], off[1]) > r:
+            continue
+        first = (slice(0, N - dy), slice(max(0, -dx), N - max(0, dx)))
+        second = (slice(dy, N), slice(max(0, dx), N - max(0, -dx)))
+        keep = interior[first + (t1,)] | interior[second + (t2,)]
+        yield 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
+
+
 def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
                     ball_norm: str = "l2") -> None:
     """Assert that every interacting element pair (with at least one
     interior element, i.e. every pair contributing to the discrete
     forms) lies in a common subdomain.
 
-    Raises SubdivisionError on the first violation.
+    Interacting means barycenters within reach + h, the bound the
+    extension is built for; the pairs are taken per translation class,
+    and a pair is covered when the AND of its two membership rows is
+    nonzero.  Raises SubdivisionError on the first violation.
     """
-    bary = mesh.barycenters
-    tree = cKDTree(bary)
-    pairs = tree.query_pairs(r=_reach(delta, ball_norm) + mesh.h + 1e-9,
-                             output_type="ndarray")
-    interior = mesh.element_region == INTERIOR
-    keep = interior[pairs[:, 0]] | interior[pairs[:, 1]]
-    pairs = pairs[keep]
     m = sub.membership
+    interior = mesh.element_region == INTERIOR
     # Element self-pairs: every interior element must be in some subdomain.
     bad = np.flatnonzero(interior & (_overlap(m) == 0))
     if len(bad):
         raise SubdivisionError(
             f"element {bad[0]} belongs to no subdomain"
         )
-    for lo in range(0, len(pairs), 500_000):
-        chunk = pairs[lo:lo + 500_000]
-        bad = np.flatnonzero(_overlap(m[chunk[:, 0]] & m[chunk[:, 1]]) == 0)
+    r = _reach(delta, ball_norm) + mesh.h + 1e-9
+    for e1, e2 in _interacting_pairs(mesh, r):
+        bad = np.flatnonzero(_overlap(np.take(m, e1, axis=0)
+                                      & np.take(m, e2, axis=0)) == 0)
         if len(bad):
-            i, j = chunk[bad[0]]
+            i, j = e1[bad[0]], e2[bad[0]]
+            bary = mesh.barycenters
             raise SubdivisionError(
                 f"interacting element pair ({i}, {j}) is covered by no "
                 f"subdomain (barycenter distance "

@@ -16,6 +16,14 @@ def make_spec(family: str, delta: float) -> KernelSpec:
     return KernelSpec(family, delta, 0.4 if family == "fractional" else None)
 
 
+def assert_csr_bitwise(got, want) -> None:
+    """Same shape, sparsity pattern and bytes of every stored value."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def strip_to_owned(sub) -> None:
     """Sabotage a subdivision: clear the membership bits of every
     subdomain's overlap elements, so pairs straddling a partition

@@ -4,6 +4,7 @@ systems."""
 import numpy as np
 import pytest
 
+from nlfeti import assembly
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
                              default_strategy, pair_matrix)
 from nlfeti.feti import assemble_subdomain
@@ -13,7 +14,7 @@ from nlfeti.problems import manufactured_problem
 from nlfeti.quadrature import map_to_physical, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
-from conftest import make_spec
+from conftest import assert_csr_bitwise, make_spec
 
 
 def _pair_oracle(mesh, e1, e2, spec, patch, degree=4):
@@ -154,6 +155,104 @@ def test_assemble_matches_pairwise_oracle(family, weights):
     got = asm.assemble(None if weights is _unit_weights else weights)
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _in_cells(cells, N):
+    """``pair_weights`` factor: 1 where both elements lie in the half-open
+    cell rectangle ``cells = (x0, x1, y0, y1)`` of an N x N cell mesh."""
+    x0, x1, y0, y1 = cells
+
+    def inside(e):
+        cy, cx = np.divmod(e // 2, N)
+        return (x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)
+
+    return lambda e1, e2: (inside(e1) & inside(e2)).astype(float)
+
+
+def _window_dofs(mesh, cells, c):
+    """Global dofs of the nodes of a cell window, ordered by node id."""
+    x0, x1, y0, y1 = cells
+    N1 = mesh.cells_per_side + 1
+    nodes = (np.arange(y0, y1 + 1)[:, None] * N1
+             + np.arange(x0, x1 + 1)[None, :]).ravel()
+    return (c * nodes[:, None] + np.arange(c)[None, :]).ravel()
+
+
+# windows of the 6 x 6 cells of the n=4, delta=0.25 mesh, whose classes
+# reach one cell over: interior, corner, touching the collar on one side,
+# and one cell wide, which no pair of a class with a horizontal offset fits
+WINDOWS = {"interior": (1, 5, 1, 5), "corner": (0, 3, 0, 3),
+           "collar_side": (0, 6, 2, 5), "narrow": (2, 3, 0, 6)}
+
+
+@pytest.mark.parametrize("weights", [_unit_weights, _mixed_weights])
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_window_rows_match_oracle_and_whole_mesh(family, weights):
+    """A window's rows equal the dense scatter of the pairs inside it, and
+    bitwise the same rows of the whole-mesh scatter of those pairs."""
+    mesh = build_structured_mesh(4, 0.25)
+    spec = make_spec(family, 0.25)
+    asm = Assembler(mesh, spec)
+    assert max(abs(key[0]) for key in asm.classes()) == 1
+    for cells in WINDOWS.values():
+        inside = _in_cells(cells, mesh.cells_per_side)
+
+        def masked(e1, e2):
+            return weights(e1, e2) * inside(e1, e2)
+
+        dofs = _window_dofs(mesh, cells, spec.components)
+        got = asm.assemble(None if weights is _unit_weights else weights,
+                           cells=cells)
+        oracle = _dense_oracle(mesh, spec, masked)[dofs]
+        assert got.has_sorted_indices
+        assert (np.abs(got.toarray() - oracle).max()
+                <= 1e-13 * np.abs(oracle).max())
+        assert_csr_bitwise(got, asm.assemble(masked)[dofs])
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_one_row_strips_change_no_byte(family, monkeypatch):
+    """The strip bound changes only how many node rows are scattered at
+    once: one row per strip gives the same bytes as one strip for all."""
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    asm = Assembler(mesh, spec)
+    sub = build_subdivision(mesh, 3, 3, 0.25, ball_norm=spec.ball_norm)
+    calls = [dict(), dict(nodes=mesh.interior_nodes),
+             dict(pair_weights=sub.pair_weights(4), cells=(2, 10, 1, 11))]
+    whole = [asm.assemble(**kw) for kw in calls]
+    Ct = asm._scatter_table()[0]
+    # by default each call is one strip of all 13 x 13 node rows
+    assert assembly._STRIP_ENTRIES >= max(Ct.shape) * 13 * 13
+    monkeypatch.setattr(assembly, "_STRIP_ENTRIES", 1)
+    for kw, want in zip(calls, whole):
+        assert_csr_bitwise(asm.assemble(**kw), want)
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
+    """Every subdomain block from its window equals, bitwise, the block
+    sliced out of the whole-mesh scatter of the subdomain's weights (3 x 4
+    has twelve subdomains, two bytes per membership row)."""
+    mesh = cache.mesh(16, 0.125)
+    spec = make_spec(family, 0.125)
+    asm = cache.assembler(family, 16, 0.125)
+    prob = manufactured_problem(family)
+    sub = build_subdivision(mesh, k1, k2, 0.125, ball_norm=spec.ball_norm)
+    c = spec.components
+    for k in range(sub.K):
+        s = assemble_subdomain(mesh, sub, k, spec, prob.forcing, prob.exact,
+                               assembler=asm)
+        nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k],
+                                sub.constrained_nodes[k]])
+        dofs = (c * nodes[:, None] + np.arange(c)[None, :]).ravel()
+        A = asm.assemble(sub.pair_weights(k))[dofs][:, dofs]
+        O = np.arange(s.n_O)
+        G = np.arange(s.n_O, s.n_O + s.n_G)
+        assert_csr_bitwise(s.A_OO, A[O][:, O].tocsr())
+        assert_csr_bitwise(s.A_OG, A[O][:, G].tocsr())
+        assert_csr_bitwise(s.A_GG, A[G][:, G].tocsr())
 
 
 def _classes_by_barycenter_reach(asm):

@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from nlfeti.assembly import Assembler, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
     ConsistencyError,
@@ -24,7 +26,7 @@ from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import (SubdivisionError, build_subdivision,
                                 verify_coverage)
 
-from conftest import make_spec, strip_to_owned
+from conftest import assert_csr_bitwise, make_spec, strip_to_owned
 
 
 def _build(family, n, delta, k1, k2, cache, **kw):
@@ -161,6 +163,36 @@ def test_energy_partition_is_exact(cache):
         assert np.isclose(total, ref, rtol=1e-11)
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(5, 13), ratio=st.sampled_from([1, 2, 3]),
+       k1=st.integers(2, 4), k2=st.integers(2, 4),
+       family=st.sampled_from(["constant", "peridynamic"]))
+def test_energy_splitting_property(n, ratio, k1, k2, family):
+    """sum_k R_k^T A_k R_k = A for subdomain grids that do not divide the
+    mesh, so the subdomain windows differ in size."""
+    assume(k1 != k2 and n % k1 and n % k2)
+    mesh = build_structured_mesh(n, ratio / n)
+    spec = make_spec(family, ratio / n)
+    prob = manufactured_problem(family)
+    asm = Assembler(mesh, spec)
+    A = assemble_global(mesh, spec, prob.forcing, prob.exact,
+                        assembler=asm).A
+    sub = build_subdivision(mesh, k1, k2, ratio / n,
+                            ball_norm=spec.ball_norm)
+    c = spec.components
+    total = sp.csr_matrix(A.shape)
+    for k in range(sub.K):
+        s = assemble_subdomain(mesh, sub, k, spec, prob.forcing, prob.exact,
+                               assembler=asm)
+        nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
+        pos = np.searchsorted(mesh.interior_nodes, nodes)
+        dofs = (c * pos[:, None] + np.arange(c)[None, :]).ravel()
+        R = sp.csr_matrix((np.ones(len(dofs)), (np.arange(len(dofs)), dofs)),
+                          shape=(len(dofs), A.shape[0]))
+        total = total + R.T @ s.full_matrix() @ R
+    assert abs(total - A).max() <= 1e-13 * abs(A).max()
+
+
 def test_gather_rejects_inconsistent_copies(cache):
     system = _build("constant", 16, 0.125, 2, 2, cache)
     result = feti_solve(system)
@@ -217,19 +249,12 @@ def _lil_neumann(s):
     return A.tocsr()
 
 
-def _assert_bitwise(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
-
-
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
 def test_neumann_matrix_matches_lil_edit(family, cache):
     system = _build(family, 16, 0.125, 3, 3, cache)
     assert any(s.floating for s in system.subsystems)
     for s in system.subsystems:
-        _assert_bitwise(s._neumann_matrix(), _lil_neumann(s))
+        assert_csr_bitwise(s._neumann_matrix(), _lil_neumann(s))
 
 
 def test_neumann_matrix_matches_lil_edit_on_random_spd():
@@ -245,7 +270,7 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
         A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
         f_O=np.zeros(nO), f_G=np.zeros(n - nO), g=np.zeros(0),
         floating=True, modes=np.full((n, 1), n ** -0.5))
-    _assert_bitwise(s._neumann_matrix(), _lil_neumann(s))
+    assert_csr_bitwise(s._neumann_matrix(), _lil_neumann(s))
 
 
 def test_coarse_constraint_violation_has_its_own_error(cache):

@@ -1,5 +1,7 @@
 """Tests for the overlapping subdomain construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,8 @@ from scipy.spatial import cKDTree
 from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.subdivision import (
     SubdivisionError,
+    _interacting_pairs,
+    _reach,
     build_constraints,
     build_subdivision,
     dump_subdivision,
@@ -82,6 +86,32 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     for k in range(K):
         assert np.all(sub.node_zeta[sub.inner_nodes[k]] == 1)
         assert np.all(sub.node_zeta[sub.interface_nodes[k]] >= 2)
+
+
+@pytest.mark.parametrize("n,ratio", [(4, 1), (5, 3), (8, 2), (6, 4)])
+@pytest.mark.parametrize("ball_norm", ["l2", "linf"])
+def test_coverage_checks_exactly_the_barycenter_pairs(n, ratio, ball_norm):
+    """The per-class pairs checked for coverage are the pairs of distinct
+    elements with barycenters within reach + h and at least one interior
+    element, each once."""
+    delta = ratio / n
+    mesh = build_structured_mesh(n, delta)
+    r = _reach(delta, ball_norm) + mesh.h + 1e-9
+    pairs = cKDTree(mesh.barycenters).query_pairs(r, output_type="ndarray")
+    interior = mesh.element_region == INTERIOR
+    pairs = pairs[interior[pairs[:, 0]] | interior[pairs[:, 1]]]
+    want = set(map(tuple, np.sort(pairs, axis=1).tolist()))
+    got = np.concatenate([np.column_stack(p)
+                          for p in _interacting_pairs(mesh, r)])
+    assert len(got) == len(want)
+    assert set(map(tuple, np.sort(got, axis=1).tolist())) == want
+
+
+def test_coverage_check_requires_the_lattice():
+    mesh = build_structured_mesh(4, 0.25)
+    sub = build_subdivision(mesh, 2, 2, 0.25)
+    with pytest.raises(ValueError, match="structured mesh"):
+        verify_coverage(dataclasses.replace(mesh, cells_per_side=0), sub, 0.25)
 
 
 def test_coverage_detects_missing_pair():
