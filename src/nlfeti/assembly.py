@@ -62,17 +62,31 @@ from .geometry import (
     ball_element_intersection,
     closest_point_triangle,
     disk_interaction_cells,
-    square_interaction_cells,
 )
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import Mesh, p1_gradients, p1_values
 from .quadrature import gauss01, gauss_jacobi01, map_to_physical, triangle_rule
 
 
-def default_strategy(spec: KernelSpec) -> str:
-    """exact square clipping for the max-norm family, polar rules with
-    exact radial horizon cut for the Euclidean-ball families."""
-    return "exact_linf" if spec.ball_norm == "linf" else "polar"
+def ball_strategy(spec: KernelSpec, strategy: str | None = None) -> str:
+    """The ball strategy of ``spec``: ``strategy`` when the kernel's ball
+    norm admits it, the family's default when it is None or empty.
+
+    The max-norm family takes only ``exact_linf``, exact square clipping.
+    The Euclidean-ball families take ``polar``, the default, with its
+    exact radial horizon cut, or one of the ball approximations of
+    D'Elia et al., Acta Numerica 2020, which are defined for the
+    Euclidean ball only.  Any other name raises ValueError.
+    """
+    allowed = (("exact_linf",) if spec.ball_norm == "linf"
+               else ("polar", "nocaps", "approxcaps", "barycenter"))
+    if not strategy:
+        return allowed[0]
+    if strategy not in allowed:
+        raise ValueError(
+            f"ball strategy {strategy!r} is not defined for the "
+            f"{spec.family} kernel; use one of {', '.join(allowed)}")
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -406,25 +420,11 @@ _FLUSH_POINTS = 500_000
 def regular_pair_matrix(
     v1: np.ndarray, v2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
     spec: KernelSpec, strategy: str, quad: QuadratureConfig,
-    outer_tris: list[np.ndarray] | None = None,
-    outer_degree: int | None = None,
+    outer_tris: list[np.ndarray], outer_degree: int,
 ) -> np.ndarray:
-    """Pair matrix by outer rule x (clipped) inner rule."""
-    bary, wts = triangle_rule(outer_degree or quad.outer_degree)
-    if outer_tris is None:
-        outer_tris = [v1]
-        if spec.singular:
-            # separated but close pairs: grade the outer element toward
-            # the near region as well
-            q = closest_point_triangle(v1.mean(axis=0), v2)
-            p = closest_point_triangle(q, v1)
-            q = closest_point_triangle(p, v2)
-            dist = float(np.linalg.norm(p - q))
-            diam = max(np.linalg.norm(v1[1] - v1[0]),
-                       np.linalg.norm(v1[2] - v1[0]),
-                       np.linalg.norm(v1[2] - v1[1]))
-            if dist < quad.near_eta * diam:
-                outer_tris = _fan_graded(v1, p, max(dist, 0.25 * diam), quad)
+    """Pair matrix by outer rule of degree ``outer_degree`` on the cells
+    ``outer_tris`` of v1 x (clipped) inner rule on v2."""
+    bary, wts = triangle_rule(outer_degree)
     rules = [map_to_physical(tri, bary, wts) for tri in outer_tris]
     X = np.concatenate([pts for pts, _ in rules])
     WX = np.concatenate([w for _, w in rules])
@@ -682,11 +682,21 @@ def pair_matrix(
     n_shared = int(np.sum((loc1 >= 0) & (loc2 >= 0)))
     if e1 == e2:
         M = coinciding_pair_matrix(v1, spec, quad)
-    elif spec.singular and n_shared == 2:
+    elif not spec.singular:
+        # constant kernel on the max-norm ball: the integrand is a
+        # polynomial wherever the clipped inner polygon keeps its
+        # combinatorics.  Those change only where a square side crosses
+        # an inner vertex or a square corner an inner edge line, and on
+        # the lattice, with delta * n an integer, every such line lies at
+        # an integer cell offset, so none cuts the outer element and the
+        # fixed-order rule on the whole element is exact.
+        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
+                                [v1], max(quad.outer_degree, 5))
+    elif n_shared == 2:
         M = common_edge_pair_matrix(v1, v2, loc1, loc2, spec, quad)
-    elif spec.singular and n_shared == 1:
+    elif n_shared == 1:
         M = common_vertex_pair_matrix(v1, v2, loc1, loc2, spec, quad)
-    elif spec.singular:
+    else:
         straddle = _straddles_horizon(v1, v2, spec)
         if straddle:
             cells = disk_interaction_cells(v1, v2, spec.delta,
@@ -704,27 +714,16 @@ def pair_matrix(
             outer.extend(subdivide_triangle(cell, lev) if lev else [cell])
         deg = max(quad.outer_degree, 5) if straddle else quad.outer_degree
         M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
-                                outer_tris=outer, outer_degree=deg)
-    elif spec.ball_norm == "linf":
-        # piecewise-constant kernel: splitting the outer element along the
-        # clip-combinatorics lines makes the fixed-order rules exact
-        cells = square_interaction_cells(v1, v2, spec.delta)
-        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
-                                outer_tris=cells,
-                                outer_degree=max(quad.outer_degree, 5))
-    else:
-        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad)
+                                outer, deg)
     return M, patch
 
 
 def _straddles_horizon(v1: np.ndarray, v2: np.ndarray,
                        spec: KernelSpec) -> bool:
-    """True when some point pair of the two elements exceeds the horizon
-    (by convexity the vertex pairs are enough)."""
-    if spec.ball_norm == "linf":
-        diffs = np.abs(v1[:, None, :] - v2[None, :, :]).max(axis=2)
-    else:
-        diffs = np.linalg.norm(v1[:, None, :] - v2[None, :, :], axis=2)
+    """True when some point pair of the two elements is farther apart
+    than the Euclidean horizon (by convexity the vertex pairs are
+    enough)."""
+    diffs = np.linalg.norm(v1[:, None, :] - v2[None, :, :], axis=2)
     return float(diffs.max()) > spec.delta
 
 
@@ -811,7 +810,7 @@ class Assembler:
             raise ValueError("Assembler requires a structured mesh")
         self.mesh = mesh
         self.spec = spec
-        self.strategy = strategy or default_strategy(spec)
+        self.strategy = ball_strategy(spec, strategy)
         self.quad = quad or QuadratureConfig()
         self.N = mesh.cells_per_side
         self._classes: list[tuple[int, int, int, int]] | None = None

@@ -4,13 +4,15 @@ The inner integration domain of every element pair is the intersection of
 the inner triangle with the horizon ball around the outer quadrature
 point.  Strategies:
 
-- ``exact_linf``: clip against the axis-aligned square (exact for the
-  max-norm ball).
+- ``exact_linf``: clip against the axis-aligned square, exact for the
+  max-norm ball and for that ball only.
 - ``barycenter``: keep the whole triangle iff its barycenter lies in the
-  (Euclidean) ball, otherwise drop it.
+  Euclidean ball, otherwise drop it.
 - ``nocaps``: inscribed chord polygon of the triangle/disk intersection.
 - ``approxcaps``: chord polygon plus one triangle per circular cap with
   apex at the arc midpoint.
+
+The last three approximate the Euclidean ball only.
 
 For ``exact_linf``, ``nocaps`` and ``approxcaps`` the returned region is
 contained in the true ball; ``barycenter`` may overshoot by design.
@@ -59,55 +61,6 @@ def clip_triangle_square(tri: np.ndarray, center: np.ndarray, r: float) -> np.nd
         if len(poly) == 0:
             break
     return poly
-
-
-def square_interaction_cells(
-    tri_outer: np.ndarray, tri_inner: np.ndarray, r: float
-) -> list[np.ndarray]:
-    """Split the outer triangle along every line where the combinatorics
-    of ``tri_inner`` clipped by the square of half-width ``r`` around the
-    moving point can change.
-
-    Those events are (a) an inner vertex crossing a square side (four
-    axis-aligned lines per vertex) and (b) a square corner crossing an
-    inner edge line (four parallel lines per edge).  Inside each cell of
-    the resulting arrangement the clipped polygon has vertices affine in
-    the outer point, so the pair integrand of a piecewise-constant kernel
-    is a polynomial there and fixed-order Gauss rules are exact.
-    """
-    tri_inner = np.asarray(tri_inner, dtype=float)
-    lines: list[tuple[np.ndarray, float]] = []
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    for v in tri_inner:
-        for n, coord in ((ex, v[0]), (ey, v[1])):
-            lines.append((n, coord - r))
-            lines.append((n, coord + r))
-    for i in range(3):
-        a, b = tri_inner[i], tri_inner[(i + 1) % 3]
-        e = b - a
-        n = np.array([-e[1], e[0]])
-        nn = np.linalg.norm(n)
-        if nn < 1e-30:
-            continue
-        n = n / nn
-        c = float(n @ a)
-        for s1 in (-1.0, 1.0):
-            for s2 in (-1.0, 1.0):
-                lines.append((n, c - r * (s1 * n[0] + s2 * n[1])))
-    polys = [np.asarray(tri_outer, dtype=float)]
-    for n, c in lines:
-        nxt: list[np.ndarray] = []
-        for poly in polys:
-            for half in (clip_polygon_halfplane(poly, n, c),
-                         clip_polygon_halfplane(poly, -n, -c)):
-                if len(half) >= 3 and _polygon_area(half) > 1e-28:
-                    nxt.append(half)
-        polys = nxt
-    cells: list[np.ndarray] = []
-    for poly in polys:
-        cells.extend(fan_triangulate(poly))
-    return cells
 
 
 def disk_interaction_cells(
@@ -323,15 +276,3 @@ def closest_point_triangle(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
         return b + ((d4 - d3) / ((d4 - d3) + (d5 - d6))) * (c - b)
     denom = 1.0 / (va + vb + vc)
     return a + ab * (vb * denom) + ac * (vc * denom)
-
-
-def elements_interact(
-    b1: np.ndarray, b2: np.ndarray, delta: float, h_pair: float
-) -> bool:
-    """Conservative interaction predicate on element barycenters.
-
-    True whenever the supports could overlap: barycenter distance at most
-    ``delta + h_pair`` with ``h_pair`` the larger element diameter.  Never
-    produces false negatives for either ball norm.
-    """
-    return float(np.linalg.norm(np.asarray(b2) - np.asarray(b1))) <= delta + h_pair

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import Assembler, AssembledSystem, assemble_global
+from .assembly import (Assembler, AssembledSystem, assemble_global,
+                       ball_strategy)
 from .feti import (FetiSystem, build_feti_system, feti_solve, gather_solution)
 from .kernels import KernelSpec
 from .mesh import Mesh, build_structured_mesh, l2_error
@@ -75,7 +76,8 @@ class ExperimentConfig:
                 f"unknown preconditioner {self.preconditioner!r}")
         if self.reortho not in ("off", "full"):
             raise ValueError(f"reortho must be off or full")
-        self.kernel_spec()  # validates family/delta/s consistency
+        # validates family/delta/s consistency and the ball strategy
+        ball_strategy(self.kernel_spec(), self.strategy)
 
     def kernel_spec(self) -> KernelSpec:
         s = self.s if self.family == "fractional" else None

@@ -79,32 +79,6 @@ def scaling_constant(spec: KernelSpec) -> float:
     return 3.0 / d**3
 
 
-def evaluate_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate the kernel at point pairs.
-
-    ``x`` and ``y`` are (m, 2) arrays.  Returns (m,) for scalar families
-    and (m, 2, 2) for the peridynamic family.  Points outside the horizon
-    ball give exactly zero.  Raises ValueError on coincident points for
-    the singular families.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    z = y - x
-    c = scaling_constant(spec)
-    if spec.family == "constant":
-        inside = np.max(np.abs(z), axis=1) <= spec.delta
-        return np.where(inside, c, 0.0)
-    r = np.linalg.norm(z, axis=1)
-    if np.any(r == 0.0):
-        raise ValueError("singular kernel evaluated at coincident points")
-    inside = r <= spec.delta
-    if spec.family == "fractional":
-        return np.where(inside, c * r ** (-2.0 - 2.0 * spec.s), 0.0)
-    out = c * np.einsum("mi,mj->mij", z, z) / r[:, None, None] ** 3
-    out[~inside] = 0.0
-    return out
-
-
 def kernel_on_support(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
     """Kernel as a function of the offset ``z = y - x``, without the
     horizon indicator (caller guarantees the points lie in the support)."""

@@ -210,15 +210,3 @@ def _areas(tri_verts: np.ndarray) -> np.ndarray:
     a = tri_verts[:, 1] - tri_verts[:, 0]
     b = tri_verts[:, 2] - tri_verts[:, 0]
     return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text mesh dump: header, vertex lines, element lines."""
-    lines = [f"mesh {mesh.n_vertices} {mesh.n_elements} n={mesh.n} delta={mesh.delta:.17g}"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"v {i} {x:.17g} {y:.17g} {int(mesh.node_region[i])}")
-    for e, tri in enumerate(mesh.elements):
-        lines.append(
-            f"e {e} {tri[0]} {tri[1]} {tri[2]} {int(mesh.element_region[e])}"
-        )
-    return "\n".join(lines) + "\n"

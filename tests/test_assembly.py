@@ -6,7 +6,7 @@ import pytest
 
 from nlfeti import assembly
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
-                             default_strategy, pair_matrix)
+                             ball_strategy, pair_matrix)
 from nlfeti.feti import assemble_subdomain
 from nlfeti.kernels import KernelSpec, scaling_constant
 from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
@@ -74,11 +74,16 @@ def test_fractional_coinciding_pair_stable_under_order_doubling():
     assert rel < 1e-6
 
 
-@pytest.mark.parametrize("family", ["constant", "fractional", "peridynamic"])
-def test_symmetry_and_null_space(family):
+@pytest.mark.parametrize("family, strategy, n", [
+    pytest.param(family, None, 8, id=family)
+    for family in ("constant", "fractional", "peridynamic")] + [
+    pytest.param(family, strategy, 4, id=f"{family}-{strategy}")
+    for family in ("fractional", "peridynamic")
+    for strategy in ("nocaps", "approxcaps", "barycenter")])
+def test_symmetry_and_null_space(family, strategy, n):
     spec = make_spec(family, 0.25)
-    mesh = build_structured_mesh(8, 0.25)
-    asm = Assembler(mesh, spec)
+    mesh = build_structured_mesh(n, 0.25)
+    asm = Assembler(mesh, spec, strategy)
     ids = np.flatnonzero(mesh.node_region == INTERIOR)
     c = spec.components
     dofs = np.concatenate([c * ids + i for i in range(c)])
@@ -121,7 +126,7 @@ def _dense_oracle(mesh, spec, pair_weights):
                 / mesh.spacing).astype(int).ravel())
             patch = np.array(list(ids1) + [g for g in ids2 if g not in ids1])
             if key not in memo:
-                M, got = pair_matrix(mesh, e1, e2, spec, default_strategy(spec),
+                M, got = pair_matrix(mesh, e1, e2, spec, ball_strategy(spec),
                                      QuadratureConfig())
                 assert np.array_equal(got, patch)
                 memo[key] = M

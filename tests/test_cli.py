@@ -79,3 +79,13 @@ def test_bad_config_key_fails_cleanly(capsys):
     rc = main(["solve", "--set", "mesh.resolution=8"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_mismatched_ball_strategy_fails_cleanly(capsys):
+    rc = main(["solve", "--set", "kernel.family=constant",
+               "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
+               "--set", "ball.strategy=polar"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "constant" in err and "exact_linf" in err

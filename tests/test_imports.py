@@ -1,6 +1,6 @@
 """Code hygiene: every name a package module imports is used in it, and
-every private top-level function or class is referenced from elsewhere in
-the package."""
+every top-level function or class is referenced from elsewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -38,8 +38,8 @@ def test_checker_flags_an_unused_import():
     assert _unused_imports(source) == ["line 1: os", "line 3: tau"]
 
 
-def _unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Private (``_``-prefixed) top-level functions and classes that no
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, dunder names excepted, that no
     other top-level statement of any of ``sources`` names; a function
     calling only itself counts as unreferenced."""
     defined: list[tuple[str, str, ast.stmt]] = []
@@ -49,7 +49,6 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
             statements.append(node)
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
-                    and node.name.startswith("_")
                     and not node.name.startswith("__")):
                 defined.append((module, node.name, node))
 
@@ -72,16 +71,18 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
 
 def test_package_references_every_private_definition():
     sources = {path.name: path.read_text() for path in MODULES}
-    assert _unreferenced_private(sources) == []
+    assert _unreferenced(sources) == []
 
 
 def test_checker_flags_an_unreferenced_private_definition():
     sources = {
         "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
                 "def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
-                "class _Imported:\n    pass\n",
+                "class _Imported:\n    pass\n\n\n"
+                "def public_dead():\n    pass\n\n\n"
+                "def __getattr__(name):\n    pass\n",
         "b.py": "from .a import _Imported, _used\n\n\n"
                 "print(_used, _Imported)\n",
     }
-    assert _unreferenced_private(sources) == ["a.py: _dead",
-                                              "a.py: _recursive"]
+    assert _unreferenced(sources) == ["a.py: _dead", "a.py: _recursive",
+                                      "a.py: public_dead"]

@@ -1,11 +1,10 @@
-"""Kernel families: scaling constants, supports, homogeneity."""
+"""Kernel families: scaling constants, tensor structure, homogeneity."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlfeti.kernels import (KernelSpec, evaluate_kernel, kernel_on_support,
-                            scaling_constant)
+from nlfeti.kernels import KernelSpec, kernel_on_support, scaling_constant
 
 
 def test_family_validation():
@@ -27,26 +26,6 @@ def test_scaling_constants():
                       (2 - 2 * s) / (np.pi * 0.5 ** (2 - 2 * s)))
     assert np.isclose(scaling_constant(KernelSpec("peridynamic", 0.5)),
                       3.0 / 0.5**3)
-
-
-def test_support_shapes():
-    # constant kernel lives on the max-norm square, the others on disks
-    spec = KernelSpec("constant", 0.1)
-    x = np.zeros((2, 2))
-    y = np.array([[0.099, 0.099], [0.03, 0.101]])
-    vals = evaluate_kernel(spec, x, y)
-    assert vals[0] > 0 and vals[1] == 0.0
-
-    spec = KernelSpec("fractional", 0.1, 0.4)
-    y = np.array([[0.08, 0.05], [0.08, 0.07]])  # norms ~0.094, ~0.106
-    vals = evaluate_kernel(spec, x, y)
-    assert vals[0] > 0 and vals[1] == 0.0
-
-
-def test_singular_at_origin():
-    spec = KernelSpec("fractional", 0.1, 0.4)
-    with pytest.raises(ValueError):
-        evaluate_kernel(spec, np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_peridynamic_tensor_structure():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlfeti.mesh import (COLLAR, INTERIOR, build_structured_mesh,
-                         dump_mesh, element_adjacency_graph, l2_error,
-                         p1_gradients, p1_values)
+                         element_adjacency_graph, l2_error, p1_gradients,
+                         p1_values)
 
 
 def test_tiny_mesh_counts():
@@ -126,12 +126,3 @@ def test_constant_field_zero_error():
     mesh = build_structured_mesh(4, 0.25)
     const = lambda p: np.full(len(p), 3.25)
     assert l2_error(mesh, const(mesh.vertices), const) < 1e-14
-
-
-def test_dump_roundtrip_counts():
-    mesh = build_structured_mesh(2, 0.5)
-    text = dump_mesh(mesh)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("mesh 25 32")
-    assert sum(1 for ln in lines if ln.startswith("v ")) == 25
-    assert sum(1 for ln in lines if ln.startswith("e ")) == 32

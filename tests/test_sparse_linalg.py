@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from nlfeti.sparse_linalg import (
@@ -11,7 +12,6 @@ from nlfeti.sparse_linalg import (
     dense_spd_solve,
     factorize,
     projected_pcg,
-    read_matrix_market,
     write_matrix_market,
 )
 
@@ -21,6 +21,8 @@ def test_solves_two_by_two_by_hand():
     fact = factorize(A)
     x = fact.solve(np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+    # the CSC copies of the factors read by the pivot check are released
+    assert fact.lu.L.nnz == fact.lu.U.nnz == 0
     assert np.allclose(dense_spd_solve(A.toarray(), np.array([3.0, 3.0])),
                        [1.0, 1.0], atol=1e-14)
 
@@ -39,6 +41,10 @@ def test_factorization_residual_random_spd():
 def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
+        factorize(A)
+    # a pivot that is tiny but not exactly zero
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0 + 4e-15]]))
+    with pytest.raises(SingularMatrixError, match="zero pivot"):
         factorize(A)
     with pytest.raises(SingularMatrixError):
         dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
@@ -181,7 +187,7 @@ def test_matrix_market_roundtrip_bitwise():
     rng = np.random.default_rng(9)
     A = sp.random(17, 13, density=0.3, random_state=4, format="csr")
     write_matrix_market("/tmp/nlfeti_mm_general.mtx", A)
-    B = read_matrix_market("/tmp/nlfeti_mm_general.mtx")
+    B = sp.csr_matrix(scipy.io.mmread("/tmp/nlfeti_mm_general.mtx"))
     assert (abs(A - B)).nnz == 0
     with open("/tmp/nlfeti_mm_general.mtx") as fh:
         assert "general" in fh.readline()
@@ -189,7 +195,7 @@ def test_matrix_market_roundtrip_bitwise():
     S = A[:13, :13]
     S = S + S.T
     write_matrix_market("/tmp/nlfeti_mm_sym.mtx", S)
-    T = read_matrix_market("/tmp/nlfeti_mm_sym.mtx")
+    T = sp.csr_matrix(scipy.io.mmread("/tmp/nlfeti_mm_sym.mtx"))
     assert (abs(S - T)).nnz == 0
     with open("/tmp/nlfeti_mm_sym.mtx") as fh:
         assert "symmetric" in fh.readline()
