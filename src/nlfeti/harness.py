@@ -20,7 +20,8 @@ from .feti import (FetiSystem, build_feti_system, feti_solve, gather_solution)
 from .kernels import KernelSpec
 from .mesh import Mesh, build_structured_mesh, l2_error
 from .problems import manufactured_problem
-from .sparse_linalg import (ConvergenceFailure, cg, write_matrix_market)
+from .sparse_linalg import (ConvergenceFailure, projected_pcg,
+                            write_matrix_market)
 from .subdivision import build_subdivision, dump_subdivision
 
 CSV_HEADER = "study,kernel,K,h,delta,solver,iterations,residual,l2_error,roc,seconds"
@@ -75,7 +76,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown preconditioner {self.preconditioner!r}")
         if self.reortho not in ("off", "full"):
-            raise ValueError(f"reortho must be off or full")
+            raise ValueError("reortho must be off or full")
         # validates family/delta/s consistency and the ball strategy
         ball_strategy(self.kernel_spec(), self.strategy)
 
@@ -175,8 +176,10 @@ def baseline_cg_solve(assembled: AssembledSystem, tol: float = 1e-10,
     dinv = 1.0 / A.diagonal()
     trace: list[float] = []
     try:
-        u, iters = cg(lambda v: A @ v, rhs, apply_Minv=lambda r: dinv * r,
-                      tol=tol, maxit=maxit, trace=trace)
+        u, iters = projected_pcg(lambda v: A @ v, lambda v: v, rhs,
+                                 np.zeros_like(rhs),
+                                 apply_Minv=lambda r: dinv * r,
+                                 tol=tol, maxit=maxit, trace=trace)
         res = trace[-1] if trace else 0.0
     except ConvergenceFailure as fail:
         u, iters, res = fail.x, fail.iterations, fail.residuals[-1]

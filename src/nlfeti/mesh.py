@@ -133,25 +133,6 @@ def build_structured_mesh(n: int, delta: float) -> Mesh:
     )
 
 
-def element_adjacency_graph(mesh: Mesh) -> dict[int, list[int]]:
-    """Edge-sharing adjacency, built from a shared-edge dictionary."""
-    edge_owner: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {e: [] for e in range(mesh.n_elements)}
-    for e, tri in enumerate(mesh.elements):
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            other = edge_owner.pop(key, None)
-            if other is None:
-                edge_owner[key] = e
-            else:
-                adj[e].append(other)
-                adj[other].append(e)
-    for e in adj:
-        adj[e].sort()
-    return adj
-
-
 def p1_gradients(vertices: np.ndarray) -> np.ndarray:
     """Gradients of the three P1 hat functions on a triangle, shape (3, 2)."""
     v = np.asarray(vertices, dtype=float)

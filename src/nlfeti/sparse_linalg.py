@@ -85,53 +85,6 @@ def dense_spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(c, b)
 
 
-def cg(apply_A, b: np.ndarray, apply_Minv=None, tol: float = 1e-10,
-       maxit: int = 10_000,
-       trace: list[float] | None = None) -> tuple[np.ndarray, int]:
-    """Preconditioned conjugate gradients with a relative residual test.
-
-    Convergence is declared when the preconditioned residual norm drops
-    below ``tol`` times its initial value (with a tiny absolute floor so
-    a zero right-hand side terminates immediately).  Raises
-    ConvergenceFailure carrying the best iterate if ``maxit`` is hit.
-    Each iteration's relative residual is appended to ``trace`` when
-    given.
-    """
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = apply_Minv(r) if apply_Minv is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-    norm0 = max(np.sqrt(abs(rz)), 1e-50)
-    residuals = [1.0]
-    if norm0 <= 1e-50:
-        return x, 0
-    for it in range(1, maxit + 1):
-        Ap = apply_A(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise ConvergenceFailure(
-                f"operator not positive definite at iteration {it}"
-                f" (p^T A p = {pAp:.3e})", x, it, residuals)
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        z = apply_Minv(r) if apply_Minv is not None else r
-        rz_new = float(r @ z)
-        res = np.sqrt(abs(rz_new)) / norm0
-        residuals.append(res)
-        if trace is not None:
-            trace.append(res)
-        if res < tol:
-            return x, it
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceFailure(
-        f"CG did not reach tol={tol:g} in {maxit} iterations "
-        f"(last residual {residuals[-1]:.3e})", x, maxit, residuals)
-
-
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
                   apply_Minv=None, tol: float = 1e-10, maxit: int = 10_000,
                   constraint_check=None, reortho: bool = False,

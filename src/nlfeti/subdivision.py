@@ -5,12 +5,14 @@ overlapping family: every pair of elements whose interaction balls can
 touch must end up together in at least one subdomain, so the global
 bilinear form can be split into subdomain forms, each element pair
 weighted by the reciprocal of the number of subdomains holding both.
-Membership is stored once, as a packed element x subdomain bit table;
-every overlap count is the popcount of a membership row or of the AND of
-two rows.  Coverage is checked per translation class of the lattice, so
-no list of all interacting pairs is formed.  The module also builds the
-interface constraint matrix, multiplicity scaling, and rigid-mode basis
-used by the FETI solver.
+Each rectangle grows by one nearest-owned-barycenter query of all
+elements.  Membership is stored once, as a packed element x subdomain
+bit table; every overlap count is the popcount of a membership row or of
+the AND of two rows.  Coverage is checked per translation class of the
+lattice, so no list of all interacting pairs is formed.  The module also
+builds the interface constraint matrix, multiplicity scaling, and
+rigid-mode basis used by the FETI solver, from one node-sorted table of
+all interface copies and one scaled block per multiplicity.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .mesh import INTERIOR, Mesh, element_adjacency_graph
+from .mesh import INTERIOR, Mesh
 
 
 class SubdivisionError(RuntimeError):
@@ -46,9 +48,13 @@ def partition_rectangles(mesh: Mesh, k1: int, k2: int) -> np.ndarray:
         raise ValueError("k1 and k2 must be at least 1")
     if mesh.cells_per_side == 0:
         raise ValueError("partitioning requires a structured mesh")
+    # for k <= n every rounded cut interval holds at least one cell
+    for name, k in (("k1", k1), ("k2", k2)):
+        if k > mesh.n:
+            raise ValueError(
+                f"{name}={k} exceeds n={mesh.n}: a rectangle would hold "
+                f"no element")
     interior = mesh.element_region == INTERIOR
-    if k1 * k2 > int(interior.sum()):
-        raise ValueError("more subdomains than interior elements")
     n = mesh.n
     # Snapped cut positions in cell units, 0 = left edge of the unit square.
     cuts1 = np.round(n * np.arange(k1 + 1) / k1).astype(np.int64)
@@ -68,8 +74,9 @@ class Subdivision:
     """Overlapping subdomain family over a mesh.
 
     ``owned_elements[k]`` are the disjoint rectangles; ``extended_elements[k]``
-    additionally contain the half-horizon overlap ring and the constrained
-    collar elements within the horizon.  ``unknown_nodes[k]`` are all
+    additionally contain the half-horizon overlap ring of interior
+    elements, and ``collar_elements[k]`` are the constrained collar
+    elements within the horizon.  ``unknown_nodes[k]`` are all
     unconstrained nodes seen by subdomain k, split into ``inner_nodes``
     (multiplicity 1) and ``interface_nodes`` (shared with another
     subdomain); ``constrained_nodes[k]`` carry Dirichlet-type data.
@@ -149,16 +156,15 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
                     ball_norm: str = "l2", check: bool = True) -> Subdivision:
     """Grow a rectangular partition into an overlapping subdivision.
 
-    Each subdomain collects, by breadth-first search over the element
-    adjacency graph, the neighboring interior elements whose barycenter
-    lies within half a horizon (plus a mesh-size safety margin) of its
-    owned barycenters, and the collar elements within a full horizon.
-    The resulting family is verified to contain every interacting
-    element pair in at least one common subdomain.
+    Each subdomain takes, from one nearest-neighbor query of all element
+    barycenters against its owned ones, the interior elements within
+    half a horizon (plus a mesh-size safety margin) of its owned
+    barycenters and the collar elements within a full horizon.  The
+    resulting family is verified to contain every interacting element
+    pair in at least one common subdomain.
     """
     K = int(owner.max()) + 1
     bary = mesh.barycenters
-    adj = element_adjacency_graph(mesh)
     interior = mesh.element_region == INTERIOR
     # Safety margins: ownership is decided on barycenters, so the
     # half-horizon criterion needs slack of one element diameter to cover
@@ -170,43 +176,23 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
     r_ext = 0.5 * (reach + mesh.h) + mesh.h + 1e-12
     r_col = reach + mesh.h + 1e-12
 
-    owned: list[np.ndarray] = []
-    extended: list[np.ndarray] = []
-    collars: list[np.ndarray] = []
-    collar_ids = np.flatnonzero(~interior)
-    for k in range(K):
-        own = np.flatnonzero(owner == k)
-        tree = cKDTree(bary[own])
-        member = np.zeros(mesh.n_elements, dtype=bool)
-        member[own] = True
-        frontier = list(own)
-        while frontier:
-            cand = sorted(
-                {e2 for e in frontier for e2 in adj[e]
-                 if not member[e2] and interior[e2]}
-            )
-            if not cand:
-                break
-            d, _ = tree.query(bary[cand])
-            take = [e for e, dist in zip(cand, d) if dist <= r_ext]
-            member[take] = True
-            frontier = take
-        ext = np.flatnonzero(member)
-        dcol, _ = tree.query(bary[collar_ids])
-        col = collar_ids[dcol <= r_col]
-        owned.append(own)
-        extended.append(ext)
-        collars.append(col)
-
     # Element membership over the extended sets (interior extension plus
     # attached collar elements); a node belongs to k when it is a vertex
     # of any of those elements.
+    radius = np.where(interior, r_ext, r_col)
+    # distances past the bound come back as inf; the margin keeps every
+    # distance compared to a radius exact
+    bound = 2.0 * radius.max()
     held = np.zeros((mesh.n_elements, K), dtype=bool)
-    nrows = []
+    owned, extended, collars, nrows = [], [], [], []
     for k in range(K):
-        els = np.concatenate([extended[k], collars[k]])
-        held[els, k] = True
-        nrows.append(np.unique(mesh.elements[els]))
+        own = np.flatnonzero(owner == k)
+        d, _ = cKDTree(bary[own]).query(bary, distance_upper_bound=bound)
+        held[:, k] = d <= radius
+        owned.append(own)
+        extended.append(np.flatnonzero(held[:, k] & interior))
+        collars.append(np.flatnonzero(held[:, k] & ~interior))
+        nrows.append(np.unique(mesh.elements[held[:, k]]))
     membership = np.packbits(held, axis=1, bitorder="little")
     zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
 
@@ -330,7 +316,33 @@ class ConstraintSet:
     Z: sp.csr_matrix
     offsets: np.ndarray
     components: int
-    n_modes: list[int]
+
+
+def _scaled_block(node: int, m: int) -> np.ndarray:
+    """Rows of B_D for one component of a node held by m subdomains,
+    ``(B_n D_n^-1 B_n^T)^-1 B_n D_n^-1`` with D_n = m I and B_n the chain
+    from the first copy to each other one; errors name ``node``."""
+    if m < 2:
+        raise SubdivisionError(
+            f"interface node {node} has multiplicity {m}"
+        )
+    zinv = 1.0 / float(m)
+    Bn = np.zeros((m - 1, m))
+    Bn[:, 0] = 1.0
+    Bn[np.arange(m - 1), np.arange(1, m)] = -1.0
+    # zinv * (I + ones), whose inverse is (1/zinv) * (I - ones/m)
+    blk = zinv * (Bn @ Bn.T)
+    try:
+        L = np.linalg.cholesky(blk)
+    except np.linalg.LinAlgError as exc:
+        raise SubdivisionError(
+            f"constraint block for node {node} is rank deficient"
+        ) from exc
+    if np.min(np.diag(L)) ** 2 <= 1e-12:
+        raise SubdivisionError(
+            f"constraint block for node {node} has a near-zero pivot"
+        )
+    return np.linalg.solve(blk, zinv * Bn)
 
 
 def build_constraints(mesh: Mesh, sub: Subdivision,
@@ -338,88 +350,65 @@ def build_constraints(mesh: Mesh, sub: Subdivision,
     """Build B, D, B_D over the concatenated interface dofs.
 
     For a physical node held by m subdomains the chain anchored at the
-    lowest subdomain index contributes m - 1 rows per dof component; the
-    block diagonal B D^-1 B^T (one block per node) is factorized exactly,
-    giving B_D without ever forming a large inverse.
+    lowest subdomain index contributes m - 1 rows per dof component,
+    ordered by node, then component, then copy.  B D^-1 B^T is block
+    diagonal with one block per node and component that depends only on
+    m, so B_D is read off one exactly factorized block per multiplicity.
     """
     c = dof_multiplicity
-    K = len(sub.interface_nodes)
     sizes = np.array([len(g) for g in sub.interface_nodes])
     offsets = np.concatenate([[0], np.cumsum(c * sizes)])
     total = int(offsets[-1])
+    copies = np.concatenate(sub.interface_nodes)
+    D = np.repeat(sub.node_zeta[copies].astype(float), c)
 
-    # local position of each global node within each subdomain's
-    # interface list
-    pos = [dict(zip(g.tolist(), range(len(g)))) for g in sub.interface_nodes]
+    # Copy i of the concatenated interface lists holds dofs c i .. c i + c-1.
+    # Sorted stably by node, the copies of a node follow in subdomain
+    # order, the anchor first.
+    order = np.argsort(copies, kind="stable")
+    node = copies[order]
+    start = np.flatnonzero(np.diff(node, prepend=-1))
+    mult = np.diff(start, append=len(node))
+    # each block is checked at the first node with its multiplicity, in
+    # node order, so an error names the lowest failing node
+    first = np.sort(np.unique(mult, return_index=True)[1])
+    blocks = {int(mult[g]): _scaled_block(int(node[start[g]]), int(mult[g]))
+              for g in first}
 
-    # subdomains per shared node, ascending
-    node_subs: dict[int, list[int]] = {}
-    for k in range(K):
-        for node in sub.interface_nodes[k]:
-            node_subs.setdefault(int(node), []).append(k)
+    group = np.repeat(np.arange(len(start)), mult)
+    rank = np.arange(len(node)) - start[group]  # 0 on the anchor
+    m = mult[group]
+    comp = np.arange(c)
+    # the copy of rank j >= 1 is linked to the anchor in row
+    # row0 + component (m - 1) + j - 1, row0 the first row of its node
+    row0 = c * (np.cumsum(mult - 1) - (mult - 1))
+    row = (row0[group] + rank - 1)[:, None] + (m - 1)[:, None] * comp
+    dof = c * order[:, None] + comp
+    link = np.flatnonzero(rank > 0)
+    M_C = len(link) * c
+    B = sp.csr_matrix(
+        (np.repeat([1.0, -1.0], M_C),
+         (np.tile(row[link].ravel(), 2),
+          np.concatenate([dof[start[group[link]]].ravel(),
+                          dof[link].ravel()]))),
+        shape=(M_C, total))
 
-    rows_b, cols_b, vals_b = [], [], []
-    rows_d, cols_d, vals_d = [], [], []
-    D = np.empty(total)
-    for k in range(K):
-        g = sub.interface_nodes[k]
-        z = sub.node_zeta[g].astype(float)
-        D[offsets[k]:offsets[k + 1]] = np.repeat(z, c)
-
-    row = 0
-    for node in sorted(node_subs):
-        ks = node_subs[node]
-        m = len(ks)
-        if m < 2:
-            raise SubdivisionError(
-                f"interface node {node} has multiplicity {m}"
-            )
-        anchor = ks[0]
-        zinv = 1.0 / float(m)
-        # block of B D^-1 B^T for this node: zinv * (I + ones)
-        # whose inverse is (1/zinv) * (I - ones/m)
-        dofs = [offsets[k] + c * pos[k][node] for k in ks]
-        for comp in range(c):
-            local_rows = list(range(row, row + m - 1))
-            for j in range(1, m):
-                r = row + j - 1
-                rows_b += [r, r]
-                cols_b += [dofs[0] + comp, dofs[j] + comp]
-                vals_b += [1.0, -1.0]
-            # rows of B_D = blockinv @ (B D^-1) for this node
-            Bn = np.zeros((m - 1, m))
-            Bn[:, 0] = 1.0
-            Bn[np.arange(m - 1), np.arange(1, m)] = -1.0
-            blk = zinv * (Bn @ Bn.T)
-            try:
-                L = np.linalg.cholesky(blk)
-            except np.linalg.LinAlgError as exc:
-                raise SubdivisionError(
-                    f"constraint block for node {node} is rank deficient"
-                ) from exc
-            if np.min(np.diag(L)) ** 2 <= 1e-12:
-                raise SubdivisionError(
-                    f"constraint block for node {node} has a near-zero pivot"
-                )
-            BD = np.linalg.solve(blk, zinv * Bn)
-            for a, r in enumerate(local_rows):
-                for j in range(m):
-                    rows_d.append(r)
-                    cols_d.append(dofs[j] + comp)
-                    vals_d.append(BD[a, j])
-            row += m - 1
-
-    M_C = row
-    B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(M_C, total))
-    B_D = sp.csr_matrix((vals_d, (rows_d, cols_d)), shape=(M_C, total))
+    # the B_D rows of a link copy hold block[rank of the link - 1,
+    # rank of the copy] at every copy of its node
+    ml = m[link]
+    row_copy = np.repeat(link, ml)
+    col_copy = (start[group[row_copy]] + np.arange(len(row_copy))
+                - np.repeat(np.cumsum(ml) - ml, ml))
+    vals = np.empty(len(row_copy))
+    for size, blk in blocks.items():
+        at = m[row_copy] == size
+        vals[at] = blk[rank[row_copy[at]] - 1, rank[col_copy[at]]]
+    B_D = sp.csr_matrix(
+        (np.repeat(vals, c), (row[row_copy].ravel(), dof[col_copy].ravel())),
+        shape=(M_C, total))
     Z = build_rigid_modes(sub, dof_multiplicity)
     return ConstraintSet(B=B, D=D, B_D=B_D, Z=Z, offsets=offsets,
-                         components=c, n_modes=_mode_counts(sub, c))
-
-
-def _mode_counts(sub: Subdivision, c: int) -> list[int]:
-    per = 1 if c == 1 else 3
-    return [per if f else 0 for f in sub.floating]
+                         components=c)
 
 
 def rigid_modes(xy: np.ndarray, c: int) -> np.ndarray:
@@ -446,24 +435,17 @@ def build_rigid_modes(sub: Subdivision, dof_multiplicity: int = 1) -> sp.csr_mat
     interface dofs: ``rigid_modes`` of each floating subdomain's
     interface nodes, one column per mode."""
     c = dof_multiplicity
-    sizes = np.array([len(g) for g in sub.interface_nodes])
-    offsets = np.concatenate([[0], np.cumsum(c * sizes)])
-    cols = []
-    total = int(offsets[-1])
-    for k, is_floating in enumerate(sub.floating):
-        if not is_floating:
-            continue
-        q = rigid_modes(sub.mesh.vertices[sub.interface_nodes[k]], c)
-        for j in range(q.shape[1]):
-            col = sp.csr_matrix(
-                (q[:, j], (np.arange(offsets[k], offsets[k + 1]),
-                           np.zeros(q.shape[0], dtype=np.int64))),
-                shape=(total, 1),
-            )
-            cols.append(col)
-    if not cols:
-        return sp.csr_matrix((total, 0))
-    return sp.hstack(cols, format="csr")
+    blocks = [rigid_modes(sub.mesh.vertices[g], c) if f
+              else np.zeros((c * len(g), 0))
+              for f, g in zip(sub.floating, sub.interface_nodes)]
+    row0 = np.cumsum([0] + [q.shape[0] for q in blocks])
+    col0 = np.cumsum([0] + [q.shape[1] for q in blocks])
+    ij = [np.indices(q.shape).reshape(2, -1) for q in blocks]
+    return sp.csr_matrix(
+        (np.concatenate([q.ravel() for q in blocks]),
+         (np.concatenate([r0 + i for r0, (i, _) in zip(row0, ij)]),
+          np.concatenate([c0 + j for c0, (_, j) in zip(col0, ij)]))),
+        shape=(row0[-1], col0[-1]))
 
 
 def dump_subdivision(sub: Subdivision) -> str:

@@ -89,3 +89,12 @@ def test_mismatched_ball_strategy_fails_cleanly(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error:" in err and "constant" in err and "exact_linf" in err
+
+
+def test_more_rectangles_than_cells_fails_cleanly(capsys):
+    rc = main(["solve", "--set", "mesh.n=4", "--set", "kernel.delta=0.25",
+               "--set", "partition.k1=5", "--set", "partition.k2=1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "k1=5 exceeds n=4" in err

@@ -24,7 +24,7 @@ from nlfeti.harness import (
 from nlfeti.kernels import KernelSpec, kernel_on_support
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
-from nlfeti.sparse_linalg import cg
+from nlfeti.sparse_linalg import projected_pcg
 
 
 def test_parse_config_and_overrides(tmp_path):
@@ -228,8 +228,10 @@ def test_cg_row_reports_residual_reached():
     A = out.assembled.A
     dinv = 1.0 / A.diagonal()
     trace = []
-    cg(lambda v: A @ v, out.assembled.rhs, apply_Minv=lambda r: dinv * r,
-       tol=config.tol, maxit=config.maxit, trace=trace)
+    rhs = out.assembled.rhs
+    projected_pcg(lambda v: A @ v, lambda v: v, rhs, np.zeros_like(rhs),
+                  apply_Minv=lambda r: dinv * r, tol=config.tol,
+                  maxit=config.maxit, trace=trace)
     assert len(trace) == rec.iterations
     assert rec.residual == trace[-1]
     assert rec.residual <= config.tol

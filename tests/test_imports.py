@@ -1,6 +1,6 @@
-"""Code hygiene: every name a package module imports is used in it, and
+"""Code hygiene: every name a package module imports is used in it,
 every top-level function or class is referenced from elsewhere in the
-package."""
+package, and every f-string has a placeholder."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,29 @@ def test_module_uses_every_import(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys, pi)\n"
     assert _unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+def _fstrings_without_placeholders(source: str) -> list[str]:
+    """f-strings with no replacement field; the format spec of a field,
+    itself an f-string node, does not count."""
+    tree = ast.parse(source)
+    specs = {id(node.format_spec) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue) and node.format_spec}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue)
+                        for v in node.values)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_fstrings_have_placeholders(path):
+    assert _fstrings_without_placeholders(path.read_text()) == []
+
+
+def test_checker_flags_an_fstring_without_placeholders():
+    source = ('a = f"plain"\nb = f"{a:.3g} and {a!r:>{10}}"\n'
+              'c = ("x" f"y")\nd = "no f"\ne = f"{a}" "tail"\n')
+    assert _fstrings_without_placeholders(source) == ["line 1", "line 3"]
 
 
 def _unreferenced(sources: dict[str, str]) -> list[str]:

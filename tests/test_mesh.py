@@ -1,12 +1,11 @@
-"""Mesh construction, labeling, adjacency, and error norms."""
+"""Mesh construction, labeling, and error norms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlfeti.mesh import (COLLAR, INTERIOR, build_structured_mesh,
-                         element_adjacency_graph, l2_error, p1_gradients,
-                         p1_values)
+from nlfeti.mesh import (INTERIOR, build_structured_mesh, l2_error,
+                         p1_gradients, p1_values)
 
 
 def test_tiny_mesh_counts():
@@ -50,27 +49,6 @@ def test_positive_areas_and_interior_tiling(n, m):
     assert np.all(areas > 0)  # counter-clockwise and nondegenerate
     interior_area = areas[mesh.element_region == INTERIOR].sum()
     assert abs(interior_area - 1.0) < 1e-12
-
-
-def test_adjacency_edge_sharing():
-    mesh = build_structured_mesh(2, 0.5)
-    adj = element_adjacency_graph(mesh)
-    # symmetric, and every triangle has 1..3 neighbors
-    for e, nbrs in adj.items():
-        assert 1 <= len(nbrs) <= 3
-        for o in nbrs:
-            assert e in adj[o]
-    # total adjacency edges = number of interior mesh edges
-    n_edges = sum(len(v) for v in adj.values()) // 2
-    # 4x4 cells: vertical/horizontal interior edges + all diagonals
-    assert n_edges == 2 * 4 * 3 + 16
-
-
-def test_corner_collar_triangle_has_two_neighbors():
-    mesh = build_structured_mesh(2, 0.5)
-    corner = np.argmin(mesh.barycenters.sum(axis=1))
-    adj = element_adjacency_graph(mesh)
-    assert len(adj[int(corner)]) == 2
 
 
 def test_p1_basis_partition_and_gradients():

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from nlfeti.sparse_linalg import (
     ConvergenceFailure,
     SingularMatrixError,
-    cg,
     dense_spd_solve,
     factorize,
     projected_pcg,
@@ -54,6 +53,12 @@ def test_singular_matrix_raises():
 def test_dense_spd_solve_empty():
     out = dense_spd_solve(np.zeros((0, 0)), np.zeros(0))
     assert out.shape == (0,)
+
+
+def cg(apply_A, b, **kwargs):
+    """Plain CG as the global baseline runs it: projected CG with the
+    identity projection from a zero start."""
+    return projected_pcg(apply_A, lambda v: v, b, np.zeros_like(b), **kwargs)
 
 
 def test_cg_matches_direct_and_decreases_energy_error():
@@ -183,19 +188,21 @@ def test_projected_pcg_constraint_check_hook():
     assert calls and calls[0] <= 1e-10
 
 
-def test_matrix_market_roundtrip_bitwise():
+def test_matrix_market_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     A = sp.random(17, 13, density=0.3, random_state=4, format="csr")
-    write_matrix_market("/tmp/nlfeti_mm_general.mtx", A)
-    B = sp.csr_matrix(scipy.io.mmread("/tmp/nlfeti_mm_general.mtx"))
+    general = tmp_path / "general.mtx"
+    write_matrix_market(general, A)
+    B = sp.csr_matrix(scipy.io.mmread(general))
     assert (abs(A - B)).nnz == 0
-    with open("/tmp/nlfeti_mm_general.mtx") as fh:
+    with open(general) as fh:
         assert "general" in fh.readline()
     # symmetric matrices are detected and stored once
     S = A[:13, :13]
     S = S + S.T
-    write_matrix_market("/tmp/nlfeti_mm_sym.mtx", S)
-    T = sp.csr_matrix(scipy.io.mmread("/tmp/nlfeti_mm_sym.mtx"))
+    sym = tmp_path / "sym.mtx"
+    write_matrix_market(sym, S)
+    T = sp.csr_matrix(scipy.io.mmread(sym))
     assert (abs(S - T)).nnz == 0
-    with open("/tmp/nlfeti_mm_sym.mtx") as fh:
+    with open(sym) as fh:
         assert "symmetric" in fh.readline()

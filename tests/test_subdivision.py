@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from nlfeti.mesh import INTERIOR, build_structured_mesh
@@ -17,10 +18,195 @@ from nlfeti.subdivision import (
     dump_subdivision,
     extend_nonlocal,
     partition_rectangles,
+    rigid_modes,
     verify_coverage,
 )
 
 from conftest import strip_to_owned
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the breadth-first extension and the per-node constraint
+# build that the array set-up replaced, kept as references.
+
+
+def element_adjacency_graph(mesh):
+    """Edge-sharing adjacency, built from a shared-edge dictionary."""
+    edge_owner = {}
+    adj = {e: [] for e in range(mesh.n_elements)}
+    for e, tri in enumerate(mesh.elements):
+        for k in range(3):
+            a, b = int(tri[k]), int(tri[(k + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            other = edge_owner.pop(key, None)
+            if other is None:
+                edge_owner[key] = e
+            else:
+                adj[e].append(other)
+                adj[other].append(e)
+    for e in adj:
+        adj[e].sort()
+    return adj
+
+
+def bfs_extension(mesh, owner, delta, ball_norm):
+    """Extended and collar element sets per subdomain: a breadth-first
+    search over interior edge neighbors within r_ext of the owned
+    barycenters, and the collar elements within r_col."""
+    bary = mesh.barycenters
+    adj = element_adjacency_graph(mesh)
+    interior = mesh.element_region == INTERIOR
+    reach = _reach(delta, ball_norm)
+    r_ext = 0.5 * (reach + mesh.h) + mesh.h + 1e-12
+    r_col = reach + mesh.h + 1e-12
+    extended, collars = [], []
+    collar_ids = np.flatnonzero(~interior)
+    for k in range(int(owner.max()) + 1):
+        own = np.flatnonzero(owner == k)
+        tree = cKDTree(bary[own])
+        member = np.zeros(mesh.n_elements, dtype=bool)
+        member[own] = True
+        frontier = list(own)
+        while frontier:
+            cand = sorted(
+                {e2 for e in frontier for e2 in adj[e]
+                 if not member[e2] and interior[e2]}
+            )
+            if not cand:
+                break
+            d, _ = tree.query(bary[cand])
+            take = [e for e, dist in zip(cand, d) if dist <= r_ext]
+            member[take] = True
+            frontier = take
+        extended.append(np.flatnonzero(member))
+        dcol, _ = tree.query(bary[collar_ids])
+        collars.append(collar_ids[dcol <= r_col])
+    return extended, collars
+
+
+def loop_constraints(sub, c):
+    """B, D, B_D and offsets, one interface node at a time, each node's
+    block factorized on its own."""
+    sizes = np.array([len(g) for g in sub.interface_nodes])
+    offsets = np.concatenate([[0], np.cumsum(c * sizes)])
+    total = int(offsets[-1])
+    pos = [dict(zip(g.tolist(), range(len(g)))) for g in sub.interface_nodes]
+    node_subs = {}
+    for k in range(sub.K):
+        for node in sub.interface_nodes[k]:
+            node_subs.setdefault(int(node), []).append(k)
+    rows_b, cols_b, vals_b = [], [], []
+    rows_d, cols_d, vals_d = [], [], []
+    D = np.empty(total)
+    for k in range(sub.K):
+        z = sub.node_zeta[sub.interface_nodes[k]].astype(float)
+        D[offsets[k]:offsets[k + 1]] = np.repeat(z, c)
+    row = 0
+    for node in sorted(node_subs):
+        ks = node_subs[node]
+        m = len(ks)
+        zinv = 1.0 / float(m)
+        dofs = [offsets[k] + c * pos[k][node] for k in ks]
+        for comp in range(c):
+            for j in range(1, m):
+                r = row + j - 1
+                rows_b += [r, r]
+                cols_b += [dofs[0] + comp, dofs[j] + comp]
+                vals_b += [1.0, -1.0]
+            Bn = np.zeros((m - 1, m))
+            Bn[:, 0] = 1.0
+            Bn[np.arange(m - 1), np.arange(1, m)] = -1.0
+            BD = np.linalg.solve(zinv * (Bn @ Bn.T), zinv * Bn)
+            for a in range(m - 1):
+                for j in range(m):
+                    rows_d.append(row + a)
+                    cols_d.append(dofs[j] + comp)
+                    vals_d.append(BD[a, j])
+            row += m - 1
+    B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(row, total))
+    B_D = sp.csr_matrix((vals_d, (rows_d, cols_d)), shape=(row, total))
+    return B, D, B_D, offsets
+
+
+def hstack_rigid_modes(sub, c):
+    """Z stacked one single-column matrix per mode."""
+    sizes = np.array([len(g) for g in sub.interface_nodes])
+    offsets = np.concatenate([[0], np.cumsum(c * sizes)])
+    total = int(offsets[-1])
+    cols = []
+    for k in np.flatnonzero(sub.floating):
+        q = rigid_modes(sub.mesh.vertices[sub.interface_nodes[k]], c)
+        for j in range(q.shape[1]):
+            cols.append(sp.csr_matrix(
+                (q[:, j], (np.arange(offsets[k], offsets[k + 1]),
+                           np.zeros(q.shape[0], dtype=np.int64))),
+                shape=(total, 1)))
+    if not cols:
+        return sp.csr_matrix((total, 0))
+    return sp.hstack(cols, format="csr")
+
+
+def _assert_same_bytes(got, want):
+    """Same shape, dtypes and bytes; for CSR matrices, of all three arrays."""
+    if sp.issparse(want):
+        assert got.format == want.format == "csr"
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            _assert_same_bytes(getattr(got, name), getattr(want, name))
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adjacency_edge_sharing():
+    mesh = build_structured_mesh(2, 0.5)
+    adj = element_adjacency_graph(mesh)
+    # symmetric, and every triangle has 1..3 neighbors
+    for e, nbrs in adj.items():
+        assert 1 <= len(nbrs) <= 3
+        for o in nbrs:
+            assert e in adj[o]
+    # total adjacency edges = number of interior mesh edges
+    n_edges = sum(len(v) for v in adj.values()) // 2
+    # 4x4 cells: vertical/horizontal interior edges + all diagonals
+    assert n_edges == 2 * 4 * 3 + 16
+
+
+def test_corner_collar_triangle_has_two_neighbors():
+    mesh = build_structured_mesh(2, 0.5)
+    corner = np.argmin(mesh.barycenters.sum(axis=1))
+    adj = element_adjacency_graph(mesh)
+    assert len(adj[int(corner)]) == 2
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(4, 20), ratio=st.integers(1, 5), k1=st.integers(1, 4),
+       k2=st.integers(1, 4), ball_norm=st.sampled_from(["l2", "linf"]))
+@example(n=16, ratio=2, k1=3, k2=4, ball_norm="l2")  # two membership bytes
+@example(n=8, ratio=5, k1=4, k2=4, ball_norm="linf")  # multiplicity 16
+@example(n=6, ratio=1, k1=1, k2=1, ball_norm="l2")  # no interface
+def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
+    """Every extended and collar set, and B, D, B_D, Z and the offsets
+    for scalar and vector dofs, equal the loop oracles byte for byte."""
+    mesh = build_structured_mesh(n, ratio / n)
+    owner = partition_rectangles(mesh, k1, k2)
+    sub = extend_nonlocal(mesh, owner, mesh.delta, ball_norm)
+    extended, collars = bfs_extension(mesh, owner, mesh.delta, ball_norm)
+    assert sub.K == len(extended) == k1 * k2
+    for k in range(sub.K):
+        _assert_same_bytes(sub.extended_elements[k], extended[k])
+        _assert_same_bytes(sub.collar_elements[k], collars[k])
+    for c in (1, 2):
+        cons = build_constraints(mesh, sub, dof_multiplicity=c)
+        B, D, B_D, offsets = loop_constraints(sub, c)
+        _assert_same_bytes(cons.B, B)
+        _assert_same_bytes(cons.D, D)
+        _assert_same_bytes(cons.B_D, B_D)
+        _assert_same_bytes(cons.offsets, offsets)
+        _assert_same_bytes(cons.Z, hstack_rigid_modes(sub, c))
+
+
+# ---------------------------------------------------------------------------
 
 
 def _held(sub):
@@ -47,6 +233,22 @@ def test_partition_rejects_bad_arguments():
         partition_rectangles(mesh, 0, 2)
     with pytest.raises(ValueError):
         partition_rectangles(mesh, 40, 40)
+
+
+def test_partition_rejects_more_rectangles_than_cells():
+    """k > n would leave a rectangle empty; every k <= n fills each one."""
+    mesh = build_structured_mesh(4, 0.25)
+    with pytest.raises(ValueError, match="k1=5 exceeds n=4"):
+        partition_rectangles(mesh, 5, 1)
+    with pytest.raises(ValueError, match="k2=5 exceeds n=4"):
+        partition_rectangles(mesh, 1, 5)
+    for n in range(1, 13):
+        mesh = build_structured_mesh(n, 1.0 / n)
+        for k in range(1, n + 1):
+            for k1, k2 in ((k, 1), (1, k)):
+                owner = partition_rectangles(mesh, k1, k2)
+                counts = np.bincount(owner[owner >= 0], minlength=k)
+                assert len(counts) == k and counts.min() > 0
 
 
 @pytest.mark.parametrize("n,ratio", [(8, 2), (8, 4), (16, 2), (16, 4)])
@@ -231,19 +433,21 @@ def test_rigid_modes_orthonormal_blocks(c):
     sub = build_subdivision(mesh, 3, 3, 0.125)
     cons = build_constraints(mesh, sub, dof_multiplicity=c)
     expected = [(1 if c == 1 else 3) if f else 0 for f in sub.floating]
-    assert cons.n_modes == expected
     Z = cons.Z.toarray()
-    assert Z.shape[1] == sum(expected)
     G = Z.T @ Z
     assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-12
-    # Columns are supported on the floating subdomain's dof range only.
-    col = 0
-    for k, m in enumerate(expected):
-        for _ in range(m):
-            support = np.flatnonzero(np.abs(Z[:, col]) > 0)
-            assert support.min() >= cons.offsets[k]
-            assert support.max() < cons.offsets[k + 1]
-            col += 1
+    # Each column is supported on one floating subdomain's dof range, in
+    # subdomain order; the columns per subdomain are its mode count.
+    counts = [0] * sub.K
+    prev = 0
+    for col in range(Z.shape[1]):
+        support = np.flatnonzero(np.abs(Z[:, col]) > 0)
+        k = int(np.searchsorted(cons.offsets, support.min(), side="right")) - 1
+        assert support.max() < cons.offsets[k + 1]
+        assert k >= prev
+        prev = k
+        counts[k] += 1
+    assert counts == expected
     if c == 2:
         # The floating block spans translations and the rotation.
         k = int(np.flatnonzero(sub.floating)[0])
