@@ -9,11 +9,15 @@ with ``dpsi_a(x, y) = psi_a(y) - psi_a(x)`` the hat-function difference.
 The swapped integral over (F, E) equals M, so each unordered pair is
 integrated once and scattered with factor 2 (factor 1 when E == F).
 
-On the structured criss-cross mesh every pair belongs to a translation
-class (cell offset plus the two triangle types), so each class matrix is
-computed once per mesh and reused for every pair in the class.  Only
-classes whose two triangles come closer than the horizon are formed; the
-matrix of every other class is identically zero.  One weighted scatter,
+The pair rule, ``pair_matrix(v1, v2, ...)``, takes the two triangles as
+(3, 2) vertex arrays, matches their shared vertices by exact coordinate
+equality and names each patch node by its row among the six vertices;
+it knows no mesh.  On the structured criss-cross mesh every pair belongs
+to a translation class (cell offset plus the two triangle types), so
+each class matrix is computed once per assembler, on the class's two
+lattice triangles, and reused for every pair in the class.  Only classes
+whose two triangles come closer than the horizon are formed; the matrix
+of every other class is identically zero.  One weighted scatter,
 ``Assembler.assemble(pair_weights, cells, rows)``, builds every matrix:
 the global matrix is the unit-weight case on the whole mesh, restricted
 to the interior node rows, and a subdomain matrix weights each pair by
@@ -65,7 +69,8 @@ from .geometry import (
 )
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import Mesh, p1_gradients, p1_values
-from .quadrature import gauss01, gauss_jacobi01, map_to_physical, triangle_rule
+from .quadrature import (gauss01, gauss_jacobi01, map_to_physical,
+                         triangle_area, triangle_rule)
 
 
 def ball_strategy(spec: KernelSpec, strategy: str | None = None) -> str:
@@ -149,19 +154,22 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def _patch(ids1: np.ndarray, ids2: np.ndarray):
-    """Union patch of two elements' vertex ids.
+def _patch(v1: np.ndarray, v2: np.ndarray):
+    """Union patch of two triangles' vertices, matched by exact coordinate
+    equality: the vertices of v1, then those of v2 that v1 lacks.
 
-    Returns (patch ids, loc1, loc2) where loc1[a] is the local vertex
-    index of patch node a in the first element (-1 when absent).
+    Returns (rows, loc1, loc2) where patch node a is row rows[a] of
+    ``np.concatenate([v1, v2])`` and loc1[a] is its local vertex index in
+    the first triangle (-1 when absent).
     """
-    patch = list(ids1)
-    for g in ids2:
-        if g not in patch:
-            patch.append(g)
-    loc1 = [list(ids1).index(g) if g in list(ids1) else -1 for g in patch]
-    loc2 = [list(ids2).index(g) if g in list(ids2) else -1 for g in patch]
-    return np.asarray(patch), np.asarray(loc1), np.asarray(loc2)
+    # same[i, j]: vertex i of v1 is vertex j of v2
+    same = (v1[:, None, :] == v2[None, :, :]).all(axis=2)
+    new = np.flatnonzero(~same.any(axis=0))
+    rows = np.concatenate([np.arange(3), 3 + new])
+    loc1 = np.where(rows < 3, rows, -1)
+    loc2 = np.concatenate([np.where(same.any(axis=1), same.argmax(axis=1), -1),
+                           new])
+    return rows, loc1, loc2
 
 
 def _basis_differences(
@@ -170,13 +178,10 @@ def _basis_differences(
     """dpsi_a = psi_a(y) - psi_a(x) for every patch node, shape (m, p),
     from the hat values (m, 3) of the first element at the points x and
     of the second at the points y."""
-    m = phi1.shape[0]
-    D = np.zeros((m, len(loc1)))
-    for a in range(len(loc1)):
-        if loc2[a] >= 0:
-            D[:, a] += phi2[:, loc2[a]]
-        if loc1[a] >= 0:
-            D[:, a] -= phi1[:, loc1[a]]
+    in1, in2 = loc1 >= 0, loc2 >= 0
+    D = np.zeros((phi1.shape[0], len(loc1)))
+    D[:, in2] += phi2[:, loc2[in2]]
+    D[:, in1] -= phi1[:, loc1[in1]]
     return D
 
 
@@ -360,8 +365,7 @@ def _fan_graded(v2: np.ndarray, apex: np.ndarray, dist: float,
     for i in range(3):
         a, b = v2[i], v2[(i + 1) % 3]
         tri = np.array([apex, a, b])
-        area = 0.5 * abs(_cross2(a - apex, b - apex))
-        if area < 1e-30:
+        if triangle_area(tri) < 1e-30:
             continue
         size = max(np.linalg.norm(a - apex), np.linalg.norm(b - apex))
         if dist > 0:
@@ -391,7 +395,7 @@ def _rings_toward_vertex(tri: np.ndarray, apex_idx: int, levels: int,
         out.append(np.array([c0, c2, c3]))
         s_hi = s_lo
     out.append(np.array([p, p + s_hi * (a - p), p + s_hi * (b - p)]))
-    return [t for t in out if 0.5 * abs(_cross2(t[1] - t[0], t[2] - t[0])) > 1e-30]
+    return [t for t in out if triangle_area(t) > 1e-30]
 
 
 def subdivide_triangle(tri: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -467,16 +471,11 @@ def _patch_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2): hat-function gradients per patch node on each element,
     zero rows for patch nodes absent from an element."""
-    g1 = p1_gradients(v1)
-    g2 = p1_gradients(v2)
-    p = len(loc1)
-    P1 = np.zeros((p, 2))
-    P2 = np.zeros((p, 2))
-    for a in range(p):
-        if loc1[a] >= 0:
-            P1[a] = g1[loc1[a]]
-        if loc2[a] >= 0:
-            P2[a] = g2[loc2[a]]
+    in1, in2 = loc1 >= 0, loc2 >= 0
+    P1 = np.zeros((len(loc1), 2))
+    P2 = np.zeros((len(loc1), 2))
+    P1[in1] = p1_gradients(v1)[loc1[in1]]
+    P2[in2] = p1_gradients(v2)[loc2[in2]]
     return P1, P2
 
 
@@ -493,9 +492,8 @@ def common_vertex_pair_matrix(
     The two regions xi1 >= xi2 and xi2 >= xi1 are integrated by tensor
     Gauss rules in the remaining three coordinates.
     """
-    sh = [a for a in range(len(loc1)) if loc1[a] >= 0 and loc2[a] >= 0]
-    assert len(sh) == 1
-    s1, s2 = int(loc1[sh[0]]), int(loc2[sh[0]])
+    (a,) = np.flatnonzero((loc1 >= 0) & (loc2 >= 0))
+    s1, s2 = int(loc1[a]), int(loc2[a])
     P1, P2 = _patch_gradients(v1, v2, loc1, loc2)
     beta = spec.homogeneity
     # edge chains v0 -> v1 -> v2 of each element starting at the shared vertex
@@ -540,17 +538,12 @@ def common_edge_pair_matrix(
     the radial integral per ray is evaluated in closed form (including
     the exact horizon cut).
     """
-    sh = [a for a in range(len(loc1)) if loc1[a] >= 0 and loc2[a] >= 0]
-    assert len(sh) == 2
-    a0, a1 = sh[0], sh[1]
-    s0_1, s1_1 = int(loc1[a0]), int(loc1[a1])
-    s0_2, s1_2 = int(loc2[a0]), int(loc2[a1])
-    far1 = ({0, 1, 2} - {s0_1, s1_1}).pop()
-    far2 = ({0, 1, 2} - {s0_2, s1_2}).pop()
-    s0 = v1[s0_1]
-    s1 = v1[s1_1]
-    c1 = v1[far1]
-    c2 = v2[far2]
+    # patch nodes: the shared edge a0 -> a1 and the far vertices f1 of
+    # the first and f2 of the second element
+    a0, a1 = np.flatnonzero((loc1 >= 0) & (loc2 >= 0))
+    (f1,) = np.flatnonzero(loc2 < 0)
+    (f2,) = np.flatnonzero(loc1 < 0)
+    s0, s1, c1, c2 = v1[loc1[a0]], v1[loc1[a1]], v1[loc1[f1]], v2[loc2[f2]]
     E = s1 - s0
     d1 = c1 - s1
     d2 = c2 - s1
@@ -568,13 +561,7 @@ def common_edge_pair_matrix(
     # map core rows onto patch slots
     p = len(loc1)
     B = np.zeros((p, 3))
-    B[a0] = core[0]
-    B[a1] = core[1]
-    for a in range(p):
-        if loc1[a] == far1 and loc2[a] < 0:
-            B[a] = core[2]
-        elif loc2[a] == far2 and loc1[a] < 0:
-            B[a] = core[3]
+    B[[a0, a1, f1, f2]] = core
     # composite tensor rule: the per-ray cutoffs switch branches along
     # curves in the face coordinates, so panels are needed for accuracy
     t, gw = gauss01(quad.transform_points)
@@ -666,21 +653,20 @@ def coinciding_pair_matrix(
 
 
 def pair_matrix(
-    mesh: Mesh, e1: int, e2: int, spec: KernelSpec, strategy: str,
+    v1: np.ndarray, v2: np.ndarray, spec: KernelSpec, strategy: str,
     quad: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local matrix of an element pair over its union patch.
+    """Local matrix of two triangles, given as (3, 2) vertex arrays, over
+    the union patch of their vertices.
 
-    Returns (M, patch node ids); M has shape (p*c, p*c) with component-
-    interleaved rows/columns for vector kernels.
+    Returns (M, rows): patch node a is row ``rows[a]`` of
+    ``np.concatenate([v1, v2])``, and M has shape (p*c, p*c) with
+    component-interleaved rows/columns for vector kernels.  Triangles
+    sharing all three vertices are the coinciding pair.
     """
-    ids1 = mesh.elements[e1]
-    ids2 = mesh.elements[e2]
-    patch, loc1, loc2 = _patch(ids1, ids2)
-    v1 = mesh.vertices[ids1]
-    v2 = mesh.vertices[ids2]
+    rows, loc1, loc2 = _patch(v1, v2)
     n_shared = int(np.sum((loc1 >= 0) & (loc2 >= 0)))
-    if e1 == e2:
+    if n_shared == 3:
         M = coinciding_pair_matrix(v1, spec, quad)
     elif not spec.singular:
         # constant kernel on the max-norm ball: the integrand is a
@@ -715,7 +701,7 @@ def pair_matrix(
         deg = max(quad.outer_degree, 5) if straddle else quad.outer_degree
         M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
                                 outer, deg)
-    return M, patch
+    return M, rows
 
 
 def _straddles_horizon(v1: np.ndarray, v2: np.ndarray,
@@ -794,9 +780,10 @@ def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
 class Assembler:
     """Assembles stiffness matrices on a structured mesh.
 
-    Pair integrals are cached per translation class (cell offset and the
-    two triangle types), then scattered over the anchors of a window by
-    a sparse times dense product per strip of node rows.
+    Pair integrals are computed once per translation class (cell offset
+    and the two triangle types), from the class key alone, into the
+    scatter table; they are scattered over the anchors of a window by a
+    sparse times dense product per strip of node rows.
     """
 
     def __init__(
@@ -814,7 +801,6 @@ class Assembler:
         self.quad = quad or QuadratureConfig()
         self.N = mesh.cells_per_side
         self._classes: list[tuple[int, int, int, int]] | None = None
-        self._cache: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray, int]] = {}
         self._table = None
 
     # -- translation classes ------------------------------------------------
@@ -847,20 +833,21 @@ class Assembler:
 
     def class_matrix(self, key: tuple[int, int, int, int]):
         """(patch matrix, (p, 2) lattice offsets of the patch nodes from the
-        anchor corner, multiplicity factor)."""
-        if key in self._cache:
-            return self._cache[key]
+        anchor corner, multiplicity factor).
+
+        The class's two triangles are taken at the anchor cell
+        (max(0, -dx), max(0, -dy)), whose partner cell is in the mesh;
+        their vertices are read from the mesh by node id.
+        """
         dx, dy, t1, t2 = key
-        N = self.N
         ax, ay = max(0, -dx), max(0, -dy)
-        e1 = 2 * (ay * N + ax) + t1
-        e2 = 2 * ((ay + dy) * N + (ax + dx)) + t2
-        M, patch = pair_matrix(self.mesh, e1, e2, self.spec, self.strategy,
-                               self.quad)
-        lattice = np.column_stack([patch % (N + 1) - ax, patch // (N + 1) - ay])
+        lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
+        ids = (lat[:, 1] + ay) * (self.N + 1) + lat[:, 0] + ax
+        M, rows = pair_matrix(self.mesh.vertices[ids[:3]],
+                              self.mesh.vertices[ids[3:]], self.spec,
+                              self.strategy, self.quad)
         factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
-        self._cache[key] = (M, lattice, factor)
-        return self._cache[key]
+        return M, lat[rows], factor
 
     def _scatter_table(self):
         """(Ct, shifts, lattice, klass): the scatter table.
@@ -1008,12 +995,8 @@ class Assembler:
         tri_verts = mesh.vertices[mesh.elements]
         pts = np.einsum("qb,ebx->eqx", bary, tri_verts)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-        if c == 1 and fv.ndim == 1:
-            fv = fv[:, None]
         fv = fv.reshape(mesh.n_elements, len(wts), c)
-        a = tri_verts[:, 1] - tri_verts[:, 0]
-        b = tri_verts[:, 2] - tri_verts[:, 0]
-        areas = 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        areas = triangle_area(tri_verts)
         if element_weights is not None:
             areas = areas * element_weights
         # contrib[e, a_local, comp]
@@ -1072,10 +1055,7 @@ def assemble_global(
     A = rows[:, interior_dofs].tocsr()
     B = rows[:, collar_dofs].tocsr()
     load_full = asm.assemble_load(f)
-    gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
-    if c == 1 and gv.ndim > 1:
-        gv = gv.ravel()
-    gv = gv.reshape(-1)
+    gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float).reshape(-1)
     return AssembledSystem(
         mesh=mesh,
         spec=spec,

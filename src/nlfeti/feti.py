@@ -158,15 +158,11 @@ class SubdomainSystem:
             w = w - self.modes @ (self.modes.T @ w)
         return w[self.n_O:]
 
-    def backward_substitute(self, u_G: np.ndarray,
-                            lam_term: np.ndarray | None = None) -> np.ndarray:
+    def backward_substitute(self, u_G: np.ndarray) -> np.ndarray:
         """Interior unknowns from the interface trace."""
         if self.n_O == 0:
             return np.zeros(0)
-        rhs = self.f_O - self.A_OG @ u_G
-        if lam_term is not None:
-            rhs = rhs - lam_term
-        return self.fact_OO().solve(rhs)
+        return self.fact_OO().solve(self.f_O - self.A_OG @ u_G)
 
 
 def assemble_subdomain(
@@ -296,7 +292,7 @@ def build_feti_system(
 ) -> FetiSystem:
     """Assemble all subdomain systems and the coarse problem."""
     asm = assembler or Assembler(mesh, spec)
-    cs = build_constraints(mesh, sub, spec.components)
+    cs = build_constraints(sub, spec.components)
     subs = [assemble_subdomain(mesh, sub, k, spec, f, g, assembler=asm)
             for k in range(sub.K)]
     f_schur = np.concatenate([s.schur_rhs() for s in subs]) if subs else np.zeros(0)

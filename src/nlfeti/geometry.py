@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quadrature import triangle_area
+
 _EPS = 1e-14
 
 
@@ -201,7 +203,7 @@ def _arc_caps(p0: np.ndarray, p1: np.ndarray, center: np.ndarray, r: float,
         return []  # chord through the center: ambiguous, skip
     apex = center + (r / nrm) * dirv
     cap = np.array([p0, p1, apex])
-    if _area(cap) <= 1e-30:
+    if triangle_area(cap) <= 1e-30:
         return []
     if levels <= 0:
         return [cap]
@@ -209,18 +211,12 @@ def _arc_caps(p0: np.ndarray, p1: np.ndarray, center: np.ndarray, r: float,
             + _arc_caps(apex, p1, center, r, levels - 1))
 
 
-def _area(tri: np.ndarray) -> float:
-    a = tri[1] - tri[0]
-    b = tri[2] - tri[0]
-    return 0.5 * abs(a[0] * b[1] - a[1] * b[0])
-
-
 def fan_triangulate(poly: np.ndarray) -> list[np.ndarray]:
     """Split a convex polygon into triangles fanned from its first vertex."""
     tris = []
     for i in range(1, len(poly) - 1):
         t = np.asarray([poly[0], poly[i], poly[i + 1]])
-        if _area(t) > 1e-30:
+        if triangle_area(t) > 1e-30:
             tris.append(t)
     return tris
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import triangle_rule
+from .quadrature import triangle_area, triangle_rule
 
 # Node / element region labels.
 INTERIOR = 0  # strictly inside (0,1)^2 (unknowns)
@@ -181,13 +181,7 @@ def l2_error(
     if ue.ndim == 1:
         ue = ue[:, None]
     ue = ue.reshape(uh.shape)
-    area = _areas(tri_verts)
+    area = triangle_area(tri_verts)
     diff2 = ((uh - ue) ** 2).sum(axis=2)  # (ne, q)
     total = float(np.einsum("e,q,eq->", area, wts, diff2))
     return float(np.sqrt(total))
-
-
-def _areas(tri_verts: np.ndarray) -> np.ndarray:
-    a = tri_verts[:, 1] - tri_verts[:, 0]
-    b = tri_verts[:, 2] - tri_verts[:, 0]
-    return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])

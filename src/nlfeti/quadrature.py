@@ -86,12 +86,12 @@ def map_to_physical(
     return pts, weights * area
 
 
-def triangle_area(vertices: np.ndarray) -> float:
+def triangle_area(vertices: np.ndarray) -> np.ndarray:
+    """Areas of the triangles of a (..., 3, 2) vertex array, shape (...)."""
     v = np.asarray(vertices, dtype=float)
-    return 0.5 * abs(
-        (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
-        - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1])
-    )
+    a = v[..., 1, :] - v[..., 0, :]
+    b = v[..., 2, :] - v[..., 0, :]
+    return 0.5 * np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
 
 
 @lru_cache(maxsize=64)

@@ -153,7 +153,7 @@ def _reach(delta: float, ball_norm: str) -> float:
 
 
 def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
-                    ball_norm: str = "l2", check: bool = True) -> Subdivision:
+                    ball_norm: str = "l2") -> Subdivision:
     """Grow a rectangular partition into an overlapping subdivision.
 
     Each subdomain takes, from one nearest-neighbor query of all element
@@ -219,18 +219,17 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
         interface_nodes=interface_nodes, constrained_nodes=constrained,
         floating=floating, node_zeta=zeta, membership=membership,
     )
-    if check:
-        verify_coverage(mesh, sub, delta, ball_norm)
+    verify_coverage(mesh, sub, delta, ball_norm)
     return sub
 
 
 def build_subdivision(mesh: Mesh, k1: int, k2: int, delta: float | None = None,
-                      ball_norm: str = "l2", check: bool = True) -> Subdivision:
+                      ball_norm: str = "l2") -> Subdivision:
     """Partition into k1 x k2 rectangles and extend nonlocally."""
     owner = partition_rectangles(mesh, k1, k2)
     return extend_nonlocal(mesh, owner,
                            delta if delta is not None else mesh.delta,
-                           ball_norm=ball_norm, check=check)
+                           ball_norm=ball_norm)
 
 
 def _interacting_pairs(mesh: Mesh, r: float):
@@ -345,7 +344,7 @@ def _scaled_block(node: int, m: int) -> np.ndarray:
     return np.linalg.solve(blk, zinv * Bn)
 
 
-def build_constraints(mesh: Mesh, sub: Subdivision,
+def build_constraints(sub: Subdivision,
                       dof_multiplicity: int = 1) -> ConstraintSet:
     """Build B, D, B_D over the concatenated interface dofs.
 

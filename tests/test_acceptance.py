@@ -163,7 +163,7 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
     unknowns = mesh.interior_nodes
     assert np.all(sub.node_zeta[unknowns] >= 1)
 
-    cons = build_constraints(mesh, sub, c)
+    cons = build_constraints(sub, c)
     # full row rank with the predicted row count
     shared = np.unique(np.concatenate(sub.interface_nodes))
     M_C = c * int(np.sum(sub.node_zeta[shared] - 1))

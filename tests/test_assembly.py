@@ -17,6 +17,14 @@ from nlfeti.subdivision import build_subdivision
 from conftest import assert_csr_bitwise, make_spec
 
 
+def _pair_matrix(mesh, e1, e2, spec, strategy, quad):
+    """``pair_matrix`` of two mesh elements, with the patch as node ids."""
+    ids = np.concatenate([mesh.elements[e1], mesh.elements[e2]])
+    M, rows = pair_matrix(mesh.vertices[ids[:3]], mesh.vertices[ids[3:]],
+                          spec, strategy, quad)
+    return M, ids[rows]
+
+
 def _pair_oracle(mesh, e1, e2, spec, patch, degree=4):
     """Plain tensorized Gauss double integral of the pair contribution,
     valid when the kernel has no support boundary inside the pair."""
@@ -49,8 +57,8 @@ def test_constant_pair_matches_analytic_double_integral():
     spec = KernelSpec("constant", 2.0)
     e1, e2 = 0, 4    # disjoint elements two cells apart in the collar
     assert len(np.intersect1d(mesh.elements[e1], mesh.elements[e2])) == 0
-    M, patch = pair_matrix(mesh, e1, e2, spec, "exact_linf",
-                           QuadratureConfig())
+    M, patch = _pair_matrix(mesh, e1, e2, spec, "exact_linf",
+                            QuadratureConfig())
     oracle = _pair_oracle(mesh, e1, e2, spec, patch)
     assert np.allclose(M, oracle, atol=1e-14 * abs(oracle).max())
 
@@ -58,7 +66,8 @@ def test_constant_pair_matches_analytic_double_integral():
 def test_coinciding_constant_pair_annihilates_constants():
     mesh = build_structured_mesh(2, 1.0)
     spec = KernelSpec("constant", 1.0)
-    M, patch = pair_matrix(mesh, 5, 5, spec, "exact_linf", QuadratureConfig())
+    M, patch = _pair_matrix(mesh, 5, 5, spec, "exact_linf",
+                            QuadratureConfig())
     ones = np.ones(len(patch))
     assert np.abs(M @ ones).max() < 1e-14 * abs(M).max()
 
@@ -68,8 +77,8 @@ def test_fractional_coinciding_pair_stable_under_order_doubling():
     spec = KernelSpec("fractional", 0.5, 0.4)
     quad = QuadratureConfig()
     e = 2 * (4 * 8 + 4)  # an element well inside
-    M1, _ = pair_matrix(mesh, e, e, spec, "polar", quad)
-    M2, _ = pair_matrix(mesh, e, e, spec, "polar", quad.refined())
+    M1, _ = _pair_matrix(mesh, e, e, spec, "polar", quad)
+    M2, _ = _pair_matrix(mesh, e, e, spec, "polar", quad.refined())
     rel = np.abs(M1 - M2).max() / np.abs(M2).max()
     assert rel < 1e-6
 
@@ -126,13 +135,49 @@ def _dense_oracle(mesh, spec, pair_weights):
                 / mesh.spacing).astype(int).ravel())
             patch = np.array(list(ids1) + [g for g in ids2 if g not in ids1])
             if key not in memo:
-                M, got = pair_matrix(mesh, e1, e2, spec, ball_strategy(spec),
-                                     QuadratureConfig())
+                M, got = _pair_matrix(mesh, e1, e2, spec,
+                                      ball_strategy(spec), QuadratureConfig())
                 assert np.array_equal(got, patch)
                 memo[key] = M
             dofs = (c * patch[:, None] + np.arange(c)[None, :]).ravel()
             A[np.ix_(dofs, dofs)] += (1 if e1 == e2 else 2) * w * memo[key]
     return A
+
+
+def _patch_by_ids(ids1, ids2):
+    """Union patch of two elements' vertex ids: (patch ids, loc1, loc2)
+    where loc1[a] is the local vertex index of patch node a in the first
+    element (-1 when absent)."""
+    patch = list(ids1)
+    for g in ids2:
+        if g not in patch:
+            patch.append(g)
+    loc1 = [list(ids1).index(g) if g in list(ids1) else -1 for g in patch]
+    loc2 = [list(ids2).index(g) if g in list(ids2) else -1 for g in patch]
+    return np.asarray(patch), np.asarray(loc1), np.asarray(loc2)
+
+
+def test_coordinate_patch_matches_patch_by_node_ids():
+    """Matching two triangles' vertices by coordinates gives the patch
+    that matching them by node id gives, on every ordered element pair
+    within reach of the horizon: coinciding, edge, vertex and disjoint."""
+    mesh = build_structured_mesh(4, 0.25)
+    bary = mesh.barycenters
+    reach = np.sqrt(2.0) * 0.25 + 2.0 * mesh.spacing
+    shared = set()
+    for e1 in range(mesh.n_elements):
+        for e2 in range(mesh.n_elements):
+            if np.linalg.norm(bary[e1] - bary[e2]) > reach:
+                continue
+            ids1, ids2 = mesh.elements[e1], mesh.elements[e2]
+            patch, loc1, loc2 = _patch_by_ids(ids1, ids2)
+            rows, got1, got2 = assembly._patch(mesh.vertices[ids1],
+                                               mesh.vertices[ids2])
+            assert np.array_equal(np.concatenate([ids1, ids2])[rows], patch)
+            assert np.array_equal(got1, loc1)
+            assert np.array_equal(got2, loc2)
+            shared.add(int(np.sum((loc1 >= 0) & (loc2 >= 0))))
+    assert shared == {0, 1, 2, 3}
 
 
 def _unit_weights(e1, e2):

@@ -138,7 +138,7 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
         v1, v2 = mesh.vertices[ids1], mesh.vertices[ids2]
         cells = square_interaction_cells(v1, v2, delta)
         if e1 != e2:
-            _, loc1, loc2 = assembly._patch(ids1, ids2)
+            _, loc1, loc2 = assembly._patch(v1, v2)
             M = regular_pair_matrix(v1, v2, loc1, loc2, asm.spec,
                                     asm.strategy, quad, cells,
                                     max(quad.outer_degree, 5))

@@ -1,6 +1,7 @@
 """Code hygiene: every name a package module imports is used in it,
 every top-level function or class is referenced from elsewhere in the
-package, and every f-string has a placeholder."""
+package, every function reads each of its parameters, and every f-string
+has a placeholder."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,46 @@ def test_checker_flags_an_unreferenced_private_definition():
     }
     assert _unreferenced(sources) == ["a.py: _dead", "a.py: _recursive",
                                       "a.py: public_dead"]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of functions and lambdas that the body never names;
+    ``self``, ``cls`` and ``_``-prefixed names excepted.  A name in a
+    nested function or lambda counts as read."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + [a.vararg]
+                  + a.kwonlyargs + [a.kwarg] if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "lambda")
+        out += [f"line {node.lineno}: {name}: {p}" for p in params
+                if p not in read and p not in ("self", "cls")
+                and not p.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_functions_read_every_parameter(path):
+    assert _unread_parameters(path.read_text()) == []
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("class A:\n"
+              "    def f(self, a, b, _c, *args, d=1, **kw):\n"
+              "        return a + kw['x']\n"
+              "    @classmethod\n"
+              "    def g(cls, e):\n"
+              "        return lambda x, y: e + x\n"
+              "def h(n):\n"
+              "    def inner():\n"
+              "        return n\n"
+              "    return inner\n")
+    assert _unread_parameters(source) == [
+        "line 2: f: b", "line 2: f: args", "line 2: f: d",
+        "line 6: lambda: y"]

@@ -197,7 +197,7 @@ def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
         _assert_same_bytes(sub.extended_elements[k], extended[k])
         _assert_same_bytes(sub.collar_elements[k], collars[k])
     for c in (1, 2):
-        cons = build_constraints(mesh, sub, dof_multiplicity=c)
+        cons = build_constraints(sub, dof_multiplicity=c)
         B, D, B_D, offsets = loop_constraints(sub, c)
         _assert_same_bytes(cons.B, B)
         _assert_same_bytes(cons.D, D)
@@ -260,7 +260,7 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     delta = ratio / n
     mesh = build_structured_mesh(n, delta)
     sub = build_subdivision(mesh, k1, k2, delta, ball_norm=ball_norm)
-    # check=True already ran verify_coverage; run it once more explicitly
+    # build_subdivision already ran verify_coverage; run it once more explicitly
     verify_coverage(mesh, sub, delta, ball_norm)
 
     K = k1 * k2
@@ -389,7 +389,7 @@ def test_floating_detection():
 def test_constraints_annihilate_consistent_vectors(c):
     mesh = build_structured_mesh(16, 0.125)
     sub = build_subdivision(mesh, 2, 2, 0.125)
-    cons = build_constraints(mesh, sub, dof_multiplicity=c)
+    cons = build_constraints(sub, dof_multiplicity=c)
     rng = np.random.default_rng(1)
     # A globally consistent interface vector (same physical value in every
     # subdomain copy) lies in the null space of B.
@@ -417,7 +417,7 @@ def test_constraints_annihilate_consistent_vectors(c):
 def test_scaled_constraints_are_left_inverse(c):
     mesh = build_structured_mesh(16, 0.125)
     sub = build_subdivision(mesh, 2, 2, 0.125)
-    cons = build_constraints(mesh, sub, dof_multiplicity=c)
+    cons = build_constraints(sub, dof_multiplicity=c)
     M = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-12
     # B_D is exactly (B D^-1 B^T)^-1 B D^-1.
@@ -431,7 +431,7 @@ def test_scaled_constraints_are_left_inverse(c):
 def test_rigid_modes_orthonormal_blocks(c):
     mesh = build_structured_mesh(16, 0.125)
     sub = build_subdivision(mesh, 3, 3, 0.125)
-    cons = build_constraints(mesh, sub, dof_multiplicity=c)
+    cons = build_constraints(sub, dof_multiplicity=c)
     expected = [(1 if c == 1 else 3) if f else 0 for f in sub.floating]
     Z = cons.Z.toarray()
     G = Z.T @ Z
