@@ -1,11 +1,16 @@
 """One-level FETI solver for the volume-constrained nonlocal systems.
 
 Each subdomain of an overlapping subdivision assembles its own weighted
-stiffness blocks, eliminates interior unknowns through a Schur
-complement, and couples to its neighbors only through signed interface
-constraints.  The dual problem in the Lagrange multipliers is solved by
-projected preconditioned conjugate gradients with a coarse problem
-built from the rigid modes of the floating subdomains.
+stiffness matrix and couples to its neighbors only through signed
+interface constraints.  The dual problem in the Lagrange multipliers is
+stated on whole subdomain vectors (FETI-1):
+u_s = K_s^+ (f_s - B_s^T lambda) - R_s alpha_s, with K_s^+ a generalized
+inverse from one pinned Neumann factorization of the full subdomain
+matrix and R_s the orthonormal rigid modes of a floating subdomain.  It
+is solved by projected preconditioned conjugate gradients with a coarse
+problem built from those rigid modes.  The interior block A_OO is
+factorized only for the Dirichlet preconditioner B_D S B_D^T, whose
+Schur complement S eliminates the interior unknowns.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class SubdomainSystem:
     A_GG: sp.csr_matrix
     f_O: np.ndarray
     f_G: np.ndarray
-    g: np.ndarray
     floating: bool
     modes: np.ndarray  # orthonormal rigid modes over (O, G) dofs; (n, m)
     _fact_OO: Factorization | None = field(default=None, repr=False)
@@ -133,36 +137,28 @@ class SubdomainSystem:
             out = out - self.A_OG.T @ self.fact_OO().solve(self.A_OG @ v)
         return out
 
-    def schur_rhs(self) -> np.ndarray:
-        """Condensed interface load f_G - A_OG^T A_OO^{-1} f_O."""
-        out = self.f_G.copy()
-        if self.n_O:
-            out -= self.A_OG.T @ self.fact_OO().solve(self.f_O)
-        return out
+    def pinv_apply(self, f: np.ndarray) -> np.ndarray:
+        """A generalized inverse of the full subdomain matrix applied to
+        the [O | G] vector f.
+
+        Solves the Neumann system; on a floating subdomain the pinned
+        entries of f are zeroed first and the rigid-mode component of
+        the result is removed, so K pinv_apply(f) = f whenever f is
+        orthogonal to ``modes``.
+        """
+        fact = self.fact_neumann()
+        if not self.floating:
+            return fact.solve(f)
+        rhs = f.copy()
+        rhs[self._pinned] = 0.0
+        w = fact.solve(rhs)
+        return w - self.modes @ (self.modes.T @ w)
 
     def schur_pinv_apply(self, v: np.ndarray) -> np.ndarray:
-        """Pseudoinverse of the Schur complement applied to v.
-
-        Solves the full (possibly point-constrained) subdomain system
-        with v as interface load; for floating subdomains the rigid-mode
-        component is removed afterwards, giving the minimum-norm
-        solution on the interface.
-        """
-        rhs = np.concatenate([np.zeros(self.n_O), v])
-        fact = self.fact_neumann()
-        if self.floating:
-            rhs = rhs.copy()
-            rhs[self._pinned] = 0.0
-        w = fact.solve(rhs)
-        if self.floating:
-            w = w - self.modes @ (self.modes.T @ w)
+        """A generalized inverse of the Schur complement applied to the
+        interface vector v."""
+        w = self.pinv_apply(np.concatenate([np.zeros(self.n_O), v]))
         return w[self.n_O:]
-
-    def backward_substitute(self, u_G: np.ndarray) -> np.ndarray:
-        """Interior unknowns from the interface trace."""
-        if self.n_O == 0:
-            return np.zeros(0)
-        return self.fact_OO().solve(self.f_O - self.A_OG @ u_G)
 
 
 def assemble_subdomain(
@@ -216,7 +212,7 @@ def assemble_subdomain(
         inner_nodes=inner, interface_nodes=inter,
         constrained_nodes=constrained,
         A_OO=A_OO, A_OG=A_OG, A_GG=A_GG,
-        f_O=load[O] - lift_O, f_G=load[G] - lift_G, g=gv,
+        f_O=load[O] - lift_O, f_G=load[G] - lift_G,
         floating=floating, modes=modes,
     )
 
@@ -236,13 +232,11 @@ class FetiSystem:
     subsystems: list[SubdomainSystem]
     G: np.ndarray            # dense (M_C, n_modes); small
     GtG: np.ndarray
-    f_schur: np.ndarray      # concatenated condensed interface loads
     d: np.ndarray
     e: np.ndarray
+    g: np.ndarray            # constraint values at every collar dof
     tol: float = 1e-10
     maxit: int = 20_000
-    preconditioner: str = "dirichlet"
-    reortho: bool = False
 
     # -- block operators over concatenated interface dofs -------------------
 
@@ -272,8 +266,6 @@ class FetiSystem:
         return lam - self.G @ dense_spd_solve(self.GtG, self.G.T @ lam)
 
     def apply_Minv(self, r: np.ndarray) -> np.ndarray:
-        if self.preconditioner == "none":
-            return r
         BD = self.constraints.B_D
         return BD @ self.schur_apply(BD.T @ r)
 
@@ -286,31 +278,32 @@ def build_feti_system(
     g,
     tol: float = 1e-10,
     maxit: int = 20_000,
-    preconditioner: str = "dirichlet",
-    reortho: bool = False,
     assembler: Assembler | None = None,
 ) -> FetiSystem:
-    """Assemble all subdomain systems and the coarse problem."""
+    """Assemble all subdomain systems and the coarse problem.
+
+    With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
+    d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
+    e = concat_s R_s^T f_s.
+    """
     asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(sub, spec.components)
     subs = [assemble_subdomain(mesh, sub, k, spec, f, g, assembler=asm)
             for k in range(sub.K)]
-    f_schur = np.concatenate([s.schur_rhs() for s in subs]) if subs else np.zeros(0)
-    Z = cs.Z
-    G = np.asarray((cs.B @ Z).todense()) if Z.shape[1] else np.zeros(
-        (cs.B.shape[0], 0))
+    loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
+    d = cs.B @ np.concatenate([s.pinv_apply(fs)[s.n_O:]
+                               for s, fs in zip(subs, loads)])
+    G = (cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs],
+                              format="csr")).toarray()
     GtG = G.T @ G
-    if Z.shape[1] and np.linalg.matrix_rank(GtG) < Z.shape[1]:
+    if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
         raise SubdivisionError("coarse matrix G^T G is singular")
-    e = Z.T @ f_schur if Z.shape[1] else np.zeros(0)
-    system = FetiSystem(
+    e = np.concatenate([s.modes.T @ fs for s, fs in zip(subs, loads)])
+    gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
+    return FetiSystem(
         mesh=mesh, spec=spec, sub=sub, constraints=cs, subsystems=subs,
-        G=G, GtG=GtG, f_schur=f_schur, d=np.zeros(cs.B.shape[0]),
-        e=np.asarray(e).ravel(), tol=tol, maxit=maxit,
-        preconditioner=preconditioner, reortho=reortho,
+        G=G, GtG=GtG, d=d, e=e, g=gv.reshape(-1), tol=tol, maxit=maxit,
     )
-    system.d = cs.B @ system.schur_pinv_apply(f_schur)
-    return system
 
 
 @dataclass
@@ -324,7 +317,8 @@ class FetiResult:
 
 
 def feti_solve(system: FetiSystem) -> FetiResult:
-    """Run the projected-PCG dual iteration and recover all unknowns."""
+    """Run the projected-PCG dual iteration and recover all unknowns,
+    u_s = K_s^+ (f_s - B_s^T lambda) - R_s alpha_s."""
     cs = system.constraints
     M_C = cs.B.shape[0]
     nm = system.G.shape[1]
@@ -348,20 +342,20 @@ def feti_solve(system: FetiSystem) -> FetiResult:
         lam, iters = projected_pcg(
             system.apply_F, system.apply_P, system.d, lam0,
             apply_Minv=system.apply_Minv, tol=system.tol,
-            maxit=system.maxit, constraint_check=check,
-            reortho=system.reortho, trace=trace,
+            maxit=system.maxit, constraint_check=check, trace=trace,
         )
 
     resid = system.d - system.apply_F(lam) if M_C else np.zeros(0)
     alpha = (dense_spd_solve(system.GtG, system.G.T @ resid)
              if nm else np.zeros(0))
-    u_G_all = system.schur_pinv_apply(system.f_schur - cs.B.T @ lam)
-    if nm:
-        u_G_all = u_G_all - np.asarray((cs.Z @ alpha)).ravel()
-    u_G = system._split(u_G_all)
-    u_O = [s.backward_substitute(u_G[k])
-           for k, s in enumerate(system.subsystems)]
-    return FetiResult(lam=lam, alpha=alpha, u_interface=u_G, u_inner=u_O,
+    subs = system.subsystems
+    counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
+    u = [s.pinv_apply(np.concatenate([s.f_O, s.f_G - jump])) - s.modes @ a
+         for s, jump, a in zip(subs, system._split(cs.B.T @ lam),
+                               np.split(alpha, counts))]
+    return FetiResult(lam=lam, alpha=alpha,
+                      u_interface=[w[s.n_O:] for s, w in zip(subs, u)],
+                      u_inner=[w[:s.n_O] for s, w in zip(subs, u)],
                       iterations=iters, trace=trace)
 
 
@@ -397,5 +391,5 @@ def gather_solution(system: FetiSystem, result: FetiResult,
                         f"interface copies disagree at dof {int(bad)} "
                         f"(relative difference {diff.max():.3e})")
             out[dofs] = vals
-        out[_node_dofs(s.constrained_nodes, c)] = s.g
+    out[_node_dofs(mesh.collar_nodes, c)] = system.g
     return out

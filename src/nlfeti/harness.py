@@ -43,8 +43,6 @@ _CONFIG_KEYS = {
     "study": ("study", str),
     "feti.tol": ("tol", float),
     "feti.maxit": ("maxit", int),
-    "feti.preconditioner": ("preconditioner", str),
-    "feti.reortho": ("reortho", str),
 }
 
 
@@ -63,8 +61,6 @@ class ExperimentConfig:
     study: str = "single"
     tol: float = 1e-10
     maxit: int = 20_000
-    preconditioner: str = "dirichlet"
-    reortho: str = "off"
 
     def __post_init__(self):
         if self.solver not in ("feti", "cg", "both"):
@@ -72,11 +68,6 @@ class ExperimentConfig:
         if self.study not in ("single", "fixed_horizon", "fixed_ratio",
                               "strong_scaling"):
             raise ValueError(f"unknown study {self.study!r}")
-        if self.preconditioner not in ("dirichlet", "none"):
-            raise ValueError(
-                f"unknown preconditioner {self.preconditioner!r}")
-        if self.reortho not in ("off", "full"):
-            raise ValueError("reortho must be off or full")
         # validates family/delta/s consistency and the ball strategy
         ball_strategy(self.kernel_spec(), self.strategy)
 
@@ -234,9 +225,7 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
                                 ball_norm=spec.ball_norm)
         feti_system = build_feti_system(
             mesh, sub, spec, prob.forcing, prob.exact,
-            tol=config.tol, maxit=config.maxit,
-            preconditioner=config.preconditioner,
-            reortho=config.reortho == "full", assembler=asm)
+            tol=config.tol, maxit=config.maxit, assembler=asm)
         result = feti_solve(feti_system)
         full = gather_solution(feti_system, result)
         seconds = time.perf_counter() - t0

@@ -148,11 +148,11 @@ def p1_gradients(vertices: np.ndarray) -> np.ndarray:
 def p1_values(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric (hat-function) values at points, shape (m, 3)."""
     v = np.asarray(vertices, dtype=float)
-    pts = np.atleast_2d(points)
-    T = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    loc = np.linalg.solve(T, (pts - v[0]).T).T
-    lam1, lam2 = loc[:, 0], loc[:, 1]
-    return np.column_stack([1.0 - lam1 - lam2, lam1, lam2])
+    # column j holds the coefficients (a, b, c) of hat j = a + b x + c y
+    C = np.linalg.inv(np.column_stack([np.ones(3), v]))
+    out = np.atleast_2d(points) @ C[1:]
+    out += C[0]
+    return out
 
 
 def l2_error(

@@ -16,8 +16,6 @@ import numpy as np
 class ManufacturedProblem:
     """Forcing, constraint data, and exact solution for one family."""
 
-    family: str
-    components: int
     forcing: callable
     exact: callable
 
@@ -53,13 +51,9 @@ def manufactured_problem(family: str) -> ManufacturedProblem:
     gets the matching momentum-balance pair.
     """
     if family in ("constant", "fractional"):
-        return ManufacturedProblem(
-            family=family, components=1,
-            forcing=_diffusion_forcing, exact=_diffusion_exact,
-        )
+        return ManufacturedProblem(forcing=_diffusion_forcing,
+                                   exact=_diffusion_exact)
     if family == "peridynamic":
-        return ManufacturedProblem(
-            family=family, components=2,
-            forcing=_peridynamic_forcing, exact=_peridynamic_exact,
-        )
+        return ManufacturedProblem(forcing=_peridynamic_forcing,
+                                   exact=_peridynamic_exact)
     raise ValueError(f"unknown kernel family {family!r}")

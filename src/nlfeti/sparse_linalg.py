@@ -36,7 +36,6 @@ class Factorization:
     """LU factorization handle for a sparse symmetric positive matrix."""
 
     lu: spla.SuperLU
-    shape: tuple[int, int]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.lu.solve(b)
@@ -70,7 +69,7 @@ def factorize(A: sp.spmatrix) -> Factorization:
         raise SingularMatrixError(
             f"zero pivot at elimination index {int(bad[0])}"
         )
-    return Factorization(lu=lu, shape=A.shape)
+    return Factorization(lu=lu)
 
 
 def dense_spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,7 +86,7 @@ def dense_spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
                   apply_Minv=None, tol: float = 1e-10, maxit: int = 10_000,
-                  constraint_check=None, reortho: bool = False,
+                  constraint_check=None,
                   trace: list[float] | None = None) -> tuple[np.ndarray, int]:
     """Projected preconditioned CG for constrained dual problems.
 
@@ -95,9 +94,7 @@ def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
     already satisfy the affine constraint; ``constraint_check(lambda0)``
     is invoked when given and must raise on violation).  Search
     directions are projected before and after preconditioning, so all
-    iterates stay on the constraint manifold.  ``reortho=True`` keeps
-    the full direction history and re-orthogonalizes each new residual,
-    for diagnostics on hard problems.
+    iterates stay on the constraint manifold.
     """
     lam = np.asarray(lambda0, dtype=float).copy()
     if constraint_check is not None:
@@ -108,7 +105,6 @@ def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
     rz = float(r @ z)
     norm0 = max(np.sqrt(abs(rz)), 1e-50)
     residuals = [1.0]
-    history: list[tuple[np.ndarray, float]] = []
     if norm0 <= 1e-50:
         return lam, 0
     for it in range(1, maxit + 1):
@@ -129,13 +125,7 @@ def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
             trace.append(res)
         if res < tol:
             return lam, it
-        if reortho:
-            history.append((p, Fp, pFp))
-            p = z.copy()
-            for q, Fq, qFq in history:
-                p -= (float(Fq @ z) / qFq) * q
-        else:
-            p = z + (rz_new / rz) * p
+        p = z + (rz_new / rz) * p
         rz = rz_new
     raise ConvergenceFailure(
         f"projected CG did not reach tol={tol:g} in {maxit} iterations "

@@ -10,9 +10,10 @@ elements.  Membership is stored once, as a packed element x subdomain
 bit table; every overlap count is the popcount of a membership row or of
 the AND of two rows.  Coverage is checked per translation class of the
 lattice, so no list of all interacting pairs is formed.  The module also
-builds the interface constraint matrix, multiplicity scaling, and
-rigid-mode basis used by the FETI solver, from one node-sorted table of
-all interface copies and one scaled block per multiplicity.
+builds the interface constraint matrix and its multiplicity scaling used
+by the FETI solver, from one node-sorted table of all interface copies
+and one scaled block per multiplicity, and the rigid modes of a node
+set.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class Subdivision:
     ``owned_elements[k]`` are the disjoint rectangles; ``extended_elements[k]``
     additionally contain the half-horizon overlap ring of interior
     elements, and ``collar_elements[k]`` are the constrained collar
-    elements within the horizon.  ``unknown_nodes[k]`` are all
-    unconstrained nodes seen by subdomain k, split into ``inner_nodes``
-    (multiplicity 1) and ``interface_nodes`` (shared with another
-    subdomain); ``constrained_nodes[k]`` carry Dirichlet-type data.
+    elements within the horizon.  The unconstrained nodes seen by
+    subdomain k split into ``inner_nodes[k]`` (multiplicity 1) and
+    ``interface_nodes[k]`` (shared with another subdomain);
+    ``constrained_nodes[k]`` carry Dirichlet-type data.
     ``node_zeta`` counts the subdomains seeing each node.
 
     ``membership`` is the (n_elements, ceil(K / 8)) uint8 table
@@ -93,7 +94,6 @@ class Subdivision:
     owned_elements: list[np.ndarray]
     extended_elements: list[np.ndarray]
     collar_elements: list[np.ndarray]
-    unknown_nodes: list[np.ndarray]
     inner_nodes: list[np.ndarray]
     interface_nodes: list[np.ndarray]
     constrained_nodes: list[np.ndarray]
@@ -196,12 +196,11 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
     membership = np.packbits(held, axis=1, bitorder="little")
     zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
 
-    unknown_nodes, inner_nodes, interface_nodes, constrained = [], [], [], []
+    inner_nodes, interface_nodes, constrained = [], [], []
     unconstrained = mesh.node_region == INTERIOR
     for k in range(K):
         nodes = nrows[k]
         unk = nodes[unconstrained[nodes]]
-        unknown_nodes.append(unk)
         inner_nodes.append(unk[zeta[unk] == 1])
         interface_nodes.append(unk[zeta[unk] > 1])
         constrained.append(nodes[~unconstrained[nodes]])
@@ -215,7 +214,7 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
         mesh=mesh,
         owned_elements=owned, extended_elements=extended,
         collar_elements=collars,
-        unknown_nodes=unknown_nodes, inner_nodes=inner_nodes,
+        inner_nodes=inner_nodes,
         interface_nodes=interface_nodes, constrained_nodes=constrained,
         floating=floating, node_zeta=zeta, membership=membership,
     )
@@ -305,16 +304,13 @@ class ConstraintSet:
     (offsets in ``offsets``); every row links the copy of one physical
     dof held by the lowest-index subdomain to exactly one other copy.
     ``B_D = (B D^-1 B^T)^-1 B D^-1`` with D the diagonal multiplicity
-    scaling; ``Z`` holds the rigid modes of the floating subdomains,
-    restricted to their interface dofs.
+    scaling.
     """
 
     B: sp.csr_matrix
     D: np.ndarray
     B_D: sp.csr_matrix
-    Z: sp.csr_matrix
     offsets: np.ndarray
-    components: int
 
 
 def _scaled_block(node: int, m: int) -> np.ndarray:
@@ -405,9 +401,7 @@ def build_constraints(sub: Subdivision,
     B_D = sp.csr_matrix(
         (np.repeat(vals, c), (row[row_copy].ravel(), dof[col_copy].ravel())),
         shape=(M_C, total))
-    Z = build_rigid_modes(sub, dof_multiplicity)
-    return ConstraintSet(B=B, D=D, B_D=B_D, Z=Z, offsets=offsets,
-                         components=c)
+    return ConstraintSet(B=B, D=D, B_D=B_D, offsets=offsets)
 
 
 def rigid_modes(xy: np.ndarray, c: int) -> np.ndarray:
@@ -427,24 +421,6 @@ def rigid_modes(xy: np.ndarray, c: int) -> np.ndarray:
         block = np.stack([t1, t2, rot], axis=2).reshape(len(xy) * 2, 3)
     q, _ = np.linalg.qr(block)
     return q
-
-
-def build_rigid_modes(sub: Subdivision, dof_multiplicity: int = 1) -> sp.csr_matrix:
-    """Null-space basis of the floating subdomains, restricted to
-    interface dofs: ``rigid_modes`` of each floating subdomain's
-    interface nodes, one column per mode."""
-    c = dof_multiplicity
-    blocks = [rigid_modes(sub.mesh.vertices[g], c) if f
-              else np.zeros((c * len(g), 0))
-              for f, g in zip(sub.floating, sub.interface_nodes)]
-    row0 = np.cumsum([0] + [q.shape[0] for q in blocks])
-    col0 = np.cumsum([0] + [q.shape[1] for q in blocks])
-    ij = [np.indices(q.shape).reshape(2, -1) for q in blocks]
-    return sp.csr_matrix(
-        (np.concatenate([q.ravel() for q in blocks]),
-         (np.concatenate([r0 + i for r0, (i, _) in zip(row0, ij)]),
-          np.concatenate([c0 + j for c0, (_, j) in zip(col0, ij)]))),
-        shape=(row0[-1], col0[-1]))
 
 
 def dump_subdivision(sub: Subdivision) -> str:

@@ -79,6 +79,10 @@ def test_bad_config_key_fails_cleanly(capsys):
     rc = main(["solve", "--set", "mesh.resolution=8"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # the deleted solver switches are unknown keys too
+    rc = main(["solve", "--set", "feti.reortho=full"])
+    assert rc == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_mismatched_ball_strategy_fails_cleanly(capsys):

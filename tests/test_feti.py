@@ -13,6 +13,7 @@ from nlfeti.assembly import Assembler, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
     ConsistencyError,
+    FetiResult,
     FetiSystem,
     SubdomainSystem,
     assemble_subdomain,
@@ -23,8 +24,9 @@ from nlfeti.feti import (
 from nlfeti.harness import ExperimentConfig
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
+from nlfeti.sparse_linalg import dense_spd_solve, projected_pcg
 from nlfeti.subdivision import (SubdivisionError, build_subdivision,
-                                verify_coverage)
+                                rigid_modes, verify_coverage)
 
 from conftest import assert_csr_bitwise, make_spec, strip_to_owned
 
@@ -135,6 +137,62 @@ def test_feti_matches_direct_solve(family, n, delta, k1, k2, cache):
     assert diff <= 1e-7 * max(1.0, np.abs(direct).max())
 
 
+def _interior_solve(s, rhs):
+    return s.fact_OO().solve(rhs) if s.n_O else np.zeros(0)
+
+
+def _condensed_load(s):
+    """f_G - A_GO A_OO^-1 f_O."""
+    return s.f_G - s.A_OG.T @ _interior_solve(s, s.f_O)
+
+
+def _condensed_solve(system):
+    """The condensed dual solve that the whole-vector one replaced, kept
+    as an oracle: Schur-condensed loads, rigid modes orthonormal over
+    each floating subdomain's interface dofs only (Z), and interior
+    unknowns by back-substitution."""
+    cs, subs = system.constraints, system.subsystems
+    c = system.spec.components
+    f_schur = np.concatenate([_condensed_load(s) for s in subs])
+    Z = sp.block_diag(
+        [rigid_modes(system.mesh.vertices[s.interface_nodes], c)
+         if s.floating else np.zeros((s.n_G, 0)) for s in subs],
+        format="csr")
+    G = (cs.B @ Z).toarray()
+    GtG = G.T @ G
+    e = Z.T @ f_schur
+    d = cs.B @ system.schur_pinv_apply(f_schur)
+    lam, iters = projected_pcg(
+        system.apply_F, lambda v: v - G @ dense_spd_solve(GtG, G.T @ v), d,
+        G @ dense_spd_solve(GtG, e), apply_Minv=system.apply_Minv,
+        tol=system.tol)
+    alpha = dense_spd_solve(GtG, G.T @ (d - system.apply_F(lam)))
+    u_G = system._split(system.schur_pinv_apply(f_schur - cs.B.T @ lam)
+                        - Z @ alpha)
+    u_O = [_interior_solve(s, s.f_O - s.A_OG @ u) for s, u in zip(subs, u_G)]
+    return FetiResult(lam=lam, alpha=alpha, u_interface=u_G, u_inner=u_O,
+                      iterations=iters, trace=[])
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_whole_vector_dual_matches_condensed_oracle(family, n, cache):
+    """The coarse load e = R^T f of the floating subdomain equals the
+    condensed one, R_G^T (f_G - A_GO A_OO^-1 f_O), because K R = 0; and
+    the whole-vector solve gathers the condensed solve's solution.  At
+    n=16 the floating subdomain holds no inner node, at n=32 nine."""
+    system = _build(family, n, 2 / n, 3, 3, cache)
+    floating = [s for s in system.subsystems if s.floating]
+    assert len(floating) == 1
+    s = floating[0]
+    assert (s.n_O > 0) == (n == 32)
+    condensed = s.modes[s.n_O:].T @ _condensed_load(s)
+    assert np.abs(system.e - condensed).max() <= 1e-12 * np.abs(system.e).max()
+    u = gather_solution(system, feti_solve(system))
+    oracle = gather_solution(system, _condensed_solve(system))
+    assert np.abs(u - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
 def test_single_subdomain_degenerates_to_direct(cache):
     system = _build("constant", 8, 0.25, 1, 1, cache)
     assert system.constraints.B.shape[0] == 0
@@ -211,14 +269,9 @@ def test_empty_interior_schur_is_stiffness_block(cache):
     spec = make_spec("constant", 0.25)
     s = assemble_subdomain(mesh, sub, 0, spec, prob.forcing, prob.exact,
                            assembler=cache.assembler("constant", 8, 0.25))
-    if s.n_O == 0:
-        v = np.ones(s.n_G)
-        assert np.allclose(s.schur_apply(v), s.A_GG @ v)
-    else:
-        # small overlaps can still leave inner nodes; at least check the
-        # rhs condenses consistently
-        rhs = s.schur_rhs()
-        assert rhs.shape == (s.n_G,)
+    assert s.n_O == 0
+    v = np.ones(s.n_G)
+    assert np.allclose(s.schur_apply(v), s.A_GG @ v)
 
 
 def test_uncovered_pair_is_rejected_before_assembly(cache):
@@ -268,7 +321,7 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
         k=0, components=1, inner_nodes=np.arange(nO),
         interface_nodes=np.arange(nO, n), constrained_nodes=np.zeros(0, int),
         A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
-        f_O=np.zeros(nO), f_G=np.zeros(n - nO), g=np.zeros(0),
+        f_O=np.zeros(nO), f_G=np.zeros(n - nO),
         floating=True, modes=np.full((n, 1), n ** -0.5))
     assert_csr_bitwise(s._neumann_matrix(), _lil_neumann(s))
 

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from numpy.polynomial.legendre import leggauss
 from nlfeti.assembly import Assembler
 from nlfeti.harness import (
     CSV_HEADER,
+    _CONFIG_KEYS,
     ExperimentConfig,
+    _full_vector,
     baseline_cg_solve,
     export_artifacts,
     load_config,
@@ -53,6 +57,31 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("just words\n")
     with pytest.raises(ValueError):
         load_config(None, ["notanassignment"])
+
+
+def test_readme_lists_every_config_key():
+    """The README's config-key table names exactly the keys the parser
+    accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)`", table, flags=re.M)
+    assert sorted(documented) == sorted(_CONFIG_KEYS)
+
+
+def test_feti_solution_sets_every_collar_dof():
+    """Collar nodes that no subdomain holds (the far corners at
+    delta = 4h on 2x2) get their constraint values, the same bytes the
+    CG solution carries."""
+    out = run_single(ExperimentConfig(family="fractional", n=16, delta=0.25,
+                                      k1=2, k2=2, solver="both"))
+    sub, a = out.feti_system.sub, out.assembled
+    held = np.unique(np.concatenate(sub.constrained_nodes))
+    assert len(held) < len(out.mesh.collar_nodes)
+    assert [r.solver for r in out.records] == ["cg", "feti"]
+    assert not np.isnan(out.solution).any()
+    cg = _full_vector(a, np.zeros(len(a.interior_dofs)))
+    assert (out.solution[a.collar_dofs].tobytes()
+            == cg[a.collar_dofs].tobytes())
 
 
 def test_config_validation():

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from nlfeti.feti import build_feti_system
 from nlfeti.mesh import INTERIOR, build_structured_mesh
+from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import (
     SubdivisionError,
     _interacting_pairs,
@@ -18,11 +20,10 @@ from nlfeti.subdivision import (
     dump_subdivision,
     extend_nonlocal,
     partition_rectangles,
-    rigid_modes,
     verify_coverage,
 )
 
-from conftest import strip_to_owned
+from conftest import make_spec, strip_to_owned
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +129,6 @@ def loop_constraints(sub, c):
     return B, D, B_D, offsets
 
 
-def hstack_rigid_modes(sub, c):
-    """Z stacked one single-column matrix per mode."""
-    sizes = np.array([len(g) for g in sub.interface_nodes])
-    offsets = np.concatenate([[0], np.cumsum(c * sizes)])
-    total = int(offsets[-1])
-    cols = []
-    for k in np.flatnonzero(sub.floating):
-        q = rigid_modes(sub.mesh.vertices[sub.interface_nodes[k]], c)
-        for j in range(q.shape[1]):
-            cols.append(sp.csr_matrix(
-                (q[:, j], (np.arange(offsets[k], offsets[k + 1]),
-                           np.zeros(q.shape[0], dtype=np.int64))),
-                shape=(total, 1)))
-    if not cols:
-        return sp.csr_matrix((total, 0))
-    return sp.hstack(cols, format="csr")
-
-
 def _assert_same_bytes(got, want):
     """Same shape, dtypes and bytes; for CSR matrices, of all three arrays."""
     if sp.issparse(want):
@@ -186,7 +169,7 @@ def test_corner_collar_triangle_has_two_neighbors():
 @example(n=8, ratio=5, k1=4, k2=4, ball_norm="linf")  # multiplicity 16
 @example(n=6, ratio=1, k1=1, k2=1, ball_norm="l2")  # no interface
 def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
-    """Every extended and collar set, and B, D, B_D, Z and the offsets
+    """Every extended and collar set, and B, D, B_D and the offsets
     for scalar and vector dofs, equal the loop oracles byte for byte."""
     mesh = build_structured_mesh(n, ratio / n)
     owner = partition_rectangles(mesh, k1, k2)
@@ -203,10 +186,14 @@ def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
         _assert_same_bytes(cons.D, D)
         _assert_same_bytes(cons.B_D, B_D)
         _assert_same_bytes(cons.offsets, offsets)
-        _assert_same_bytes(cons.Z, hstack_rigid_modes(sub, c))
 
 
 # ---------------------------------------------------------------------------
+
+
+def _unknown_nodes(sub, k):
+    """The unconstrained nodes subdomain k sees."""
+    return np.union1d(sub.inner_nodes[k], sub.interface_nodes[k])
 
 
 def _held(sub):
@@ -271,14 +258,14 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     assert len(owned_all) == len(np.unique(owned_all)) == len(interior_els)
     # Unknown nodes of each subdomain split into inner + interface.
     for k in range(K):
-        unk = set(sub.unknown_nodes[k].tolist())
+        unk = set(_unknown_nodes(sub, k).tolist())
         inner = set(sub.inner_nodes[k].tolist())
         iface = set(sub.interface_nodes[k].tolist())
         assert inner | iface == unk and not (inner & iface)
     # Union of unknown nodes covers every interior node.
     union = set()
     for k in range(K):
-        union |= set(sub.unknown_nodes[k].tolist())
+        union |= set(_unknown_nodes(sub, k).tolist())
     assert union == set(mesh.interior_nodes.tolist())
     # Node multiplicities count the subdomains with an element at the node.
     zeta = np.zeros(mesh.n_vertices, dtype=np.int64)
@@ -428,41 +415,43 @@ def test_scaled_constraints_are_left_inverse(c):
 
 
 @pytest.mark.parametrize("c", [1, 2])
-def test_rigid_modes_orthonormal_blocks(c):
-    mesh = build_structured_mesh(16, 0.125)
-    sub = build_subdivision(mesh, 3, 3, 0.125)
-    cons = build_constraints(sub, dof_multiplicity=c)
+def test_rigid_modes_orthonormal_blocks(c, cache):
+    family = "constant" if c == 1 else "peridynamic"
+    mesh = cache.mesh(16, 0.125)
+    spec = make_spec(family, 0.125)
+    sub = build_subdivision(mesh, 3, 3, 0.125, ball_norm=spec.ball_norm)
+    prob = manufactured_problem(family)
+    system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
+                               assembler=cache.assembler(family, 16, 0.125))
+    cons = system.constraints
     expected = [(1 if c == 1 else 3) if f else 0 for f in sub.floating]
-    Z = cons.Z.toarray()
-    G = Z.T @ Z
-    assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-12
-    # Each column is supported on one floating subdomain's dof range, in
-    # subdomain order; the columns per subdomain are its mode count.
-    counts = [0] * sub.K
-    prev = 0
-    for col in range(Z.shape[1]):
-        support = np.flatnonzero(np.abs(Z[:, col]) > 0)
-        k = int(np.searchsorted(cons.offsets, support.min(), side="right")) - 1
-        assert support.max() < cons.offsets[k + 1]
-        assert k >= prev
-        prev = k
-        counts[k] += 1
-    assert counts == expected
+    assert [s.modes.shape[1] for s in system.subsystems] == expected
+    for s in system.subsystems:
+        Q = s.modes.T @ s.modes
+        assert np.all(np.abs(Q - np.eye(len(Q))) < 1e-12)
+    # Each column of G is supported on the multipliers of one floating
+    # subdomain's interface dofs, in subdomain order; the columns per
+    # subdomain are its mode count.
+    G = system.G
+    assert G.shape[1] == sum(expected)
+    B = cons.B.tocsc()
+    for col, k in enumerate(np.repeat(np.arange(sub.K), expected)):
+        rows = np.flatnonzero(
+            abs(B[:, cons.offsets[k]:cons.offsets[k + 1]]).sum(axis=1))
+        support = np.flatnonzero(G[:, col])
+        assert support.size and np.isin(support, rows).all()
     if c == 2:
         # The floating block spans translations and the rotation.
-        k = int(np.flatnonzero(sub.floating)[0])
-        g = sub.interface_nodes[k]
-        xy = mesh.vertices[g]
-        blk = Z[cons.offsets[k]:cons.offsets[k + 1], :]
-        blk = blk[:, np.abs(blk).sum(axis=0) > 0]
+        s = system.subsystems[int(np.flatnonzero(sub.floating)[0])]
+        xy = mesh.vertices[np.concatenate([s.inner_nodes, s.interface_nodes])]
         ctr = xy.mean(axis=0)
-        modes = np.zeros((2 * len(g), 3))
+        modes = np.zeros((2 * len(xy), 3))
         modes[0::2, 0] = 1.0
         modes[1::2, 1] = 1.0
         modes[0::2, 2] = -(xy[:, 1] - ctr[1])
         modes[1::2, 2] = xy[:, 0] - ctr[0]
         # Same span: projecting the analytic modes onto the block loses nothing.
-        proj = blk @ (blk.T @ modes)
+        proj = s.modes @ (s.modes.T @ modes)
         assert np.max(np.abs(proj - modes)) < 1e-10
 
 
