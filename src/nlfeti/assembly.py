@@ -13,11 +13,14 @@ The pair rule, ``pair_matrix(v1, v2, ...)``, takes the two triangles as
 (3, 2) vertex arrays, matches their shared vertices by exact coordinate
 equality and names each patch node by its row among the six vertices;
 it knows no mesh.  On the structured criss-cross mesh every pair belongs
-to a translation class (cell offset plus the two triangle types), so
-each class matrix is computed once per assembler, on the class's two
-lattice triangles, and reused for every pair in the class.  Only classes
-whose two triangles come closer than the horizon are formed; the matrix
-of every other class is identically zero.  One weighted scatter,
+to a translation class (cell offset plus the two triangle types), and
+every pair in a class has the same matrix.  It is computed once per
+process per (kernel family, delta / h, ball strategy, quadrature), on the
+class's two triangles of the reference lattice, with integer vertices
+and the horizon delta * n in cell units; at fixed delta / h the class
+matrices of all three kernels do not depend on h.  Only classes whose two
+triangles come closer than the horizon are formed; the matrix of every
+other class is identically zero.  One weighted scatter,
 ``Assembler.assemble(pair_weights, cells, rows)``, builds every matrix:
 the global matrix is the unit-weight case on the whole mesh, restricted
 to the interior node rows, and a subdomain matrix weights each pair by
@@ -56,6 +59,7 @@ component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,10 +182,13 @@ def _basis_differences(
     """dpsi_a = psi_a(y) - psi_a(x) for every patch node, shape (m, p),
     from the hat values (m, 3) of the first element at the points x and
     of the second at the points y."""
-    in1, in2 = loc1 >= 0, loc2 >= 0
     D = np.zeros((phi1.shape[0], len(loc1)))
-    D[:, in2] += phi2[:, loc2[in2]]
-    D[:, in1] -= phi1[:, loc1[in1]]
+    # in-place column updates: mask gathers on axis 1 go through temporaries
+    for a, (i, j) in enumerate(zip(loc1, loc2)):
+        if j >= 0:
+            D[:, a] += phi2[:, j]
+        if i >= 0:
+            D[:, a] -= phi1[:, i]
     return D
 
 
@@ -777,13 +784,38 @@ def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
     return below.any(axis=1)
 
 
+@functools.cache
+def _lattice_class(spec: KernelSpec, strategy: str, quad: QuadratureConfig,
+                   key: tuple[int, int, int, int]):
+    """(M, lat): the matrix of class ``key`` on the reference lattice and
+    the (p, 2) lattice offsets of its patch nodes from the anchor corner,
+    both read-only.
+
+    The two triangles have integer vertices (cell side 1) and ``spec`` is
+    the kernel at the horizon in cell units, R = delta * n.  All three
+    kernels make the class matrix independent of the cell side at fixed
+    R (the h^4 of the two area elements cancels the kernel's scaling), so
+    one computation serves every mesh with the same delta / h, and a
+    solve's bits do not depend on which solve filled the memo.
+    """
+    dx, dy, t1, t2 = key
+    lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
+    v = lat.astype(float)
+    M, rows = pair_matrix(v[:3], v[3:], spec, strategy, quad)
+    lat = lat[rows]
+    M.flags.writeable = False
+    lat.flags.writeable = False
+    return M, lat
+
+
 class Assembler:
     """Assembles stiffness matrices on a structured mesh.
 
-    Pair integrals are computed once per translation class (cell offset
-    and the two triangle types), from the class key alone, into the
-    scatter table; they are scattered over the anchors of a window by a
-    sparse times dense product per strip of node rows.
+    Pair integrals are computed once per process per translation class
+    (cell offset and the two triangle types), kernel family, delta / h,
+    ball strategy and quadrature, on the reference lattice; they are
+    scattered over the anchors of a window by a sparse times dense
+    product per strip of node rows.
     """
 
     def __init__(
@@ -800,6 +832,8 @@ class Assembler:
         self.strategy = ball_strategy(spec, strategy)
         self.quad = quad or QuadratureConfig()
         self.N = mesh.cells_per_side
+        # the kernel in cell units: horizon R = delta * n, cell side 1
+        self.lattice_spec = KernelSpec(spec.family, spec.delta * mesh.n, spec.s)
         self._classes: list[tuple[int, int, int, int]] | None = None
         self._table = None
 
@@ -817,7 +851,7 @@ class Assembler:
         """
         if self._classes is not None:
             return self._classes
-        R = self.spec.delta * self.mesh.n
+        R = self.lattice_spec.delta
         rng = int(np.ceil(R)) + 1
         keys = np.array([
             (dx, dy, t1, t2)
@@ -835,19 +869,14 @@ class Assembler:
         """(patch matrix, (p, 2) lattice offsets of the patch nodes from the
         anchor corner, multiplicity factor).
 
-        The class's two triangles are taken at the anchor cell
-        (max(0, -dx), max(0, -dy)), whose partner cell is in the mesh;
-        their vertices are read from the mesh by node id.
+        The matrix and the offsets are the read-only, process-wide
+        reference-lattice class of ``_lattice_class``.
         """
         dx, dy, t1, t2 = key
-        ax, ay = max(0, -dx), max(0, -dy)
-        lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
-        ids = (lat[:, 1] + ay) * (self.N + 1) + lat[:, 0] + ax
-        M, rows = pair_matrix(self.mesh.vertices[ids[:3]],
-                              self.mesh.vertices[ids[3:]], self.spec,
-                              self.strategy, self.quad)
+        M, lat = _lattice_class(self.lattice_spec, self.strategy, self.quad,
+                                key)
         factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
-        return M, lat[rows], factor
+        return M, lat, factor
 
     def _scatter_table(self):
         """(Ct, shifts, lattice, klass): the scatter table.
@@ -985,25 +1014,29 @@ class Assembler:
 
     # -- load vector --------------------------------------------------------
 
-    def assemble_load(self, f,
-                      element_weights: np.ndarray | None = None) -> np.ndarray:
-        """Load vector ``int psi_a f`` over all mesh dofs, each element
-        optionally scaled by ``element_weights``."""
+    def load_moments(self, f) -> np.ndarray:
+        """Element moments ``int_E psi_a f`` of every element E, shape
+        (n_elements, 3 local vertices, components)."""
         mesh = self.mesh
-        c = self.spec.components
         bary, wts = triangle_rule(self.quad.load_degree)
         tri_verts = mesh.vertices[mesh.elements]
         pts = np.einsum("qb,ebx->eqx", bary, tri_verts)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-        fv = fv.reshape(mesh.n_elements, len(wts), c)
-        areas = triangle_area(tri_verts)
+        fv = fv.reshape(mesh.n_elements, len(wts), self.spec.components)
+        return np.einsum("e,q,qa,eqc->eac", triangle_area(tri_verts), wts,
+                         bary, fv)
+
+    def assemble_load(self, moments: np.ndarray,
+                      element_weights: np.ndarray | None = None) -> np.ndarray:
+        """Load vector over all mesh dofs from the ``load_moments``, each
+        element optionally scaled by ``element_weights``."""
+        mesh = self.mesh
+        c = self.spec.components
         if element_weights is not None:
-            areas = areas * element_weights
-        # contrib[e, a_local, comp]
-        contrib = np.einsum("e,q,qa,eqc->eac", areas, wts, bary, fv)
+            moments = moments * element_weights[:, None, None]
         out = np.zeros(c * mesh.n_vertices)
         for i in range(c):
-            np.add.at(out, c * mesh.elements + i, contrib[:, :, i])
+            np.add.at(out, c * mesh.elements + i, moments[:, :, i])
         return out
 
 
@@ -1054,7 +1087,7 @@ def assemble_global(
     rows = asm.assemble(nodes=mesh.interior_nodes)
     A = rows[:, interior_dofs].tocsr()
     B = rows[:, collar_dofs].tocsr()
-    load_full = asm.assemble_load(f)
+    load_full = asm.assemble_load(asm.load_moments(f))
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float).reshape(-1)
     return AssembledSystem(
         mesh=mesh,

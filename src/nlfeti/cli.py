@@ -61,7 +61,7 @@ def main(argv=None) -> int:
                     out.mesh, out.assembled.spec.components, out.solution))
             if args.export_mm:
                 for path in export_artifacts(out, args.export_mm):
-                    print(f"wrote {path}")
+                    print(f"wrote {path}", file=sys.stderr)
         elif args.command == "study":
             records = run_study(config, out_csv=args.out,
                                 paper_scale=args.paper_scale)
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
                 mesh, config.k1, config.k2,
                 ball_norm=config.kernel_spec().ball_norm)
             Path(args.out).write_text(dump_subdivision(sub))
-            print(f"wrote {args.out}")
+            print(f"wrote {args.out}", file=sys.stderr)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

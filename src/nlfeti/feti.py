@@ -166,11 +166,12 @@ def assemble_subdomain(
     sub: Subdivision,
     k: int,
     spec: KernelSpec,
-    f,
+    moments: np.ndarray,
     g,
     assembler: Assembler | None = None,
 ) -> SubdomainSystem:
-    """Assemble the multiplicity-weighted system of subdomain k.
+    """Assemble the multiplicity-weighted system of subdomain k;
+    ``moments`` are the forcing's ``Assembler.load_moments``.
 
     Every element pair is weighted by the reciprocal of the number of
     subdomains containing both elements, and the load by the reciprocal
@@ -190,7 +191,7 @@ def assemble_subdomain(
     cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
     cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
     A = asm.assemble(sub.pair_weights(k), cells, nodes)[:, local_dofs]
-    load = asm.assemble_load(f, sub.element_weights(k))[local_dofs]
+    load = asm.assemble_load(moments, sub.element_weights(k))[local_dofs]
 
     nO, nG = c * len(inner), c * len(inter)
     O = np.arange(nO)
@@ -288,7 +289,8 @@ def build_feti_system(
     """
     asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(sub, spec.components)
-    subs = [assemble_subdomain(mesh, sub, k, spec, f, g, assembler=asm)
+    moments = asm.load_moments(f)
+    subs = [assemble_subdomain(mesh, sub, k, spec, moments, g, assembler=asm)
             for k in range(sub.K)]
     loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
     d = cs.B @ np.concatenate([s.pinv_apply(fs)[s.n_O:]

@@ -291,7 +291,8 @@ def run_study(config: ExperimentConfig, out_csv=None,
               paper_scale: bool = False) -> list[RunRecord]:
     """Execute every rung of the study and emit the CSV report.
 
-    A failing rung is recorded (iterations -1, error NaN) and the
+    A failing rung is recorded as one row per solver (iterations -1,
+    error NaN), labelled as a successful rung's rows would be, and the
     remaining rungs are still attempted.
     """
     records: list[RunRecord] = []
@@ -300,11 +301,13 @@ def run_study(config: ExperimentConfig, out_csv=None,
             out = run_single(rung, study=config.study)
             records.extend(out.records)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            records.append(RunRecord(
-                study=config.study, kernel=rung.family,
-                K=f"{rung.k1}x{rung.k2}", h=1.0 / rung.n, delta=rung.delta,
-                solver=rung.solver, iterations=-1, residual=float("nan"),
-                l2_error=float("nan"), seconds=0.0))
+            grids = {"cg": "1x1", "feti": f"{rung.k1}x{rung.k2}"}
+            records.extend(RunRecord(
+                study=config.study, kernel=rung.family, K=grids[solver],
+                h=1.0 / rung.n, delta=rung.delta, solver=solver,
+                iterations=-1, residual=float("nan"), l2_error=float("nan"),
+                seconds=0.0)
+                for solver in grids if rung.solver in (solver, "both"))
             print(f"rung n={rung.n} K={rung.k1}x{rung.k2} failed: {exc}",
                   file=sys.stderr)
     _with_rates(records)

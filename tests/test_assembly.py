@@ -8,10 +8,11 @@ from nlfeti import assembly
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
                              ball_strategy, pair_matrix)
 from nlfeti.feti import assemble_subdomain
+from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
 from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
 from nlfeti.problems import manufactured_problem
-from nlfeti.quadrature import map_to_physical, triangle_rule
+from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
 from conftest import assert_csr_bitwise, make_spec
@@ -291,8 +292,9 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
     prob = manufactured_problem(family)
     sub = build_subdivision(mesh, k1, k2, 0.125, ball_norm=spec.ball_norm)
     c = spec.components
+    moments = asm.load_moments(prob.forcing)
     for k in range(sub.K):
-        s = assemble_subdomain(mesh, sub, k, spec, prob.forcing, prob.exact,
+        s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
                                assembler=asm)
         nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k],
                                 sub.constrained_nodes[k]])
@@ -368,7 +370,8 @@ def test_dropping_zero_classes_leaves_matrices_bitwise(family):
         assert np.array_equal(a.data, b.data)
     sub = build_subdivision(mesh, 3, 3, 0.25, ball_norm=spec.ball_norm)
     for k in range(sub.K):
-        s1, s2 = (assemble_subdomain(mesh, sub, k, spec, prob.forcing,
+        s1, s2 = (assemble_subdomain(mesh, sub, k, spec,
+                                     asm.load_moments(prob.forcing),
                                      prob.exact, assembler=asm)
                   for asm in (kept, full))
         for name in ("A_OO", "A_OG", "A_GG"):
@@ -378,6 +381,159 @@ def test_dropping_zero_classes_leaves_matrices_bitwise(family):
             assert np.array_equal(a.data, b.data)
         assert np.array_equal(s1.f_O, s2.f_O)
         assert np.array_equal(s1.f_G, s2.f_G)
+
+
+def _mesh_class(asm, key):
+    """(M, lattice offsets) of a class by the pair rule on its two
+    triangles in mesh coordinates at the anchor cell, with the mesh
+    horizon: the class computation the reference lattice replaced."""
+    dx, dy, t1, t2 = key
+    N1 = asm.N + 1
+    corner = np.array([max(0, -dx), max(0, -dy)])
+    lat = np.concatenate([assembly._TRI_T[t1],
+                          assembly._TRI_T[t2] + (dx, dy)]) + corner
+    ids = lat[:, 1] * N1 + lat[:, 0]
+    M, rows = pair_matrix(asm.mesh.vertices[ids[:3]],
+                          asm.mesh.vertices[ids[3:]], asm.spec,
+                          asm.strategy, asm.quad)
+    return M, lat[rows] - corner
+
+
+@pytest.mark.parametrize("family, n, ratio", [
+    ("constant", 16, 2), ("constant", 10, 3),
+    ("fractional", 16, 2), ("fractional", 8, 4),
+    ("peridynamic", 16, 2), ("peridynamic", 8, 4)])
+def test_lattice_classes_match_mesh_coordinates(family, n, ratio):
+    """Every class matrix of the reference-lattice memo equals the pair
+    rule in mesh coordinates to 1e-13 of its largest entry, with equal
+    patch node offsets.  At n = 10 the mesh coordinates round; the
+    max-norm ball has no circle that rounding could move across a
+    vertex (see the next test)."""
+    delta = ratio / n
+    asm = Assembler(build_structured_mesh(n, delta), make_spec(family, delta))
+    for key in asm.classes():
+        M, lat, _ = asm.class_matrix(key)
+        want, want_lat = _mesh_class(asm, key)
+        assert np.array_equal(lat, want_lat), key
+        assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max(), key
+
+
+@pytest.mark.parametrize("family", ["fractional", "peridynamic"])
+def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
+    """At h = 1/6 the mesh coordinates round, and where the horizon circle
+    meets a lattice vertex exactly the mesh-coordinate rule flips a
+    geometric branch: a few classes move by far more than rounding.  On
+    the integer lattice that geometry is exact, and each such class is
+    closer to the refined rule than the mesh-coordinate one."""
+    delta = 4 / 6
+    asm = Assembler(build_structured_mesh(6, delta), make_spec(family, delta))
+    refined = QuadratureConfig().refined()
+    moved = 0
+    for key in asm.classes():
+        M, _, _ = asm.class_matrix(key)
+        want, _ = _mesh_class(asm, key)
+        scale = np.abs(want).max()
+        if np.abs(M - want).max() <= 1e-13 * scale:
+            continue
+        moved += 1
+        dx, dy, t1, t2 = key
+        v = np.concatenate([assembly._TRI_T[t1],
+                            assembly._TRI_T[t2] + (dx, dy)]).astype(float)
+        ref, _ = pair_matrix(v[:3], v[3:], asm.lattice_spec, asm.strategy,
+                             refined)
+        assert np.abs(M - ref).max() < 0.2 * np.abs(want - ref).max(), key
+    assert 0 < moved <= 4
+
+
+@pytest.mark.parametrize("study, family", [("strong_scaling", "fractional"),
+                                           ("fixed_ratio", "constant")])
+def test_study_computes_each_class_once(study, family, monkeypatch):
+    """Every rung of a study at one delta / h reads the same memoized
+    classes: the pair rule runs once per class in the whole study."""
+    real, calls = assembly.pair_matrix, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "pair_matrix", counting)
+    assembly._lattice_class.cache_clear()
+    config = ExperimentConfig(family=family, delta=0.125, n=16, study=study,
+                              solver="feti" if study == "strong_scaling"
+                              else "cg")
+    rungs = study_rungs(config)
+    records = run_study(config)
+    assert len(records) == 3 and all(r.iterations >= 0 for r in records)
+    assert len({r.n * r.delta for r in rungs}) == 1
+    rung = rungs[-1]
+    mesh = build_structured_mesh(rung.n, rung.delta)
+    assert len(calls) == len(Assembler(mesh, rung.kernel_spec()).classes())
+
+
+@pytest.mark.parametrize("first, then", [
+    # same delta / h: the second system reads the first one's classes
+    (("fractional", 8, 2, 0.4, None, False),
+     ("fractional", 16, 2, 0.4, None, False)),
+    (("peridynamic", 8, 2, None, None, False),
+     ("peridynamic", 16, 2, None, None, False)),
+    # a different key: delta / h, s, ball strategy or quadrature
+    (("constant", 8, 2, None, None, False),
+     ("constant", 8, 3, None, None, False)),
+    (("fractional", 8, 2, 0.4, None, False),
+     ("fractional", 8, 2, 0.6, None, False)),
+    (("fractional", 4, 1, 0.4, None, False),
+     ("fractional", 4, 1, 0.4, "nocaps", False)),
+    (("constant", 8, 2, None, None, False),
+     ("constant", 8, 2, None, None, True)),
+], ids=["fractional", "peridynamic", "ratio", "s", "strategy", "quadrature"])
+def test_class_memo_is_order_independent(first, then):
+    """A system assembled after another one has the bytes of the same
+    system assembled from an empty memo, whether or not the first one
+    filled the memo with classes the second one reads."""
+
+    def system(family, n, ratio, s, strategy, refined):
+        mesh = build_structured_mesh(n, ratio / n)
+        spec = KernelSpec(family, ratio / n, s)
+        prob = manufactured_problem(family)
+        quad = QuadratureConfig().refined() if refined else None
+        return assemble_global(mesh, spec, prob.forcing, prob.exact,
+                               Assembler(mesh, spec, strategy, quad))
+
+    assembly._lattice_class.cache_clear()
+    fresh = system(*then)
+    assembly._lattice_class.cache_clear()
+    system(*first)
+    after = system(*then)
+    assert_csr_bitwise(after.A, fresh.A)
+    assert_csr_bitwise(after.B_coupling, fresh.B_coupling)
+    assert after.rhs.tobytes() == fresh.rhs.tobytes()
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_weighted_load_matches_per_subdomain_moments(family, cache):
+    """Subdomain loads weighted from the element moments computed once
+    equal, to 1e-14 relative, the moments recomputed per subdomain with
+    the weight folded into the element areas."""
+    mesh = cache.mesh(16, 0.125)
+    asm = cache.assembler(family, 16, 0.125)
+    prob = manufactured_problem(family)
+    sub = build_subdivision(mesh, 3, 3, 0.125,
+                            ball_norm=asm.spec.ball_norm)
+    moments = asm.load_moments(prob.forcing)
+    bary, wts = triangle_rule(asm.quad.load_degree)
+    tri = mesh.vertices[mesh.elements]
+    fv = prob.forcing(np.einsum("qb,ebx->eqx", bary, tri).reshape(-1, 2))
+    fv = np.asarray(fv, dtype=float).reshape(len(tri), len(wts), -1)
+    c = asm.spec.components
+    for k in range(sub.K):
+        w = sub.element_weights(k)
+        got = asm.assemble_load(moments, w)
+        contrib = np.einsum("e,q,qa,eqc->eac", triangle_area(tri) * w, wts,
+                            bary, fv)
+        want = np.zeros(c * mesh.n_vertices)
+        for i in range(c):
+            np.add.at(want, c * mesh.elements + i, contrib[:, :, i])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_constant_kernel_self_convergence():
@@ -410,7 +566,7 @@ def test_load_vector_linear_forcing():
     spec = KernelSpec("constant", 0.25)
     asm = Assembler(mesh, spec)
     f = lambda p: 2.0 * p[:, 0] + p[:, 1] - 0.5
-    load = asm.assemble_load(f)
+    load = asm.assemble_load(asm.load_moments(f))
     # oracle: hat-function moments by degree-3 quadrature per element
     bary, w = triangle_rule(3)
     oracle = np.zeros(mesh.n_vertices)

@@ -38,8 +38,12 @@ def test_solve_with_config_file_and_exports(tmp_path, capsys):
     assert (art / "rhs.csv").exists()
     header = (art / "A.mtx").read_text().splitlines()[0]
     assert header.startswith("%%MatrixMarket matrix coordinate")
-    out = capsys.readouterr().out
-    assert "feti" in out and "cg" in out
+    out, err = capsys.readouterr()
+    # stdout is CSV rows only; the written paths go to stderr
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[5] for r in rows] == ["cg", "feti"]
+    assert all(len(r) == len(CSV_HEADER.split(",")) for r in rows)
+    assert f"wrote {art / 'A.mtx'}" in err.splitlines()
 
 
 def test_solve_determinism_bitwise(tmp_path):
@@ -64,12 +68,13 @@ def test_study_writes_csv(tmp_path, capsys):
     assert all(int(r["iterations"]) >= 0 for r in rows)
 
 
-def test_dump_subdivision(tmp_path):
+def test_dump_subdivision(tmp_path, capsys):
     out = tmp_path / "sub.csv"
     rc = main(["dump-subdivision", "--out", str(out),
                "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
                "--set", "partition.k1=2", "--set", "partition.k2=2"])
     assert rc == 0
+    assert capsys.readouterr() == ("", f"wrote {out}\n")
     lines = out.read_text().splitlines()
     assert lines[0] == "element,x,y,zeta,subdomains"
     assert len(lines) > 1

@@ -239,8 +239,9 @@ def test_energy_splitting_property(n, ratio, k1, k2, family):
                             ball_norm=spec.ball_norm)
     c = spec.components
     total = sp.csr_matrix(A.shape)
+    moments = asm.load_moments(prob.forcing)
     for k in range(sub.K):
-        s = assemble_subdomain(mesh, sub, k, spec, prob.forcing, prob.exact,
+        s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
                                assembler=asm)
         nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
         pos = np.searchsorted(mesh.interior_nodes, nodes)
@@ -267,8 +268,9 @@ def test_empty_interior_schur_is_stiffness_block(cache):
     sub = build_subdivision(mesh, 2, 2, 0.25)
     prob = manufactured_problem("constant")
     spec = make_spec("constant", 0.25)
-    s = assemble_subdomain(mesh, sub, 0, spec, prob.forcing, prob.exact,
-                           assembler=cache.assembler("constant", 8, 0.25))
+    asm = cache.assembler("constant", 8, 0.25)
+    s = assemble_subdomain(mesh, sub, 0, spec, asm.load_moments(prob.forcing),
+                           prob.exact, assembler=asm)
     assert s.n_O == 0
     v = np.ones(s.n_G)
     assert np.allclose(s.schur_apply(v), s.A_GG @ v)

@@ -121,25 +121,24 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
     """With delta * n an integer every line of the square arrangement
     lies at an integer cell offset, so no constant-kernel class splits:
     the arrangement is the outer element itself, and the pair rule on
-    its cells is the class matrix of the assembler byte for byte."""
+    its cells is the class matrix of the assembler byte for byte.  Class
+    matrices are computed on the integer lattice (cell side 1) with the
+    horizon in cell units, R = delta * n, so the oracle is built there."""
     # off the lattice the oracle does split, into a tiling
     off = square_interaction_cells(TRI, TRI + np.array([0.6, 0.3]), 0.5)
     assert len(off) > 1 and np.isclose(_cells_area(off), 0.5, atol=1e-12)
     delta = ratio / n
     mesh = build_structured_mesh(n, delta)
     asm = Assembler(mesh, KernelSpec("constant", delta))
-    quad, N = asm.quad, asm.N
+    spec, quad = KernelSpec("constant", delta * n), asm.quad
     for key in asm.classes():
         dx, dy, t1, t2 = key
-        ax, ay = max(0, -dx), max(0, -dy)
-        e1 = 2 * (ay * N + ax) + t1
-        e2 = 2 * ((ay + dy) * N + ax + dx) + t2
-        ids1, ids2 = mesh.elements[e1], mesh.elements[e2]
-        v1, v2 = mesh.vertices[ids1], mesh.vertices[ids2]
-        cells = square_interaction_cells(v1, v2, delta)
-        if e1 != e2:
+        v1 = assembly._TRI_T[t1].astype(float)
+        v2 = (assembly._TRI_T[t2] + (dx, dy)).astype(float)
+        cells = square_interaction_cells(v1, v2, spec.delta)
+        if (dx, dy, t1) != (0, 0, t2):
             _, loc1, loc2 = assembly._patch(v1, v2)
-            M = regular_pair_matrix(v1, v2, loc1, loc2, asm.spec,
+            M = regular_pair_matrix(v1, v2, loc1, loc2, spec,
                                     asm.strategy, quad, cells,
                                     max(quad.outer_degree, 5))
             assert M.tobytes() == asm.class_matrix(key)[0].tobytes(), key

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,18 @@ def test_run_study_records_failures(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "failed" not in captured.out
     assert "intentional rung failure" in captured.err
+    # one failed row per solver, labelled as a successful rung's rows
+    for solver, rows in (("both", [("cg", "1x1"), ("feti", "2x2")]),
+                         ("cg", [("cg", "1x1")]),
+                         ("feti", [("feti", "2x2")])):
+        records = run_study(replace(config, solver=solver),
+                            out_csv=tmp_path / "fail.csv")
+        assert [(r.solver, r.K) for r in records] == rows
+        assert all(r.iterations == -1 and np.isnan(r.l2_error)
+                   for r in records)
+        written = list(csv.DictReader(io.StringIO(
+            (tmp_path / "fail.csv").read_text())))
+        assert [(r["solver"], r["K"]) for r in written] == rows
 
 
 def test_write_csv_roundtrip(tmp_path):
