@@ -15,9 +15,9 @@ equality and names each patch node by its row among the six vertices;
 it knows no mesh.  On the structured criss-cross mesh every pair belongs
 to a translation class (cell offset plus the two triangle types), and
 every pair in a class has the same matrix.  It is computed once per
-process per (kernel family, delta / h, ball strategy, quadrature), on the
-class's two triangles of the reference lattice, with integer vertices
-and the horizon delta * n in cell units; at fixed delta / h the class
+process per (kernel family, delta / h, quadrature), on the class's two
+triangles of the reference lattice, with integer vertices and the
+horizon delta * n in cell units; at fixed delta / h the class
 matrices of all three kernels do not depend on h.  Only classes whose two
 triangles come closer than the horizon are formed; the matrix of every
 other class is identically zero.  One weighted scatter,
@@ -52,7 +52,10 @@ horizon.  It is evaluated for all outer points of a pair at once: the
 angular panels of each point (three vertex directions plus at most two
 horizon crossings per edge) are padded to nine, a mask drops the unused
 panels and the directions that miss the inner element, and the outer
-points are taken in blocks that bound the working set.  The kernel
+points are taken in blocks that bound the working set.  For the
+max-norm ball of the constant kernel the inner element is clipped against
+the square around each outer point, which is exact for that ball.  So
+each ball norm has one inner rule, chosen by the kernel.  The kernel
 contraction of every pair integrator is one weighted GEMM per kernel
 component.
 """
@@ -66,50 +69,51 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import (
-    ball_element_intersection,
-    closest_point_triangle,
-    disk_interaction_cells,
-)
+from .geometry import (clip_triangle_square, closest_point_triangle,
+                       disk_interaction_cells, fan_triangulate)
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import Mesh, p1_gradients, p1_values
 from .quadrature import (gauss01, gauss_jacobi01, map_to_physical,
                          triangle_area, triangle_rule)
 
 
-def ball_strategy(spec: KernelSpec, strategy: str | None = None) -> str:
-    """The ball strategy of ``spec``: ``strategy`` when the kernel's ball
-    norm admits it, the family's default when it is None or empty.
-
-    The max-norm family takes only ``exact_linf``, exact square clipping.
-    The Euclidean-ball families take ``polar``, the default, with its
-    exact radial horizon cut, or one of the ball approximations of
-    D'Elia et al., Acta Numerica 2020, which are defined for the
-    Euclidean ball only.  Any other name raises ValueError.
-    """
-    allowed = (("exact_linf",) if spec.ball_norm == "linf"
-               else ("polar", "nocaps", "approxcaps", "barycenter"))
-    if not strategy:
-        return allowed[0]
-    if strategy not in allowed:
-        raise ValueError(
-            f"ball strategy {strategy!r} is not defined for the "
-            f"{spec.family} kernel; use one of {', '.join(allowed)}")
-    return strategy
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Rule orders for pair integration.
+    """Rule orders for pair integration; each one changes some result.
 
-    ``outer_degree`` / ``inner_degree`` drive well-separated pairs;
-    ``radial_points``/``angular_points`` form the polar rule for
-    coinciding pairs; ``transform_points`` is the tensor-Gauss order of
-    the edge/vertex-touching transforms; ``near_subdiv`` is the uniform
-    subdivision depth for close-but-disjoint singular pairs;
-    ``cap_levels`` refines the circular-segment triangles of Euclidean
-    ball clipping; ``grade_levels``/``grade_ratio`` control the
-    geometric grading; ``load_degree`` is the load-vector rule.
+    Coinciding pairs, every kernel:
+
+    - ``radial_points`` / ``angular_points``: the Gauss-Jacobi radial and
+      the Gauss angular order of the relative polar rule, per sector of
+      the difference hexagon.
+
+    Singular kernels, pairs sharing an edge or a vertex:
+
+    - ``transform_points``: the tensor-Gauss order per panel of the
+      edge-touching transform (the vertex-touching one takes
+      ``transform_points + 8`` points, unpaneled);
+    - ``transform_panels``: the composite panels per face coordinate of
+      the edge-touching transform.
+
+    Disjoint pairs, and every constant-kernel pair that does not coincide:
+
+    - ``outer_degree``: the triangle rule on the outer cells, at least 5
+      for the constant kernel and for pairs that straddle the horizon;
+    - ``inner_degree``: the triangle rule on the square-clipped inner
+      pieces of the max-norm ball, and on the inner element of the polar
+      rule's outer points that hold it well inside the horizon;
+    - ``cut_subdiv``: singular kernels only, the uniform subdivision
+      depth of outer cells within 1.5 element diameters of the inner
+      element (``cut_subdiv - 2``) and of the other cells of a pair that
+      straddles the horizon (``cut_subdiv - 3``);
+    - ``arc_segments``: the chord pieces per horizon circle along which
+      ``disk_interaction_cells`` splits the outer element of a straddling
+      pair;
+    - ``polar_angular`` / ``polar_radial``: the Gauss points per angular
+      panel and per radial interval of the polar inner rule of the
+      Euclidean ball.
+
+    ``load_degree`` is the triangle rule of the element load moments.
     """
 
     outer_degree: int = 3
@@ -122,10 +126,6 @@ class QuadratureConfig:
     arc_segments: int = 3
     polar_angular: int = 4
     polar_radial: int = 8
-    cap_levels: int = 3
-    grade_levels: int = 16
-    grade_ratio: float = 0.5
-    near_eta: float = 1.0
     load_degree: int = 4
 
     def refined(self) -> "QuadratureConfig":
@@ -141,10 +141,6 @@ class QuadratureConfig:
             arc_segments=2 * self.arc_segments,
             polar_angular=self.polar_angular + 4,
             polar_radial=self.polar_radial + 6,
-            cap_levels=self.cap_levels + 2,
-            grade_levels=self.grade_levels + 6,
-            grade_ratio=self.grade_ratio,
-            near_eta=self.near_eta,
             load_degree=self.load_degree + 1,
         )
 
@@ -313,96 +309,21 @@ def _polar_inner_rule(
 
 
 def _inner_rule_points(
-    x: np.ndarray, v2: np.ndarray, spec: KernelSpec, strategy: str,
-    quad: QuadratureConfig,
+    x: np.ndarray, v2: np.ndarray, spec: KernelSpec, quad: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points/weights for int_{v2 cap B(x)} around outer point x
-    by clipping ``v2`` against the ball (the non-polar strategies).
-
-    For singular kernels the inner element is fanned around its closest
-    point to x and geometrically graded toward it, so the near-singular
-    integrand is resolved at every scale down to dist(x, v2).
-    """
-    diam = max(np.linalg.norm(v2[1] - v2[0]), np.linalg.norm(v2[2] - v2[0]),
-               np.linalg.norm(v2[2] - v2[1]))
-    tris: list[np.ndarray]
-    if not spec.singular:
-        tris = [v2]
+    for the max-norm ball: ``v2`` clipped against the square of half-width
+    delta around x, which is exact for that ball."""
+    if np.max(np.abs(v2 - x)) <= spec.delta:
+        subs = [v2]
     else:
-        p = closest_point_triangle(x, v2)
-        dist = np.linalg.norm(x - p)
-        if dist >= quad.near_eta * diam:
-            tris = [v2]
-        else:
-            tris = _fan_graded(v2, p, dist, quad)
-    bary, wts = triangle_rule(quad.inner_degree)
-    pts_out: list[np.ndarray] = []
-    w_out: list[np.ndarray] = []
-    delta = spec.delta
-    linf = spec.ball_norm == "linf"
-    for tri in tris:
-        # fast paths: triangle entirely inside / outside the ball
-        z = tri - x
-        if linf:
-            inside_all = np.max(np.abs(z)) <= delta
-        else:
-            inside_all = np.max(np.einsum("ij,ij->i", z, z)) <= delta * delta
-        if inside_all:
-            subs = [tri]
-        elif (not linf
-              and np.linalg.norm(x - closest_point_triangle(x, tri)) >= delta):
-            continue
-        else:
-            subs = ball_element_intersection(tri, x, delta, strategy,
-                                             quad.cap_levels)
-        for sub in subs:
-            pts, w = map_to_physical(sub, bary, wts)
-            pts_out.append(pts)
-            w_out.append(w)
-    if not pts_out:
+        subs = fan_triangulate(clip_triangle_square(v2, x, spec.delta))
+    if not subs:
         return np.empty((0, 2)), np.empty(0)
-    return np.concatenate(pts_out), np.concatenate(w_out)
-
-
-def _fan_graded(v2: np.ndarray, apex: np.ndarray, dist: float,
-                quad: QuadratureConfig) -> list[np.ndarray]:
-    """Fan v2 around ``apex`` and grade each fan triangle toward it."""
-    out: list[np.ndarray] = []
-    q = quad.grade_ratio
-    for i in range(3):
-        a, b = v2[i], v2[(i + 1) % 3]
-        tri = np.array([apex, a, b])
-        if triangle_area(tri) < 1e-30:
-            continue
-        size = max(np.linalg.norm(a - apex), np.linalg.norm(b - apex))
-        if dist > 0:
-            levels = int(np.ceil(np.log(size / dist) / np.log(1.0 / q)))
-        else:
-            levels = quad.grade_levels
-        levels = int(np.clip(levels, 0, quad.grade_levels))
-        out.extend(_rings_toward_vertex(tri, 0, levels, q))
-    return out
-
-
-def _rings_toward_vertex(tri: np.ndarray, apex_idx: int, levels: int,
-                         q: float) -> list[np.ndarray]:
-    """Geometric rings contracting toward a vertex, innermost core kept."""
-    p = tri[apex_idx]
-    a = tri[(apex_idx + 1) % 3]
-    b = tri[(apex_idx + 2) % 3]
-    out: list[np.ndarray] = []
-    s_hi = 1.0
-    for _ in range(levels):
-        s_lo = s_hi * q
-        c0 = p + s_hi * (a - p)
-        c1 = p + s_hi * (b - p)
-        c2 = p + s_lo * (b - p)
-        c3 = p + s_lo * (a - p)
-        out.append(np.array([c0, c1, c2]))
-        out.append(np.array([c0, c2, c3]))
-        s_hi = s_lo
-    out.append(np.array([p, p + s_hi * (a - p), p + s_hi * (b - p)]))
-    return [t for t in out if triangle_area(t) > 1e-30]
+    bary, wts = triangle_rule(quad.inner_degree)
+    rules = [map_to_physical(sub, bary, wts) for sub in subs]
+    return (np.concatenate([pts for pts, _ in rules]),
+            np.concatenate([w for _, w in rules]))
 
 
 def subdivide_triangle(tri: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -430,17 +351,19 @@ _FLUSH_POINTS = 500_000
 
 def regular_pair_matrix(
     v1: np.ndarray, v2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
-    spec: KernelSpec, strategy: str, quad: QuadratureConfig,
+    spec: KernelSpec, quad: QuadratureConfig,
     outer_tris: list[np.ndarray], outer_degree: int,
 ) -> np.ndarray:
     """Pair matrix by outer rule of degree ``outer_degree`` on the cells
-    ``outer_tris`` of v1 x (clipped) inner rule on v2."""
+    ``outer_tris`` of v1 x the inner rule of the kernel's ball norm on v2:
+    the polar rule for the Euclidean ball, square clipping for the
+    max-norm ball."""
     bary, wts = triangle_rule(outer_degree)
     rules = [map_to_physical(tri, bary, wts) for tri in outer_tris]
     X = np.concatenate([pts for pts, _ in rules])
     WX = np.concatenate([w for _, w in rules])
     PX = p1_values(v1, X)
-    if strategy == "polar":
+    if spec.ball_norm == "l2":
         # blocks of outer points with at most half the flush bound of
         # inner points, so pending points never exceed it
         slots = _POLAR_PANELS * quad.polar_angular * quad.polar_radial
@@ -452,7 +375,7 @@ def regular_pair_matrix(
         step = 1
 
         def inner(xs):
-            Y, W = _inner_rule_points(xs[0], v2, spec, strategy, quad)
+            Y, W = _inner_rule_points(xs[0], v2, spec, quad)
             return np.zeros(len(W), dtype=np.int64), Y, W
 
     c = spec.components
@@ -660,8 +583,7 @@ def coinciding_pair_matrix(
 
 
 def pair_matrix(
-    v1: np.ndarray, v2: np.ndarray, spec: KernelSpec, strategy: str,
-    quad: QuadratureConfig,
+    v1: np.ndarray, v2: np.ndarray, spec: KernelSpec, quad: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local matrix of two triangles, given as (3, 2) vertex arrays, over
     the union patch of their vertices.
@@ -683,7 +605,7 @@ def pair_matrix(
         # the lattice, with delta * n an integer, every such line lies at
         # an integer cell offset, so none cuts the outer element and the
         # fixed-order rule on the whole element is exact.
-        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
+        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
                                 [v1], max(quad.outer_degree, 5))
     elif n_shared == 2:
         M = common_edge_pair_matrix(v1, v2, loc1, loc2, spec, quad)
@@ -706,7 +628,7 @@ def pair_matrix(
             lev = _proximity_level(cell, v2, diam, quad, straddle)
             outer.extend(subdivide_triangle(cell, lev) if lev else [cell])
         deg = max(quad.outer_degree, 5) if straddle else quad.outer_degree
-        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, strategy, quad,
+        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
                                 outer, deg)
     return M, rows
 
@@ -785,7 +707,7 @@ def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
 
 
 @functools.cache
-def _lattice_class(spec: KernelSpec, strategy: str, quad: QuadratureConfig,
+def _lattice_class(spec: KernelSpec, quad: QuadratureConfig,
                    key: tuple[int, int, int, int]):
     """(M, lat): the matrix of class ``key`` on the reference lattice and
     the (p, 2) lattice offsets of its patch nodes from the anchor corner,
@@ -801,7 +723,7 @@ def _lattice_class(spec: KernelSpec, strategy: str, quad: QuadratureConfig,
     dx, dy, t1, t2 = key
     lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
     v = lat.astype(float)
-    M, rows = pair_matrix(v[:3], v[3:], spec, strategy, quad)
+    M, rows = pair_matrix(v[:3], v[3:], spec, quad)
     lat = lat[rows]
     M.flags.writeable = False
     lat.flags.writeable = False
@@ -812,8 +734,8 @@ class Assembler:
     """Assembles stiffness matrices on a structured mesh.
 
     Pair integrals are computed once per process per translation class
-    (cell offset and the two triangle types), kernel family, delta / h,
-    ball strategy and quadrature, on the reference lattice; they are
+    (cell offset and the two triangle types), kernel family, delta / h
+    and quadrature, on the reference lattice; they are
     scattered over the anchors of a window by a sparse times dense
     product per strip of node rows.
     """
@@ -822,14 +744,12 @@ class Assembler:
         self,
         mesh: Mesh,
         spec: KernelSpec,
-        strategy: str | None = None,
         quad: QuadratureConfig | None = None,
     ):
         if mesh.cells_per_side == 0:
             raise ValueError("Assembler requires a structured mesh")
         self.mesh = mesh
         self.spec = spec
-        self.strategy = ball_strategy(spec, strategy)
         self.quad = quad or QuadratureConfig()
         self.N = mesh.cells_per_side
         # the kernel in cell units: horizon R = delta * n, cell side 1
@@ -873,8 +793,7 @@ class Assembler:
         reference-lattice class of ``_lattice_class``.
         """
         dx, dy, t1, t2 = key
-        M, lat = _lattice_class(self.lattice_spec, self.strategy, self.quad,
-                                key)
+        M, lat = _lattice_class(self.lattice_spec, self.quad, key)
         factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
         return M, lat, factor
 

@@ -1,21 +1,14 @@
-"""Geometric predicates and approximate ball-element intersections.
+"""Clipping and cell splitting for the interaction ball.
 
 The inner integration domain of every element pair is the intersection of
 the inner triangle with the horizon ball around the outer quadrature
-point.  Strategies:
-
-- ``exact_linf``: clip against the axis-aligned square, exact for the
-  max-norm ball and for that ball only.
-- ``barycenter``: keep the whole triangle iff its barycenter lies in the
-  Euclidean ball, otherwise drop it.
-- ``nocaps``: inscribed chord polygon of the triangle/disk intersection.
-- ``approxcaps``: chord polygon plus one triangle per circular cap with
-  apex at the arc midpoint.
-
-The last three approximate the Euclidean ball only.
-
-For ``exact_linf``, ``nocaps`` and ``approxcaps`` the returned region is
-contained in the true ball; ``barycenter`` may overshoot by design.
+point.  For the max-norm ball that intersection is exact: the triangle is
+clipped against the axis-aligned square (``clip_triangle_square``) and the
+convex polygon left is fanned into triangles.  The Euclidean ball is
+integrated by the polar rule of ``assembly``, which needs no clipping
+here; for pairs that straddle its horizon ``disk_interaction_cells`` splits
+the outer triangle along the curves where the intersection loses
+smoothness, so that the outer rule is aligned with them.
 """
 
 from __future__ import annotations
@@ -67,7 +60,7 @@ def clip_triangle_square(tri: np.ndarray, center: np.ndarray, r: float) -> np.nd
 
 def disk_interaction_cells(
     tri_outer: np.ndarray, tri_inner: np.ndarray, r: float,
-    arc_segments: int = 4,
+    arc_segments: int,
 ) -> list[np.ndarray]:
     """Split the outer triangle along the curves where the intersection
     of the Euclidean ball around the moving point with ``tri_inner``
@@ -137,80 +130,6 @@ def _polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segment_circle_params(
-    a: np.ndarray, b: np.ndarray, center: np.ndarray, r: float
-) -> list[float]:
-    """Parameters t in (0,1) where segment a + t(b-a) crosses the circle."""
-    d = b - a
-    f = a - center
-    A = d @ d
-    B = 2.0 * (f @ d)
-    C = f @ f - r * r
-    disc = B * B - 4.0 * A * C
-    if disc <= 0.0 or A == 0.0:
-        return []
-    sq = np.sqrt(disc)
-    ts = [(-B - sq) / (2 * A), (-B + sq) / (2 * A)]
-    return [t for t in ts if 1e-12 < t < 1.0 - 1e-12]
-
-
-def chord_polygon_and_caps(
-    tri: np.ndarray, center: np.ndarray, r: float, cap_levels: int = 0
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Chord polygon of triangle/disk intersection plus cap triangles.
-
-    Walks the triangle boundary collecting vertices inside the disk and
-    edge/circle crossings; consecutive polygon vertices that both lie on
-    the circle subtend an arc inside the triangle, approximated by a cap
-    triangle with apex at the arc midpoint.
-    """
-    tri = np.asarray(tri, dtype=float)
-    center = np.asarray(center, dtype=float)
-    verts: list[np.ndarray] = []
-    on_circle: list[bool] = []
-    inside = [np.linalg.norm(v - center) <= r for v in tri]
-    if all(inside):
-        return tri, []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        if inside[i]:
-            verts.append(a)
-            on_circle.append(False)
-        for t in _segment_circle_params(a, b, center, r):
-            verts.append(a + t * (b - a))
-            on_circle.append(True)
-    if len(verts) < 3:
-        return np.empty((0, 2)), []
-    poly = np.asarray(verts)
-    caps: list[np.ndarray] = []
-    m = len(verts)
-    for i in range(m):
-        j = (i + 1) % m
-        if on_circle[i] and on_circle[j]:
-            caps.extend(_arc_caps(poly[i], poly[j], center, r, cap_levels))
-    return poly, caps
-
-
-def _arc_caps(p0: np.ndarray, p1: np.ndarray, center: np.ndarray, r: float,
-              levels: int) -> list[np.ndarray]:
-    """Triangles filling the circular segment between chord (p0, p1) and
-    its arc, by recursive bisection: the apex triangle plus the two
-    sub-segments.  Leftover area shrinks by 4x per level."""
-    mid = 0.5 * (p0 + p1)
-    dirv = mid - center
-    nrm = np.linalg.norm(dirv)
-    if nrm < 1e-13 * r:
-        return []  # chord through the center: ambiguous, skip
-    apex = center + (r / nrm) * dirv
-    cap = np.array([p0, p1, apex])
-    if triangle_area(cap) <= 1e-30:
-        return []
-    if levels <= 0:
-        return [cap]
-    return ([cap] + _arc_caps(p0, apex, center, r, levels - 1)
-            + _arc_caps(apex, p1, center, r, levels - 1))
-
-
 def fan_triangulate(poly: np.ndarray) -> list[np.ndarray]:
     """Split a convex polygon into triangles fanned from its first vertex."""
     tris = []
@@ -219,31 +138,6 @@ def fan_triangulate(poly: np.ndarray) -> list[np.ndarray]:
         if triangle_area(t) > 1e-30:
             tris.append(t)
     return tris
-
-
-def ball_element_intersection(
-    tri: np.ndarray, center: np.ndarray, r: float, strategy: str,
-    cap_levels: int = 0,
-) -> list[np.ndarray]:
-    """Sub-triangles covering the approximate intersection of ``tri`` with
-    the horizon ball around ``center``.  May be empty."""
-    tri = np.asarray(tri, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if strategy == "exact_linf":
-        poly = clip_triangle_square(tri, center, r)
-        return fan_triangulate(poly)
-    if strategy == "barycenter":
-        bary = tri.mean(axis=0)
-        if np.linalg.norm(bary - center) <= r:
-            return [tri]
-        return []
-    if strategy in ("nocaps", "approxcaps"):
-        poly, caps = chord_polygon_and_caps(tri, center, r, cap_levels)
-        tris = fan_triangulate(poly)
-        if strategy == "approxcaps":
-            tris.extend(caps)
-        return tris
-    raise ValueError(f"unknown ball strategy {strategy!r}")
 
 
 def closest_point_triangle(p: np.ndarray, tri: np.ndarray) -> np.ndarray:

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (Assembler, AssembledSystem, assemble_global,
-                       ball_strategy)
+from .assembly import Assembler, AssembledSystem, assemble_global
 from .feti import (FetiSystem, build_feti_system, feti_solve, gather_solution)
 from .kernels import KernelSpec
 from .mesh import Mesh, build_structured_mesh, l2_error
@@ -38,7 +37,6 @@ _CONFIG_KEYS = {
     "mesh.n": ("n", int),
     "partition.k1": ("k1", int),
     "partition.k2": ("k2", int),
-    "ball.strategy": ("strategy", str),
     "solver": ("solver", str),
     "study": ("study", str),
     "feti.tol": ("tol", float),
@@ -56,7 +54,6 @@ class ExperimentConfig:
     n: int = 32
     k1: int = 2
     k2: int = 2
-    strategy: str | None = None
     solver: str = "feti"
     study: str = "single"
     tol: float = 1e-10
@@ -68,8 +65,13 @@ class ExperimentConfig:
         if self.study not in ("single", "fixed_horizon", "fixed_ratio",
                               "strong_scaling"):
             raise ValueError(f"unknown study {self.study!r}")
-        # validates family/delta/s consistency and the ball strategy
-        ball_strategy(self.kernel_spec(), self.strategy)
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("feti.tol must be finite and positive, "
+                             f"got {self.tol}")
+        if self.maxit < 1:
+            raise ValueError("feti.maxit must be at least 1, "
+                             f"got {self.maxit}")
+        self.kernel_spec()  # validates family, delta and s
 
     def kernel_spec(self) -> KernelSpec:
         s = self.s if self.family == "fractional" else None
@@ -196,7 +198,7 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
     spec = config.kernel_spec()
     prob = manufactured_problem(config.family)
     mesh = build_structured_mesh(config.n, config.delta)
-    asm = Assembler(mesh, spec, config.strategy)
+    asm = Assembler(mesh, spec)
     assembled = assemble_global(mesh, spec, prob.forcing, prob.exact,
                                 assembler=asm)
     study = study or config.study

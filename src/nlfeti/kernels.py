@@ -40,8 +40,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("kernel.delta must be finite and positive, "
+                             f"got {self.delta}")
         if self.family == "fractional":
             if self.s is None or not (0.0 < self.s < 1.0):
                 raise ValueError("fractional kernel needs s in (0, 1)")

@@ -1,12 +1,14 @@
 """Stiffness assembly: pair integrals, weighted class scatter, and global
 systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nlfeti import assembly
 from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
-                             ball_strategy, pair_matrix)
+                             pair_matrix)
 from nlfeti.feti import assemble_subdomain
 from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
@@ -18,11 +20,11 @@ from nlfeti.subdivision import build_subdivision
 from conftest import assert_csr_bitwise, make_spec
 
 
-def _pair_matrix(mesh, e1, e2, spec, strategy, quad):
+def _pair_matrix(mesh, e1, e2, spec, quad):
     """``pair_matrix`` of two mesh elements, with the patch as node ids."""
     ids = np.concatenate([mesh.elements[e1], mesh.elements[e2]])
     M, rows = pair_matrix(mesh.vertices[ids[:3]], mesh.vertices[ids[3:]],
-                          spec, strategy, quad)
+                          spec, quad)
     return M, ids[rows]
 
 
@@ -58,8 +60,7 @@ def test_constant_pair_matches_analytic_double_integral():
     spec = KernelSpec("constant", 2.0)
     e1, e2 = 0, 4    # disjoint elements two cells apart in the collar
     assert len(np.intersect1d(mesh.elements[e1], mesh.elements[e2])) == 0
-    M, patch = _pair_matrix(mesh, e1, e2, spec, "exact_linf",
-                            QuadratureConfig())
+    M, patch = _pair_matrix(mesh, e1, e2, spec, QuadratureConfig())
     oracle = _pair_oracle(mesh, e1, e2, spec, patch)
     assert np.allclose(M, oracle, atol=1e-14 * abs(oracle).max())
 
@@ -67,8 +68,7 @@ def test_constant_pair_matches_analytic_double_integral():
 def test_coinciding_constant_pair_annihilates_constants():
     mesh = build_structured_mesh(2, 1.0)
     spec = KernelSpec("constant", 1.0)
-    M, patch = _pair_matrix(mesh, 5, 5, spec, "exact_linf",
-                            QuadratureConfig())
+    M, patch = _pair_matrix(mesh, 5, 5, spec, QuadratureConfig())
     ones = np.ones(len(patch))
     assert np.abs(M @ ones).max() < 1e-14 * abs(M).max()
 
@@ -78,22 +78,17 @@ def test_fractional_coinciding_pair_stable_under_order_doubling():
     spec = KernelSpec("fractional", 0.5, 0.4)
     quad = QuadratureConfig()
     e = 2 * (4 * 8 + 4)  # an element well inside
-    M1, _ = _pair_matrix(mesh, e, e, spec, "polar", quad)
-    M2, _ = _pair_matrix(mesh, e, e, spec, "polar", quad.refined())
+    M1, _ = _pair_matrix(mesh, e, e, spec, quad)
+    M2, _ = _pair_matrix(mesh, e, e, spec, quad.refined())
     rel = np.abs(M1 - M2).max() / np.abs(M2).max()
     assert rel < 1e-6
 
 
-@pytest.mark.parametrize("family, strategy, n", [
-    pytest.param(family, None, 8, id=family)
-    for family in ("constant", "fractional", "peridynamic")] + [
-    pytest.param(family, strategy, 4, id=f"{family}-{strategy}")
-    for family in ("fractional", "peridynamic")
-    for strategy in ("nocaps", "approxcaps", "barycenter")])
-def test_symmetry_and_null_space(family, strategy, n):
+@pytest.mark.parametrize("family", ["constant", "fractional", "peridynamic"])
+def test_symmetry_and_null_space(family):
     spec = make_spec(family, 0.25)
-    mesh = build_structured_mesh(n, 0.25)
-    asm = Assembler(mesh, spec, strategy)
+    mesh = build_structured_mesh(8, 0.25)
+    asm = Assembler(mesh, spec)
     ids = np.flatnonzero(mesh.node_region == INTERIOR)
     c = spec.components
     dofs = np.concatenate([c * ids + i for i in range(c)])
@@ -136,8 +131,7 @@ def _dense_oracle(mesh, spec, pair_weights):
                 / mesh.spacing).astype(int).ravel())
             patch = np.array(list(ids1) + [g for g in ids2 if g not in ids1])
             if key not in memo:
-                M, got = _pair_matrix(mesh, e1, e2, spec,
-                                      ball_strategy(spec), QuadratureConfig())
+                M, got = _pair_matrix(mesh, e1, e2, spec, QuadratureConfig())
                 assert np.array_equal(got, patch)
                 memo[key] = M
             dofs = (c * patch[:, None] + np.arange(c)[None, :]).ravel()
@@ -394,8 +388,7 @@ def _mesh_class(asm, key):
                           assembly._TRI_T[t2] + (dx, dy)]) + corner
     ids = lat[:, 1] * N1 + lat[:, 0]
     M, rows = pair_matrix(asm.mesh.vertices[ids[:3]],
-                          asm.mesh.vertices[ids[3:]], asm.spec,
-                          asm.strategy, asm.quad)
+                          asm.mesh.vertices[ids[3:]], asm.spec, asm.quad)
     return M, lat[rows] - corner
 
 
@@ -439,8 +432,7 @@ def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
         dx, dy, t1, t2 = key
         v = np.concatenate([assembly._TRI_T[t1],
                             assembly._TRI_T[t2] + (dx, dy)]).astype(float)
-        ref, _ = pair_matrix(v[:3], v[3:], asm.lattice_spec, asm.strategy,
-                             refined)
+        ref, _ = pair_matrix(v[:3], v[3:], asm.lattice_spec, refined)
         assert np.abs(M - ref).max() < 0.2 * np.abs(want - ref).max(), key
     assert 0 < moved <= 4
 
@@ -472,32 +464,25 @@ def test_study_computes_each_class_once(study, family, monkeypatch):
 
 @pytest.mark.parametrize("first, then", [
     # same delta / h: the second system reads the first one's classes
-    (("fractional", 8, 2, 0.4, None, False),
-     ("fractional", 16, 2, 0.4, None, False)),
-    (("peridynamic", 8, 2, None, None, False),
-     ("peridynamic", 16, 2, None, None, False)),
-    # a different key: delta / h, s, ball strategy or quadrature
-    (("constant", 8, 2, None, None, False),
-     ("constant", 8, 3, None, None, False)),
-    (("fractional", 8, 2, 0.4, None, False),
-     ("fractional", 8, 2, 0.6, None, False)),
-    (("fractional", 4, 1, 0.4, None, False),
-     ("fractional", 4, 1, 0.4, "nocaps", False)),
-    (("constant", 8, 2, None, None, False),
-     ("constant", 8, 2, None, None, True)),
-], ids=["fractional", "peridynamic", "ratio", "s", "strategy", "quadrature"])
+    (("fractional", 8, 2, 0.4, False), ("fractional", 16, 2, 0.4, False)),
+    (("peridynamic", 8, 2, None, False), ("peridynamic", 16, 2, None, False)),
+    # a different key: delta / h, s or quadrature
+    (("constant", 8, 2, None, False), ("constant", 8, 3, None, False)),
+    (("fractional", 8, 2, 0.4, False), ("fractional", 8, 2, 0.6, False)),
+    (("constant", 8, 2, None, False), ("constant", 8, 2, None, True)),
+], ids=["fractional", "peridynamic", "ratio", "s", "quadrature"])
 def test_class_memo_is_order_independent(first, then):
     """A system assembled after another one has the bytes of the same
     system assembled from an empty memo, whether or not the first one
     filled the memo with classes the second one reads."""
 
-    def system(family, n, ratio, s, strategy, refined):
+    def system(family, n, ratio, s, refined):
         mesh = build_structured_mesh(n, ratio / n)
         spec = KernelSpec(family, ratio / n, s)
         prob = manufactured_problem(family)
         quad = QuadratureConfig().refined() if refined else None
         return assemble_global(mesh, spec, prob.forcing, prob.exact,
-                               Assembler(mesh, spec, strategy, quad))
+                               Assembler(mesh, spec, quad))
 
     assembly._lattice_class.cache_clear()
     fresh = system(*then)
@@ -534,6 +519,40 @@ def test_weighted_load_matches_per_subdomain_moments(family, cache):
         for i in range(c):
             np.add.at(want, c * mesh.elements + i, contrib[:, :, i])
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+_KNOBS = [f.name for f in dataclasses.fields(QuadratureConfig)]
+
+
+def test_refined_rule_changes_every_knob():
+    default, refined = QuadratureConfig(), QuadratureConfig().refined()
+    assert [k for k in _KNOBS
+            if getattr(refined, k) == getattr(default, k)] == []
+
+
+@pytest.mark.parametrize("knob", _KNOBS)
+def test_every_quadrature_knob_changes_a_result(knob):
+    """Each field of QuadratureConfig, set alone to its refined value,
+    changes the bytes of a class matrix of the default path (constant at
+    delta = 2h, fractional at delta = 4h), or the load moments for
+    ``load_degree``: every knob is read by a rule of the default path."""
+    quad = dataclasses.replace(QuadratureConfig(), **{
+        knob: getattr(QuadratureConfig().refined(), knob)})
+    if knob == "load_degree":
+        mesh, spec = build_structured_mesh(4, 0.5), make_spec("constant", 0.5)
+        f = manufactured_problem("constant").forcing
+        moments = [Assembler(mesh, spec, quad=q).load_moments(f)
+                   for q in (QuadratureConfig(), quad)]
+        assert moments[0].tobytes() != moments[1].tobytes()
+        return
+    pairs = []
+    for family, delta in (("constant", 0.5), ("fractional", 1.0)):
+        mesh, spec = build_structured_mesh(4, delta), make_spec(family, delta)
+        pairs.append((Assembler(mesh, spec),
+                      Assembler(mesh, spec, quad=quad)))
+    assert any(old.class_matrix(key)[0].tobytes()
+               != new.class_matrix(key)[0].tobytes()
+               for old, new in pairs for key in old.classes())
 
 
 def test_constant_kernel_self_convergence():

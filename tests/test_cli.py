@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 from nlfeti.cli import main
 from nlfeti.harness import CSV_HEADER
 
@@ -81,23 +83,31 @@ def test_dump_subdivision(tmp_path, capsys):
 
 
 def test_bad_config_key_fails_cleanly(capsys):
-    rc = main(["solve", "--set", "mesh.resolution=8"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    # the deleted solver switches are unknown keys too
-    rc = main(["solve", "--set", "feti.reortho=full"])
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
+    # the deleted solver switch and ball strategy are unknown keys too
+    for setting in ("mesh.resolution=8", "feti.reortho=full",
+                    "ball.strategy=polar"):
+        rc = main(["solve", "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
+                   "--set", setting])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err and "unknown config key" in err, setting
 
 
-def test_mismatched_ball_strategy_fails_cleanly(capsys):
-    rc = main(["solve", "--set", "kernel.family=constant",
-               "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
-               "--set", "ball.strategy=polar"])
+@pytest.mark.parametrize("key, value", [
+    ("feti.tol", "-1"), ("feti.tol", "0"), ("feti.tol", "nan"),
+    ("feti.tol", "inf"), ("feti.maxit", "0"), ("feti.maxit", "-3"),
+    ("kernel.delta", "nan"), ("kernel.delta", "inf"),
+    ("kernel.delta", "-inf")])
+def test_bad_setting_fails_cleanly(key, value, capsys):
+    """A value no solve can use is refused before a mesh is built, with
+    the key named, rather than surfacing as a solver failure."""
+    rc = main(["solve", "--set", "mesh.n=8", "--set", "kernel.delta=0.25",
+               "--set", f"{key}={value}"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error:" in err and "constant" in err and "exact_linf" in err
+    assert err.startswith("error:") and key in err
 
 
 def test_more_rectangles_than_cells_fails_cleanly(capsys):

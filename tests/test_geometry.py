@@ -1,13 +1,13 @@
-"""Clipping, interaction-ball intersections, and cell splitting."""
+"""Square clipping and cell splitting."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nlfeti import assembly
 from nlfeti.assembly import Assembler, regular_pair_matrix
-from nlfeti.geometry import (ball_element_intersection, clip_polygon_halfplane,
-                             clip_triangle_square, closest_point_triangle,
-                             disk_interaction_cells, fan_triangulate)
+from nlfeti.geometry import (clip_polygon_halfplane, clip_triangle_square,
+                             closest_point_triangle, disk_interaction_cells,
+                             fan_triangulate)
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import build_structured_mesh
 
@@ -138,8 +138,7 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
         cells = square_interaction_cells(v1, v2, spec.delta)
         if (dx, dy, t1) != (0, 0, t2):
             _, loc1, loc2 = assembly._patch(v1, v2)
-            M = regular_pair_matrix(v1, v2, loc1, loc2, spec,
-                                    asm.strategy, quad, cells,
+            M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad, cells,
                                     max(quad.outer_degree, 5))
             assert M.tobytes() == asm.class_matrix(key)[0].tobytes(), key
         assert len(cells) == 1 and np.array_equal(cells[0], v1), key
@@ -152,19 +151,6 @@ def test_disk_cells_always_tile(dx, dy, r):
     inner = TRI + np.array([dx, dy])
     cells = disk_interaction_cells(TRI, inner, r, arc_segments=2)
     assert np.isclose(_cells_area(cells), 0.5, atol=1e-10)
-
-
-def test_ball_intersection_strategies_are_inner_approximations():
-    center = np.array([-0.2, 0.4])
-    r = 0.9
-    exact = None
-    areas = {}
-    for strategy in ("nocaps", "barycenter", "approxcaps"):
-        tris = ball_element_intersection(TRI, center, r, strategy)
-        areas[strategy] = _cells_area(tris)
-    # chord polygon without caps is the smallest inner approximation
-    assert areas["nocaps"] <= areas["approxcaps"] + 1e-12
-    assert areas["approxcaps"] <= 0.5 + 1e-12
 
 
 def test_closest_point_triangle():

@@ -94,28 +94,6 @@ def test_config_validation():
         ExperimentConfig(family="gaussian")
 
 
-@pytest.mark.parametrize("family", ["constant", "fractional", "peridynamic"])
-def test_ball_strategy_must_suit_the_kernel_norm(family):
-    """exact_linf is the max-norm ball's only strategy; the Euclidean-ball
-    strategies serve the Euclidean families only; unknown names fail in
-    the config before a mesh is built, and in the assembler."""
-    euclidean = ("polar", "nocaps", "approxcaps", "barycenter")
-    allowed = ("exact_linf",) if family == "constant" else euclidean
-    mesh = build_structured_mesh(2, 0.5)
-    spec = KernelSpec(family, 0.5, 0.4 if family == "fractional" else None)
-    for strategy in ("exact_linf",) + euclidean + ("bogus",):
-        overrides = [f"kernel.family={family}", "kernel.delta=0.5",
-                     "mesh.n=2", f"ball.strategy={strategy}"]
-        if strategy in allowed:
-            assert load_config(None, overrides).strategy == strategy
-            assert Assembler(mesh, spec, strategy).strategy == strategy
-            continue
-        with pytest.raises(ValueError, match=family):
-            load_config(None, overrides)
-        with pytest.raises(ValueError, match=family):
-            Assembler(mesh, spec, strategy)
-
-
 def test_csv_header_schema():
     assert CSV_HEADER == ("study,kernel,K,h,delta,solver,iterations,"
                           "residual,l2_error,roc,seconds")

@@ -5,9 +5,23 @@ import numpy as np
 import pytest
 
 from nlfeti.assembly import QuadratureConfig, _polar_inner_rule
-from nlfeti.geometry import _segment_circle_params
 from nlfeti.kernels import KernelSpec
 from nlfeti.quadrature import gauss01, map_to_physical, triangle_rule
+
+
+def _segment_circle_params(a, b, center, r):
+    """Parameters t in (0, 1) where segment a + t (b - a) crosses the
+    circle of radius r around ``center``."""
+    d = b - a
+    f = a - center
+    A = d @ d
+    B = 2.0 * (f @ d)
+    disc = B * B - 4.0 * A * (f @ f - r * r)
+    if disc <= 0.0 or A == 0.0:
+        return []
+    sq = np.sqrt(disc)
+    ts = [(-B - sq) / (2 * A), (-B + sq) / (2 * A)]
+    return [t for t in ts if 1e-12 < t < 1.0 - 1e-12]
 
 
 def _polar_inner_points(x, tri, spec, quad):
