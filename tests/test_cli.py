@@ -83,15 +83,26 @@ def test_dump_subdivision(tmp_path, capsys):
 
 
 def test_bad_config_key_fails_cleanly(capsys):
-    # the deleted solver switch and ball strategy are unknown keys too
-    for setting in ("mesh.resolution=8", "feti.reortho=full",
-                    "ball.strategy=polar"):
+    # the deleted solver switch is an unknown key too
+    for setting in ("mesh.resolution=8", "feti.reortho=full"):
         rc = main(["solve", "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
                    "--set", setting])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "error:" in err and "unknown config key" in err, setting
+
+
+def test_mismatched_ball_strategy_fails_cleanly(capsys):
+    # each family has one inner rule chosen by its ball norm, so a
+    # strategy that does not suit the kernel can no longer be set at all
+    rc = main(["solve", "--set", "kernel.family=constant",
+               "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
+               "--set", "ball.strategy=polar"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "unknown config key 'ball.strategy'" in err
 
 
 @pytest.mark.parametrize("key, value", [
