@@ -70,9 +70,10 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (clip_triangle_square, closest_point_triangle,
-                       disk_interaction_cells, fan_triangulate)
+                       disk_interaction_cells, fan_triangulate,
+                       interacting_classes)
 from .kernels import KernelSpec, kernel_on_support
-from .mesh import Mesh, p1_gradients, p1_values
+from .mesh import _TRI_T, Mesh, p1_gradients, p1_values
 from .quadrature import (gauss01, gauss_jacobi01, map_to_physical,
                          triangle_area, triangle_rule)
 
@@ -663,47 +664,10 @@ def _proximity_level(cell: np.ndarray, v2: np.ndarray, diam: float,
 # ---------------------------------------------------------------------------
 # Structured-mesh assembler with translation-class caching
 
-# Vertices of the lower and upper triangle of a cell, in cell units.
-_TRI_T = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-
 # Entries of a strip's shifted weights (table columns x strip nodes) or of
 # its product (table rows x strip nodes), whichever is larger; bounds the
 # working set of a strip of the scatter.
 _STRIP_ENTRIES = 1 << 16
-
-
-def _closer_than(diffs: np.ndarray, R: float, linf: bool) -> np.ndarray:
-    """Whether the convex hull of each row of integer points ``diffs``
-    (k, q, 2) comes closer than R to the origin, in the l-infinity or the
-    Euclidean norm.  The hull distance is the least distance over the
-    segments between any two points, since the origin lies outside the
-    hull or is one of the points (two lattice triangles that meet share
-    a vertex).  Comparisons are exact on integer coordinates and
-    an integer R."""
-    i, j = np.triu_indices(diffs.shape[1])
-    a = diffs[:, i].astype(float)
-    e = diffs[:, j] - a
-    if linf:
-        # max(|a_x + t e_x|, |a_y + t e_y|) is least at an end point or
-        # where the two coordinates agree in magnitude, t = num / den
-        below = np.abs(a).max(axis=2) < R
-        below |= np.abs(a + e).max(axis=2) < R
-        for sign in (1.0, -1.0):
-            num = sign * a[..., 1] - a[..., 0]
-            den = e[..., 0] - sign * e[..., 1]
-            num, den = np.where(den < 0, -num, num), np.abs(den)
-            inside = (den > 0) & (num >= 0) & (num <= den)
-            at = np.abs(a[..., 0] * den + num * e[..., 0])
-            below |= inside & (at < R * den)
-    else:
-        aa = (a * a).sum(axis=2)
-        ae = (a * e).sum(axis=2)
-        ee = (e * e).sum(axis=2)
-        cross = a[..., 0] * e[..., 1] - a[..., 1] * e[..., 0]
-        below = np.where(ae >= 0, aa < R * R,
-                         np.where(ae + ee <= 0, aa + 2 * ae + ee < R * R,
-                                  cross * cross < R * R * ee))
-    return below.any(axis=1)
 
 
 @functools.cache
@@ -746,44 +710,21 @@ class Assembler:
         spec: KernelSpec,
         quad: QuadratureConfig | None = None,
     ):
-        if mesh.cells_per_side == 0:
-            raise ValueError("Assembler requires a structured mesh")
         self.mesh = mesh
         self.spec = spec
         self.quad = quad or QuadratureConfig()
         self.N = mesh.cells_per_side
         # the kernel in cell units: horizon R = delta * n, cell side 1
         self.lattice_spec = KernelSpec(spec.family, spec.delta * mesh.n, spec.s)
-        self._classes: list[tuple[int, int, int, int]] | None = None
         self._table = None
 
     # -- translation classes ------------------------------------------------
 
-    def classes(self) -> list[tuple[int, int, int, int]]:
-        """Canonical (unordered) pair classes (dx, dy, t1, t2) whose two
-        triangles come closer than the horizon in the ball norm.  The
-        matrix of every other class is identically zero.
-
-        The distance is that of the origin to the Minkowski difference
-        of the two triangles, taken in cell units where the vertices are
-        integers and the horizon is the integer delta * n, so the test is
-        exact.
-        """
-        if self._classes is not None:
-            return self._classes
-        R = self.lattice_spec.delta
-        rng = int(np.ceil(R)) + 1
-        keys = np.array([
-            (dx, dy, t1, t2)
-            for dy in range(0, rng + 1) for dx in range(-rng, rng + 1)
-            for t1 in range(2) for t2 in range(2)
-            if dy > 0 or dx > 0 or (dx == 0 and t1 <= t2)])
-        # vertex differences of the second triangle minus the first
-        diffs = (keys[:, None, None, :2] + _TRI_T[keys[:, 3]][:, :, None, :]
-                 - _TRI_T[keys[:, 2]][:, None, :, :]).reshape(len(keys), 9, 2)
-        near = _closer_than(diffs, R, self.spec.ball_norm == "linf")
-        self._classes = [tuple(int(v) for v in k) for k in keys[near]]
-        return self._classes
+    def classes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The pair classes (dx, dy, t1, t2) with a nonzero matrix:
+        ``interacting_classes`` on the integer horizon round(delta * n)."""
+        return interacting_classes(round(self.lattice_spec.delta),
+                                   self.spec.ball_norm == "linf")
 
     def class_matrix(self, key: tuple[int, int, int, int]):
         """(patch matrix, (p, 2) lattice offsets of the patch nodes from the

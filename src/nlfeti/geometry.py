@@ -9,12 +9,17 @@ integrated by the polar rule of ``assembly``, which needs no clipping
 here; for pairs that straddle its horizon ``disk_interaction_cells`` splits
 the outer triangle along the curves where the intersection loses
 smoothness, so that the outer rule is aligned with them.
+``interacting_classes`` decides which translation classes of the mesh
+interact; the assembler forms them and the coverage check checks them.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .mesh import _TRI_T
 from .quadrature import triangle_area
 
 _EPS = 1e-14
@@ -166,3 +171,59 @@ def closest_point_triangle(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
         return b + ((d4 - d3) / ((d4 - d3) + (d5 - d6))) * (c - b)
     denom = 1.0 / (va + vb + vc)
     return a + ab * (vb * denom) + ac * (vc * denom)
+
+
+def _closer_than(diffs: np.ndarray, R: int, linf: bool) -> np.ndarray:
+    """Whether the convex hull of each row of integer points ``diffs``
+    (k, q, 2) comes closer than R to the origin, in the l-infinity or the
+    Euclidean norm.  The hull distance is the least distance over the
+    segments between any two points, since the origin lies outside the
+    hull or is one of the points (two lattice triangles that meet share
+    a vertex).  Comparisons are exact on integer coordinates and the
+    integer R."""
+    i, j = np.triu_indices(diffs.shape[1])
+    a = diffs[:, i].astype(float)
+    e = diffs[:, j] - a
+    if linf:
+        # max(|a_x + t e_x|, |a_y + t e_y|) is least at an end point or
+        # where the two coordinates agree in magnitude, t = num / den
+        below = np.abs(a).max(axis=2) < R
+        below |= np.abs(a + e).max(axis=2) < R
+        for sign in (1.0, -1.0):
+            num = sign * a[..., 1] - a[..., 0]
+            den = e[..., 0] - sign * e[..., 1]
+            num, den = np.where(den < 0, -num, num), np.abs(den)
+            inside = (den > 0) & (num >= 0) & (num <= den)
+            at = np.abs(a[..., 0] * den + num * e[..., 0])
+            below |= inside & (at < R * den)
+    else:
+        aa = (a * a).sum(axis=2)
+        ae = (a * e).sum(axis=2)
+        ee = (e * e).sum(axis=2)
+        cross = a[..., 0] * e[..., 1] - a[..., 1] * e[..., 0]
+        below = np.where(ae >= 0, aa < R * R,
+                         np.where(ae + ee <= 0, aa + 2 * ae + ee < R * R,
+                                  cross * cross < R * R * ee))
+    return below.any(axis=1)
+
+
+@functools.cache
+def interacting_classes(R: int,
+                        linf: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """Canonical (unordered) pair classes (dx, dy, t1, t2) whose two
+    triangles, ``_TRI_T[t1]`` and ``_TRI_T[t2]`` shifted by (dx, dy)
+    cells, come closer than R cells in the ball norm (the max norm when
+    ``linf``); every other class has a zero pair matrix.  The distance is
+    that of the origin to the triangles' Minkowski difference, exact on
+    their integer vertices and the integer R."""
+    rng = R + 1
+    keys = np.array([
+        (dx, dy, t1, t2)
+        for dy in range(0, rng + 1) for dx in range(-rng, rng + 1)
+        for t1 in range(2) for t2 in range(2)
+        if dy > 0 or dx > 0 or (dx == 0 and t1 <= t2)])
+    # vertex differences of the second triangle minus the first
+    diffs = (keys[:, None, None, :2] + _TRI_T[keys[:, 3]][:, :, None, :]
+             - _TRI_T[keys[:, 2]][:, None, :, :]).reshape(len(keys), 9, 2)
+    near = _closer_than(diffs, R, linf)
+    return tuple(tuple(int(v) for v in k) for k in keys[near])

@@ -19,6 +19,10 @@ from .quadrature import triangle_area, triangle_rule
 INTERIOR = 0  # strictly inside (0,1)^2 (unknowns)
 COLLAR = 1  # constrained nodes / collar elements
 
+# Vertices of the lower and upper triangle of a cell, in cell units, both
+# counter-clockwise.
+_TRI_T = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
 
 @dataclass
 class Mesh:
@@ -30,28 +34,35 @@ class Mesh:
     elements : (n_elements, 3) int array, counter-clockwise connectivity
     element_region : (n_elements,) int array (INTERIOR / COLLAR)
     node_region : (n_vertices,) int array (INTERIOR / COLLAR)
-    h : float
-        Maximum element diameter.
-    spacing : float
-        Grid spacing (1/n for structured meshes); equals h/sqrt(2).
     n : int
         Number of grid cells per unit length.
     delta : float
-        Collar width the mesh was built for.
+        Collar width the mesh was built for, a whole number of cells.
+
+    ``cells_per_side``, ``spacing`` (1/n) and ``h`` (the element
+    diameter) follow from them; element 2 c + t is triangle ``_TRI_T[t]``
+    of cell c, x fastest.
     """
 
     vertices: np.ndarray
     elements: np.ndarray
     element_region: np.ndarray
     node_region: np.ndarray
-    h: float
-    spacing: float
-    n: int = 0
-    delta: float = 0.0
-    # Lattice layout of the structured mesh (cells per side); 0 for ad-hoc
-    # meshes built directly from arrays.
-    cells_per_side: int = 0
+    n: int
+    delta: float
     _barycenters: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def spacing(self) -> float:
+        return 1.0 / self.n
+
+    @property
+    def h(self) -> float:
+        return np.sqrt(2.0) / self.n
+
+    @property
+    def cells_per_side(self) -> int:
+        return self.n + 2 * round(self.delta * self.n)
 
     @property
     def n_vertices(self) -> int:
@@ -97,18 +108,11 @@ def build_structured_mesh(n: int, delta: float) -> Mesh:
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    # Two triangles per cell along the main diagonal, both counter-clockwise:
-    # lower (v00, v10, v11), upper (v00, v11, v01).
+    # The two triangles of every cell, from its lower-left vertex.
     cx, cy = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
     v00 = (cy * (N + 1) + cx).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (N + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    elements = np.empty((2 * N * N, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    corner = _TRI_T[..., 1] * (N + 1) + _TRI_T[..., 0]
+    elements = (v00[:, None, None] + corner).reshape(2 * N * N, 3)
 
     cxe = np.repeat(cx.ravel(), 2)
     cye = np.repeat(cy.ravel(), 2)
@@ -125,11 +129,8 @@ def build_structured_mesh(n: int, delta: float) -> Mesh:
         elements=elements,
         element_region=element_region,
         node_region=node_region,
-        h=np.sqrt(2.0) / n,
-        spacing=1.0 / n,
         n=n,
         delta=m / n,
-        cells_per_side=N,
     )
 
 

@@ -8,8 +8,10 @@ weighted by the reciprocal of the number of subdomains holding both.
 Each rectangle grows by one nearest-owned-barycenter query of all
 elements.  Membership is stored once, as a packed element x subdomain
 bit table; every overlap count is the popcount of a membership row or of
-the AND of two rows.  Coverage is checked per translation class of the
-lattice, so no list of all interacting pairs is formed.  The module also
+the AND of two rows.  Coverage is checked on the pairs the assembler
+weights: per translation class of ``geometry.interacting_classes``, the
+one predicate of which element pairs interact, so no list of all
+interacting pairs is formed.  The module also
 builds the interface constraint matrix and its multiplicity scaling used
 by the FETI solver, from one node-sorted table of all interface copies
 and one scaled block per multiplicity, and the rigid modes of a node
@@ -18,13 +20,13 @@ set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .geometry import interacting_classes
 from .mesh import INTERIOR, Mesh
 
 
@@ -47,8 +49,6 @@ def partition_rectangles(mesh: Mesh, k1: int, k2: int) -> np.ndarray:
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be at least 1")
-    if mesh.cells_per_side == 0:
-        raise ValueError("partitioning requires a structured mesh")
     # for k <= n every rounded cut interval holds at least one cell
     for name, k in (("k1", k1), ("k2", k2)):
         if k > mesh.n:
@@ -152,27 +152,29 @@ def _reach(delta: float, ball_norm: str) -> float:
     return delta * np.sqrt(2.0) if ball_norm == "linf" else delta
 
 
-def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
-                    ball_norm: str = "l2") -> Subdivision:
+def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
+                    ball_norm: str) -> Subdivision:
     """Grow a rectangular partition into an overlapping subdivision.
 
     Each subdomain takes, from one nearest-neighbor query of all element
     barycenters against its owned ones, the interior elements within
-    half a horizon (plus a mesh-size safety margin) of its owned
-    barycenters and the collar elements within a full horizon.  The
-    resulting family is verified to contain every interacting element
-    pair in at least one common subdomain.
+    half the mesh's horizon (plus a mesh-size safety margin) of its owned
+    barycenters and the collar elements within a full horizon, both
+    measured for the interaction ball of ``ball_norm``.  The resulting
+    family is verified to contain every interacting element pair in at
+    least one common subdomain.
     """
     K = int(owner.max()) + 1
     bary = mesh.barycenters
     interior = mesh.element_region == INTERIOR
     # Safety margins: ownership is decided on barycenters, so the
-    # half-horizon criterion needs slack of one element diameter to cover
-    # every pair the conservative interaction predicate admits.  Any two
-    # interacting barycenters lie within reach + h of each other; their
-    # midpoint belongs to some owned rectangle, whose nearest owned
-    # barycenter is at most one further diameter away.
-    reach = _reach(delta, ball_norm)
+    # half-horizon criterion needs slack of about one element diameter:
+    # two interacting barycenters lie within reach + 2 sqrt(5) / 3 cells
+    # (about reach + h) of each other; their midpoint belongs to some
+    # owned rectangle, whose nearest owned barycenter is at most one
+    # further diameter away.  The margins are a construction rule, not a
+    # proof: verify_coverage checks the result on the assembler's pairs.
+    reach = _reach(mesh.delta, ball_norm)
     r_ext = 0.5 * (reach + mesh.h) + mesh.h + 1e-12
     r_col = reach + mesh.h + 1e-12
 
@@ -218,57 +220,42 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, delta: float,
         interface_nodes=interface_nodes, constrained_nodes=constrained,
         floating=floating, node_zeta=zeta, membership=membership,
     )
-    verify_coverage(mesh, sub, delta, ball_norm)
+    verify_coverage(mesh, sub, ball_norm=ball_norm)
     return sub
 
 
-def build_subdivision(mesh: Mesh, k1: int, k2: int, delta: float | None = None,
-                      ball_norm: str = "l2") -> Subdivision:
+def build_subdivision(mesh: Mesh, k1: int, k2: int, *,
+                      ball_norm: str) -> Subdivision:
     """Partition into k1 x k2 rectangles and extend nonlocally."""
     owner = partition_rectangles(mesh, k1, k2)
-    return extend_nonlocal(mesh, owner,
-                           delta if delta is not None else mesh.delta,
-                           ball_norm=ball_norm)
+    return extend_nonlocal(mesh, owner, ball_norm=ball_norm)
 
 
-def _interacting_pairs(mesh: Mesh, r: float):
-    """Unordered pairs of distinct elements whose barycenters lie within
-    ``r`` and of which at least one is interior, one (e1, e2) array pair
-    per translation class of the structured mesh.
-
-    The barycenter offset, and so the predicate, is fixed per class
-    (dx, dy, t1, t2); the class's pairs are all its anchors in the mesh.
-    """
+def _interacting_pairs(mesh: Mesh, linf: bool):
+    """(key, e1, e2) per class key = (dx, dy, t1, t2) of
+    ``interacting_classes`` on the mesh's horizon but (0, 0, t, t): its
+    pairs with an interior element, e1 of type t1 in cell (x, y) and e2
+    of type t2 in cell (x + dx, y + dy)."""
     N = mesh.cells_per_side
-    if N == 0:
-        raise ValueError("coverage check requires a structured mesh")
-    bary = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0  # per triangle type
     cell = np.arange(N * N).reshape(N, N)
     interior = (mesh.element_region == INTERIOR).reshape(N, N, 2)
-    rng = min(int(np.ceil(r / mesh.spacing)) + 1, N - 1)
-    for dy, dx, t1, t2 in itertools.product(range(rng + 1), range(-rng, rng + 1),
-                                            range(2), range(2)):
-        if not (dy > 0 or dx > 0 or (dx == 0 and t1 < t2)):
-            continue  # each unordered pair once, no self-pairs
-        off = (np.array([dx, dy]) + bary[t2] - bary[t1]) * mesh.spacing
-        if np.hypot(off[0], off[1]) > r:
+    # |dx|, dy <= R + 1 < N: every slice bound below lies in [0, N]
+    for key in interacting_classes(round(mesh.delta * mesh.n), linf):
+        dx, dy, t1, t2 = key
+        if dx == dy == 0 and t1 == t2:
             continue
         first = (slice(0, N - dy), slice(max(0, -dx), N - max(0, dx)))
         second = (slice(dy, N), slice(max(0, dx), N - max(0, -dx)))
         keep = interior[first + (t1,)] | interior[second + (t2,)]
-        yield 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
+        yield key, 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
 
 
-def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
-                    ball_norm: str = "l2") -> None:
-    """Assert that every interacting element pair (with at least one
-    interior element, i.e. every pair contributing to the discrete
-    forms) lies in a common subdomain.
-
-    Interacting means barycenters within reach + h, the bound the
-    extension is built for; the pairs are taken per translation class,
-    and a pair is covered when the AND of its two membership rows is
-    nonzero.  Raises SubdivisionError on the first violation.
+def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
+    """Assert that every element pair the assembler weights for a kernel
+    on the ``ball_norm`` ball (every pair of an interacting class with
+    an interior element, the element self-pairs included) lies in a
+    common subdomain: the AND of its two membership rows is nonzero.
+    Raises SubdivisionError on the first violation.
     """
     m = sub.membership
     interior = mesh.element_region == INTERIOR
@@ -278,17 +265,13 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, delta: float,
         raise SubdivisionError(
             f"element {bad[0]} belongs to no subdomain"
         )
-    r = _reach(delta, ball_norm) + mesh.h + 1e-9
-    for e1, e2 in _interacting_pairs(mesh, r):
+    for key, e1, e2 in _interacting_pairs(mesh, ball_norm == "linf"):
         bad = np.flatnonzero(_overlap(np.take(m, e1, axis=0)
                                       & np.take(m, e2, axis=0)) == 0)
         if len(bad):
-            i, j = e1[bad[0]], e2[bad[0]]
-            bary = mesh.barycenters
             raise SubdivisionError(
-                f"interacting element pair ({i}, {j}) is covered by no "
-                f"subdomain (barycenter distance "
-                f"{np.linalg.norm(bary[i] - bary[j]):.3g}, delta {delta:.3g})"
+                f"interacting element pair ({e1[bad[0]]}, {e2[bad[0]]}) of "
+                f"class {key} is covered by no subdomain"
             )
 
 

@@ -31,7 +31,7 @@ def _feti_unknowns(cache, family, n, delta, k1, k2):
     mesh = cache.mesh(n, delta)
     spec = make_spec(family, delta)
     prob = manufactured_problem(family)
-    sub = build_subdivision(mesh, k1, k2, delta, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
                                assembler=cache.assembler(family, n, delta))
     result = feti_solve(system)
@@ -62,7 +62,7 @@ def test_equivalence_covers_a_floating_subdomain(cache):
     """The 3x3 sweep configurations really exercise the singular-
     subdomain code path."""
     mesh = cache.mesh(16, 0.125)
-    sub = build_subdivision(mesh, 3, 3, 0.125)
+    sub = build_subdivision(mesh, 3, 3, ball_norm="l2")
     assert bool(sub.floating[4])
 
 
@@ -155,10 +155,10 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
     mesh = cache.mesh(n, delta)
     spec = make_spec(family, delta)
     c = spec.components
-    sub = build_subdivision(mesh, k1, k2, delta, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
 
     # coverage of every interacting pair (raises on violation)
-    verify_coverage(mesh, sub, delta, spec.ball_norm)
+    verify_coverage(mesh, sub, ball_norm=spec.ball_norm)
     # multiplicity is a partition of unity: zeta >= 1 on every unknown node
     unknowns = mesh.interior_nodes
     assert np.all(sub.node_zeta[unknowns] >= 1)

@@ -12,7 +12,7 @@ from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
 from nlfeti.feti import assemble_subdomain
 from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
-from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
+from nlfeti.mesh import INTERIOR, _TRI_T, build_structured_mesh, p1_values
 from nlfeti.problems import manufactured_problem
 from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
@@ -262,7 +262,7 @@ def test_one_row_strips_change_no_byte(family, monkeypatch):
     mesh = build_structured_mesh(8, 0.25)
     spec = make_spec(family, 0.25)
     asm = Assembler(mesh, spec)
-    sub = build_subdivision(mesh, 3, 3, 0.25, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
     calls = [dict(), dict(nodes=mesh.interior_nodes),
              dict(pair_weights=sub.pair_weights(4), cells=(2, 10, 1, 11))]
     whole = [asm.assemble(**kw) for kw in calls]
@@ -284,7 +284,7 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
     spec = make_spec(family, 0.125)
     asm = cache.assembler(family, 16, 0.125)
     prob = manufactured_problem(family)
-    sub = build_subdivision(mesh, k1, k2, 0.125, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     c = spec.components
     moments = asm.load_moments(prob.forcing)
     for k in range(sub.K):
@@ -333,18 +333,26 @@ class _AllClassesAssembler(Assembler):
         return _classes_by_barycenter_reach(self)
 
 
-@pytest.mark.parametrize("family, ratio", [
-    ("constant", 2), ("constant", 4), ("constant", 8),
-    ("fractional", 2), ("fractional", 4),
-    ("peridynamic", 2), ("peridynamic", 4)])
-def test_classes_drop_exactly_the_zero_classes(family, ratio):
+# (family, n, delta / h); at n = 25, delta = 7 / 25 = 0.28 and delta * n
+# is 7.000000000000001 in floating point, above the integer horizon
+ZERO_CLASS_CASES = [("constant", 4, 2), ("constant", 4, 4), ("constant", 4, 8),
+                    ("fractional", 4, 2), ("fractional", 4, 4),
+                    ("peridynamic", 4, 2), ("peridynamic", 4, 4),
+                    ("constant", 25, 7)]
+
+
+@pytest.mark.parametrize(
+    "family, n, ratio", ZERO_CLASS_CASES,
+    ids=[f"{f}-{r}" + (f"-n{n}" if n != 4 else "")
+         for f, n, r in ZERO_CLASS_CASES])
+def test_classes_drop_exactly_the_zero_classes(family, n, ratio):
     """The kept classes are exactly those whose computed matrix has a
     nonzero entry."""
-    mesh = build_structured_mesh(4, ratio / 4)
-    asm = Assembler(mesh, make_spec(family, ratio / 4))
+    mesh = build_structured_mesh(n, ratio / n)
+    asm = Assembler(mesh, make_spec(family, ratio / n))
     candidates = _classes_by_barycenter_reach(asm)
     nonzero = [key for key in candidates if np.any(asm.class_matrix(key)[0])]
-    assert asm.classes() == nonzero
+    assert list(asm.classes()) == nonzero
     assert len(nonzero) < len(candidates)
 
 
@@ -362,7 +370,7 @@ def test_dropping_zero_classes_leaves_matrices_bitwise(family):
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
-    sub = build_subdivision(mesh, 3, 3, 0.25, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
     for k in range(sub.K):
         s1, s2 = (assemble_subdomain(mesh, sub, k, spec,
                                      asm.load_moments(prob.forcing),
@@ -384,8 +392,7 @@ def _mesh_class(asm, key):
     dx, dy, t1, t2 = key
     N1 = asm.N + 1
     corner = np.array([max(0, -dx), max(0, -dy)])
-    lat = np.concatenate([assembly._TRI_T[t1],
-                          assembly._TRI_T[t2] + (dx, dy)]) + corner
+    lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]) + corner
     ids = lat[:, 1] * N1 + lat[:, 0]
     M, rows = pair_matrix(asm.mesh.vertices[ids[:3]],
                           asm.mesh.vertices[ids[3:]], asm.spec, asm.quad)
@@ -430,8 +437,7 @@ def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
             continue
         moved += 1
         dx, dy, t1, t2 = key
-        v = np.concatenate([assembly._TRI_T[t1],
-                            assembly._TRI_T[t2] + (dx, dy)]).astype(float)
+        v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
         ref, _ = pair_matrix(v[:3], v[3:], asm.lattice_spec, refined)
         assert np.abs(M - ref).max() < 0.2 * np.abs(want - ref).max(), key
     assert 0 < moved <= 4
@@ -502,8 +508,7 @@ def test_weighted_load_matches_per_subdomain_moments(family, cache):
     mesh = cache.mesh(16, 0.125)
     asm = cache.assembler(family, 16, 0.125)
     prob = manufactured_problem(family)
-    sub = build_subdivision(mesh, 3, 3, 0.125,
-                            ball_norm=asm.spec.ball_norm)
+    sub = build_subdivision(mesh, 3, 3, ball_norm=asm.spec.ball_norm)
     moments = asm.load_moments(prob.forcing)
     bary, wts = triangle_rule(asm.quad.load_degree)
     tri = mesh.vertices[mesh.elements]

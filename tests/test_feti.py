@@ -34,8 +34,7 @@ from conftest import assert_csr_bitwise, make_spec, strip_to_owned
 def _build(family, n, delta, k1, k2, cache, **kw):
     mesh = cache.mesh(n, delta)
     spec = make_spec(family, delta)
-    sub = build_subdivision(mesh, k1, k2, delta,
-                            ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
     return build_feti_system(
         mesh, sub, spec, prob.forcing, prob.exact,
@@ -235,8 +234,7 @@ def test_energy_splitting_property(n, ratio, k1, k2, family):
     asm = Assembler(mesh, spec)
     A = assemble_global(mesh, spec, prob.forcing, prob.exact,
                         assembler=asm).A
-    sub = build_subdivision(mesh, k1, k2, ratio / n,
-                            ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     c = spec.components
     total = sp.csr_matrix(A.shape)
     moments = asm.load_moments(prob.forcing)
@@ -265,9 +263,9 @@ def test_gather_rejects_inconsistent_copies(cache):
 def test_empty_interior_schur_is_stiffness_block(cache):
     """A subdomain with no inner nodes condenses to A_GG itself."""
     mesh = cache.mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
-    prob = manufactured_problem("constant")
     spec = make_spec("constant", 0.25)
+    sub = build_subdivision(mesh, 2, 2, ball_norm=spec.ball_norm)
+    prob = manufactured_problem("constant")
     asm = cache.assembler("constant", 8, 0.25)
     s = assemble_subdomain(mesh, sub, 0, spec, asm.load_moments(prob.forcing),
                            prob.exact, assembler=asm)
@@ -281,14 +279,14 @@ def test_uncovered_pair_is_rejected_before_assembly(cache):
     both elements, so a pair that no subdomain holds would drop out of
     the split silently; coverage verification rejects such a table."""
     mesh = cache.mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     strip_to_owned(sub)
     with pytest.raises(SubdivisionError, match="covered by no subdomain") as err:
-        verify_coverage(mesh, sub, 0.25)
+        verify_coverage(mesh, sub, ball_norm="l2")
     pair = [np.array([int(v)]) for v in
             re.search(r"pair \((\d+), (\d+)\)", str(err.value)).groups()]
     assert sum(sub.pair_weights(k)(*pair)[0] for k in range(sub.K)) == 0.0
-    whole = build_subdivision(mesh, 2, 2, 0.25)
+    whole = build_subdivision(mesh, 2, 2, ball_norm="l2")
     total = sum(whole.pair_weights(k)(*pair)[0] for k in range(whole.K))
     assert abs(total - 1.0) < 1e-15
 

@@ -9,7 +9,7 @@ from nlfeti.geometry import (clip_polygon_halfplane, clip_triangle_square,
                              closest_point_triangle, disk_interaction_cells,
                              fan_triangulate)
 from nlfeti.kernels import KernelSpec
-from nlfeti.mesh import build_structured_mesh
+from nlfeti.mesh import _TRI_T, build_structured_mesh
 
 
 def _tri_area(t):
@@ -133,8 +133,8 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
     spec, quad = KernelSpec("constant", delta * n), asm.quad
     for key in asm.classes():
         dx, dy, t1, t2 = key
-        v1 = assembly._TRI_T[t1].astype(float)
-        v2 = (assembly._TRI_T[t2] + (dx, dy)).astype(float)
+        v1 = _TRI_T[t1].astype(float)
+        v2 = (_TRI_T[t2] + (dx, dy)).astype(float)
         cells = square_interaction_cells(v1, v2, spec.delta)
         if (dx, dy, t1) != (0, 0, t2):
             _, loc1, loc2 = assembly._patch(v1, v2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlfeti.mesh import (INTERIOR, build_structured_mesh, l2_error,
+from nlfeti.mesh import (INTERIOR, _TRI_T, build_structured_mesh, l2_error,
                          p1_gradients, p1_values)
 
 
@@ -16,6 +16,22 @@ def test_tiny_mesh_counts():
     inner = mesh.interior_nodes
     assert len(inner) == 1
     assert np.allclose(mesh.vertices[inner[0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (5, 1), (25, 7)])
+def test_element_layout_follows_the_cell_triangles(n, m):
+    """Element 2 c + t is triangle t of ``_TRI_T`` in cell c (x fastest),
+    and the lattice quantities follow from n and delta."""
+    mesh = build_structured_mesh(n, m / n)
+    N = n + 2 * m
+    assert mesh.cells_per_side == N
+    assert mesh.spacing == 1.0 / n and mesh.h == np.sqrt(2.0) / n
+    assert mesh.n_elements == 2 * N * N
+    cy, cx = np.divmod(np.arange(mesh.n_elements) // 2, N)
+    corner = np.column_stack([cx, cy]) - m
+    want = (corner[:, None, :] + _TRI_T[np.arange(mesh.n_elements) % 2]) / n
+    assert np.allclose(mesh.vertices[mesh.elements], want, rtol=0,
+                       atol=1e-14)
 
 
 def test_rejects_unaligned_collar():

@@ -1,13 +1,12 @@
 """Tests for the overlapping subdomain construction."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from nlfeti.assembly import Assembler
 from nlfeti.feti import build_feti_system
 from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.problems import manufactured_problem
@@ -173,7 +172,7 @@ def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
     for scalar and vector dofs, equal the loop oracles byte for byte."""
     mesh = build_structured_mesh(n, ratio / n)
     owner = partition_rectangles(mesh, k1, k2)
-    sub = extend_nonlocal(mesh, owner, mesh.delta, ball_norm)
+    sub = extend_nonlocal(mesh, owner, ball_norm=ball_norm)
     extended, collars = bfs_extension(mesh, owner, mesh.delta, ball_norm)
     assert sub.K == len(extended) == k1 * k2
     for k in range(sub.K):
@@ -246,9 +245,9 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     bookkeeping partitions correctly."""
     delta = ratio / n
     mesh = build_structured_mesh(n, delta)
-    sub = build_subdivision(mesh, k1, k2, delta, ball_norm=ball_norm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=ball_norm)
     # build_subdivision already ran verify_coverage; run it once more explicitly
-    verify_coverage(mesh, sub, delta, ball_norm)
+    verify_coverage(mesh, sub, ball_norm=ball_norm)
 
     K = k1 * k2
     assert sub.K == K
@@ -277,38 +276,107 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
         assert np.all(sub.node_zeta[sub.interface_nodes[k]] >= 2)
 
 
+def _class_of(mesh, e1, e2):
+    """Canonical class key (dx, dy, t1, t2) of each pair of distinct
+    elements, one row per pair: the offset from the cell of e1 to the
+    cell of e2, with the pair swapped when that points down or left."""
+    N = mesh.cells_per_side
+    cy1, cx1 = np.divmod(e1 // 2, N)
+    cy2, cx2 = np.divmod(e2 // 2, N)
+    dx, dy, t1, t2 = cx2 - cx1, cy2 - cy1, e1 % 2, e2 % 2
+    flip = (dy < 0) | ((dy == 0) & ((dx < 0) | ((dx == 0) & (t1 > t2))))
+    return np.column_stack([np.where(flip, -dx, dx), np.where(flip, -dy, dy),
+                            np.where(flip, t2, t1), np.where(flip, t1, t2)])
+
+
+def _checked_pairs(mesh, ball_norm):
+    """(pairs, keys): every pair of distinct elements the coverage check
+    takes, as rows, and the class it takes the pair under."""
+    parts = [(np.column_stack([e1, e2]), np.tile(key, (len(e1), 1)))
+             for key, e1, e2 in _interacting_pairs(mesh, ball_norm == "linf")]
+    return (np.concatenate([p for p, _ in parts]),
+            np.concatenate([k for _, k in parts]))
+
+
 @pytest.mark.parametrize("n,ratio", [(4, 1), (5, 3), (8, 2), (6, 4)])
 @pytest.mark.parametrize("ball_norm", ["l2", "linf"])
-def test_coverage_checks_exactly_the_barycenter_pairs(n, ratio, ball_norm):
-    """The per-class pairs checked for coverage are the pairs of distinct
-    elements with barycenters within reach + h and at least one interior
-    element, each once."""
-    delta = ratio / n
-    mesh = build_structured_mesh(n, delta)
-    r = _reach(delta, ball_norm) + mesh.h + 1e-9
-    pairs = cKDTree(mesh.barycenters).query_pairs(r, output_type="ndarray")
+def test_coverage_checks_exactly_the_class_pairs(n, ratio, ball_norm):
+    """Over all element pairs of the mesh, the pairs checked for coverage
+    are exactly the pairs of distinct elements, at least one interior,
+    whose class the assembler forms; each is checked once, under its own
+    class."""
+    mesh = build_structured_mesh(n, ratio / n)
+    spec = make_spec("constant" if ball_norm == "linf" else "fractional",
+                     ratio / n)
+    assert spec.ball_norm == ball_norm
+    formed = set(Assembler(mesh, spec).classes())
+    e1, e2 = np.triu_indices(mesh.n_elements, 1)
     interior = mesh.element_region == INTERIOR
-    pairs = pairs[interior[pairs[:, 0]] | interior[pairs[:, 1]]]
-    want = set(map(tuple, np.sort(pairs, axis=1).tolist()))
-    got = np.concatenate([np.column_stack(p)
-                          for p in _interacting_pairs(mesh, r)])
-    assert len(got) == len(want)
-    assert set(map(tuple, np.sort(got, axis=1).tolist())) == want
+    keep = np.array([tuple(k) in formed
+                     for k in _class_of(mesh, e1, e2).tolist()])
+    keep &= interior[e1] | interior[e2]
+    pairs, keys = _checked_pairs(mesh, ball_norm)
+    assert np.array_equal(_class_of(mesh, pairs[:, 0], pairs[:, 1]), keys)
+    got = np.sort(pairs, axis=1)
+    assert len(got) == np.count_nonzero(keep)
+    assert (set(map(tuple, got.tolist()))
+            == set(zip(e1[keep].tolist(), e2[keep].tolist())))
 
 
-def test_coverage_check_requires_the_lattice():
-    mesh = build_structured_mesh(4, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
-    with pytest.raises(ValueError, match="structured mesh"):
-        verify_coverage(dataclasses.replace(mesh, cells_per_side=0), sub, 0.25)
+def test_coverage_rejects_a_pair_beyond_the_barycenter_bound():
+    """At delta = 9h the Euclidean class (9, 5, 1, 0) interacts (its
+    nearest vertices lie sqrt(80) < 9 cells apart) although its
+    barycenters lie farther apart than reach + h.  A two-subdomain table
+    that separates only its pair (505, 792), one interior and one collar
+    element, is rejected, and the pair's weights sum to 0."""
+    mesh = build_structured_mesh(9, 1.0)
+    sub = build_subdivision(mesh, 2, 1, ball_norm="l2")
+    held = np.ones((mesh.n_elements, 2), dtype=bool)
+    held[792, 0] = held[505, 1] = False
+    sub.membership = np.packbits(held, axis=1, bitorder="little")
+    with pytest.raises(SubdivisionError,
+                       match=r"pair \(505, 792\) of class \(9, 5, 1, 0\)"):
+        verify_coverage(mesh, sub, ball_norm="l2")
+    pair = np.array([505]), np.array([792])
+    assert sum(sub.pair_weights(k)(*pair)[0] for k in range(sub.K)) == 0.0
+
+
+def test_coverage_rejects_a_table_built_for_the_other_ball():
+    """The max-norm ball of the constant kernel reaches past the
+    Euclidean one, so a subdivision extended for the Euclidean ball
+    leaves pairs of the constant kernel's classes uncovered."""
+    mesh = build_structured_mesh(16, 0.25)
+    sub = build_subdivision(mesh, 4, 4, ball_norm="l2")
+    with pytest.raises(SubdivisionError, match="covered by no subdomain"):
+        verify_coverage(mesh, sub, ball_norm="linf")
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(5, 13), ratio=st.integers(1, 9), k1=st.integers(2, 4),
+       k2=st.integers(2, 4), ball_norm=st.sampled_from(["l2", "linf"]))
+@example(n=10, ratio=9, k1=3, k2=4, ball_norm="l2")  # class (9, 5, 1, 0)
+def test_checked_pairs_split_into_unit_weights(n, ratio, k1, k2, ball_norm):
+    """For subdomain grids that do not divide the mesh, the subdivision
+    builds, and every pair the subdomain forms weight (each interior
+    element with itself and every checked pair of every class) has
+    weights summing to 1 over the subdomains."""
+    assume(k1 != k2 and n % k1 and n % k2)
+    mesh = build_structured_mesh(n, ratio / n)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=ball_norm)
+    interior = np.flatnonzero(mesh.element_region == INTERIOR)
+    pairs = np.concatenate([np.column_stack([interior, interior]),
+                            _checked_pairs(mesh, ball_norm)[0]])
+    total = sum(sub.pair_weights(k)(pairs[:, 0], pairs[:, 1])
+                for k in range(sub.K))
+    assert np.abs(total - 1.0).max() <= 1e-15
 
 
 def test_coverage_detects_missing_pair():
     mesh = build_structured_mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     strip_to_owned(sub)
     with pytest.raises(SubdivisionError, match="covered by no subdomain"):
-        verify_coverage(mesh, sub, 0.25)
+        verify_coverage(mesh, sub, ball_norm="l2")
 
 
 def test_counting_function_matches_bruteforce():
@@ -317,7 +385,7 @@ def test_counting_function_matches_bruteforce():
     rng = np.random.default_rng(0)
     for n, delta, k1, k2 in [(8, 0.25, 2, 2), (16, 0.125, 3, 4)]:
         mesh = build_structured_mesh(n, delta)
-        sub = build_subdivision(mesh, k1, k2, delta)
+        sub = build_subdivision(mesh, k1, k2, ball_norm="l2")
         held = _held(sub)
         assert sub.membership.shape == (mesh.n_elements, -(-sub.K // 8))
         # random pairs, self-pairs, and pairs of overlap neighbours
@@ -341,7 +409,8 @@ def test_counting_function_matches_bruteforce():
 
 def test_extend_nonlocal_counts_its_subdomains():
     mesh = build_structured_mesh(16, 0.125)
-    sub = extend_nonlocal(mesh, partition_rectangles(mesh, 3, 2), 0.125)
+    sub = extend_nonlocal(mesh, partition_rectangles(mesh, 3, 2),
+                          ball_norm="l2")
     assert sub.K == 6
     assert len(sub.extended_elements) == len(sub.floating) == 6
 
@@ -350,7 +419,7 @@ def test_cross_point_multiplicity():
     """With four quadrants whose overlaps meet in the middle, the center
     node is shared by all four subdomains."""
     mesh = build_structured_mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     center = None
     for i, xy in enumerate(mesh.vertices):
         if np.allclose(xy, [0.5, 0.5]):
@@ -363,19 +432,19 @@ def test_cross_point_multiplicity():
 def test_floating_detection():
     # 3x3 on n=16, delta/h = 2: only the center subdomain misses the collar.
     mesh = build_structured_mesh(16, 0.125)
-    sub = build_subdivision(mesh, 3, 3, 0.125)
+    sub = build_subdivision(mesh, 3, 3, ball_norm="l2")
     assert list(sub.floating) == [False] * 4 + [True] + [False] * 4
     for k in range(9):
         assert (len(sub.constrained_nodes[k]) == 0) == sub.floating[k]
     # 1x1 never floats.
-    sub1 = build_subdivision(mesh, 1, 1, 0.125)
+    sub1 = build_subdivision(mesh, 1, 1, ball_norm="l2")
     assert list(sub1.floating) == [False]
 
 
 @pytest.mark.parametrize("c", [1, 2])
 def test_constraints_annihilate_consistent_vectors(c):
     mesh = build_structured_mesh(16, 0.125)
-    sub = build_subdivision(mesh, 2, 2, 0.125)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     cons = build_constraints(sub, dof_multiplicity=c)
     rng = np.random.default_rng(1)
     # A globally consistent interface vector (same physical value in every
@@ -403,7 +472,7 @@ def test_constraints_annihilate_consistent_vectors(c):
 @pytest.mark.parametrize("c", [1, 2])
 def test_scaled_constraints_are_left_inverse(c):
     mesh = build_structured_mesh(16, 0.125)
-    sub = build_subdivision(mesh, 2, 2, 0.125)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     cons = build_constraints(sub, dof_multiplicity=c)
     M = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-12
@@ -419,7 +488,7 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
     family = "constant" if c == 1 else "peridynamic"
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
-    sub = build_subdivision(mesh, 3, 3, 0.125, ball_norm=spec.ball_norm)
+    sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
     system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
                                assembler=cache.assembler(family, 16, 0.125))
@@ -457,8 +526,8 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
 
 def test_construction_is_deterministic():
     mesh = build_structured_mesh(16, 0.125)
-    a = build_subdivision(mesh, 3, 3, 0.125)
-    b = build_subdivision(mesh, 3, 3, 0.125)
+    a = build_subdivision(mesh, 3, 3, ball_norm="l2")
+    b = build_subdivision(mesh, 3, 3, ball_norm="l2")
     for k in range(a.K):
         assert np.array_equal(a.extended_elements[k], b.extended_elements[k])
         assert np.array_equal(a.collar_elements[k], b.collar_elements[k])
@@ -468,7 +537,7 @@ def test_construction_is_deterministic():
 
 def test_dump_subdivision_format():
     mesh = build_structured_mesh(8, 0.25)
-    sub = build_subdivision(mesh, 2, 2, 0.25)
+    sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     text = dump_subdivision(sub)
     lines = text.strip().split("\n")
     assert lines[0] == "element,x,y,zeta,subdomains"
