@@ -868,8 +868,8 @@ class Assembler:
         box = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
                             shape=(c * (ry1 - ry0) * L, ndof))
         pos = (ny - ry0) * L + nx - rx0
-        if np.array_equal(pos, np.arange(len(pos))):
-            return box  # the rows are in box order: no copy
+        if len(pos) == (ry1 - ry0) * L and np.array_equal(pos, np.arange(len(pos))):
+            return box  # the rows are the whole box in box order: no copy
         return box[_node_dofs(pos, c)]
 
     # -- load vector --------------------------------------------------------

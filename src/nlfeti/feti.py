@@ -15,6 +15,9 @@ Schur complement S eliminates the interior unknowns.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,54 @@ class ConsistencyError(RuntimeError):
 
 class CoarseConstraintError(RuntimeError):
     """A dual iterate violates the coarse constraint G^T lambda = e."""
+
+
+# ---------------------------------------------------------------------------
+# Per-subdomain work
+
+# SuperLU solves and the sparse products release the interpreter lock,
+# so subdomains solve side by side.  The threads start on first use; the
+# calling thread works too, so at most cpu_count - 1 are added.
+_POOL = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+                           thread_name_prefix="nlfeti-subdomain")
+
+
+def _each_subdomain(fn, *seqs) -> list:
+    """``list(map(fn, *seqs))`` over the subdomains, shared between the
+    calling thread and min(K, cpu_count) - 1 pool threads.
+
+    Results come in subdomain order.  When calls raise, the exception of
+    the lowest index is raised, as in a serial loop: indices are claimed
+    in order and none is claimed after a failure.
+    """
+    args = list(zip(*seqs))
+    helpers = min(len(args), os.cpu_count() or 1) - 1
+    if helpers <= 0:
+        return [fn(*a) for a in args]
+    results: list = [None] * len(args)
+    errors: dict[int, Exception] = {}
+    lock = threading.Lock()
+    indices = iter(range(len(args)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*args[i])
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+
+    futures = [_POOL.submit(work) for _ in range(helpers)]
+    work()
+    for fut in futures:
+        fut.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +176,8 @@ class SubdomainSystem:
 
     def fact_neumann(self) -> Factorization:
         if self._fact_neumann is None:
-            self._fact_neumann = factorize(self._neumann_matrix())
+            # as CSC, so that no CSR copy is alive while SuperLU runs
+            self._fact_neumann = factorize(self._neumann_matrix().tocsc())
         return self._fact_neumann
 
     # -- operators ---------------------------------------------------------
@@ -186,34 +238,25 @@ def assemble_subdomain(
     inner = sub.inner_nodes[k]
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
-    nodes = np.concatenate([inner, inter, constrained])
-    local_dofs = _node_dofs(nodes, c)
+    kept = np.concatenate([inner, inter])
+    O, G, C = (_node_dofs(nodes, c) for nodes in (inner, inter, constrained))
     cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
     cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
-    A = asm.assemble(sub.pair_weights(k), cells, nodes)[:, local_dofs]
-    load = asm.assemble_load(moments, sub.element_weights(k))[local_dofs]
-
-    nO, nG = c * len(inner), c * len(inter)
-    O = np.arange(nO)
-    G = np.arange(nO, nO + nG)
-    Cdofs = np.arange(nO + nG, len(local_dofs))
+    # only the kept rows: a constrained row is never read
+    A = asm.assemble(sub.pair_weights(k), cells, kept)
+    load = asm.assemble_load(moments, sub.element_weights(k))
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
 
-    A_OO = A[O][:, O].tocsr()
-    A_OG = A[O][:, G].tocsr()
-    A_GG = A[G][:, G].tocsr()
-    lift_O = A[O][:, Cdofs] @ gv
-    lift_G = A[G][:, Cdofs] @ gv
-
+    A_O, A_G = A[:len(O)], A[len(O):]
     floating = bool(sub.floating[k])
-    modes = (rigid_modes(mesh.vertices[np.concatenate([inner, inter])], c)
-             if floating else np.zeros((nO + nG, 0)))
+    modes = (rigid_modes(mesh.vertices[kept], c)
+             if floating else np.zeros((A.shape[0], 0)))
     return SubdomainSystem(
         k=k, components=c,
         inner_nodes=inner, interface_nodes=inter,
         constrained_nodes=constrained,
-        A_OO=A_OO, A_OG=A_OG, A_GG=A_GG,
-        f_O=load[O] - lift_O, f_G=load[G] - lift_G,
+        A_OO=A_O[:, O], A_OG=A_O[:, G], A_GG=A_G[:, G],
+        f_O=load[O] - A_O[:, C] @ gv, f_G=load[G] - A_G[:, C] @ gv,
         floating=floating, modes=modes,
     )
 
@@ -246,15 +289,16 @@ class FetiSystem:
         return [v[off[k]:off[k + 1]] for k in range(len(self.subsystems))]
 
     def schur_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [s.schur_apply(vk) for s, vk in zip(self.subsystems,
-                                                self._split(v))]
-        ) if v.size else v
+        if not v.size:
+            return v
+        for s in self.subsystems:  # on this thread: see build_feti_system
+            s.fact_OO()
+        return np.concatenate(_each_subdomain(
+            SubdomainSystem.schur_apply, self.subsystems, self._split(v)))
 
     def schur_pinv_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [s.schur_pinv_apply(vk) for s, vk in zip(self.subsystems,
-                                                     self._split(v))]
+        return np.concatenate(_each_subdomain(
+            SubdomainSystem.schur_pinv_apply, self.subsystems, self._split(v))
         ) if v.size else v
 
     def apply_F(self, lam: np.ndarray) -> np.ndarray:
@@ -290,11 +334,17 @@ def build_feti_system(
     asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(sub, spec.components)
     moments = asm.load_moments(f)
+    # serial: assembling on the pool raised peak memory by 6-10 %
     subs = [assemble_subdomain(mesh, sub, k, spec, moments, g, assembler=asm)
             for k in range(sub.K)]
     loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
-    d = cs.B @ np.concatenate([s.pinv_apply(fs)[s.n_O:]
-                               for s, fs in zip(subs, loads)])
+    # factorized on this thread, before the pool solves with them: the
+    # factors made on a pool thread live in a malloc arena of their own,
+    # which raised peak memory by 2-5 %
+    for s in subs:
+        s.fact_neumann()
+    d = cs.B @ np.concatenate(_each_subdomain(
+        lambda s, fs: s.pinv_apply(fs)[s.n_O:], subs, loads))
     G = (cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs],
                               format="csr")).toarray()
     GtG = G.T @ G
@@ -352,9 +402,10 @@ def feti_solve(system: FetiSystem) -> FetiResult:
              if nm else np.zeros(0))
     subs = system.subsystems
     counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
-    u = [s.pinv_apply(np.concatenate([s.f_O, s.f_G - jump])) - s.modes @ a
-         for s, jump, a in zip(subs, system._split(cs.B.T @ lam),
-                               np.split(alpha, counts))]
+    u = _each_subdomain(
+        lambda s, jump, a:
+            s.pinv_apply(np.concatenate([s.f_O, s.f_G - jump])) - s.modes @ a,
+        subs, system._split(cs.B.T @ lam), np.split(alpha, counts))
     return FetiResult(lam=lam, alpha=alpha,
                       u_interface=[w[s.n_O:] for s, w in zip(subs, u)],
                       u_inner=[w[:s.n_O] for s, w in zip(subs, u)],
@@ -378,6 +429,7 @@ def gather_solution(system: FetiSystem, result: FetiResult,
         max((np.abs(u).max() for u in result.u_inner if u.size), default=0.0),
         1e-30,
     )
+    # serial: cheap, and the lowest-index copy wins by writing last
     for k in reversed(range(len(system.subsystems))):
         s = system.subsystems[k]
         for nodes, vals in ((s.inner_nodes, result.u_inner[k]),

@@ -274,6 +274,21 @@ def test_one_row_strips_change_no_byte(family, monkeypatch):
         assert_csr_bitwise(asm.assemble(**kw), want)
 
 
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_rows_of_a_box_prefix_are_only_those_nodes(family):
+    """Nodes in box order that do not fill their bounding box (the first
+    node row and two nodes of the second) get their own rows only, the
+    matching rows of the whole box."""
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    asm = Assembler(mesh, spec)
+    N1, c = mesh.cells_per_side + 1, spec.components
+    nodes = np.arange(N1 + 2)
+    got = asm.assemble(nodes=nodes)
+    assert got.shape[0] == c * len(nodes)
+    assert_csr_bitwise(got, asm.assemble(nodes=np.arange(2 * N1))[:c * len(nodes)])
+
+
 @pytest.mark.parametrize("k1, k2", [(3, 3), (3, 4)])
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
 def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):

@@ -2,13 +2,20 @@
 equivalence with the direct global solve."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from nlfeti import feti
 from nlfeti.assembly import Assembler, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
@@ -341,3 +348,111 @@ def test_iteration_cap_defaults_match_the_config():
     assert FetiSystem.__dataclass_fields__["maxit"].default == cap
     params = inspect.signature(build_feti_system).parameters
     assert params["maxit"].default == cap
+
+
+# ---------------------------------------------------------------------------
+# Per-subdomain work on the thread pool
+
+
+def _solve_bytes(family, k1, k2, cache):
+    """Bytes of every array a FETI solve builds, plus its iteration count."""
+    system = _build(family, 16, 0.125, k1, k2, cache)
+    result = feti_solve(system)
+    arrays = [system.d, system.G, system.e, result.lam, result.alpha,
+              gather_solution(system, result)]
+    for s in system.subsystems:
+        arrays += [s.f_O, s.f_G, s.modes]
+        arrays += [x for M in (s.A_OO, s.A_OG, s.A_GG)
+                   for x in (M.indptr, M.indices, M.data)]
+    return [a.tobytes() for a in arrays], result.iterations, system
+
+
+@pytest.mark.parametrize("family,k1,k2", [
+    ("constant", 3, 3),
+    ("fractional", 2, 2),
+    ("peridynamic", 3, 3),
+])
+def test_pooled_solve_matches_serial_bitwise(family, k1, k2, cache,
+                                             monkeypatch):
+    """Subdomain work on the pool changes no byte against a serial map
+    (the 3 x 3 subdivisions have a floating subdomain; peridynamic has
+    two unknowns per node)."""
+    # pooled on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled, iters, system = _solve_bytes(family, k1, k2, cache)
+    if k1 == 3:
+        assert system.sub.floating.any()
+    monkeypatch.setattr(feti, "_each_subdomain",
+                        lambda fn, *seqs: list(map(fn, *seqs)))
+    serial, serial_iters, _ = _solve_bytes(family, k1, k2, cache)
+    assert iters == serial_iters
+    assert pooled == serial
+
+
+def test_factorizations_run_on_the_calling_thread(cache, monkeypatch):
+    """The pool only solves: every factorization is made by the calling
+    thread, so no factor is allocated by a pool thread."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    threads, real = [], feti.factorize
+
+    def recording(A):
+        threads.append(threading.current_thread())
+        return real(A)
+
+    monkeypatch.setattr(feti, "factorize", recording)
+    system = _build("constant", 16, 0.125, 3, 3, cache)
+    feti_solve(system)
+    # a Neumann factor each, and an A_OO factor where there are inner dofs
+    assert len(threads) == sum(1 + (s.n_O > 0) for s in system.subsystems)
+    assert set(threads) == {threading.current_thread()}
+
+
+def test_each_subdomain_keeps_subdomain_order(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def late_first(i, x=0):
+        time.sleep(0.002 * (6 - i))
+        return i + x
+
+    assert feti._each_subdomain(late_first, range(6)) == list(range(6))
+    assert feti._each_subdomain(late_first, range(2), [5, 7]) == [5, 8]
+    assert feti._each_subdomain(late_first, []) == []
+
+
+def test_each_subdomain_raises_the_lowest_failure(monkeypatch):
+    """Subdomain 1 fails first; subdomain 0 fails after it and wins, as
+    it would in a serial loop."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    failed = threading.Event()
+
+    def fail(i):
+        if i == 0:
+            failed.wait(timeout=5)
+        failed.set()
+        raise ValueError(i)
+
+    with pytest.raises(ValueError) as info:
+        feti._each_subdomain(fail, range(2))
+    assert info.value.args == (0,)
+    assert failed.is_set()
+
+
+def test_pool_threads_follow_the_cpu_count():
+    """Importing the package starts no thread; a 2 x 2 solve adds
+    at most cpu_count - 1, the calling thread doing its share."""
+    script = (
+        "import os, threading\n"
+        "start = threading.active_count()\n"
+        "from nlfeti import feti\n"
+        "from nlfeti.harness import ExperimentConfig, run_single\n"
+        "assert threading.active_count() == start, 'import started a thread'\n"
+        "run_single(ExperimentConfig(family='constant', n=8, delta=0.25))\n"
+        "print(threading.active_count() - start, os.cpu_count())\n")
+    src = str(Path(feti.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    added, cpus = map(int, out.stdout.split())
+    assert min(cpus - 1, 1) <= added <= cpus - 1
