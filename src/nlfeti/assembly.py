@@ -48,14 +48,17 @@ before the product rule is applied.
 
 For disjoint pairs and a Euclidean ball the inner rule is polar around
 each outer quadrature point, with every radial interval cut exactly at the
-horizon.  It is evaluated for all outer points of a pair at once: the
-angular panels of each point (three vertex directions plus at most two
+horizon.  Its directions are found for all outer points of a pair at once:
+the angular panels of each point (three vertex directions plus at most two
 horizon crossings per edge) are padded to nine, a mask drops the unused
 panels and the directions that miss the inner element, and the outer
-points are taken in blocks that bound the working set.  For the
-max-norm ball of the constant kernel the inner element is clipped against
-the square around each outer point, which is exact for that ball.  So
-each ball norm has one inner rule, chosen by the kernel.  The kernel
+points are taken in blocks that bound the working set.  Along each
+direction the radial integral is exact and in closed form, as for the
+touching pairs: the hat differences are affine in the radius and the
+kernel is homogeneous, so three radial moments per direction give it.
+For the max-norm ball of the constant kernel the inner element is clipped
+against the square around each outer point, which is exact for that ball.
+So each ball norm has one inner rule, chosen by the kernel.  The kernel
 contraction of every pair integrator is one weighted GEMM per kernel
 component.
 """
@@ -110,9 +113,9 @@ class QuadratureConfig:
     - ``arc_segments``: the chord pieces per horizon circle along which
       ``disk_interaction_cells`` splits the outer element of a straddling
       pair;
-    - ``polar_angular`` / ``polar_radial``: the Gauss points per angular
-      panel and per radial interval of the polar inner rule of the
-      Euclidean ball.
+    - ``polar_angular``: the Gauss directions per angular panel of the
+      polar inner rule of the Euclidean ball (its radial integrals are
+      exact).
 
     ``load_degree`` is the triangle rule of the element load moments.
     """
@@ -126,7 +129,6 @@ class QuadratureConfig:
     cut_subdiv: int = 3
     arc_segments: int = 3
     polar_angular: int = 4
-    polar_radial: int = 8
     load_degree: int = 4
 
     def refined(self) -> "QuadratureConfig":
@@ -141,7 +143,6 @@ class QuadratureConfig:
             cut_subdiv=self.cut_subdiv + 1,
             arc_segments=2 * self.arc_segments,
             polar_angular=self.polar_angular + 4,
-            polar_radial=self.polar_radial + 6,
             load_degree=self.load_degree + 1,
         )
 
@@ -190,19 +191,55 @@ def _basis_differences(
 
 
 def _tensor_contract(spec: KernelSpec, W: np.ndarray, m: np.ndarray,
-                     D: np.ndarray) -> np.ndarray:
-    """sum_q W[q] K(m[q]) D[q,a] D[q,b], interleaved for vector kernels;
-    one weighted GEMM per kernel component."""
+                     D: np.ndarray, E: np.ndarray | None = None) -> np.ndarray:
+    """sum_q W[q] K(m[q]) E[q,a] D[q,b], with E = D by default, interleaved
+    for vector kernels; one weighted GEMM per kernel component."""
     K = kernel_on_support(spec, m)
+    E = D if E is None else E
     if spec.components == 1:
-        return (D * (W * K)[:, None]).T @ D
+        return (E * (W * K)[:, None]).T @ D
     WK = W[:, None, None] * K  # (q, 2, 2)
     p = D.shape[1]
     M = np.empty((p, 2, p, 2))
     for i in range(2):
         for j in range(2):
-            M[:, i, :, j] = (D * WK[:, i, j, None]).T @ D
+            M[:, i, :, j] = (E * WK[:, i, j, None]).T @ D
     return M.reshape(2 * p, 2 * p)
+
+
+def _radial_moments(lo: np.ndarray, hi: np.ndarray, beta: float):
+    """[mu_0, mu_1, mu_2] with mu_k = int_lo^hi r^(1 - beta + k) dr.
+
+    With e = 2 - beta + k and t = log(hi / lo), mu_k = lo^e expm1(e t) / e,
+    and mu_k = t at e = 0 (the fractional kernel at s = 1/2, k = 1): no
+    difference of powers cancels as e passes 0.
+    """
+    # the polar rule's rays start outside the inner element, which a
+    # disjoint pair's outer point never touches
+    assert np.all(lo > 0.0), "radial interval starting at the outer point"
+    t = np.log1p((hi - lo) / lo)
+    return [t if e == 0.0 else lo**e * np.expm1(e * t) / e
+            for e in (2.0 - beta + k for k in range(3))]
+
+
+def _ray_contract(spec: KernelSpec, W: np.ndarray, u: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray, A: np.ndarray,
+                  B: np.ndarray) -> np.ndarray:
+    """sum_k W[k] int_lo^hi r K(r u) D D^T dr over the rays k, where the
+    basis differences D = A[k] + r B[k] are affine in r along the ray.
+
+    The kernel is homogeneous, K(r u) = r^-beta K(u), so a ray's integral
+    is K(u) [mu_0 A A^T + mu_1 (A B^T + B A^T) + mu_2 B B^T] with the
+    radial moments of ``_radial_moments``: the rays stacked twice, with
+    left factors (mu_0 A + mu_1 B, mu_1 A + mu_2 B) and right factors
+    (A, B), take one weighted GEMM per kernel component.
+    """
+    mu0, mu1, mu2 = (mu[:, None] for mu in
+                     _radial_moments(lo, hi, spec.homogeneity))
+    return _tensor_contract(spec, np.tile(W, 2), np.tile(u, (2, 1)),
+                            np.concatenate([A, B]),
+                            np.concatenate([mu0 * A + mu1 * B,
+                                            mu1 * A + mu2 * B]))
 
 
 # Angular panels per outer point of the polar rule: the three vertex
@@ -212,22 +249,25 @@ _POLAR_PANELS = 9
 
 def _polar_inner_rule(
     X: np.ndarray, tri: np.ndarray, spec: KernelSpec, quad: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature for int_{tri cap B(x, delta)} around every exterior
-    outer point x in X, in polar coordinates centred at x.
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Rule for int_{tri cap B(x, delta)} around every exterior outer
+    point x in X, in polar coordinates centred at x.
 
     Per direction the radial interval [entry, exit] is clipped exactly at
-    the horizon, so no geometric ball approximation enters.  The angular
-    range is paneled at the triangle vertex angles and at the angles
-    where the horizon circle crosses a triangle edge, the only non-smooth
-    directions.  All outer points are handled at once on arrays padded to
-    ``_POLAR_PANELS`` panels; a mask drops the unused panels and the
-    directions that miss the triangle.  Points whose triangle lies inside
-    the horizon and well away take the plain triangle rule.
+    the horizon, so no geometric ball approximation enters; the caller
+    integrates along it in closed form.  The angular range is paneled at
+    the triangle vertex angles and at the angles where the horizon circle
+    crosses a triangle edge, the only non-smooth directions.  All outer
+    points are handled at once on arrays padded to ``_POLAR_PANELS``
+    panels; a mask drops the unused panels and the directions that miss
+    the triangle.  Points whose triangle lies inside the horizon and well
+    away take the plain triangle rule instead.
 
-    Returns (owner, points, weights): inner point q belongs to outer point
-    ``X[owner[q]]``, and each outer point's inner points are contiguous,
-    ordered by panel, then direction, then radial node.
+    Returns (rays, points).  ``rays = (owner, u, lo, hi, wa)`` are the kept
+    directions: unit vector u[k] from outer point ``X[owner[k]]``, radial
+    interval [lo[k], hi[k]] and angular weight wa[k], ordered by outer
+    point, then panel, then direction.  ``points = (owner, Y, W)`` is the
+    triangle rule of the points that take it, ordered by outer point.
     """
     delta = spec.delta
     rel = tri[None, :, :] - X[:, None, :]  # (m, 3, 2) vertex offsets
@@ -274,7 +314,6 @@ def _polar_inner_rule(
     width = np.where(panel, width, 0.0)
     t0 = np.where(panel, th, 0.0)
     ga, gwa = gauss01(quad.polar_angular)
-    gr, gwr = gauss01(quad.polar_radial)
     theta = t0[:, :, None] + width[:, :, None] * ga  # (m, panels, na)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     lo = np.zeros(theta.shape)
@@ -290,23 +329,14 @@ def _polar_inner_rule(
         hi = np.where(den < -1e-14, np.minimum(hi, rr), hi)
     ok &= hi > lo + 1e-15
     # kept directions, in (point, panel, direction) order
-    point = np.nonzero(ok)[0]
-    lo, hi, u = lo[ok], hi[ok], u[ok]
-    wa = (gwa * width[:, :, None])[ok]
-    r = lo[:, None] + (hi - lo)[:, None] * gr  # (directions, nr)
-    W = ((wa * (hi - lo))[:, None] * gwr * r).ravel()
-    Y = (x[point, None, :] + r[:, :, None] * u[:, None, :]).reshape(-1, 2)
-    owner = np.repeat(rows[point], len(gr))
-    if smooth.any():
-        bary, wts = triangle_rule(quad.inner_degree)
-        ys, ws = map_to_physical(tri, bary, wts)
-        near = np.flatnonzero(smooth)
-        owner = np.concatenate([owner, np.repeat(near, len(ws))])
-        Y = np.concatenate([Y, np.tile(ys, (len(near), 1))])
-        W = np.concatenate([W, np.tile(ws, len(near))])
-        order = np.argsort(owner, kind="stable")
-        owner, Y, W = owner[order], Y[order], W[order]
-    return owner, Y, W
+    rays = (rows[np.nonzero(ok)[0]], u[ok], lo[ok], hi[ok],
+            (gwa * width[:, :, None])[ok])
+    bary, wts = triangle_rule(quad.inner_degree)
+    ys, ws = map_to_physical(tri, bary, wts)
+    near = np.flatnonzero(smooth)
+    points = (np.repeat(near, len(ws)), np.tile(ys, (len(near), 1)),
+              np.tile(ws, len(near)))
+    return rays, points
 
 
 def _inner_rule_points(
@@ -346,8 +376,10 @@ def subdivide_triangle(tri: np.ndarray, levels: int) -> list[np.ndarray]:
     return out
 
 
-# Inner points contracted at once; bounds the working set of a pair.
-_FLUSH_POINTS = 500_000
+# Angular slots (padded panels x directions) of the polar rule per block
+# of outer points: bounds the working set of a pair, which sets the peak
+# memory of the singular quadrature.
+_BLOCK_DIRECTIONS = 1 << 17
 
 
 def regular_pair_matrix(
@@ -364,36 +396,33 @@ def regular_pair_matrix(
     X = np.concatenate([pts for pts, _ in rules])
     WX = np.concatenate([w for _, w in rules])
     PX = p1_values(v1, X)
-    if spec.ball_norm == "l2":
-        # blocks of outer points with at most half the flush bound of
-        # inner points, so pending points never exceed it
-        slots = _POLAR_PANELS * quad.polar_angular * quad.polar_radial
-        step = max(1, _FLUSH_POINTS // (2 * slots))
-
-        def inner(xs):
-            return _polar_inner_rule(xs, v2, spec, quad)
-    else:
-        step = 1
-
-        def inner(xs):
-            Y, W = _inner_rule_points(xs[0], v2, spec, quad)
-            return np.zeros(len(W), dtype=np.int64), Y, W
-
     c = spec.components
     M = np.zeros((len(loc1) * c, len(loc1) * c))
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    pending = 0
-    for start in range(0, len(WX), step):
-        owner, Y, W = inner(X[start:start + step])
-        parts.append((start + owner, Y, W))
-        pending += len(W)
-        if pending > _FLUSH_POINTS // 2 or start + step >= len(WX):
-            owner = np.concatenate([o for o, _, _ in parts])
-            Y = np.concatenate([y for _, y, _ in parts])
-            W = WX[owner] * np.concatenate([w for _, _, w in parts])
-            D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
-            M += _tensor_contract(spec, W, Y - X[owner], D)
-            parts, pending = [], 0
+
+    def contract(owner, Y, W):
+        # inner points Y with weights W of the outer points X[owner]
+        D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
+        return _tensor_contract(spec, WX[owner] * W, Y - X[owner], D)
+
+    if spec.ball_norm == "linf":
+        # a few clipped pieces per outer point: one contraction holds all
+        inner = [_inner_rule_points(x, v2, spec, quad) for x in X]
+        owner = np.repeat(np.arange(len(X)), [len(w) for _, w in inner])
+        M += contract(owner, np.concatenate([y for y, _ in inner]),
+                      np.concatenate([w for _, w in inner]))
+        return M
+    # along the ray x + r u the basis differences are A + r (grad psi) . u,
+    # with A those of v2's hats, extended affinely, at the outer point x
+    A = _basis_differences(PX, p1_values(v2, X), loc1, loc2)
+    grad = _patch_gradients(v1, v2, loc1, loc2)[1]
+    step = max(1, _BLOCK_DIRECTIONS // (_POLAR_PANELS * quad.polar_angular))
+    for start in range(0, len(X), step):
+        (owner, u, lo, hi, wa), (near, Y, W) = _polar_inner_rule(
+            X[start:start + step], v2, spec, quad)
+        owner = start + owner
+        M += _ray_contract(spec, WX[owner] * wa, u, lo, hi, A[owner],
+                           u @ grad.T)
+        M += contract(start + near, Y, W)
     return M
 
 

@@ -1,12 +1,22 @@
-"""The batched polar inner rule against the per-point polar rule, kept
-here as the reference."""
+"""The polar inner rule of the Euclidean ball: its batched directions
+against the per-point polar rule, and its closed-form radial integrals
+against the radial Gauss expansion they replace, both kept here as
+references."""
 
 import numpy as np
 import pytest
 
-from nlfeti.assembly import QuadratureConfig, _polar_inner_rule
+from nlfeti import assembly
+from nlfeti.assembly import (QuadratureConfig, _lattice_class,
+                             _polar_inner_rule, pair_matrix)
+from nlfeti.geometry import interacting_classes
 from nlfeti.kernels import KernelSpec
+from nlfeti.mesh import _TRI_T
 from nlfeti.quadrature import gauss01, map_to_physical, triangle_rule
+
+# radial Gauss points per direction of the references: the polar rule's
+# former default order
+RADIAL = 8
 
 
 def _segment_circle_params(a, b, center, r):
@@ -24,15 +34,17 @@ def _segment_circle_params(a, b, center, r):
     return [t for t in ts if 1e-12 < t < 1.0 - 1e-12]
 
 
-def _polar_inner_points(x, tri, spec, quad):
-    """Reference: the per-point polar rule, one outer point per call."""
+def _polar_directions(x, tri, spec, quad):
+    """Reference: the per-point polar rule, one outer point per call.
+
+    Returns the kept directions (u, lo, hi, wa) in panel order, or None
+    when x takes the triangle rule."""
     delta = spec.delta
     d = np.linalg.norm(tri - x[None, :], axis=1)
     diam = max(np.linalg.norm(tri[1] - tri[0]), np.linalg.norm(tri[2] - tri[0]),
                np.linalg.norm(tri[2] - tri[1]))
     if d.max() <= delta and d.min() >= 2.0 * diam:
-        bary, wts = triangle_rule(quad.inner_degree)
-        return map_to_physical(tri, bary, wts)
+        return None
     bounds = [float(np.arctan2(v[1] - x[1], v[0] - x[0])) for v in tri]
     edges = []
     for i in range(3):
@@ -48,8 +60,7 @@ def _polar_inner_points(x, tri, spec, quad):
     th = np.sort(np.asarray(bounds))
     th = np.concatenate([th, [th[0] + 2.0 * np.pi]])
     ga, gwa = gauss01(quad.polar_angular)
-    gr, gwr = gauss01(quad.polar_radial)
-    pts_out, w_out = [], []
+    rays = []
     for t0, t1 in zip(th[:-1], th[1:]):
         width = t1 - t0
         if width < 1e-14:
@@ -71,18 +82,21 @@ def _polar_inner_points(x, tri, spec, quad):
             lo = np.where(pos, np.maximum(lo, rr), lo)
             hi = np.where(neg, np.minimum(hi, rr), hi)
         ok &= hi > lo + 1e-15
-        if not ok.any():
-            continue
-        lo, hi, u = lo[ok], hi[ok], u[ok]
-        wa = gwa[ok] * width
-        r = lo[:, None] + (hi - lo)[:, None] * gr[None, :]
-        w = (wa * (hi - lo))[:, None] * gwr[None, :] * r
-        pts_out.append((x[None, None, :] + r[:, :, None] * u[:, None, :])
-                       .reshape(-1, 2))
-        w_out.append(w.ravel())
-    if not pts_out:
-        return np.empty((0, 2)), np.empty(0)
-    return np.concatenate(pts_out), np.concatenate(w_out)
+        rays.append((u[ok], lo[ok], hi[ok], gwa[ok] * width))
+    return [np.concatenate(parts) for parts in zip(*rays)]
+
+
+def _radial_gauss_points(X, rays, order):
+    """The radial Gauss expansion that the closed form replaces: each
+    direction of ``rays = (owner, u, lo, hi, wa)`` from the outer point
+    X[owner] becomes ``order`` points with weights wa (hi - lo) w_j r_j.
+    Returns (owner, points, weights)."""
+    owner, u, lo, hi, wa = rays
+    gr, gwr = gauss01(order)
+    r = lo[:, None] + (hi - lo)[:, None] * gr
+    W = ((wa * (hi - lo))[:, None] * gwr * r).ravel()
+    Y = (X[owner, None, :] + r[:, :, None] * u[:, None, :]).reshape(-1, 2)
+    return np.repeat(owner, order), Y, W
 
 
 TRI = 0.1 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
@@ -111,28 +125,115 @@ def _category(x, spec):
 @pytest.mark.parametrize("refined", [False, True])
 @pytest.mark.parametrize("delta", [0.12, 0.5])
 def test_batched_polar_rule_matches_per_point_rule(delta, refined):
+    """Directions, radial intervals and angular weights equal the
+    per-point rule's; the triangle-rule points are the inner triangle's;
+    and with RADIAL points per direction the rule integrates smooth
+    functions as the per-point rule does."""
     quad = QuadratureConfig().refined() if refined else QuadratureConfig()
     spec = KernelSpec("fractional", delta, 0.4)
     rng = np.random.default_rng(7)
     X = rng.uniform(-0.1 - delta, 0.2 + delta, size=(300, 2))
-    owner, Y, W = _polar_inner_rule(X, TRI, spec, quad)
-    assert np.all(np.diff(owner) >= 0)
+    rays, (near, Ys, Ws) = _polar_inner_rule(X, TRI, spec, quad)
+    owner, u, lo, hi, wa = rays
+    assert np.all(np.diff(owner) >= 0) and np.all(np.diff(near) >= 0)
+    o_pts, Y, W = _radial_gauss_points(X, rays, RADIAL)
+    ys, ws = map_to_physical(TRI, *triangle_rule(quad.inner_degree))
     seen = set()
     for i, x in enumerate(X):
         seen.add(_category(x, spec))
-        y_ref, w_ref = _polar_inner_points(x, TRI, spec, quad)
-        mine = owner == i
-        assert mine.sum() == len(w_ref)
-        if not len(w_ref):
+        ref = _polar_directions(x, TRI, spec, quad)
+        if ref is None:
+            assert not (owner == i).any()
+            assert np.array_equal(Ys[near == i], ys)
+            assert np.array_equal(Ws[near == i], ws)
             continue
-        scale = np.abs(w_ref).max()
-        # points relative to the coordinate scale they are computed at
-        assert np.abs(Y[mine] - y_ref).max() <= 1e-13 * (np.abs(x).max()
-                                                         + delta)
-        assert np.abs(W[mine] - w_ref).max() <= 1e-13 * scale
+        assert not (near == i).any()
+        u_ref, lo_ref, hi_ref, wa_ref = ref
+        mine = owner == i
+        assert mine.sum() == len(wa_ref)
+        if not len(wa_ref):
+            continue
+        # lengths relative to the coordinate scale they are computed at
+        scale = np.abs(x).max() + delta
+        assert np.abs(u[mine] - u_ref).max() <= 1e-13
+        assert np.abs(lo[mine] - lo_ref).max() <= 1e-13 * scale
+        assert np.abs(hi[mine] - hi_ref).max() <= 1e-13 * scale
+        assert np.abs(wa[mine] - wa_ref).max() <= 1e-13 * np.abs(wa_ref).max()
+        _, y_ref, w_ref = _radial_gauss_points(
+            x[None, :], (np.zeros(len(wa_ref), dtype=int), *ref), RADIAL)
+        pts = o_pts == i
         for f in SMOOTH_F:
-            ref = w_ref @ f(y_ref)
-            assert abs(W[mine] @ f(Y[mine]) - ref) <= 1e-13 * (
+            want = w_ref @ f(y_ref)
+            assert abs(W[pts] @ f(Y[pts]) - want) <= 1e-13 * (
                 np.abs(w_ref) @ np.abs(f(y_ref)))
     expected = {"smooth"} if delta == 0.5 else {0, 1, 2, "outside"}
     assert expected <= seen
+
+
+def _gauss_radial_rule(order):
+    """``_polar_inner_rule`` with every direction expanded into ``order``
+    radial Gauss points, which ``regular_pair_matrix`` then contracts
+    point by point: the path of the closed form's parent."""
+    closed_form = assembly._polar_inner_rule
+
+    def rule(X, tri, spec, quad):
+        rays, points = closed_form(X, tri, spec, quad)
+        gauss = _radial_gauss_points(X, rays, order)
+        none = (np.empty(0, dtype=np.int64), np.empty((0, 2)),
+                *np.empty((3, 0)))
+        return none, tuple(np.concatenate(pair)
+                           for pair in zip(gauss, points))
+    return rule
+
+
+def _class_errors(spec, quad, monkeypatch, order):
+    """Per class of the lattice horizon R = spec.delta: the largest
+    difference of the class matrix from its radial Gauss rule of
+    ``order`` points, relative to the largest entry."""
+    R = round(spec.delta)
+    keys = interacting_classes(R, False)
+    closed = [_lattice_class(spec, quad, key)[0] for key in keys]
+    errors = {}
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_polar_inner_rule", _gauss_radial_rule(order))
+        for key, M in zip(keys, closed):
+            dx, dy, t1, t2 = key
+            v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
+            ref, _ = pair_matrix(v[:3], v[3:], spec, quad)
+            errors[key] = np.abs(M - ref).max() / np.abs(ref).max()
+    return errors
+
+
+@pytest.mark.parametrize("R", [2, 3, 4])
+def test_peridynamic_closed_form_equals_gauss_path(R, monkeypatch):
+    """The peridynamic radial integrand is a quadratic polynomial, which
+    the replaced RADIAL-point Gauss rule integrates exactly: every class
+    agrees with it to rounding."""
+    errors = _class_errors(KernelSpec("peridynamic", float(R)),
+                           QuadratureConfig(), monkeypatch, RADIAL)
+    assert max(errors.values()) <= 1e-13, max(errors, key=errors.get)
+
+
+def test_fractional_closed_form_is_exact_radially(monkeypatch):
+    """The fractional radial integrand r^-2s (a + r b)^2 is not a
+    polynomial: every class agrees with a 40-point radial rule to
+    rounding, and with the replaced RADIAL-point rule to that rule's
+    error."""
+    spec, quad = KernelSpec("fractional", 2.0, 0.4), QuadratureConfig()
+    exact = _class_errors(spec, quad, monkeypatch, 40)
+    assert max(exact.values()) <= 1e-13, max(exact, key=exact.get)
+    replaced = _class_errors(spec, quad, monkeypatch, RADIAL)
+    assert max(replaced.values()) <= 1e-10, max(replaced, key=replaced.get)
+
+
+@pytest.mark.parametrize("s", [0.5 - 1e-9, 0.5, 0.5 + 1e-7, 0.95])
+def test_radial_moments_stay_accurate_near_exponent_zero(s, monkeypatch):
+    """At s = 1/2 the moment mu_1 = int r^(1 - beta + 1) dr has exponent
+    e = 2 - beta + 1 = 0, and a difference of powers divided by e loses
+    every digit nearby; the expm1 form keeps each class within rounding
+    of a 40-point radial rule on either side and at s = 1/2.  One
+    direction per angular panel: the radial integral alone is checked."""
+    quad = QuadratureConfig(polar_angular=1)
+    errors = _class_errors(KernelSpec("fractional", 2.0, s), quad,
+                           monkeypatch, 40)
+    assert max(errors.values()) <= 1e-13, max(errors, key=errors.get)
