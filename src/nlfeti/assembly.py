@@ -37,13 +37,15 @@ it is node a of.  The rows are taken in strips of node rows, whose
 shifted weights are gathered at once, with a size bound like the one of
 the quadrature flushes.
 
-Element pairs with coinciding or touching supports and a singular kernel
-use singularity-aware schemes: coinciding pairs integrate exactly in
-relative polar coordinates (a Duffy-type transformation with Gauss-Jacobi
-radial weights); pairs sharing an edge or a vertex are pulled back to
-relative coordinates anchored at the shared feature, where the kernel
-homogeneity yields a closed-form radial integral along every direction,
-horizon cut included.  Close-but-disjoint pairs are uniformly subdivided
+Element pairs with coinciding or touching supports use
+singularity-aware schemes.  Coinciding pairs integrate in relative polar
+coordinates (a Duffy-type transformation), with the radial integral of
+every direction in closed form.  Singular-kernel pairs sharing an edge
+or a vertex are pulled back to relative coordinates anchored at the
+shared feature, where the kernel homogeneity yields a closed-form radial
+integral along every direction, horizon cut included.  For
+close-but-disjoint pairs the outer cells within 1.5 element diameters of
+the inner element, by their exact distance, are uniformly subdivided
 before the product rule is applied.
 
 For disjoint pairs and a Euclidean ball the inner rule is polar around
@@ -72,13 +74,13 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import (clip_triangle_square, closest_point_triangle,
-                       disk_interaction_cells, fan_triangulate,
-                       interacting_classes)
+from .geometry import (clip_triangle_square, disk_interaction_cells,
+                       fan_triangulate, interacting_classes,
+                       triangle_distances)
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import _TRI_T, Mesh, p1_gradients, p1_values
-from .quadrature import (gauss01, gauss_jacobi01, map_to_physical,
-                         triangle_area, triangle_rule)
+from .quadrature import (gauss01, map_to_physical, triangle_area,
+                         triangle_rule)
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ class QuadratureConfig:
 
     Coinciding pairs, every kernel:
 
-    - ``radial_points`` / ``angular_points``: the Gauss-Jacobi radial and
-      the Gauss angular order of the relative polar rule, per sector of
-      the difference hexagon.
+    - ``angular_points``: the Gauss angular order of the relative polar
+      rule, per sector of the difference hexagon (its radial integrals
+      are exact).
 
     Singular kernels, pairs sharing an edge or a vertex:
 
@@ -107,9 +109,10 @@ class QuadratureConfig:
       pieces of the max-norm ball, and on the inner element of the polar
       rule's outer points that hold it well inside the horizon;
     - ``cut_subdiv``: singular kernels only, the uniform subdivision
-      depth of outer cells within 1.5 element diameters of the inner
-      element (``cut_subdiv - 2``) and of the other cells of a pair that
-      straddles the horizon (``cut_subdiv - 3``);
+      depth of the outer cells whose exact distance from the inner
+      element is below 1.5 element diameters (``cut_subdiv - 2``) and of
+      the other cells of a pair that straddles the horizon
+      (``cut_subdiv - 3``);
     - ``arc_segments``: the chord pieces per horizon circle along which
       ``disk_interaction_cells`` splits the outer element of a straddling
       pair;
@@ -122,7 +125,6 @@ class QuadratureConfig:
 
     outer_degree: int = 3
     inner_degree: int = 3
-    radial_points: int = 4
     angular_points: int = 12
     transform_points: int = 12
     transform_panels: int = 8
@@ -136,7 +138,6 @@ class QuadratureConfig:
         return QuadratureConfig(
             outer_degree=self.outer_degree + 2,
             inner_degree=self.inner_degree + 2,
-            radial_points=2 * self.radial_points,
             angular_points=2 * self.angular_points,
             transform_points=self.transform_points + 4,
             transform_panels=self.transform_panels + 4,
@@ -349,31 +350,30 @@ def _inner_rule_points(
         subs = [v2]
     else:
         subs = fan_triangulate(clip_triangle_square(v2, x, spec.delta))
-    if not subs:
-        return np.empty((0, 2)), np.empty(0)
-    bary, wts = triangle_rule(quad.inner_degree)
-    rules = [map_to_physical(sub, bary, wts) for sub in subs]
-    return (np.concatenate([pts for pts, _ in rules]),
-            np.concatenate([w for _, w in rules]))
+    ys, ws = map_to_physical(np.reshape(subs, (-1, 3, 2)),
+                             *triangle_rule(quad.inner_degree))
+    return ys.reshape(-1, 2), ws.ravel()
 
 
-def subdivide_triangle(tri: np.ndarray, levels: int) -> list[np.ndarray]:
-    """Uniform midpoint subdivision into 4^levels congruent triangles."""
-    out = [np.asarray(tri, dtype=float)]
-    for _ in range(levels):
-        nxt = []
-        for t in out:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m20 = 0.5 * (t[2] + t[0])
-            nxt.extend([
-                np.array([t[0], m01, m20]),
-                np.array([m01, t[1], m12]),
-                np.array([m20, m12, t[2]]),
-                np.array([m01, m12, m20]),
-            ])
-        out = nxt
-    return out
+def subdivide_triangle(tris: np.ndarray, levels) -> np.ndarray:
+    """Uniform midpoint subdivision of the triangles of a (k, 3, 2) array,
+    triangle i into 4^levels[i] congruent ones (``levels`` may be one
+    int for all; a level below 1 keeps the triangle whole), in triangle
+    order; each step puts the four children of a triangle in its place."""
+    tris = np.asarray(tris, dtype=float)
+    levels = np.broadcast_to(levels, len(tris))
+    while (levels > 0).any():
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        kids = np.stack([np.stack(t, axis=1) for t in (
+            (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))],
+            axis=1)  # (k, 4, 3, 2)
+        split = levels > 0
+        kids[~split, 0] = tris[~split]
+        keep = split[:, None] | (np.arange(4) == 0)
+        tris = kids[keep]
+        levels = np.repeat(levels - split, keep.sum(axis=1))
+    return tris
 
 
 # Angular slots (padded panels x directions) of the polar rule per block
@@ -385,16 +385,14 @@ _BLOCK_DIRECTIONS = 1 << 17
 def regular_pair_matrix(
     v1: np.ndarray, v2: np.ndarray, loc1: np.ndarray, loc2: np.ndarray,
     spec: KernelSpec, quad: QuadratureConfig,
-    outer_tris: list[np.ndarray], outer_degree: int,
+    cells: np.ndarray, outer_degree: int,
 ) -> np.ndarray:
-    """Pair matrix by outer rule of degree ``outer_degree`` on the cells
-    ``outer_tris`` of v1 x the inner rule of the kernel's ball norm on v2:
+    """Pair matrix by outer rule of degree ``outer_degree`` on the (k, 3, 2)
+    array of cells of v1 x the inner rule of the kernel's ball norm on v2:
     the polar rule for the Euclidean ball, square clipping for the
     max-norm ball."""
-    bary, wts = triangle_rule(outer_degree)
-    rules = [map_to_physical(tri, bary, wts) for tri in outer_tris]
-    X = np.concatenate([pts for pts, _ in rules])
-    WX = np.concatenate([w for _, w in rules])
+    X, WX = map_to_physical(cells, *triangle_rule(outer_degree))
+    X, WX = X.reshape(-1, 2), WX.ravel()
     PX = p1_values(v1, X)
     c = spec.components
     M = np.zeros((len(loc1) * c, len(loc1) * c))
@@ -570,9 +568,9 @@ def coinciding_pair_matrix(
     With w = y - x the double integral collapses to an integral over the
     difference hexagon E - E weighted by |E cap (E - w)|, which has the
     closed form (2|E|) L(w)^2 / 2 in reference coordinates.  Kernel
-    homogeneity turns the radial part into a Gauss-Jacobi integral of a
-    quadratic polynomial, so the radial rule is exact; the horizon cut
-    enters as an exact per-direction radial limit.
+    homogeneity turns the radial part into the integral of xi^alpha times
+    a quadratic in xi, taken in closed form up to the exact per-direction
+    horizon cut.
     """
     v = np.asarray(verts, dtype=float)
     B = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -582,7 +580,6 @@ def coinciding_pair_matrix(
     beta = spec.homogeneity
     alpha = 3.0 - beta
     t_nodes, t_wts = gauss01(quad.angular_points)
-    r_nodes, r_wts = gauss_jacobi01(quad.radial_points, alpha)
     c = spec.components
     M = np.zeros((3 * c, 3 * c))
     for k in range(6):
@@ -594,18 +591,16 @@ def coinciding_pair_matrix(
             nrm = np.max(np.abs(mw), axis=1)
         else:
             nrm = np.linalg.norm(mw, axis=1)
-        cut = np.minimum(1.0, spec.delta / nrm)
-        # Radial moment of the overlap area: int_0^cut xi^alpha L(xi)^2/2 dxi.
-        xi = cut[:, None] * r_nodes[None, :]  # (nt, nr)
-        wa = xi[:, :, None] * mh[:, None, :]  # (nt, nr, 2) reference offsets
-        Lr = (
-            1.0
-            - np.maximum(0.0, wa.sum(axis=2))
-            - np.maximum(0.0, -wa[:, :, 0])
-            - np.maximum(0.0, -wa[:, :, 1])
-        )
-        Aref = 0.5 * np.maximum(Lr, 0.0) ** 2
-        radial = cut ** (alpha + 1.0) * (Aref * r_wts[None, :]).sum(axis=1)
+        u = np.minimum(1.0, spec.delta / nrm)
+        # Radial moment of the overlap area, int_0^u xi^alpha L^2 / 2 dxi,
+        # with L = 1 - c xi (c = 1 on the hexagon boundary, so L >= 0):
+        # expanded about g = L(u) >= 0, no term cancels.
+        cu = u * (np.maximum(0.0, mh.sum(axis=1))
+                  + np.maximum(0.0, -mh).sum(axis=1))
+        g = 1.0 - cu
+        radial = u ** (alpha + 1.0) / (2.0 * (alpha + 1.0)) * (
+            g * g + 2.0 * g * cu / (alpha + 2.0)
+            + 2.0 * cu * cu / ((alpha + 2.0) * (alpha + 3.0)))
         # (2|E|) converts the reference overlap area to physical.
         P = mw @ grads.T  # (nt, 3): grad(psi_a) . m
         M += _tensor_contract(spec, t_wts * radial * 2.0 * area * detB, mw, P)
@@ -636,7 +631,7 @@ def pair_matrix(
         # an integer cell offset, so none cuts the outer element and the
         # fixed-order rule on the whole element is exact.
         M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
-                                [v1], max(quad.outer_degree, 5))
+                                v1[None], max(quad.outer_degree, 5))
     elif n_shared == 2:
         M = common_edge_pair_matrix(v1, v2, loc1, loc2, spec, quad)
     elif n_shared == 1:
@@ -644,22 +639,21 @@ def pair_matrix(
     else:
         straddle = _straddles_horizon(v1, v2, spec)
         if straddle:
-            cells = disk_interaction_cells(v1, v2, spec.delta,
-                                           quad.arc_segments)
+            cells = np.array(disk_interaction_cells(v1, v2, spec.delta,
+                                                    quad.arc_segments))
         else:
-            cells = [v1]
-        # grade composite depth per cell by its distance to the inner
-        # element: the kernel varies strongly only on nearby cells
+            cells = v1[None]
+        # grade composite depth per cell by its exact distance to the
+        # inner element: the kernel varies strongly only on nearby cells
         diam = max(np.linalg.norm(v1[1] - v1[0]),
                    np.linalg.norm(v1[2] - v1[0]),
                    np.linalg.norm(v1[2] - v1[1]))
-        outer = []
-        for cell in cells:
-            lev = _proximity_level(cell, v2, diam, quad, straddle)
-            outer.extend(subdivide_triangle(cell, lev) if lev else [cell])
+        levels = np.where(triangle_distances(cells, v2) < 1.5 * diam,
+                          quad.cut_subdiv - 2,
+                          quad.cut_subdiv - 3 if straddle else 0)
         deg = max(quad.outer_degree, 5) if straddle else quad.outer_degree
         M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
-                                outer, deg)
+                                subdivide_triangle(cells, levels), deg)
     return M, rows
 
 
@@ -670,24 +664,6 @@ def _straddles_horizon(v1: np.ndarray, v2: np.ndarray,
     enough)."""
     diffs = np.linalg.norm(v1[:, None, :] - v2[None, :, :], axis=2)
     return float(diffs.max()) > spec.delta
-
-
-def _proximity_level(cell: np.ndarray, v2: np.ndarray, diam: float,
-                     quad: QuadratureConfig, straddle: bool) -> int:
-    """Composite depth for an outer cell from its distance to the inner
-    element (strong kernel variation near the singular diagonal)."""
-    p = closest_point_triangle(cell.mean(axis=0), v2)
-    for _ in range(3):
-        q = closest_point_triangle(p, cell)
-        p = closest_point_triangle(q, v2)
-    dist = float(np.linalg.norm(p - q))
-    if dist < 1.5 * diam:
-        lev = quad.cut_subdiv - 2
-    elif straddle:
-        lev = quad.cut_subdiv - 3
-    else:
-        lev = 0
-    return max(lev, 0)
 
 
 # ---------------------------------------------------------------------------

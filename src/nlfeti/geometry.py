@@ -8,7 +8,9 @@ convex polygon left is fanned into triangles.  The Euclidean ball is
 integrated by the polar rule of ``assembly``, which needs no clipping
 here; for pairs that straddle its horizon ``disk_interaction_cells`` splits
 the outer triangle along the curves where the intersection loses
-smoothness, so that the outer rule is aligned with them.
+smoothness, so that the outer rule is aligned with them, and
+``triangle_distances`` gives the exact distance of those cells from the
+inner triangle, which sets how finely each one is subdivided.
 ``interacting_classes`` decides which translation classes of the mesh
 interact; the assembler forms them and the coverage check checks them.
 """
@@ -91,8 +93,11 @@ def disk_interaction_cells(
         c = float(n @ a)
         lines.append((n, c - r))
         lines.append((n, c + r))
-    for v in tri_inner:
-        dmin = np.linalg.norm(v - closest_point_triangle(v, tri_outer))
+    # distances of the inner vertices from the outer triangle, which does
+    # not hold them for the disjoint pairs split here
+    dmins = _segment_distance(tri_inner[:, None], tri_outer,
+                              tri_outer[[1, 2, 0]]).min(axis=1)
+    for v, dmin in zip(tri_inner, dmins):
         dmax = float(np.linalg.norm(tri_outer - v, axis=1).max())
         if not (dmin < r < dmax):
             continue
@@ -145,32 +150,31 @@ def fan_triangulate(poly: np.ndarray) -> list[np.ndarray]:
     return tris
 
 
-def closest_point_triangle(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Closest point of a triangle to ``p``."""
-    a, b, c = np.asarray(tri, dtype=float)
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = ab @ ap, ac @ ap
-    if d1 <= 0 and d2 <= 0:
-        return a
-    bp = p - b
-    d3, d4 = ab @ bp, ac @ bp
-    if d3 >= 0 and d4 <= d3:
-        return b
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        return a + (d1 / (d1 - d3)) * ab
-    cp = p - c
-    d5, d6 = ab @ cp, ac @ cp
-    if d6 >= 0 and d5 <= d6:
-        return c
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        return a + (d2 / (d2 - d6)) * ac
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        return b + ((d4 - d3) / ((d4 - d3) + (d5 - d6))) * (c - b)
-    denom = 1.0 / (va + vb + vc)
-    return a + ab * (vb * denom) + ac * (vc * denom)
+def _segment_distance(p: np.ndarray, a: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """Distance of the points p from the segments [a, b], broadcast over
+    the leading axes of the (..., 2) arrays."""
+    e = b - a
+    t = np.clip(((p - a) * e).sum(axis=-1) / (e * e).sum(axis=-1), 0.0, 1.0)
+    return np.linalg.norm(p - a - t[..., None] * e, axis=-1)
+
+
+def triangle_distances(cells: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Distance of each triangle of the (k, 3, 2) array ``cells`` from the
+    triangle ``tri``, for triangles whose interiors are disjoint from it.
+
+    It is the least of the 18 distances of a vertex of one triangle from
+    an edge of the other (Ericson, *Real-Time Collision Detection*, 2005,
+    ch. 5): two such triangles come closest at a vertex of one of them.
+    """
+    cells = np.asarray(cells, dtype=float)
+    nxt = [1, 2, 0]
+    # (k, vertex, edge): cell vertices against the edges of tri, then the
+    # vertices of tri against the edges of each cell
+    into = _segment_distance(cells[:, :, None], tri, tri[nxt])
+    out = _segment_distance(tri[None, :, None], cells[:, None, :],
+                            cells[:, None, nxt])
+    return np.minimum(into.min(axis=(1, 2)), out.min(axis=(1, 2)))
 
 
 def _closer_than(diffs: np.ndarray, R: int, linf: bool) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Quadrature rules on triangles, intervals, and radial weights.
+"""Quadrature rules on triangles and intervals.
 
 Triangle rules are symmetric Dunavant-type rules given in barycentric
 coordinates; weights sum to 1 and are applied as ``area * sum(w * f(p))``.
@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # Symmetric triangle rules, stored as (barycentric points, weights).
 # Weights sum to 1 (i.e. they are normalized by the triangle area).
@@ -75,15 +74,18 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def map_to_physical(
     vertices: np.ndarray, bary: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map a barycentric rule onto a physical triangle.
+    """Map a barycentric rule onto a physical triangle (3, 2), or onto
+    each triangle of a (..., 3, 2) stack.
 
-    Returns (points (m, 2), weights (m,)) with weights scaled by the
-    triangle area so that ``sum(w * f(p))`` approximates the integral.
+    Returns (points (..., m, 2), weights (..., m)) with weights scaled by
+    the triangle area so that ``sum(w * f(p))`` approximates the
+    integral.  A stack is mapped by stacked matmuls, which round each
+    triangle's points as its own product does.
     """
     verts = np.asarray(vertices, dtype=float)
     pts = bary @ verts
     area = triangle_area(verts)
-    return pts, weights * area
+    return pts, weights * area[..., None]
 
 
 def triangle_area(vertices: np.ndarray) -> np.ndarray:
@@ -99,19 +101,3 @@ def gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule with n points on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-@lru_cache(maxsize=64)
-def gauss_jacobi01(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule for ``int_0^1 x^alpha f(x) dx`` (alpha > -1).
-
-    Returns nodes and weights such that ``sum(w * f(x))`` integrates
-    ``x^alpha * f`` exactly for polynomial f of degree <= 2n-1.
-    """
-    if alpha == 0.0:
-        return gauss01(n)
-    # roots_jacobi uses weight (1-x)^a (1+x)^b on [-1, 1]; take a=0, b=alpha
-    # and substitute x = 2t - 1 so that (1+x)^alpha = (2t)^alpha, dx = 2 dt.
-    x, w = roots_jacobi(n, 0.0, alpha)
-    t = 0.5 * (x + 1.0)
-    return t, w / 2.0 ** (alpha + 1.0)

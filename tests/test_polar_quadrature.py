@@ -1,17 +1,21 @@
-"""The polar inner rule of the Euclidean ball: its batched directions
-against the per-point polar rule, and its closed-form radial integrals
-against the radial Gauss expansion they replace, both kept here as
-references."""
+"""The polar rules.  The inner rule of the Euclidean ball: its batched
+directions against the per-point polar rule, and its closed-form radial
+integrals against the radial Gauss expansion they replace.  The
+coinciding pair's relative polar rule: its closed-form radial integrals
+against the Gauss-Jacobi rule they replace.  The replaced rules are kept
+here as references."""
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from nlfeti import assembly
 from nlfeti.assembly import (QuadratureConfig, _lattice_class,
-                             _polar_inner_rule, pair_matrix)
+                             _polar_inner_rule, coinciding_pair_matrix,
+                             pair_matrix)
 from nlfeti.geometry import interacting_classes
 from nlfeti.kernels import KernelSpec
-from nlfeti.mesh import _TRI_T
+from nlfeti.mesh import _TRI_T, p1_gradients
 from nlfeti.quadrature import gauss01, map_to_physical, triangle_rule
 
 # radial Gauss points per direction of the references: the polar rule's
@@ -237,3 +241,57 @@ def test_radial_moments_stay_accurate_near_exponent_zero(s, monkeypatch):
     errors = _class_errors(KernelSpec("fractional", 2.0, s), quad,
                            monkeypatch, 40)
     assert max(errors.values()) <= 1e-13, max(errors, key=errors.get)
+
+
+def _gauss_jacobi_coinciding(verts, spec, quad, radial_points=4):
+    """The replaced ``coinciding_pair_matrix``: the radial integral of each
+    direction by a ``radial_points``-point Gauss-Jacobi rule for the
+    weight xi^alpha on [0, 1], its former default order."""
+    v = np.asarray(verts, dtype=float)
+    B = np.column_stack([v[1] - v[0], v[2] - v[0]])
+    detB = abs(np.linalg.det(B))
+    area = 0.5 * detB
+    grads = p1_gradients(v)
+    alpha = 3.0 - spec.homogeneity
+    t_nodes, t_wts = gauss01(quad.angular_points)
+    x, w = roots_jacobi(radial_points, 0.0, alpha)
+    r_nodes, r_wts = 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1.0)
+    c = spec.components
+    M = np.zeros((3 * c, 3 * c))
+    for k in range(6):
+        r0, r1 = assembly._HEX[k], assembly._HEX[(k + 1) % 6]
+        mh = r0[None, :] + t_nodes[:, None] * (r1 - r0)[None, :]
+        mw = mh @ B.T
+        if spec.ball_norm == "linf":
+            nrm = np.max(np.abs(mw), axis=1)
+        else:
+            nrm = np.linalg.norm(mw, axis=1)
+        cut = np.minimum(1.0, spec.delta / nrm)
+        xi = cut[:, None] * r_nodes[None, :]
+        wa = xi[:, :, None] * mh[:, None, :]
+        Lr = (1.0 - np.maximum(0.0, wa.sum(axis=2))
+              - np.maximum(0.0, -wa[:, :, 0]) - np.maximum(0.0, -wa[:, :, 1]))
+        Aref = 0.5 * np.maximum(Lr, 0.0) ** 2
+        radial = cut ** (alpha + 1.0) * (Aref * r_wts[None, :]).sum(axis=1)
+        M += assembly._tensor_contract(spec, t_wts * radial * 2.0 * area * detB,
+                                       mw, mw @ grads.T)
+    return M
+
+
+@pytest.mark.parametrize("family,s", [
+    ("constant", None), ("fractional", 0.05), ("fractional", 0.5),
+    ("fractional", 0.95), ("peridynamic", None)])
+def test_coinciding_closed_form_equals_gauss_jacobi(family, s):
+    """Along every direction of the difference hexagon the overlap length
+    is affine in the radius and stays nonnegative up to the cut, so the
+    radial integrand is xi^alpha times a quadratic, which the replaced
+    Gauss-Jacobi rule integrates exactly: both lattice triangles agree
+    with it to rounding at every horizon."""
+    quad = QuadratureConfig()
+    for R in (1.0, 2.0, 3.0, 8.0):
+        spec = KernelSpec(family, R, s)
+        for t in (0, 1):
+            tri = _TRI_T[t].astype(float)
+            M = coinciding_pair_matrix(tri, spec, quad)
+            ref = _gauss_jacobi_coinciding(tri, spec, quad)
+            assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max(), (R, t)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nlfeti.quadrature import (gauss01, gauss_jacobi01, map_to_physical,
-                               triangle_area, triangle_rule)
+from nlfeti.quadrature import (gauss01, map_to_physical, triangle_area,
+                               triangle_rule)
 
 
 def _ref_monomial(i, j):
@@ -49,11 +49,3 @@ def test_gauss01_exactness(npts):
     for k in range(2 * npts):
         assert np.isclose(np.sum(w * x**k), 1.0 / (k + 1), rtol=1e-12)
 
-
-def test_gauss_jacobi_weighted_monomials():
-    # rule integrates f(x) * x^alpha over (0,1)
-    alpha = 2.2
-    x, w = gauss_jacobi01(6, alpha)
-    for k in range(8):
-        assert np.isclose(np.sum(w * x**k), 1.0 / (k + alpha + 1),
-                          rtol=1e-12)
