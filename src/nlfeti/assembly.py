@@ -31,11 +31,12 @@ columns they need.
 The scatter is a sparse times dense product.  A scatter table, built
 once per assembler, has a column per (class, patch node a) and a row per
 (node-id shift, component pair), holding the class matrix entries.  The
-weights of a window's pairs sit in a zero-padded grid of anchor cells per
-class; a row node reads, for each table column, the weight of the anchor
-it is node a of.  The rows are taken in strips of node rows, whose
-shifted weights are gathered at once, with a size bound like the one of
-the quadrature flushes.
+weights of a window's pairs sit in a grid of anchor cells per class,
+zero-padded only as far as the requested rows reach; a row node reads,
+for each table column, the weight of the anchor it is node a of.  The
+rows are taken in strips of node rows, whose shifted weights are
+gathered at once, with a size bound like the one of the quadrature
+flushes.
 
 Element pairs with coinciding or touching supports use
 singularity-aware schemes.  Coinciding pairs integrate in relative polar
@@ -798,6 +799,26 @@ class Assembler:
         e2 = e1 + (2 * (dy * N + dx) + t2 - t1)[:, None, None]
         return e1[valid], e2[valid]
 
+    def _valid(self, cells) -> np.ndarray:
+        """(class, cy - y0, cx - x0) mask of the anchor cells of the
+        window ``cells`` whose partner cell lies in it too."""
+        x0, x1, y0, y1 = cells
+        dx, dy = np.array(self.classes(), dtype=np.int64).reshape(-1, 4)[:, :2].T
+        ys, xs = np.arange(y0, y1), np.arange(x0, x1)
+        return (((ys + dy[:, None] >= y0) & (ys + dy[:, None] < y1))[:, :, None]
+                & ((xs + dx[:, None] >= x0) & (xs + dx[:, None] < x1))[:, None, :])
+
+    def weight_grid(self, pair_weights, cells) -> np.ndarray:
+        """(class, cy - y0, cx - x0) weights of the pairs anchored in the
+        cell window ``cells = (x0, x1, y0, y1)`` with both elements in
+        it: ``pair_weights(e1, e2)``, called once on all of them, in the
+        type it returns; 0 at every other anchor."""
+        valid = self._valid(cells)
+        w = pair_weights(*self._pair_ids(valid, cells))
+        grid = np.zeros(valid.shape, w.dtype)
+        grid[valid] = w
+        return grid
+
     # -- assembly -----------------------------------------------------------
 
     def assemble(self, pair_weights=None, cells=None,
@@ -813,15 +834,16 @@ class Assembler:
         rectangle bounding ``nodes``, which must lie in the window, is
         scattered.
 
-        ``pair_weights`` is called once, on the pairs of every class
-        anchored in the window, and the weights go into a zero-padded
-        grid of anchor cells per class.  Row node q takes, for table column
-        r = (class, a), the weight of anchor q - lattice[r], so per strip
-        of node rows the shifted weights are one gather ``Wsh`` (r x node)
-        and the entries are ``Ct @ Wsh`` over (shift, node).  Each entry
-        sums its (class, a) terms in table order.  With the shifts sorted,
-        each row's columns come out sorted and the strip is read off as
-        CSR.
+        ``pair_weights`` is a function, called once as in
+        ``weight_grid``, or the ``weight_grid`` of the window itself.
+        The weights go into a grid of anchor cells per class, zero-padded
+        only as far as the bounding rectangle of ``nodes`` reaches.  Row
+        node q takes, for table column r = (class, a), the weight of
+        anchor q - lattice[r], so per strip of node rows the shifted
+        weights are one gather ``Wsh`` (r x node) and the entries are
+        ``Ct @ Wsh`` over (shift, node).  Each entry sums its (class, a)
+        terms in table order.  With the shifts sorted, each row's columns
+        come out sorted and the strip is read off as CSR.
         """
         c = self.spec.components
         N, N1 = self.N, self.N + 1
@@ -832,22 +854,23 @@ class Assembler:
                      + np.arange(x0, x1 + 1)).ravel()
         ny, nx = np.divmod(nodes, N1)
         rx0, rx1, ry0, ry1 = nx.min(), nx.max() + 1, ny.min(), ny.max() + 1
-        dx, dy = np.array(self.classes(), dtype=np.int64).reshape(-1, 4)[:, :2].T
-        ys, xs = np.arange(y0, y1), np.arange(x0, x1)
-        # anchor cells of the window whose partner cell is in it, per class
-        valid = (((ys + dy[:, None] >= y0) & (ys + dy[:, None] < y1))[:, :, None]
-                 & ((xs + dx[:, None] >= x0) & (xs + dx[:, None] < x1))[:, None, :])
-        # grid of anchor cells gy0 + iy, gx0 + ix per class, padded so
-        # that every row node minus every lattice offset falls inside it
-        lo, hi = lat.min(axis=0, initial=0), lat.max(axis=0, initial=1)
-        gx0, gy0 = x0 - hi[0], y0 - hi[1]
-        Wg, Hg = x1 - lo[0] + 1 - gx0, y1 - lo[1] + 1 - gy0
-        grid = np.zeros((len(dx), Hg, Wg))
-        window = grid[:, y0 - gy0:y1 - gy0, x0 - gx0:x1 - gx0]
         if pair_weights is None:
-            window[valid] = 1.0
+            weights = self._valid((x0, x1, y0, y1))
+        elif callable(pair_weights):
+            weights = self.weight_grid(pair_weights, (x0, x1, y0, y1))
         else:
-            window[valid] = pair_weights(*self._pair_ids(valid, (x0, x1, y0, y1)))
+            weights = pair_weights
+        # grid of anchor cells gy0 + iy, gx0 + ix per class: every row
+        # node minus every lattice offset, and nothing more
+        lo, hi = lat.min(axis=0, initial=0), lat.max(axis=0, initial=1)
+        gx0, gy0 = rx0 - hi[0], ry0 - hi[1]
+        Wg, Hg = rx1 - rx0 + hi[0] - lo[0], ry1 - ry0 + hi[1] - lo[1]
+        grid = np.zeros((len(weights), Hg, Wg))
+        ax0, ax1 = max(x0, gx0), min(x1, gx0 + Wg)
+        ay0, ay1 = max(y0, gy0), min(y1, gy0 + Hg)
+        grid[:, ay0 - gy0:ay1 - gy0, ax0 - gx0:ax1 - gx0] = \
+            weights[:, ay0 - y0:ay1 - y0, ax0 - x0:ax1 - x0]
+        del weights
         # table column r reads the weight of node (y, x) from grid row
         # top[r] + y and column left[r] + x - rx0
         top = klass * Hg - lat[:, 1] - gy0

@@ -11,10 +11,20 @@ is solved by projected preconditioned conjugate gradients with a coarse
 problem built from those rigid modes.  The interior block A_OO is
 factorized only for the Dirichlet preconditioner B_D S B_D^T, whose
 Schur complement S eliminates the interior unknowns.
+
+On a structured mesh with even cuts most subdomains are translates of
+one another, and their blocks are bitwise equal.  Within one build such
+twins are found by a key of what the blocks are made from, translation
+taken out: the window shape, the node positions in it, the pinned dofs
+and the pair counts that reach kept rows.  Twins share one scatter, one
+set of blocks and one ``_Factors``, so assembly, factorization and
+memory scale with the distinct subdomains, not with K; their loads,
+rigid modes and right-hand sides stay their own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +39,7 @@ from .mesh import Mesh
 from .sparse_linalg import (Factorization, SingularMatrixError, dense_spd_solve,
                             factorize, projected_pcg)
 from .subdivision import (ConstraintSet, Subdivision, SubdivisionError,
-                          build_constraints, rigid_modes)
+                          _reciprocal, build_constraints, rigid_modes)
 
 
 class ConsistencyError(RuntimeError):
@@ -93,12 +103,42 @@ def _each_subdomain(fn, *seqs) -> list:
 
 
 @dataclass
+class _Factors:
+    """Factorizations of one local system, made on first use.  Subdomains
+    whose systems share the blocks share this object too."""
+
+    OO: Factorization | None = None
+    neumann: Factorization | None = None
+
+
+def _pin_dofs(k: int, modes: np.ndarray, nodes: np.ndarray,
+              c: int) -> np.ndarray:
+    """Dofs pinned for the floating Neumann solve of subdomain k, whose
+    [O | G] dofs carry the nodes ``nodes``: walked in global dof order,
+    greedily keeping those that make the pinned rigid-mode block
+    nonsingular."""
+    nmodes = modes.shape[1]
+    pins: list[int] = []
+    for pos in np.argsort(nodes, kind="stable"):
+        for comp in range(c):
+            trial = pins + [c * pos + comp]
+            if np.linalg.matrix_rank(modes[trial, :], tol=1e-10) == len(trial):
+                pins = trial
+            if len(pins) == nmodes:
+                return np.array(pins)
+    raise SingularMatrixError(f"could not pin {nmodes} dofs on subdomain {k}")
+
+
+@dataclass
 class SubdomainSystem:
     """Weighted stiffness blocks and factorizations of one subdomain.
 
     Dof layout is [inner nodes | interface nodes] (each sorted by global
     id, interleaved components for vector problems); constrained collar
-    values are already moved to the right-hand side.
+    values are already moved to the right-hand side.  ``pinned`` are the
+    dofs pinned for the Neumann solve of a floating subdomain (found from
+    ``modes`` when not given).  Twins of one build hold the same block
+    objects and ``_factors``.
     """
 
     k: int
@@ -113,9 +153,14 @@ class SubdomainSystem:
     f_G: np.ndarray
     floating: bool
     modes: np.ndarray  # orthonormal rigid modes over (O, G) dofs; (n, m)
-    _fact_OO: Factorization | None = field(default=None, repr=False)
-    _fact_neumann: Factorization | None = field(default=None, repr=False)
-    _pinned: np.ndarray | None = field(default=None, repr=False)
+    pinned: np.ndarray | None = field(default=None, repr=False)
+    _factors: _Factors = field(default_factory=_Factors, repr=False)
+
+    def __post_init__(self):
+        if self.pinned is None:
+            nodes = np.concatenate([self.inner_nodes, self.interface_nodes])
+            self.pinned = (_pin_dofs(self.k, self.modes, nodes, self.components)
+                           if self.floating else np.zeros(0, dtype=np.int64))
 
     @property
     def n_O(self) -> int:
@@ -128,35 +173,13 @@ class SubdomainSystem:
     def fact_OO(self) -> Factorization | None:
         if self.n_O == 0:
             return None
-        if self._fact_OO is None:
-            self._fact_OO = factorize(self.A_OO)
-        return self._fact_OO
+        if self._factors.OO is None:
+            self._factors.OO = factorize(self.A_OO)
+        return self._factors.OO
 
     def full_matrix(self) -> sp.csr_matrix:
         return sp.bmat([[self.A_OO, self.A_OG],
                         [self.A_OG.T, self.A_GG]], format="csr")
-
-    def _pin_dofs(self) -> np.ndarray:
-        """Dofs pinned for the floating Neumann solve: walked in global
-        dof order, greedily keeping those that make the pinned
-        rigid-mode block nonsingular."""
-        nmodes = self.modes.shape[1]
-        # global dof order over [O | G] local layout
-        nodes = np.concatenate([self.inner_nodes, self.interface_nodes])
-        order = np.argsort(nodes, kind="stable")
-        pins: list[int] = []
-        for pos in order:
-            for comp in range(self.components):
-                dof = self.components * pos + comp
-                trial = pins + [dof]
-                blk = self.modes[trial, :]
-                if np.linalg.matrix_rank(blk, tol=1e-10) == len(trial):
-                    pins.append(dof)
-                if len(pins) == nmodes:
-                    return np.array(pins)
-        raise SingularMatrixError(
-            f"could not pin {nmodes} dofs on subdomain {self.k}"
-        )
 
     def _neumann_matrix(self) -> sp.csr_matrix:
         """The full matrix; on a floating subdomain the pinned rows and
@@ -164,9 +187,8 @@ class SubdomainSystem:
         A = self.full_matrix()
         if not self.floating:
             return A
-        self._pinned = self._pin_dofs()
         pinned = np.zeros(A.shape[0], dtype=bool)
-        pinned[self._pinned] = True
+        pinned[self.pinned] = True
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         # zeroed in place: two diagonal products would hold three more
         # copies of the matrix at the peak of the FETI build
@@ -175,10 +197,10 @@ class SubdomainSystem:
         return A + sp.diags(pinned.astype(float))
 
     def fact_neumann(self) -> Factorization:
-        if self._fact_neumann is None:
+        if self._factors.neumann is None:
             # as CSC, so that no CSR copy is alive while SuperLU runs
-            self._fact_neumann = factorize(self._neumann_matrix().tocsc())
-        return self._fact_neumann
+            self._factors.neumann = factorize(self._neumann_matrix().tocsc())
+        return self._factors.neumann
 
     # -- operators ---------------------------------------------------------
 
@@ -202,7 +224,7 @@ class SubdomainSystem:
         if not self.floating:
             return fact.solve(f)
         rhs = f.copy()
-        rhs[self._pinned] = 0.0
+        rhs[self.pinned] = 0.0
         w = fact.solve(rhs)
         return w - self.modes @ (self.modes.T @ w)
 
@@ -213,6 +235,38 @@ class SubdomainSystem:
         return w[self.n_O:]
 
 
+def _local_key(mesh: Mesh, cells, nodes, pinned: np.ndarray,
+               counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The inputs of a subdomain's blocks, with the translation taken
+    out: the cell-window shape, the inner, interface and constrained
+    node positions from the window corner, the pinned dofs (floating
+    subdomains only) and the window's grid of pair counts, whose
+    reciprocals are the pair weights."""
+    x0, x1, y0, y1 = cells
+    relative = [(ny - y0) * (x1 - x0 + 1) + nx - x0
+                for ny, nx in (np.divmod(v, mesh.cells_per_side + 1)
+                               for v in nodes)]
+    return (np.array([x1 - x0, y1 - y0] + [len(v) for v in nodes]),
+            *relative, pinned, counts)
+
+
+def _digest(key: tuple[np.ndarray, ...]) -> bytes:
+    """A digest of ``key`` that buckets candidates: every array but the
+    count grid, and that grid's sum per class."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in (*key[:-1], key[-1].sum(axis=(1, 2))):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def _same(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
+    """Whether two keys hold the same arrays, byte for byte."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and np.array_equal(x.view(np.uint8), y.view(np.uint8))
+               for x, y in zip(a, b))
+
+
 def assemble_subdomain(
     mesh: Mesh,
     sub: Subdivision,
@@ -221,6 +275,7 @@ def assemble_subdomain(
     moments: np.ndarray,
     g,
     assembler: Assembler | None = None,
+    table: dict | None = None,
 ) -> SubdomainSystem:
     """Assemble the multiplicity-weighted system of subdomain k;
     ``moments`` are the forcing's ``Assembler.load_moments``.
@@ -231,6 +286,12 @@ def assemble_subdomain(
     global energy.  Only pairs with both elements in subdomain k weigh
     anything, so the scatter runs on the cell bounding box of the
     elements k holds.
+
+    ``table`` is shared by the subdomains of one build.  It maps the
+    digest of each ``_local_key`` to the keys met so far and their
+    blocks.  A subdomain whose key equals one of them, array for array,
+    skips the scatter and takes those blocks and their ``_Factors``; its
+    load, ``g`` values, modes and right-hand side stay its own.
     """
     asm = assembler or Assembler(mesh, spec)
     c = spec.components
@@ -242,22 +303,39 @@ def assemble_subdomain(
     O, G, C = (_node_dofs(nodes, c) for nodes in (inner, inter, constrained))
     cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
     cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
-    # only the kept rows: a constrained row is never read
-    A = asm.assemble(sub.pair_weights(k), cells, kept)
+    # a pair with no kept vertex reaches only constrained rows, which are
+    # never kept: counted 0, so that it sets no two subdomains apart; the
+    # counts stand for the weights, their reciprocals, in the key
+    overlap = asm.weight_grid(sub.pair_counts(k, kept), cells)
+    floating = bool(sub.floating[k])
+    if floating:
+        modes = rigid_modes(mesh.vertices[kept], c)
+        pinned = _pin_dofs(k, modes, kept, c)
+    else:
+        modes = np.zeros((len(O) + len(G), 0))
+        pinned = np.zeros(0, dtype=np.int64)
+
+    key = _local_key(mesh, cells, (inner, inter, constrained), pinned,
+                     overlap)
+    bucket = ({} if table is None else table).setdefault(_digest(key), [])
+    local = next((loc for other, loc in bucket if _same(other, key)), None)
+    if local is None:
+        # only the kept rows: a constrained row is never read
+        A = asm.assemble(_reciprocal(overlap), cells, kept)
+        A_O, A_G = A[:len(O)], A[len(O):]
+        local = (A_O[:, O], A_O[:, G], A_G[:, G], A_O[:, C], A_G[:, C],
+                 _Factors())
+        bucket.append((key, local))
+    A_OO, A_OG, A_GG, A_OC, A_GC, factors = local
     load = asm.assemble_load(moments, sub.element_weights(k))
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
-
-    A_O, A_G = A[:len(O)], A[len(O):]
-    floating = bool(sub.floating[k])
-    modes = (rigid_modes(mesh.vertices[kept], c)
-             if floating else np.zeros((A.shape[0], 0)))
     return SubdomainSystem(
         k=k, components=c,
         inner_nodes=inner, interface_nodes=inter,
         constrained_nodes=constrained,
-        A_OO=A_O[:, O], A_OG=A_O[:, G], A_GG=A_G[:, G],
-        f_O=load[O] - A_O[:, C] @ gv, f_G=load[G] - A_G[:, C] @ gv,
-        floating=floating, modes=modes,
+        A_OO=A_OO, A_OG=A_OG, A_GG=A_GG,
+        f_O=load[O] - A_OC @ gv, f_G=load[G] - A_GC @ gv,
+        floating=floating, modes=modes, pinned=pinned, _factors=factors,
     )
 
 
@@ -330,13 +408,21 @@ def build_feti_system(
     With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
     d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
     e = concat_s R_s^T f_s.
+
+    The subdomains share one table, so twins (equal keys, see
+    ``assemble_subdomain``) are scattered and factorized once; the table
+    is dropped before the factorizations.
     """
     asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(sub, spec.components)
     moments = asm.load_moments(f)
-    # serial: assembling on the pool raised peak memory by 6-10 %
-    subs = [assemble_subdomain(mesh, sub, k, spec, moments, g, assembler=asm)
+    # serial: on the pool, assembly raised the peak memory of the
+    # constant n=64, delta=8h, 4x4 solve from 206.7 to 219-220 MB
+    table: dict = {}
+    subs = [assemble_subdomain(mesh, sub, k, spec, moments, g, assembler=asm,
+                               table=table)
             for k in range(sub.K)]
+    del table
     loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
     # factorized on this thread, before the pool solves with them: the
     # factors made on a pool thread live in a malloc arena of their own,

@@ -109,20 +109,35 @@ class Subdivision:
         """Mask of the elements subdomain k holds."""
         return (self.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
 
+    def pair_counts(self, k: int, nodes: np.ndarray | None = None):
+        """``(e1, e2) -> n``: the number of subdomains holding both
+        elements where subdomain k holds both and, if ``nodes`` are
+        given, one of the two has a vertex among them; 0 elsewhere.
+        Unsigned, of the smallest type that holds K."""
+        m = self.membership
+        if nodes is not None:
+            near = np.zeros(self.mesh.n_vertices, bool)
+            near[nodes] = True
+            near = near[self.mesh.elements].any(axis=1)
+
+        def counts(e1, e2):
+            n = np.zeros(len(e1), np.min_scalar_type(self.K))
+            held = self.holds(k)
+            hit = held[e1] & held[e2]
+            if nodes is not None:
+                hit &= near[e1] | near[e2]
+            hit = np.flatnonzero(hit)
+            n[hit] = _overlap(np.take(m, e1[hit], axis=0)
+                              & np.take(m, e2[hit], axis=0))
+            return n
+
+        return counts
+
     def pair_weights(self, k: int):
         """``(e1, e2) -> w``: the reciprocal number of subdomains holding
         both elements where subdomain k holds both, 0 elsewhere."""
-        m = self.membership
-
-        def weights(e1, e2):
-            w = np.zeros(len(e1))
-            held = self.holds(k)
-            hit = np.flatnonzero(held[e1] & held[e2])
-            w[hit] = 1.0 / _overlap(np.take(m, e1[hit], axis=0)
-                                    & np.take(m, e2[hit], axis=0))
-            return w
-
-        return weights
+        counts = self.pair_counts(k)
+        return lambda e1, e2: _reciprocal(counts(e1, e2))
 
     def element_weights(self, k: int) -> np.ndarray:
         """Reciprocal element multiplicity on the extended elements of k,
@@ -131,6 +146,11 @@ class Subdivision:
         w = np.zeros(self.mesh.n_elements)
         w[els] = 1.0 / _overlap(self.membership[els])
         return w
+
+
+def _reciprocal(n: np.ndarray) -> np.ndarray:
+    """1 / n where n > 0, 0 elsewhere."""
+    return np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
 
 
 def _overlap(rows: np.ndarray) -> np.ndarray:

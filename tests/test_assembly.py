@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nlfeti import assembly
-from nlfeti.assembly import (Assembler, QuadratureConfig, assemble_global,
-                             pair_matrix)
+from nlfeti.assembly import (Assembler, QuadratureConfig, _node_dofs,
+                             assemble_global, pair_matrix)
 from nlfeti.feti import assemble_subdomain
 from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
@@ -272,6 +272,42 @@ def test_one_row_strips_change_no_byte(family, monkeypatch):
     monkeypatch.setattr(assembly, "_STRIP_ENTRIES", 1)
     for kw, want in zip(calls, whole):
         assert_csr_bitwise(asm.assemble(**kw), want)
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_grid_padded_around_the_rows_changes_no_byte(family, monkeypatch):
+    """The weight grid is padded only around the node box of the rows
+    asked for, not around the whole window: the rows come out byte-equal
+    to the same rows of the whole window's scatter, with one strip or
+    one node row per strip, and from a function or its weight grid."""
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    asm = Assembler(mesh, spec)
+    sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
+    N1, c = mesh.cells_per_side + 1, spec.components
+    cells = (2, 10, 1, 11)
+    middle = np.array([5 * N1 + 6, 6 * N1 + 5, 6 * N1 + 7, 7 * N1 + 6])
+    kept = np.concatenate([sub.inner_nodes[4], sub.interface_nodes[4]])
+    calls = [dict(nodes=mesh.interior_nodes), dict(nodes=middle),
+             dict(pair_weights=sub.pair_weights(4), cells=cells, nodes=kept)]
+    wants = []
+    for kw in calls:
+        whole = {**kw, "nodes": None}
+        wants.append(asm.assemble(**whole)[
+            _node_dofs(_box_positions(kw["nodes"], kw.get("cells"), N1), c)])
+    grid = asm.weight_grid(sub.pair_weights(4), cells)
+    for strip in (assembly._STRIP_ENTRIES, 1):
+        monkeypatch.setattr(assembly, "_STRIP_ENTRIES", strip)
+        for kw, want in zip(calls, wants):
+            assert_csr_bitwise(asm.assemble(**kw), want)
+        assert_csr_bitwise(asm.assemble(grid, cells, kept), wants[-1])
+
+
+def _box_positions(nodes, cells, N1):
+    """Positions of ``nodes`` among the nodes of the cell window, by id."""
+    x0, x1, y0, y1 = cells or (0, N1 - 1, 0, N1 - 1)
+    ny, nx = np.divmod(nodes, N1)
+    return (ny - y0) * (x1 - x0 + 1) + nx - x0
 
 
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])

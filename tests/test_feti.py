@@ -302,7 +302,7 @@ def _lil_neumann(s):
     """The Neumann matrix as a LIL edit of the full matrix."""
     A = s.full_matrix().tolil()
     if s.floating:
-        for dof in s._pin_dofs():
+        for dof in s.pinned:
             A[dof, :] = 0.0
             A[:, dof] = 0.0
             A[dof, dof] = 1.0
