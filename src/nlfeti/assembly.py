@@ -21,22 +21,24 @@ horizon delta * n in cell units; at fixed delta / h the class
 matrices of all three kernels do not depend on h.  Only classes whose two
 triangles come closer than the horizon are formed; the matrix of every
 other class is identically zero.  One weighted scatter,
-``Assembler.assemble(pair_weights, cells, rows)``, builds every matrix:
-the global matrix is the unit-weight case on the whole mesh, restricted
-to the interior node rows, and a subdomain matrix weights each pair by
-the reciprocal number of subdomains holding both elements, on the cell
-window that bounds the subdomain.  Callers slice out the rows and
-columns they need.
+``Assembler.assemble(weights, cells, rows, columns)``, builds every
+matrix: the global matrix is the unit-weight case on the whole mesh,
+with the interior node rows against the interior and the collar
+columns, and a subdomain matrix weights each pair by the reciprocal
+number of subdomains holding both elements, on the cell window that
+bounds the subdomain, with its inner and interface rows against its
+inner, interface and constrained columns.
 
 The scatter is a sparse times dense product.  A scatter table, built
 once per assembler, has a column per (class, patch node a) and a row per
 (node-id shift, component pair), holding the class matrix entries.  The
-weights of a window's pairs sit in a grid of anchor cells per class,
-zero-padded only as far as the requested rows reach; a row node reads,
-for each table column, the weight of the anchor it is node a of.  The
-rows are taken in strips of node rows, whose shifted weights are
-gathered at once, with a size bound like the one of the quadrature
-flushes.
+weights of a window's pairs sit in a grid of anchor cells per class, as
+a validity mask or as pair counts, zero-padded only as far as the
+requested rows reach; a row node reads, for each table column, the
+weight of the anchor it is node a of.  The rows are taken in strips of
+node rows, whose shifted weights are gathered at once and made float
+there, with a size bound like the one of the quadrature flushes; each
+entry goes straight to its row and column block.
 
 Element pairs with coinciding or touching supports use
 singularity-aware schemes.  Coinciding pairs integrate in relative polar
@@ -788,17 +790,6 @@ class Assembler:
         self._table = (Ct, shifts, lattice, klass)
         return self._table
 
-    def _pair_ids(self, valid: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-        """(e1, e2) of the pairs anchored at the true entries of ``valid``
-        (class, cy - y0, cx - x0) in the cell window ``cells``."""
-        N = self.N
-        x0, x1, y0, y1 = cells
-        dx, dy, t1, t2 = np.array(self.classes(), dtype=np.int64).reshape(-1, 4).T
-        e1 = 2 * (np.arange(y0, y1)[:, None] * N + np.arange(x0, x1))[None] \
-            + t1[:, None, None]
-        e2 = e1 + (2 * (dy * N + dx) + t2 - t1)[:, None, None]
-        return e1[valid], e2[valid]
-
     def _valid(self, cells) -> np.ndarray:
         """(class, cy - y0, cx - x0) mask of the anchor cells of the
         window ``cells`` whose partner cell lies in it too."""
@@ -808,97 +799,117 @@ class Assembler:
         return (((ys + dy[:, None] >= y0) & (ys + dy[:, None] < y1))[:, :, None]
                 & ((xs + dx[:, None] >= x0) & (xs + dx[:, None] < x1))[:, None, :])
 
-    def weight_grid(self, pair_weights, cells) -> np.ndarray:
-        """(class, cy - y0, cx - x0) weights of the pairs anchored in the
-        cell window ``cells = (x0, x1, y0, y1)`` with both elements in
-        it: ``pair_weights(e1, e2)``, called once on all of them, in the
-        type it returns; 0 at every other anchor."""
-        valid = self._valid(cells)
-        w = pair_weights(*self._pair_ids(valid, cells))
-        grid = np.zeros(valid.shape, w.dtype)
-        grid[valid] = w
-        return grid
-
     # -- assembly -----------------------------------------------------------
 
-    def assemble(self, pair_weights=None, cells=None,
-                 nodes=None) -> sp.csr_matrix:
-        """Rows of a lattice window: every pair of every class with both
-        elements in the cell window scattered with weight
-        ``factor * pair_weights(e1, e2)`` (1 when no function is given).
+    def assemble(self, weights=None, cells=None, rows=None,
+                 columns=None) -> list[list[sp.csr_matrix]]:
+        """Blocks of the matrix of a lattice window: every pair of every
+        class with both elements in the cell window, scattered with
+        ``factor`` times its weight.
 
         ``cells = (x0, x1, y0, y1)`` is the half-open cell rectangle of
-        the window, the whole mesh by default.  The rows returned are the
-        dofs of ``nodes``, in that order, and default to every node of the
-        window by id; the columns run over all mesh dofs.  Only the node
-        rectangle bounding ``nodes``, which must lie in the window, is
+        the window, the whole mesh by default.  ``weights`` is the
+        (class, cy - y0, cx - x0) grid of the pairs anchored in the
+        window: bool or float weights, or unsigned pair counts whose
+        reciprocals are the weights (a count of 0 weighs 0).  By default
+        every pair with both elements in the window weighs 1.
+
+        ``rows`` and ``columns`` are disjoint blocks of node ids, each
+        sorted; by default one block of every node of the window and one
+        of every mesh node.  The result ``blocks[i][j]`` holds the dofs of
+        row block i against those of column block j, in block order, as
+        CSR; columns in no block are left out.  Only the node rectangle
+        bounding the row nodes, which must lie in the window, is
         scattered.
 
-        ``pair_weights`` is a function, called once as in
-        ``weight_grid``, or the ``weight_grid`` of the window itself.
-        The weights go into a grid of anchor cells per class, zero-padded
-        only as far as the bounding rectangle of ``nodes`` reaches.  Row
-        node q takes, for table column r = (class, a), the weight of
-        anchor q - lattice[r], so per strip of node rows the shifted
-        weights are one gather ``Wsh`` (r x node) and the entries are
-        ``Ct @ Wsh`` over (shift, node).  Each entry sums its (class, a)
-        terms in table order.  With the shifts sorted, each row's columns
-        come out sorted and the strip is read off as CSR.
+        The grid is zero-padded, in its own type, only as far as that
+        rectangle reaches.  Row node q takes, for table column
+        r = (class, a), the weight of anchor q - lattice[r], so per strip
+        of node rows the shifted weights are one gather ``Wsh``
+        (r x node), made float there, and the entries are ``Ct @ Wsh``
+        over (shift, node).  Each entry sums its (class, a) terms in table
+        order.  With the shifts sorted, each row's columns come out
+        sorted by node, and so within each column block, where place
+        follows node; every entry goes straight to its block.
         """
         c = self.spec.components
         N, N1 = self.N, self.N + 1
         Ct, shifts, lat, klass = self._scatter_table()
         x0, x1, y0, y1 = cells or (0, N, 0, N)
-        if nodes is None:
-            nodes = (np.arange(y0, y1 + 1)[:, None] * N1
-                     + np.arange(x0, x1 + 1)).ravel()
-        ny, nx = np.divmod(nodes, N1)
-        rx0, rx1, ry0, ry1 = nx.min(), nx.max() + 1, ny.min(), ny.max() + 1
-        if pair_weights is None:
+        if weights is None:
             weights = self._valid((x0, x1, y0, y1))
-        elif callable(pair_weights):
-            weights = self.weight_grid(pair_weights, (x0, x1, y0, y1))
-        else:
-            weights = pair_weights
+        if rows is None:
+            rows = [(np.arange(y0, y1 + 1)[:, None] * N1
+                     + np.arange(x0, x1 + 1)).ravel()]
+        if columns is None:
+            columns = [np.arange(N1 * N1)]
+        ny, nx = np.divmod(np.concatenate(rows), N1)
+        rx0, rx1, ry0, ry1 = nx.min(), nx.max() + 1, ny.min(), ny.max() + 1
+        L = rx1 - rx0
+        # block and place of each node of the row box, and of each mesh
+        # node as a column
+        row_block, row_at = _places(
+            [(v // N1 - ry0) * L + v % N1 - rx0 for v in rows],
+            (ry1 - ry0) * L)
+        col_block, col_at = _places(columns, N1 * N1)
         # grid of anchor cells gy0 + iy, gx0 + ix per class: every row
         # node minus every lattice offset, and nothing more
         lo, hi = lat.min(axis=0, initial=0), lat.max(axis=0, initial=1)
         gx0, gy0 = rx0 - hi[0], ry0 - hi[1]
-        Wg, Hg = rx1 - rx0 + hi[0] - lo[0], ry1 - ry0 + hi[1] - lo[1]
-        grid = np.zeros((len(weights), Hg, Wg))
+        Wg, Hg = L + hi[0] - lo[0], ry1 - ry0 + hi[1] - lo[1]
+        grid = np.zeros((len(weights), Hg, Wg), weights.dtype)
         ax0, ax1 = max(x0, gx0), min(x1, gx0 + Wg)
         ay0, ay1 = max(y0, gy0), min(y1, gy0 + Hg)
         grid[:, ay0 - gy0:ay1 - gy0, ax0 - gx0:ax1 - gx0] = \
             weights[:, ay0 - y0:ay1 - y0, ax0 - x0:ax1 - x0]
         del weights
+        counts = np.issubdtype(grid.dtype, np.unsignedinteger)
         # table column r reads the weight of node (y, x) from grid row
         # top[r] + y and column left[r] + x - rx0
         top = klass * Hg - lat[:, 1] - gy0
         left = rx0 - lat[:, 0] - gx0
         grid = grid.reshape(-1, Wg)
-        S, L = len(shifts), rx1 - rx0
+        S = len(shifts)
+        index = np.int32 if c * N1 * N1 <= np.iinfo(np.int32).max else np.int64
+        # per block: data, column and row-length pieces, and rows done
+        parts = [[([], [], []) for _ in columns] for _ in rows]
+        done = np.zeros(len(rows), np.intp)
         step = max(1, _STRIP_ENTRIES // (max(Ct.shape) * L))  # node rows
-        data, cols, counts = [], [], []
         for y in range(ry0, ry1, step):
             h = min(step, ry1 - y)
             Wsh = sliding_window_view(grid, (h, L))[top + y, left]
+            Wsh = Wsh.reshape(len(lat), h * L)
+            Wsh = _reciprocal(Wsh) if counts else Wsh.astype(float)
             # (shift, i, j, node) -> rows (node, i), columns (shift, j)
-            acc = (Ct @ Wsh.reshape(len(lat), h * L)).reshape(S, c, c, h * L)
+            acc = (Ct @ Wsh).reshape(S, c, c, h * L)
             acc = acc.transpose(3, 1, 0, 2).reshape(h * L * c, S * c)
             nz = acc != 0
             row, col = np.nonzero(nz)
+            vals = acc[nz]
+            box = (y - ry0) * L + row // c
             node = ((y + np.arange(h))[:, None] * N1 + np.arange(rx0, rx1)).ravel()
-            data.append(acc[nz])
-            cols.append(c * (node[row // c] + shifts[col // c]) + col % c)
-            counts.append(nz.sum(axis=1))
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        ndof = c * self.mesh.n_vertices
-        box = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
-                            shape=(c * (ry1 - ry0) * L, ndof))
-        pos = (ny - ry0) * L + nx - rx0
-        if len(pos) == (ry1 - ry0) * L and np.array_equal(pos, np.arange(len(pos))):
-            return box  # the rows are the whole box in box order: no copy
-        return box[_node_dofs(pos, c)]
+            target = node[row // c] + shifts[col // c]
+            local_row = c * row_at[box] + row % c
+            local_col = (c * col_at[target] + col % c).astype(index)
+            in_col = [col_block[target] == j for j in range(len(columns))]
+            in_block = row_block[box]
+            strip = row_block[(y - ry0) * L:(y - ry0 + h) * L]
+            for i, blocks in enumerate(parts):
+                in_row = in_block == i
+                # block i's rows in this strip follow the ones done
+                size = c * np.count_nonzero(strip == i)
+                for (data, cols, lengths), mask in zip(blocks, in_col):
+                    mask = mask & in_row
+                    data.append(vals[mask])
+                    cols.append(local_col[mask])
+                    lengths.append(np.bincount(local_row[mask] - done[i],
+                                               minlength=size))
+                done[i] += size
+        del grid
+        # each block's pieces are dropped once it is joined
+        return [[_joined(*blocks.pop(0), (c * len(rblock), c * len(cblock)))
+                 for cblock in columns]
+                for blocks, rblock in zip(parts, rows)]
 
     # -- load vector --------------------------------------------------------
 
@@ -950,6 +961,36 @@ class AssembledSystem:
         return self.load - self.B_coupling @ self.g
 
 
+def _reciprocal(n: np.ndarray) -> np.ndarray:
+    """1 / n where n > 0, 0 elsewhere."""
+    return np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
+
+
+def _places(blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(block, place) of each id below ``size`` among the disjoint sorted
+    id arrays ``blocks``; block -1 for the ids in none."""
+    block = np.full(size, -1, dtype=np.intp)
+    place = np.zeros(size, dtype=np.intp)
+    for i, ids in enumerate(blocks):
+        if np.any(np.diff(ids) <= 0):
+            raise ValueError(f"node block {i} is not strictly increasing")
+        block[ids] = i
+        place[ids] = np.arange(len(ids))
+    return block, place
+
+
+def _joined(data: list, cols: list, lengths: list, shape) -> sp.csr_matrix:
+    """CSR matrix from the per-strip pieces of its data, column indices
+    and row lengths; each list of pieces is emptied once joined."""
+    joined = []
+    for pieces in (data, cols, lengths):
+        joined.append(np.concatenate(pieces))
+        pieces.clear()
+    data, cols, lengths = joined
+    return sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(lengths)])),
+                         shape=shape)
+
+
 def _node_dofs(nodes: np.ndarray, c: int) -> np.ndarray:
     if c == 1:
         return nodes
@@ -972,9 +1013,8 @@ def assemble_global(
     c = spec.components
     interior_dofs = _node_dofs(mesh.interior_nodes, c)
     collar_dofs = _node_dofs(mesh.collar_nodes, c)
-    rows = asm.assemble(nodes=mesh.interior_nodes)
-    A = rows[:, interior_dofs].tocsr()
-    B = rows[:, collar_dofs].tocsr()
+    [[A, B]] = asm.assemble(rows=[mesh.interior_nodes],
+                            columns=[mesh.interior_nodes, mesh.collar_nodes])
     load_full = asm.assemble_load(asm.load_moments(f))
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float).reshape(-1)
     return AssembledSystem(

@@ -39,7 +39,7 @@ from .mesh import Mesh
 from .sparse_linalg import (Factorization, SingularMatrixError, dense_spd_solve,
                             factorize, projected_pcg)
 from .subdivision import (ConstraintSet, Subdivision, SubdivisionError,
-                          _reciprocal, build_constraints, rigid_modes)
+                          build_constraints, rigid_modes)
 
 
 class ConsistencyError(RuntimeError):
@@ -177,29 +177,37 @@ class SubdomainSystem:
             self._factors.OO = factorize(self.A_OO)
         return self._factors.OO
 
-    def full_matrix(self) -> sp.csr_matrix:
+    def full_matrix(self) -> sp.csc_matrix:
+        """[[A_OO, A_OG], [A_OG^T, A_GG]], as CSC: the form SuperLU takes,
+        reached from the blocks with no CSR copy on the way."""
         return sp.bmat([[self.A_OO, self.A_OG],
-                        [self.A_OG.T, self.A_GG]], format="csr")
+                        [self.A_OG.T, self.A_GG]], format="csc")
 
-    def _neumann_matrix(self) -> sp.csr_matrix:
+    def _neumann_matrix(self) -> sp.csc_matrix:
         """The full matrix; on a floating subdomain the pinned rows and
-        columns are replaced by those of the identity."""
+        columns are replaced by those of the identity: their entries are
+        dropped in place and the ones put in by one copy."""
         A = self.full_matrix()
         if not self.floating:
             return A
-        pinned = np.zeros(A.shape[0], dtype=bool)
+        n = A.shape[0]
+        pinned = np.zeros(n, dtype=bool)
         pinned[self.pinned] = True
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        # zeroed in place: two diagonal products would hold three more
-        # copies of the matrix at the peak of the FETI build
-        A.data[pinned[rows] | pinned[A.indices]] = 0.0
+        col = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+        A.data[pinned[A.indices] | pinned[col]] = 0.0
+        del col
         A.eliminate_zeros()
-        return A + sp.diags(pinned.astype(float))
+        # each pinned column is empty now and takes its 1
+        pins = np.sort(self.pinned)
+        at = A.indptr[pins]
+        indptr = A.indptr + np.searchsorted(pins, np.arange(n + 1))
+        return sp.csc_matrix((np.insert(A.data, at, 1.0),
+                              np.insert(A.indices, at, pins), indptr),
+                             shape=(n, n))
 
     def fact_neumann(self) -> Factorization:
         if self._factors.neumann is None:
-            # as CSC, so that no CSR copy is alive while SuperLU runs
-            self._factors.neumann = factorize(self._neumann_matrix().tocsc())
+            self._factors.neumann = factorize(self._neumann_matrix())
         return self._factors.neumann
 
     # -- operators ---------------------------------------------------------
@@ -300,13 +308,13 @@ def assemble_subdomain(
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
     kept = np.concatenate([inner, inter])
-    O, G, C = (_node_dofs(nodes, c) for nodes in (inner, inter, constrained))
+    O, G = (_node_dofs(nodes, c) for nodes in (inner, inter))
     cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
     cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
     # a pair with no kept vertex reaches only constrained rows, which are
     # never kept: counted 0, so that it sets no two subdomains apart; the
     # counts stand for the weights, their reciprocals, in the key
-    overlap = asm.weight_grid(sub.pair_counts(k, kept), cells)
+    overlap = sub.pair_counts(k, asm.classes(), cells, kept)
     floating = bool(sub.floating[k])
     if floating:
         modes = rigid_modes(mesh.vertices[kept], c)
@@ -321,10 +329,9 @@ def assemble_subdomain(
     local = next((loc for other, loc in bucket if _same(other, key)), None)
     if local is None:
         # only the kept rows: a constrained row is never read
-        A = asm.assemble(_reciprocal(overlap), cells, kept)
-        A_O, A_G = A[:len(O)], A[len(O):]
-        local = (A_O[:, O], A_O[:, G], A_G[:, G], A_O[:, C], A_G[:, C],
-                 _Factors())
+        (A_OO, A_OG, A_OC), (_, A_GG, A_GC) = asm.assemble(
+            overlap, cells, (inner, inter), (inner, inter, constrained))
+        local = (A_OO, A_OG, A_GG, A_OC, A_GC, _Factors())
         bucket.append((key, local))
     A_OO, A_OG, A_GG, A_OC, A_GC, factors = local
     load = asm.assemble_load(moments, sub.element_weights(k))

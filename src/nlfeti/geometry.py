@@ -122,22 +122,28 @@ def disk_interaction_cells(
         d = tri_outer @ n - c
         if d.min() > -1e-12 or d.max() < 1e-12:
             continue  # line misses the outer triangle
-        nxt: list[np.ndarray] = []
-        for poly in polys:
-            for half in (clip_polygon_halfplane(poly, n, c),
-                         clip_polygon_halfplane(poly, -n, -c)):
-                if len(half) >= 3 and _polygon_area(half) > 1e-28:
-                    nxt.append(half)
-        polys = nxt
+        halves = [half for poly in polys
+                  for half in (clip_polygon_halfplane(poly, n, c),
+                               clip_polygon_halfplane(poly, -n, -c))
+                  if len(half) >= 3]
+        polys = [half for half, area in zip(halves, _polygon_areas(halves))
+                 if area > 1e-28]
     cells: list[np.ndarray] = []
     for poly in polys:
         cells.extend(fan_triangulate(poly))
     return cells
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _polygon_areas(polys: list[np.ndarray]) -> np.ndarray:
+    """Areas of the polygons, all in one shoelace pass over their stacked
+    vertices."""
+    sizes = [len(p) for p in polys]
+    v = np.concatenate(polys)
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - sizes  # each polygon's last vertex wraps around
+    cross = v[:, 0] * v[nxt, 1] - v[:, 1] * v[nxt, 0]
+    return 0.5 * np.abs(np.add.reduceat(cross, ends - sizes))
 
 
 def fan_triangulate(poly: np.ndarray) -> list[np.ndarray]:

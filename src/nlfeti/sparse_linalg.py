@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -138,6 +137,8 @@ def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
 
 def write_matrix_market(path, A: sp.spmatrix) -> None:
     """Write a sparse matrix in coordinate format, symmetric when it is."""
+    import scipy.io  # only here: a solve never pays for its import
+
     A = sp.coo_matrix(A)
     sym = "general"
     if A.shape[0] == A.shape[1]:

@@ -5,10 +5,10 @@ overlapping family: every pair of elements whose interaction balls can
 touch must end up together in at least one subdomain, so the global
 bilinear form can be split into subdomain forms, each element pair
 weighted by the reciprocal of the number of subdomains holding both.
-Each rectangle grows by one nearest-owned-barycenter query of all
-elements.  Membership is stored once, as a packed element x subdomain
-bit table; every overlap count is the popcount of a membership row or of
-the AND of two rows.  Coverage is checked on the pairs the assembler
+Each rectangle grows by the distance of every element to its nearest
+owned barycenter, read off the rectangle without a search.  Membership
+is stored once, as a packed element x subdomain bit table; every overlap
+count is the popcount of a membership row or of the AND of two rows.  Coverage is checked on the pairs the assembler
 weights: per translation class of ``geometry.interacting_classes``, the
 one predicate of which element pairs interact, so no list of all
 interacting pairs is formed.  The module also
@@ -24,10 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import interacting_classes
 from .mesh import INTERIOR, Mesh
+
+
+# Entries of a chunk's membership gathers (classes x bytes x window
+# cells); bounds the working set of ``Subdivision.pair_counts``.
+_CHUNK_ENTRIES = 1 << 16
 
 
 class SubdivisionError(RuntimeError):
@@ -109,35 +114,61 @@ class Subdivision:
         """Mask of the elements subdomain k holds."""
         return (self.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
 
-    def pair_counts(self, k: int, nodes: np.ndarray | None = None):
-        """``(e1, e2) -> n``: the number of subdomains holding both
-        elements where subdomain k holds both and, if ``nodes`` are
-        given, one of the two has a vertex among them; 0 elsewhere.
-        Unsigned, of the smallest type that holds K."""
-        m = self.membership
+    def pair_counts(self, k: int, classes, cells,
+                    nodes: np.ndarray | None = None) -> np.ndarray:
+        """(class, cy - y0, cx - x0) grid of the pairs of ``classes``
+        (dx, dy, t1, t2) anchored in the cell window
+        ``cells = (x0, x1, y0, y1)``: element 2 (cy N + cx) + t1 with
+        element 2 ((cy + dy) N + cx + dx) + t2.  Each holds the number of
+        subdomains holding both elements where subdomain k holds both
+        and, if ``nodes`` are given, one of the two has a vertex among
+        them; 0 elsewhere, also where the second element lies outside the
+        window.  Unsigned, of the smallest type that holds K.
+
+        It is read off the window's cell planes per triangle type, of the
+        membership bytes and of the kept-vertex mask, zero-padded by the
+        largest class offset: a class reads its second planes at its
+        offset.  Classes are taken in chunks, so no grid of element ids
+        is formed.
+        """
+        N = self.mesh.cells_per_side
+        x0, x1, y0, y1 = cells
+        H, W = y1 - y0, x1 - x0
+        dx, dy, t1, t2 = np.array(classes, dtype=np.intp).reshape(-1, 4).T
+        px, py = int(np.abs(dx).max(initial=0)), int(np.abs(dy).max(initial=0))
+        nb = self.membership.shape[1]
+        window = (slice(y0, y1), slice(x0, x1))
+        # planes (type, byte, cy, cx) zero outside the window; a class
+        # reads its first planes at the window, its second at its offset
+        planes = np.zeros((2, nb, H + 2 * py, W + 2 * px), np.uint8)
+        planes[:, :, py:py + H, px:px + W] = self.membership.reshape(
+            N, N, 2, nb)[window].transpose(2, 3, 0, 1)
+        bytes_at = sliding_window_view(planes, (H, W), axis=(2, 3)
+                                       ).transpose(0, 2, 3, 1, 4, 5)
         if nodes is not None:
-            near = np.zeros(self.mesh.n_vertices, bool)
-            near[nodes] = True
-            near = near[self.mesh.elements].any(axis=1)
-
-        def counts(e1, e2):
-            n = np.zeros(len(e1), np.min_scalar_type(self.K))
-            held = self.holds(k)
-            hit = held[e1] & held[e2]
+            kept = np.zeros(self.mesh.n_vertices, dtype=bool)
+            kept[nodes] = True
+            near = np.zeros((2, H + 2 * py, W + 2 * px), dtype=bool)
+            near[:, py:py + H, px:px + W] = kept[self.mesh.elements].any(
+                axis=1).reshape(N, N, 2)[window].transpose(2, 0, 1)
+            near_at = sliding_window_view(near, (H, W), axis=(1, 2))
+        bit = np.uint8(1 << (k & 7))
+        out = np.empty((len(dx), H, W), np.min_scalar_type(self.K))
+        step = max(1, _CHUNK_ENTRIES // (nb * H * W))  # classes
+        for s in range(0, len(dx), step):
+            c = slice(s, s + step)
+            first, second = (t1[c], py, px), (t2[c], py + dy[c], px + dx[c])
+            both = bytes_at[first] & bytes_at[second]  # (class, byte, cy, cx)
+            hit = (both[:, k >> 3] & bit) != 0
             if nodes is not None:
-                hit &= near[e1] | near[e2]
-            hit = np.flatnonzero(hit)
-            n[hit] = _overlap(np.take(m, e1[hit], axis=0)
-                              & np.take(m, e2[hit], axis=0))
-            return n
-
-        return counts
-
-    def pair_weights(self, k: int):
-        """``(e1, e2) -> w``: the reciprocal number of subdomains holding
-        both elements where subdomain k holds both, 0 elsewhere."""
-        counts = self.pair_counts(k)
-        return lambda e1, e2: _reciprocal(counts(e1, e2))
+                hit &= near_at[first] | near_at[second]
+            counts = np.bitwise_count(both)
+            n = out[c]
+            n[...] = counts[:, 0]
+            for b in range(1, nb):
+                n += counts[:, b]
+            n[~hit] = 0
+        return out
 
     def element_weights(self, k: int) -> np.ndarray:
         """Reciprocal element multiplicity on the extended elements of k,
@@ -146,11 +177,6 @@ class Subdivision:
         w = np.zeros(self.mesh.n_elements)
         w[els] = 1.0 / _overlap(self.membership[els])
         return w
-
-
-def _reciprocal(n: np.ndarray) -> np.ndarray:
-    """1 / n where n > 0, 0 elsewhere."""
-    return np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
 
 
 def _overlap(rows: np.ndarray) -> np.ndarray:
@@ -176,17 +202,21 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
                     ball_norm: str) -> Subdivision:
     """Grow a rectangular partition into an overlapping subdivision.
 
-    Each subdomain takes, from one nearest-neighbor query of all element
-    barycenters against its owned ones, the interior elements within
-    half the mesh's horizon (plus a mesh-size safety margin) of its owned
-    barycenters and the collar elements within a full horizon, both
-    measured for the interaction ball of ``ball_norm``.  The resulting
-    family is verified to contain every interacting element pair in at
-    least one common subdomain.
+    Each subdomain's owned elements must fill a rectangle of cells, as
+    ``partition_rectangles`` makes them.  It takes the interior elements
+    within half the mesh's horizon (plus a mesh-size safety margin) of
+    its owned barycenters and the collar elements within a full horizon,
+    both measured for the interaction ball of ``ball_norm``.  The nearest
+    owned barycenter of each triangle type is the one of the element's
+    cell clamped into the rectangle: the squared distance is a sum of
+    one term per axis.  The resulting family is verified to contain every
+    interacting element pair in at least one common subdomain.
     """
     K = int(owner.max()) + 1
+    N = mesh.cells_per_side
     bary = mesh.barycenters
     interior = mesh.element_region == INTERIOR
+    cy, cx = np.divmod(np.arange(mesh.n_elements) // 2, N)
     # Safety margins: ownership is decided on barycenters, so the
     # half-horizon criterion needs slack of about one element diameter:
     # two interacting barycenters lie within reach + 2 sqrt(5) / 3 cells
@@ -202,14 +232,21 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
     # attached collar elements); a node belongs to k when it is a vertex
     # of any of those elements.
     radius = np.where(interior, r_ext, r_col)
-    # distances past the bound come back as inf; the margin keeps every
-    # distance compared to a radius exact
-    bound = 2.0 * radius.max()
     held = np.zeros((mesh.n_elements, K), dtype=bool)
     owned, extended, collars, nrows = [], [], [], []
     for k in range(K):
         own = np.flatnonzero(owner == k)
-        d, _ = cKDTree(bary[own]).query(bary, distance_upper_bound=bound)
+        ys, xs = cy[own], cx[own]
+        if len(own) != 2 * (np.ptp(ys) + 1) * (np.ptp(xs) + 1):
+            raise ValueError(
+                f"the elements owned by subdomain {k} fill no cell rectangle")
+        cell = (np.clip(cy, ys.min(), ys.max()) * N
+                + np.clip(cx, xs.min(), xs.max()))
+        d = np.inf
+        for t in range(2):
+            diff = bary - bary[2 * cell + t]
+            d = np.minimum(d, np.sqrt(diff[:, 0] * diff[:, 0]
+                                      + diff[:, 1] * diff[:, 1]))
         held[:, k] = d <= radius
         owned.append(own)
         extended.append(np.flatnonzero(held[:, k] & interior))

@@ -24,6 +24,64 @@ def assert_csr_bitwise(got, want) -> None:
     assert got.data.tobytes() == want.data.tobytes()
 
 
+def pair_counts(sub, k: int, nodes=None):
+    """``(e1, e2) -> n``, element pair by element pair: the number of
+    subdomains holding both elements where subdomain k holds both and,
+    if ``nodes`` are given, one of the two has a vertex among them; 0
+    elsewhere.  The oracle of ``Subdivision.pair_counts``."""
+    m = sub.membership
+    held = sub.holds(k)
+    near = None
+    if nodes is not None:
+        near = np.zeros(sub.mesh.n_vertices, bool)
+        near[nodes] = True
+        near = near[sub.mesh.elements].any(axis=1)
+
+    def counts(e1, e2):
+        n = np.zeros(len(e1), np.min_scalar_type(sub.K))
+        hit = held[e1] & held[e2]
+        if near is not None:
+            hit &= near[e1] | near[e2]
+        hit = np.flatnonzero(hit)
+        n[hit] = np.bitwise_count(np.take(m, e1[hit], axis=0)
+                                  & np.take(m, e2[hit], axis=0)).sum(axis=1)
+        return n
+
+    return counts
+
+
+def pair_weights(sub, k: int):
+    """``(e1, e2) -> w``: the reciprocal number of subdomains holding
+    both elements where subdomain k holds both, 0 elsewhere."""
+    counts = pair_counts(sub, k)
+
+    def weights(e1, e2):
+        n = counts(e1, e2)
+        return np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
+
+    return weights
+
+
+def weight_grid(asm, pair_weights, cells=None) -> np.ndarray:
+    """(class, cy - y0, cx - x0) grid of ``pair_weights(e1, e2)``, called
+    once on the element ids of every pair anchored in the cell window
+    ``cells`` (the whole mesh by default) with both elements in it, in
+    the type it returns; 0 at every other anchor."""
+    N = asm.N
+    x0, x1, y0, y1 = cells or (0, N, 0, N)
+    dx, dy, t1, t2 = np.array(asm.classes()).reshape(-1, 4).T
+    e1 = 2 * (np.arange(y0, y1)[:, None] * N + np.arange(x0, x1))[None] \
+        + t1[:, None, None]
+    e2 = e1 + (2 * (dy * N + dx) + t2 - t1)[:, None, None]
+    inside = ((e2 // 2 // N >= y0) & (e2 // 2 // N < y1)
+              & (e2 // 2 % N >= x0) & (e2 // 2 % N < x1)
+              & (e1 // 2 % N + dx[:, None, None] == e2 // 2 % N))
+    w = pair_weights(e1[inside], e2[inside])
+    grid = np.zeros(inside.shape, w.dtype)
+    grid[inside] = w
+    return grid
+
+
 def strip_to_owned(sub) -> None:
     """Sabotage a subdivision: clear the membership bits of every
     subdomain's overlap elements, so pairs straddling a partition

@@ -209,7 +209,7 @@ def test_constant_null_space_of_unconstrained_rows(cache):
     before the volume constraint is applied."""
     asm = cache.assembler("constant", 16, 0.125)
     mesh = cache.mesh(16, 0.125)
-    rows = asm.assemble()[mesh.interior_nodes]
+    rows = asm.assemble()[0][0][mesh.interior_nodes]
     sums = np.asarray(rows.sum(axis=1)).ravel()
     assert np.abs(sums).max() <= 1e-9 * abs(rows).max()
 

@@ -2,6 +2,7 @@
 systems."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from nlfeti.problems import manufactured_problem
 from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
-from conftest import assert_csr_bitwise, make_spec
+from conftest import (assert_csr_bitwise, make_spec, pair_counts,
+                      pair_weights, weight_grid)
 
 
 def _pair_matrix(mesh, e1, e2, spec, quad):
@@ -92,7 +94,8 @@ def test_symmetry_and_null_space(family):
     ids = np.flatnonzero(mesh.node_region == INTERIOR)
     c = spec.components
     dofs = np.concatenate([c * ids + i for i in range(c)])
-    rows = asm.assemble()[dofs]
+    [[rows]] = asm.assemble()
+    rows = rows[dofs]
     scale = abs(rows).max()
     sym = abs(rows[:, dofs] - rows[:, dofs].T).max()
     assert sym <= 1e-12 * scale
@@ -197,7 +200,8 @@ def test_assemble_matches_pairwise_oracle(family, weights):
     spec = make_spec(family, 0.25)
     oracle = _dense_oracle(mesh, spec, weights)
     asm = Assembler(mesh, spec)
-    got = asm.assemble(None if weights is _unit_weights else weights)
+    [[got]] = asm.assemble(None if weights is _unit_weights
+                           else weight_grid(asm, weights))
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
@@ -246,32 +250,50 @@ def test_window_rows_match_oracle_and_whole_mesh(family, weights):
             return weights(e1, e2) * inside(e1, e2)
 
         dofs = _window_dofs(mesh, cells, spec.components)
-        got = asm.assemble(None if weights is _unit_weights else weights,
-                           cells=cells)
+        [[got]] = asm.assemble(None if weights is _unit_weights
+                               else weight_grid(asm, weights, cells),
+                               cells=cells)
         oracle = _dense_oracle(mesh, spec, masked)[dofs]
         assert got.has_sorted_indices
         assert (np.abs(got.toarray() - oracle).max()
                 <= 1e-13 * np.abs(oracle).max())
-        assert_csr_bitwise(got, asm.assemble(masked)[dofs])
+        [[whole]] = asm.assemble(weight_grid(asm, masked))
+        assert_csr_bitwise(got, whole[dofs])
+
+
+def _assert_blocks_bitwise(got, want) -> None:
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for got_row, want_row in zip(got, want):
+        for g, w in zip(got_row, want_row):
+            assert_csr_bitwise(g, w)
 
 
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
 def test_one_row_strips_change_no_byte(family, monkeypatch):
     """The strip bound changes only how many node rows are scattered at
-    once: one row per strip gives the same bytes as one strip for all."""
+    once: one row per strip gives the same bytes as one strip for all,
+    in one block and in row and column blocks."""
     mesh = build_structured_mesh(8, 0.25)
     spec = make_spec(family, 0.25)
     asm = Assembler(mesh, spec)
     sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
-    calls = [dict(), dict(nodes=mesh.interior_nodes),
-             dict(pair_weights=sub.pair_weights(4), cells=(2, 10, 1, 11))]
+    cells = (2, 10, 1, 11)
+    blocks = (sub.inner_nodes[4], sub.interface_nodes[4],
+              sub.constrained_nodes[4])
+    counts = sub.pair_counts(4, asm.classes(), cells,
+                             np.concatenate(blocks[:2]))
+    calls = [dict(), dict(rows=[mesh.interior_nodes]),
+             dict(weights=weight_grid(asm, pair_weights(sub, 4), cells),
+                  cells=cells),
+             dict(weights=counts, cells=cells, rows=blocks[:2],
+                  columns=blocks)]
     whole = [asm.assemble(**kw) for kw in calls]
     Ct = asm._scatter_table()[0]
     # by default each call is one strip of all 13 x 13 node rows
     assert assembly._STRIP_ENTRIES >= max(Ct.shape) * 13 * 13
     monkeypatch.setattr(assembly, "_STRIP_ENTRIES", 1)
     for kw, want in zip(calls, whole):
-        assert_csr_bitwise(asm.assemble(**kw), want)
+        _assert_blocks_bitwise(asm.assemble(**kw), want)
 
 
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
@@ -279,7 +301,8 @@ def test_grid_padded_around_the_rows_changes_no_byte(family, monkeypatch):
     """The weight grid is padded only around the node box of the rows
     asked for, not around the whole window: the rows come out byte-equal
     to the same rows of the whole window's scatter, with one strip or
-    one node row per strip, and from a function or its weight grid."""
+    one node row per strip, from a grid of weights or of the counts
+    whose reciprocals they are."""
     mesh = build_structured_mesh(8, 0.25)
     spec = make_spec(family, 0.25)
     asm = Assembler(mesh, spec)
@@ -287,20 +310,50 @@ def test_grid_padded_around_the_rows_changes_no_byte(family, monkeypatch):
     N1, c = mesh.cells_per_side + 1, spec.components
     cells = (2, 10, 1, 11)
     middle = np.array([5 * N1 + 6, 6 * N1 + 5, 6 * N1 + 7, 7 * N1 + 6])
-    kept = np.concatenate([sub.inner_nodes[4], sub.interface_nodes[4]])
-    calls = [dict(nodes=mesh.interior_nodes), dict(nodes=middle),
-             dict(pair_weights=sub.pair_weights(4), cells=cells, nodes=kept)]
+    kept = [sub.inner_nodes[4], sub.interface_nodes[4]]
+    weights = weight_grid(asm, pair_weights(sub, 4), cells)
+    counts = weight_grid(asm, pair_counts(sub, 4), cells)
+    assert counts.dtype == np.uint8
+    calls = [dict(rows=[mesh.interior_nodes]), dict(rows=[middle]),
+             dict(weights=weights, cells=cells, rows=kept),
+             dict(weights=counts, cells=cells, rows=kept)]
     wants = []
     for kw in calls:
-        whole = {**kw, "nodes": None}
-        wants.append(asm.assemble(**whole)[
-            _node_dofs(_box_positions(kw["nodes"], kw.get("cells"), N1), c)])
-    grid = asm.weight_grid(sub.pair_weights(4), cells)
+        [[whole]] = asm.assemble(**{**kw, "rows": None})
+        wants.append([[whole[_node_dofs(
+            _box_positions(nodes, kw.get("cells"), N1), c)]]
+            for nodes in kw["rows"]])
     for strip in (assembly._STRIP_ENTRIES, 1):
         monkeypatch.setattr(assembly, "_STRIP_ENTRIES", strip)
         for kw, want in zip(calls, wants):
-            assert_csr_bitwise(asm.assemble(**kw), want)
-        assert_csr_bitwise(asm.assemble(grid, cells, kept), wants[-1])
+            _assert_blocks_bitwise(asm.assemble(**kw), want)
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def test_column_blocks_are_the_columns_of_one_block(family):
+    """Entries go straight to their row and column blocks: every block
+    equals, byte for byte and in index type, its rows and columns taken
+    out of the one block of every mesh node; columns in no block are
+    left out."""
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    asm = Assembler(mesh, spec)
+    c = spec.components
+    interior = mesh.interior_nodes
+    rows = [interior[::2], interior[1::2]]
+    columns = [interior, mesh.collar_nodes[::3], mesh.collar_nodes[1::3]]
+    got = asm.assemble(rows=rows, columns=columns)
+    [[whole]] = asm.assemble(rows=[interior])
+    for i, row in enumerate(rows):
+        for j, col in enumerate(columns):
+            at = _node_dofs(np.arange(i, len(interior), 2), c)
+            want = whole[at][:, _node_dofs(col, c)]
+            assert got[i][j].indices.dtype == want.indices.dtype
+            assert got[i][j].indptr.dtype == want.indptr.dtype
+            assert got[i][j].has_sorted_indices
+            assert_csr_bitwise(got[i][j], want)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        asm.assemble(rows=[interior[::-1]])
 
 
 def _box_positions(nodes, cells, N1):
@@ -320,9 +373,10 @@ def test_rows_of_a_box_prefix_are_only_those_nodes(family):
     asm = Assembler(mesh, spec)
     N1, c = mesh.cells_per_side + 1, spec.components
     nodes = np.arange(N1 + 2)
-    got = asm.assemble(nodes=nodes)
+    [[got]] = asm.assemble(rows=[nodes])
     assert got.shape[0] == c * len(nodes)
-    assert_csr_bitwise(got, asm.assemble(nodes=np.arange(2 * N1))[:c * len(nodes)])
+    [[box]] = asm.assemble(rows=[np.arange(2 * N1)])
+    assert_csr_bitwise(got, box[:c * len(nodes)])
 
 
 @pytest.mark.parametrize("k1, k2", [(3, 3), (3, 4)])
@@ -344,12 +398,57 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
         nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k],
                                 sub.constrained_nodes[k]])
         dofs = (c * nodes[:, None] + np.arange(c)[None, :]).ravel()
-        A = asm.assemble(sub.pair_weights(k))[dofs][:, dofs]
+        [[A]] = asm.assemble(weight_grid(asm, pair_weights(sub, k)))
+        A = A[dofs][:, dofs]
         O = np.arange(s.n_O)
         G = np.arange(s.n_O, s.n_O + s.n_G)
         assert_csr_bitwise(s.A_OO, A[O][:, O].tocsr())
         assert_csr_bitwise(s.A_OG, A[O][:, G].tocsr())
         assert_csr_bitwise(s.A_GG, A[G][:, G].tocsr())
+
+
+def _csr_bytes(*matrices) -> int:
+    return sum(a.nbytes for m in matrices
+               for a in (m.data, m.indices, m.indptr))
+
+
+def test_assembly_working_set_is_bounded():
+    """The traced peak of global and subdomain assembly on a wide horizon
+    (constant n=48, delta=6h, 4 x 4: 330 classes, 9 distinct subdomains
+    and 7 twins) stays within a few times the bytes of the blocks they
+    return; a twin, which only builds its key, within a fixed 2 MB.  No
+    class x window grid of element ids or of float weights is formed,
+    and no copy of the rows over all mesh dofs."""
+    mesh = build_structured_mesh(48, 0.125)
+    spec = KernelSpec("constant", 0.125)
+    prob = manufactured_problem("constant")
+    asm = Assembler(mesh, spec)
+    asm._scatter_table()  # the class matrices are not assembly's
+    sub = build_subdivision(mesh, 4, 4, ball_norm=spec.ball_norm)
+    moments = asm.load_moments(prob.forcing)
+    table, seen, twins = {}, set(), 0
+    tracemalloc.start()
+    try:
+        sysm = assemble_global(mesh, spec, prob.forcing, prob.exact,
+                               assembler=asm)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert peak <= 3 * _csr_bytes(sysm.A, sysm.B_coupling)
+        del sysm
+        for k in range(sub.K):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
+                                   assembler=asm, table=table)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            if id(s.A_OO) in seen:
+                twins += 1
+                assert peak <= 2e6, k
+            else:
+                seen.add(id(s.A_OO))
+                assert peak <= 6 * _csr_bytes(s.A_OO, s.A_OG, s.A_GG), k
+    finally:
+        tracemalloc.stop()
+    assert twins == 7
 
 
 def _classes_by_barycenter_reach(asm):
@@ -625,9 +724,9 @@ def test_constant_kernel_self_convergence():
     mesh = build_structured_mesh(8, 0.25)
     spec = KernelSpec("constant", 0.25)
     dofs = mesh.interior_nodes
-    A1 = Assembler(mesh, spec).assemble()[dofs]
+    A1 = Assembler(mesh, spec).assemble()[0][0][dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble()[dofs]
+                   quad=QuadratureConfig().refined()).assemble()[0][0][dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-8
 
@@ -637,9 +736,9 @@ def test_fractional_self_convergence():
     mesh = build_structured_mesh(8, 0.25)
     spec = KernelSpec("fractional", 0.25, 0.4)
     dofs = mesh.interior_nodes
-    A1 = Assembler(mesh, spec).assemble()[dofs]
+    A1 = Assembler(mesh, spec).assemble()[0][0][dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble()[dofs]
+                   quad=QuadratureConfig().refined()).assemble()[0][0][dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-5
 

@@ -35,7 +35,8 @@ from nlfeti.sparse_linalg import dense_spd_solve, projected_pcg
 from nlfeti.subdivision import (SubdivisionError, build_subdivision,
                                 rigid_modes, verify_coverage)
 
-from conftest import assert_csr_bitwise, make_spec, strip_to_owned
+from conftest import (assert_csr_bitwise, make_spec, pair_weights,
+                      strip_to_owned)
 
 
 def _build(family, n, delta, k1, k2, cache, **kw):
@@ -292,29 +293,57 @@ def test_uncovered_pair_is_rejected_before_assembly(cache):
         verify_coverage(mesh, sub, ball_norm="l2")
     pair = [np.array([int(v)]) for v in
             re.search(r"pair \((\d+), (\d+)\)", str(err.value)).groups()]
-    assert sum(sub.pair_weights(k)(*pair)[0] for k in range(sub.K)) == 0.0
+    assert sum(pair_weights(sub, k)(*pair)[0] for k in range(sub.K)) == 0.0
     whole = build_subdivision(mesh, 2, 2, ball_norm="l2")
-    total = sum(whole.pair_weights(k)(*pair)[0] for k in range(whole.K))
+    total = sum(pair_weights(whole, k)(*pair)[0] for k in range(whole.K))
     assert abs(total - 1.0) < 1e-15
 
 
 def _lil_neumann(s):
-    """The Neumann matrix as a LIL edit of the full matrix."""
+    """The Neumann matrix as a LIL edit of the full matrix, as CSC."""
     A = s.full_matrix().tolil()
     if s.floating:
         for dof in s.pinned:
             A[dof, :] = 0.0
             A[:, dof] = 0.0
             A[dof, dof] = 1.0
-    return A.tocsr()
+    return A.tocsc()
 
 
-@pytest.mark.parametrize("family", ["constant", "peridynamic"])
+def _bmat_neumann(s):
+    """The Neumann matrix as the copies made it before: the full matrix
+    by ``sp.bmat`` as CSR, pinned rows and columns zeroed through a row
+    index array, the identity's diagonal added, then CSC."""
+    A = sp.bmat([[s.A_OO, s.A_OG], [s.A_OG.T, s.A_GG]], format="csr")
+    if s.floating:
+        pinned = np.zeros(A.shape[0], dtype=bool)
+        pinned[s.pinned] = True
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data[pinned[rows] | pinned[A.indices]] = 0.0
+        A.eliminate_zeros()
+        A = A + sp.diags(pinned.astype(float))
+    return A.tocsc()
+
+
+def _assert_neumann(s):
+    got = s._neumann_matrix()
+    assert got.format == "csc"
+    assert_csr_bitwise(got, _lil_neumann(s))
+    want = _bmat_neumann(s)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic", "fractional"])
 def test_neumann_matrix_matches_lil_edit(family, cache):
+    """The Neumann matrix, written column by column from the blocks,
+    equals the LIL edit of the full matrix and, byte for byte and in
+    index type, the array the full-matrix copies made."""
     system = _build(family, 16, 0.125, 3, 3, cache)
     assert any(s.floating for s in system.subsystems)
     for s in system.subsystems:
-        assert_csr_bitwise(s._neumann_matrix(), _lil_neumann(s))
+        _assert_neumann(s)
 
 
 def test_neumann_matrix_matches_lil_edit_on_random_spd():
@@ -324,13 +353,16 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
     A = (R @ R.T - R - R.T + n * sp.eye(n)).tocsr()
     A.eliminate_zeros()
     assert A.min() < 0
-    s = SubdomainSystem(
-        k=0, components=1, inner_nodes=np.arange(nO),
-        interface_nodes=np.arange(nO, n), constrained_nodes=np.zeros(0, int),
-        A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
-        f_O=np.zeros(nO), f_G=np.zeros(n - nO),
-        floating=True, modes=np.full((n, 1), n ** -0.5))
-    assert_csr_bitwise(s._neumann_matrix(), _lil_neumann(s))
+    for floating in (True, False):
+        s = SubdomainSystem(
+            k=0, components=1, inner_nodes=np.arange(nO),
+            interface_nodes=np.arange(nO, n),
+            constrained_nodes=np.zeros(0, int),
+            A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
+            f_O=np.zeros(nO), f_G=np.zeros(n - nO),
+            floating=floating,
+            modes=np.full((n, 1 if floating else 0), n ** -0.5))
+        _assert_neumann(s)
 
 
 def test_coarse_constraint_violation_has_its_own_error(cache):

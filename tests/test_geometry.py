@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlfeti import assembly
+from nlfeti import assembly, geometry
 from nlfeti.assembly import (Assembler, QuadratureConfig, pair_matrix,
                              regular_pair_matrix)
 from nlfeti.geometry import (_segment_distance, clip_polygon_halfplane,
@@ -148,6 +148,29 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
                                     np.array(cells), max(quad.outer_degree, 5))
             assert M.tobytes() == asm.class_matrix(key)[0].tobytes(), key
         assert len(cells) == 1 and np.array_equal(cells[0], v1), key
+
+
+@pytest.mark.parametrize("R", [2, 3, 4, 5])
+def test_disk_cells_with_areas_in_one_pass_change_no_byte(R, monkeypatch):
+    """The cells of every disjoint class straddling the horizon at
+    R = 2..5 come out byte-equal whether the split keeps its pieces by
+    areas taken in one pass or polygon by polygon, so the class matrices
+    of the singular kernels keep their bytes."""
+    pairs = []
+    for dx, dy, t1, t2 in interacting_classes(R, False):
+        v1 = _TRI_T[t1].astype(float)
+        v2 = (_TRI_T[t2] + (dx, dy)).astype(float)
+        gaps = np.linalg.norm(v1[:, None] - v2[None], axis=2)
+        if gaps.min() > 0 and gaps.max() > R:
+            pairs.append((v1, v2))
+    assert pairs
+    arcs = QuadratureConfig().arc_segments
+    got = [disk_interaction_cells(v1, v2, R, arcs) for v1, v2 in pairs]
+    monkeypatch.setattr(geometry, "_polygon_areas", lambda polys: np.array(
+        [_polygon_area(p) for p in polys]))
+    for (v1, v2), cells in zip(pairs, got):
+        want = disk_interaction_cells(v1, v2, R, arcs)
+        assert np.array(cells).tobytes() == np.array(want).tobytes()
 
 
 @settings(deadline=None, max_examples=25)

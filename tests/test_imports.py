@@ -1,9 +1,13 @@
 """Code hygiene: every name a package module imports is used in it,
 every top-level function or class is referenced from elsewhere in the
-package, every function reads each of its parameters, and every f-string
-has a placeholder."""
+package, every function reads each of its parameters, every f-string
+has a placeholder, and a solve imports no scipy module it does not
+need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +157,23 @@ def test_checker_flags_an_unread_parameter():
     assert _unread_parameters(source) == [
         "line 2: f: b", "line 2: f: args", "line 2: f: d",
         "line 6: lambda: y"]
+
+
+def test_a_solve_imports_neither_spatial_nor_io():
+    """A FETI solve needs neither ``scipy.spatial`` (the subdomain
+    extension reads distances off the owned rectangles) nor ``scipy.io``
+    (only ``write_matrix_market`` imports it), so a fresh process that
+    imports the package and solves has loaded neither."""
+    code = (
+        "import sys\n"
+        "import nlfeti\n"
+        "from nlfeti.harness import ExperimentConfig, run_single\n"
+        "run_single(ExperimentConfig(family='peridynamic', n=8, delta=0.25,"
+        " k1=2, k2=2))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.spatial', 'scipy.io'))))\n")
+    src = str(Path(nlfeti.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"

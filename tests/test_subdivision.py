@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from nlfeti import subdivision
 from nlfeti.assembly import Assembler
 from nlfeti.feti import build_feti_system
 from nlfeti.mesh import INTERIOR, build_structured_mesh
@@ -22,7 +23,8 @@ from nlfeti.subdivision import (
     verify_coverage,
 )
 
-from conftest import make_spec, strip_to_owned
+from conftest import (make_spec, pair_counts, pair_weights, strip_to_owned,
+                      weight_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,7 @@ def test_coverage_rejects_a_pair_beyond_the_barycenter_bound():
                        match=r"pair \(505, 792\) of class \(9, 5, 1, 0\)"):
         verify_coverage(mesh, sub, ball_norm="l2")
     pair = np.array([505]), np.array([792])
-    assert sum(sub.pair_weights(k)(*pair)[0] for k in range(sub.K)) == 0.0
+    assert sum(pair_weights(sub, k)(*pair)[0] for k in range(sub.K)) == 0.0
 
 
 def test_coverage_rejects_a_table_built_for_the_other_ball():
@@ -366,7 +368,7 @@ def test_checked_pairs_split_into_unit_weights(n, ratio, k1, k2, ball_norm):
     interior = np.flatnonzero(mesh.element_region == INTERIOR)
     pairs = np.concatenate([np.column_stack([interior, interior]),
                             _checked_pairs(mesh, ball_norm)[0]])
-    total = sum(sub.pair_weights(k)(pairs[:, 0], pairs[:, 1])
+    total = sum(pair_weights(sub, k)(pairs[:, 0], pairs[:, 1])
                 for k in range(sub.K))
     assert np.abs(total - 1.0).max() <= 1e-15
 
@@ -379,32 +381,112 @@ def test_coverage_detects_missing_pair():
         verify_coverage(mesh, sub, ball_norm="l2")
 
 
+def _window(sub, k):
+    """Half-open cell rectangle bounding the elements subdomain k holds."""
+    cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2,
+                       sub.mesh.cells_per_side)
+    return cx.min(), cx.max() + 1, cy.min(), cy.max() + 1
+
+
 def test_counting_function_matches_bruteforce():
-    """Pair and element weights read off the packed table equal brute-force
-    set counting, also when a row spans two bytes (K = 12)."""
-    rng = np.random.default_rng(0)
+    """Pair counts and element weights read off the packed table equal
+    brute-force set counting, also when a row spans two bytes (K = 12):
+    every pair of the count grid of a subdomain's window and of the whole
+    mesh, with and without the kept-vertex condition."""
     for n, delta, k1, k2 in [(8, 0.25, 2, 2), (16, 0.125, 3, 4)]:
         mesh = build_structured_mesh(n, delta)
         sub = build_subdivision(mesh, k1, k2, ball_norm="l2")
-        held = _held(sub)
+        classes = Assembler(mesh, make_spec("fractional", delta)).classes()
+        dx, dy, t1, t2 = np.array(classes).T[:, :, None, None]
+        N = mesh.cells_per_side
+        held = [np.array(sorted(h)) for h in _held(sub)]
         assert sub.membership.shape == (mesh.n_elements, -(-sub.K // 8))
-        # random pairs, self-pairs, and pairs of overlap neighbours
-        e1 = np.concatenate([rng.integers(0, mesh.n_elements, 200),
-                             np.arange(mesh.n_elements)])
-        e2 = np.concatenate([rng.integers(0, mesh.n_elements, 200),
-                             np.arange(mesh.n_elements)])
-        e2 = np.concatenate([e2, (e1 + 2 * n + 1) % mesh.n_elements])
-        e1 = np.concatenate([e1, e1])
         for k in range(sub.K):
-            expect = np.zeros(len(e1))
-            for i, (a, b) in enumerate(zip(e1.tolist(), e2.tolist())):
-                if a in held[k] and b in held[k]:
-                    expect[i] = 1.0 / sum(a in h and b in h for h in held)
-            assert np.array_equal(sub.pair_weights(k)(e1, e2), expect)
+            kept = np.concatenate([sub.inner_nodes[k],
+                                   sub.interface_nodes[k]])
+            for cells in (_window(sub, k), (0, N, 0, N)):
+                x0, x1, y0, y1 = cells
+                cy, cx = np.mgrid[y0:y1, x0:x1]
+                inside = ((cy + dy < y1) & (x0 <= cx + dx) & (cx + dx < x1)
+                          & (cy + dy >= y0))
+                e1 = 2 * (cy * N + cx) + t1
+                e2 = np.where(inside, 2 * ((cy + dy) * N + cx + dx) + t2, 0)
+                both = [np.isin(e1, h) & np.isin(e2, h) & inside
+                        for h in held]
+                expect = np.where(both[k], sum(both), 0)
+                got = sub.pair_counts(k, classes, cells)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, expect)
+                near = (np.isin(mesh.elements[e1], kept).any(axis=-1)
+                        | np.isin(mesh.elements[e2], kept).any(axis=-1))
+                assert np.array_equal(
+                    sub.pair_counts(k, classes, cells, kept),
+                    np.where(near, expect, 0))
             elem = np.zeros(mesh.n_elements)
             for e in sub.extended_elements[k].tolist():
                 elem[e] = 1.0 / sum(e in h for h in held)
             assert np.array_equal(sub.element_weights(k), elem)
+
+
+@pytest.mark.parametrize("family,n,ratio,k1,k2", [
+    ("constant", 32, 8, 4, 4), ("peridynamic", 16, 2, 3, 4),
+    ("fractional", 24, 3, 5, 2)])
+def test_pair_counts_equal_the_pairwise_grid(family, n, ratio, k1, k2,
+                                             monkeypatch):
+    """The count grid read off cell planes equals, byte for byte and in
+    type, the grid of the pair-by-pair counts over the element ids of
+    every anchored pair, with the kept-vertex condition of subdomain
+    assembly, in chunks of many classes or of one."""
+    mesh = build_structured_mesh(n, ratio / n)
+    spec = make_spec(family, ratio / n)
+    asm = Assembler(mesh, spec)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
+    for chunk in (subdivision._CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(subdivision, "_CHUNK_ENTRIES", chunk)
+        for k in range(sub.K):
+            kept = np.concatenate([sub.inner_nodes[k],
+                                   sub.interface_nodes[k]])
+            cells = _window(sub, k)
+            got = sub.pair_counts(k, asm.classes(), cells, kept)
+            want = weight_grid(asm, pair_counts(sub, k, kept), cells)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+# (n, delta n, k1, k2, ball norm)
+EXTENSIONS = [(64, 8, 4, 4, "linf"), (32, 2, 3, 3, "l2"), (64, 2, 4, 4, "l2"),
+              (24, 3, 5, 2, "l2"), (30, 4, 7, 3, "linf"), (17, 1, 4, 3, "l2"),
+              (40, 5, 3, 5, "linf"), (64, 2, 1, 1, "l2"), (48, 3, 6, 6, "l2")]
+
+
+@pytest.mark.parametrize("n,ratio,k1,k2,ball_norm", EXTENSIONS)
+def test_extension_equals_the_kdtree_query(n, ratio, k1, k2, ball_norm):
+    """Distances read off the owned rectangles give, byte for byte, the
+    membership of a nearest-owned-barycenter query of every element
+    against a KD-tree of each subdomain's owned barycenters."""
+    mesh = build_structured_mesh(n, ratio / n)
+    owner = partition_rectangles(mesh, k1, k2)
+    sub = extend_nonlocal(mesh, owner, ball_norm=ball_norm)
+    bary = mesh.barycenters
+    reach = _reach(mesh.delta, ball_norm)
+    radius = np.where(mesh.element_region == INTERIOR,
+                      0.5 * (reach + mesh.h) + mesh.h + 1e-12,
+                      reach + mesh.h + 1e-12)
+    held = np.zeros((mesh.n_elements, sub.K), dtype=bool)
+    for k in range(sub.K):
+        d, _ = cKDTree(bary[owner == k]).query(
+            bary, distance_upper_bound=2.0 * radius.max())
+        held[:, k] = d <= radius
+    want = np.packbits(held, axis=1, bitorder="little")
+    assert sub.membership.tobytes() == want.tobytes()
+
+
+def test_extension_rejects_an_owned_set_that_is_no_rectangle():
+    mesh = build_structured_mesh(8, 0.25)
+    owner = partition_rectangles(mesh, 2, 2)
+    owner[np.flatnonzero(owner == 1)[0]] = 0
+    with pytest.raises(ValueError, match="subdomain 0 fill no cell rect"):
+        extend_nonlocal(mesh, owner, ball_norm="l2")
 
 
 def test_extend_nonlocal_counts_its_subdomains():
