@@ -14,9 +14,11 @@ for family in constant fractional peridynamic; do
         --set solver=both $EXTRA
 done
 
-python3 -m nlfeti.cli study --out "$OUT/fixed_ratio_constant.csv" \
-    --set study=fixed_ratio --set kernel.family=constant \
-    --set solver=both $EXTRA
+for family in constant fractional peridynamic; do
+    python3 -m nlfeti.cli study --out "$OUT/fixed_ratio_$family.csv" \
+        --set study=fixed_ratio --set kernel.family="$family" \
+        --set solver=both $EXTRA
+done
 
 python3 -m nlfeti.cli study --out "$OUT/strong_scaling_constant.csv" \
     --set study=strong_scaling --set kernel.family=constant \

@@ -33,12 +33,13 @@ The scatter is a sparse times dense product.  A scatter table, built
 once per assembler, has a column per (class, patch node a) and a row per
 (node-id shift, component pair), holding the class matrix entries.  The
 weights of a window's pairs sit in a grid of anchor cells per class, as
-a validity mask or as pair counts, zero-padded only as far as the
-requested rows reach; a row node reads, for each table column, the
-weight of the anchor it is node a of.  The rows are taken in strips of
-node rows, whose shifted weights are gathered at once and made float
-there, with a size bound like the one of the quadrature flushes; each
-entry goes straight to its row and column block.
+a validity mask or as pair counts, both read by ``geometry.class_grids``
+off cell planes, and zero-padded only as far as the requested rows
+reach; a row node reads, for each table column, the weight of the anchor
+it is node a of.  The rows are taken in strips of node rows, whose
+shifted weights are gathered at once and made float there, with a size
+bound like the one of the quadrature flushes; each entry goes straight
+to its row and column block.
 
 Element pairs with coinciding or touching supports use
 singularity-aware schemes.  Coinciding pairs integrate in relative polar
@@ -77,9 +78,9 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import (clip_triangle_square, disk_interaction_cells,
-                       fan_triangulate, interacting_classes,
-                       triangle_distances)
+from .geometry import (class_grids, clip_triangle_square,
+                       disk_interaction_cells, fan_triangulate,
+                       interacting_classes, triangle_distances)
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import _TRI_T, Mesh, p1_gradients, p1_values
 from .quadrature import (gauss01, map_to_physical, triangle_area,
@@ -790,15 +791,6 @@ class Assembler:
         self._table = (Ct, shifts, lattice, klass)
         return self._table
 
-    def _valid(self, cells) -> np.ndarray:
-        """(class, cy - y0, cx - x0) mask of the anchor cells of the
-        window ``cells`` whose partner cell lies in it too."""
-        x0, x1, y0, y1 = cells
-        dx, dy = np.array(self.classes(), dtype=np.int64).reshape(-1, 4)[:, :2].T
-        ys, xs = np.arange(y0, y1), np.arange(x0, x1)
-        return (((ys + dy[:, None] >= y0) & (ys + dy[:, None] < y1))[:, :, None]
-                & ((xs + dx[:, None] >= x0) & (xs + dx[:, None] < x1))[:, None, :])
-
     # -- assembly -----------------------------------------------------------
 
     def assemble(self, weights=None, cells=None, rows=None,
@@ -837,7 +829,13 @@ class Assembler:
         Ct, shifts, lat, klass = self._scatter_table()
         x0, x1, y0, y1 = cells or (0, N, 0, N)
         if weights is None:
-            weights = self._valid((x0, x1, y0, y1))
+            # the validity mask: on a plane of ones, a pair's second
+            # element reads 1 where it lies in the window
+            classes = self.classes()
+            weights = np.empty((len(classes), y1 - y0, x1 - x0), bool)
+            for chunk, _, inside in class_grids(
+                    np.ones((2, y1 - y0, x1 - x0), bool), classes):
+                weights[chunk] = inside
         if rows is None:
             rows = [(np.arange(y0, y1 + 1)[:, None] * N1
                      + np.arange(x0, x1 + 1)).ravel()]

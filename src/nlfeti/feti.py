@@ -16,7 +16,8 @@ On a structured mesh with even cuts most subdomains are translates of
 one another, and their blocks are bitwise equal.  Within one build such
 twins are found by a key of what the blocks are made from, translation
 taken out: the window shape, the node positions in it, the pinned dofs
-and the pair counts that reach kept rows.  Twins share one scatter, one
+and the pair counts that reach kept rows, joined into one byte string
+that a dict looks up.  Twins share one scatter, one
 set of blocks and one ``_Factors``, so assembly, factorization and
 memory scale with the distinct subdomains, not with K; their loads,
 rigid modes and right-hand sides stay their own.
@@ -24,7 +25,6 @@ rigid modes and right-hand sides stay their own.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -136,8 +136,8 @@ class SubdomainSystem:
     Dof layout is [inner nodes | interface nodes] (each sorted by global
     id, interleaved components for vector problems); constrained collar
     values are already moved to the right-hand side.  ``pinned`` are the
-    dofs pinned for the Neumann solve of a floating subdomain (found from
-    ``modes`` when not given).  Twins of one build hold the same block
+    dofs pinned for the Neumann solve of a floating subdomain, none on
+    any other (see ``_pin_dofs``).  Twins of one build hold the same block
     objects and ``_factors``.
     """
 
@@ -153,14 +153,8 @@ class SubdomainSystem:
     f_G: np.ndarray
     floating: bool
     modes: np.ndarray  # orthonormal rigid modes over (O, G) dofs; (n, m)
-    pinned: np.ndarray | None = field(default=None, repr=False)
+    pinned: np.ndarray = field(repr=False)
     _factors: _Factors = field(default_factory=_Factors, repr=False)
-
-    def __post_init__(self):
-        if self.pinned is None:
-            nodes = np.concatenate([self.inner_nodes, self.interface_nodes])
-            self.pinned = (_pin_dofs(self.k, self.modes, nodes, self.components)
-                           if self.floating else np.zeros(0, dtype=np.int64))
 
     @property
     def n_O(self) -> int:
@@ -244,35 +238,20 @@ class SubdomainSystem:
 
 
 def _local_key(mesh: Mesh, cells, nodes, pinned: np.ndarray,
-               counts: np.ndarray) -> tuple[np.ndarray, ...]:
+               counts: np.ndarray) -> bytes:
     """The inputs of a subdomain's blocks, with the translation taken
-    out: the cell-window shape, the inner, interface and constrained
-    node positions from the window corner, the pinned dofs (floating
+    out, as one byte string: a header of the cell-window shape and the
+    size of each array, then the inner, interface and constrained node
+    positions from the window corner, the pinned dofs (floating
     subdomains only) and the window's grid of pair counts, whose
-    reciprocals are the pair weights."""
+    reciprocals are the pair weights.  Within one build the types are
+    fixed, so equal strings mean equal arrays."""
     x0, x1, y0, y1 = cells
-    relative = [(ny - y0) * (x1 - x0 + 1) + nx - x0
-                for ny, nx in (np.divmod(v, mesh.cells_per_side + 1)
-                               for v in nodes)]
-    return (np.array([x1 - x0, y1 - y0] + [len(v) for v in nodes]),
-            *relative, pinned, counts)
-
-
-def _digest(key: tuple[np.ndarray, ...]) -> bytes:
-    """A digest of ``key`` that buckets candidates: every array but the
-    count grid, and that grid's sum per class."""
-    h = hashlib.blake2b(digest_size=16)
-    for a in (*key[:-1], key[-1].sum(axis=(1, 2))):
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(np.ascontiguousarray(a))
-    return h.digest()
-
-
-def _same(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
-    """Whether two keys hold the same arrays, byte for byte."""
-    return all(x.dtype == y.dtype and x.shape == y.shape
-               and np.array_equal(x.view(np.uint8), y.view(np.uint8))
-               for x, y in zip(a, b))
+    arrays = [(ny - y0) * (x1 - x0 + 1) + nx - x0
+              for ny, nx in (np.divmod(v, mesh.cells_per_side + 1)
+                             for v in nodes)] + [pinned, counts]
+    header = np.array([x1 - x0, y1 - y0] + [a.size for a in arrays])
+    return b"".join(a.tobytes() for a in (header, *arrays))
 
 
 def assemble_subdomain(
@@ -296,10 +275,10 @@ def assemble_subdomain(
     elements k holds.
 
     ``table`` is shared by the subdomains of one build.  It maps the
-    digest of each ``_local_key`` to the keys met so far and their
-    blocks.  A subdomain whose key equals one of them, array for array,
-    skips the scatter and takes those blocks and their ``_Factors``; its
-    load, ``g`` values, modes and right-hand side stay its own.
+    ``_local_key`` of each local system met so far to its blocks.  A
+    subdomain whose key is in it skips the scatter and takes those
+    blocks and their ``_Factors``; its load, ``g`` values, modes and
+    right-hand side stay its own.
     """
     asm = assembler or Assembler(mesh, spec)
     c = spec.components
@@ -323,16 +302,15 @@ def assemble_subdomain(
         modes = np.zeros((len(O) + len(G), 0))
         pinned = np.zeros(0, dtype=np.int64)
 
+    table = {} if table is None else table
     key = _local_key(mesh, cells, (inner, inter, constrained), pinned,
                      overlap)
-    bucket = ({} if table is None else table).setdefault(_digest(key), [])
-    local = next((loc for other, loc in bucket if _same(other, key)), None)
+    local = table.get(key)
     if local is None:
         # only the kept rows: a constrained row is never read
         (A_OO, A_OG, A_OC), (_, A_GG, A_GC) = asm.assemble(
             overlap, cells, (inner, inter), (inner, inter, constrained))
-        local = (A_OO, A_OG, A_GG, A_OC, A_GC, _Factors())
-        bucket.append((key, local))
+        local = table[key] = (A_OO, A_OG, A_GG, A_OC, A_GC, _Factors())
     A_OO, A_OG, A_GG, A_OC, A_GC, factors = local
     load = asm.assemble_load(moments, sub.element_weights(k))
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)

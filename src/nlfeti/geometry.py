@@ -13,6 +13,9 @@ smoothness, so that the outer rule is aligned with them, and
 inner triangle, which sets how finely each one is subdivided.
 ``interacting_classes`` decides which translation classes of the mesh
 interact; the assembler forms them and the coverage check checks them.
+``class_grids`` is the one reader of a class's pairs on the cell grid:
+the validity mask and the pair weights of the assembler, and the pairs
+the coverage check checks, are read through it off cell planes.
 """
 
 from __future__ import annotations
@@ -20,11 +23,16 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import _TRI_T
 from .quadrature import triangle_area
 
 _EPS = 1e-14
+
+# Entries of a chunk's gathers (classes x planes x window cells); bounds
+# the working set of ``class_grids``.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def clip_polygon_halfplane(
@@ -237,3 +245,31 @@ def interacting_classes(R: int,
              - _TRI_T[keys[:, 2]][:, None, :, :]).reshape(len(keys), 9, 2)
     near = _closer_than(diffs, R, linf)
     return tuple(tuple(int(v) for v in k) for k in keys[near])
+
+
+def class_grids(planes: np.ndarray, classes):
+    """Yield ``(chunk, first, second)`` for the pair classes
+    (dx, dy, t1, t2), a slice ``chunk`` of them at a time.
+
+    ``planes`` (type, ..., cy - y0, cx - x0) hold a per-element quantity
+    over a cell window, one plane per triangle type.  For the pairs
+    anchored in the window, element t1 of cell (cx, cy) with element t2
+    of cell (cx + dx, cy + dy), ``first`` (class, ..., cy - y0, cx - x0)
+    holds the quantity of the first element and ``second`` that of the
+    second, 0 where its cell lies outside the window.  The planes are
+    zero-padded by the largest class offset once, and each class reads
+    its second planes at its offset.
+    """
+    dx, dy, t1, t2 = np.array(classes, dtype=np.intp).reshape(-1, 4).T
+    px, py = int(np.abs(dx).max(initial=0)), int(np.abs(dy).max(initial=0))
+    H, W = planes.shape[-2:]
+    padded = np.zeros(planes.shape[:-2] + (H + 2 * py, W + 2 * px),
+                      planes.dtype)
+    padded[..., py:py + H, px:px + W] = planes
+    # (type, offset y, offset x, ..., cy, cx)
+    at = np.moveaxis(sliding_window_view(padded, (H, W), axis=(-2, -1)),
+                     (-4, -3), (1, 2))
+    step = max(1, _CHUNK_ENTRIES // planes[0].size)  # classes
+    for s in range(0, len(dx), step):
+        c = slice(s, s + step)
+        yield c, at[t1[c], py, px], at[t2[c], py + dy[c], px + dx[c]]

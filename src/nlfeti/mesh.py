@@ -173,7 +173,6 @@ def l2_error(
     if scalar:
         vals = vals[:, None]
     bary, wts = triangle_rule(degree)
-    total = 0.0
     els = np.flatnonzero(mesh.element_region == INTERIOR)
     tri_verts = mesh.vertices[mesh.elements[els]]  # (ne, 3, 2)
     pts = np.einsum("qb,ebx->eqx", bary, tri_verts)  # (ne, q, 2)

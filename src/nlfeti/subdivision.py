@@ -8,14 +8,14 @@ weighted by the reciprocal of the number of subdomains holding both.
 Each rectangle grows by the distance of every element to its nearest
 owned barycenter, read off the rectangle without a search.  Membership
 is stored once, as a packed element x subdomain bit table; every overlap
-count is the popcount of a membership row or of the AND of two rows.  Coverage is checked on the pairs the assembler
-weights: per translation class of ``geometry.interacting_classes``, the
-one predicate of which element pairs interact, so no list of all
-interacting pairs is formed.  The module also
-builds the interface constraint matrix and its multiplicity scaling used
-by the FETI solver, from one node-sorted table of all interface copies
-and one scaled block per multiplicity, and the rigid modes of a node
-set.
+count is the popcount of a membership row or of the AND of two rows.
+Coverage is checked on the pairs the assembler weights, per class of
+``geometry.interacting_classes``; the check and the pair counts read a
+class's pairs off cell planes by ``geometry.class_grids``, so no list of
+pairs is formed.  The module also builds the interface constraint matrix
+and its multiplicity scaling used by the FETI solver, from one
+node-sorted table of all interface copies and one scaled block per
+multiplicity, and the rigid modes of a node set.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import interacting_classes
+from .geometry import class_grids, interacting_classes
 from .mesh import INTERIOR, Mesh
-
-
-# Entries of a chunk's membership gathers (classes x bytes x window
-# cells); bounds the working set of ``Subdivision.pair_counts``.
-_CHUNK_ENTRIES = 1 << 16
 
 
 class SubdivisionError(RuntimeError):
@@ -125,43 +119,27 @@ class Subdivision:
         them; 0 elsewhere, also where the second element lies outside the
         window.  Unsigned, of the smallest type that holds K.
 
-        It is read off the window's cell planes per triangle type, of the
-        membership bytes and of the kept-vertex mask, zero-padded by the
-        largest class offset: a class reads its second planes at its
-        offset.  Classes are taken in chunks, so no grid of element ids
-        is formed.
+        It is read by ``class_grids`` off the window's cell planes of the
+        membership bytes and of the kept-vertex mask, so no grid of
+        element ids is formed.
         """
-        N = self.mesh.cells_per_side
         x0, x1, y0, y1 = cells
-        H, W = y1 - y0, x1 - x0
-        dx, dy, t1, t2 = np.array(classes, dtype=np.intp).reshape(-1, 4).T
-        px, py = int(np.abs(dx).max(initial=0)), int(np.abs(dy).max(initial=0))
         nb = self.membership.shape[1]
-        window = (slice(y0, y1), slice(x0, x1))
-        # planes (type, byte, cy, cx) zero outside the window; a class
-        # reads its first planes at the window, its second at its offset
-        planes = np.zeros((2, nb, H + 2 * py, W + 2 * px), np.uint8)
-        planes[:, :, py:py + H, px:px + W] = self.membership.reshape(
-            N, N, 2, nb)[window].transpose(2, 3, 0, 1)
-        bytes_at = sliding_window_view(planes, (H, W), axis=(2, 3)
-                                       ).transpose(0, 2, 3, 1, 4, 5)
+        columns = self.membership
         if nodes is not None:
             kept = np.zeros(self.mesh.n_vertices, dtype=bool)
             kept[nodes] = True
-            near = np.zeros((2, H + 2 * py, W + 2 * px), dtype=bool)
-            near[:, py:py + H, px:px + W] = kept[self.mesh.elements].any(
-                axis=1).reshape(N, N, 2)[window].transpose(2, 0, 1)
-            near_at = sliding_window_view(near, (H, W), axis=(1, 2))
+            columns = np.column_stack([columns,
+                                       kept[self.mesh.elements].any(axis=1)])
         bit = np.uint8(1 << (k & 7))
-        out = np.empty((len(dx), H, W), np.min_scalar_type(self.K))
-        step = max(1, _CHUNK_ENTRIES // (nb * H * W))  # classes
-        for s in range(0, len(dx), step):
-            c = slice(s, s + step)
-            first, second = (t1[c], py, px), (t2[c], py + dy[c], px + dx[c])
-            both = bytes_at[first] & bytes_at[second]  # (class, byte, cy, cx)
+        out = np.empty((len(classes), y1 - y0, x1 - x0),
+                       np.min_scalar_type(self.K))
+        for c, first, second in class_grids(
+                _cell_planes(self.mesh, columns, cells), classes):
+            both = first[:, :nb] & second[:, :nb]  # (class, byte, cy, cx)
             hit = (both[:, k >> 3] & bit) != 0
             if nodes is not None:
-                hit &= near_at[first] | near_at[second]
+                hit &= (first[:, nb] | second[:, nb]) != 0
             counts = np.bitwise_count(both)
             n = out[c]
             n[...] = counts[:, 0]
@@ -177,6 +155,14 @@ class Subdivision:
         w = np.zeros(self.mesh.n_elements)
         w[els] = 1.0 / _overlap(self.membership[els])
         return w
+
+
+def _cell_planes(mesh: Mesh, columns: np.ndarray, cells) -> np.ndarray:
+    """(type, column, cy - y0, cx - x0) cell planes of the per-element
+    ``columns`` (n_elements, m) over the window ``cells``."""
+    N = mesh.cells_per_side
+    x0, x1, y0, y1 = cells
+    return columns.reshape(N, N, 2, -1)[y0:y1, x0:x1].transpose(2, 3, 0, 1)
 
 
 def _overlap(rows: np.ndarray) -> np.ndarray:
@@ -288,48 +274,41 @@ def build_subdivision(mesh: Mesh, k1: int, k2: int, *,
     return extend_nonlocal(mesh, owner, ball_norm=ball_norm)
 
 
-def _interacting_pairs(mesh: Mesh, linf: bool):
-    """(key, e1, e2) per class key = (dx, dy, t1, t2) of
-    ``interacting_classes`` on the mesh's horizon but (0, 0, t, t): its
-    pairs with an interior element, e1 of type t1 in cell (x, y) and e2
-    of type t2 in cell (x + dx, y + dy)."""
-    N = mesh.cells_per_side
-    cell = np.arange(N * N).reshape(N, N)
-    interior = (mesh.element_region == INTERIOR).reshape(N, N, 2)
-    # |dx|, dy <= R + 1 < N: every slice bound below lies in [0, N]
-    for key in interacting_classes(round(mesh.delta * mesh.n), linf):
-        dx, dy, t1, t2 = key
-        if dx == dy == 0 and t1 == t2:
-            continue
-        first = (slice(0, N - dy), slice(max(0, -dx), N - max(0, dx)))
-        second = (slice(dy, N), slice(max(0, dx), N - max(0, -dx)))
-        keep = interior[first + (t1,)] | interior[second + (t2,)]
-        yield key, 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
-
-
 def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
     """Assert that every element pair the assembler weights for a kernel
     on the ``ball_norm`` ball (every pair of an interacting class with
     an interior element, the element self-pairs included) lies in a
     common subdomain: the AND of its two membership rows is nonzero.
-    Raises SubdivisionError on the first violation.
+    Raises SubdivisionError on the first violation, self-pairs first.
+
+    The pairs are read off the mesh's cell planes of the membership
+    bytes and the interior mask.  A class reaches at most delta n cells,
+    the collar's width, so a pair with an interior element lies in the
+    mesh.
     """
-    m = sub.membership
+    N = mesh.cells_per_side
     interior = mesh.element_region == INTERIOR
-    # Element self-pairs: every interior element must be in some subdomain.
-    bad = np.flatnonzero(interior & (_overlap(m) == 0))
-    if len(bad):
-        raise SubdivisionError(
-            f"element {bad[0]} belongs to no subdomain"
-        )
-    for key, e1, e2 in _interacting_pairs(mesh, ball_norm == "linf"):
-        bad = np.flatnonzero(_overlap(np.take(m, e1, axis=0)
-                                      & np.take(m, e2, axis=0)) == 0)
-        if len(bad):
+    planes = _cell_planes(mesh, np.column_stack([sub.membership, interior]),
+                          (0, N, 0, N))
+    # the self-pair classes (0, 0, t, t) first, so that an element no
+    # subdomain holds is named rather than a pair it belongs to
+    classes = sorted(interacting_classes(round(mesh.delta * mesh.n),
+                                         ball_norm == "linf"),
+                     key=lambda key: key[:2] != (0, 0) or key[2] != key[3])
+    for c, first, second in class_grids(planes, classes):
+        bad = (((first[:, -1] | second[:, -1]) != 0)
+               & ~(first[:, :-1] & second[:, :-1]).any(axis=1))
+        if bad.any():
+            i, cy, cx = np.unravel_index(np.argmax(bad), bad.shape)
+            key = classes[c][i]
+            dx, dy, t1, t2 = key
+            e1 = 2 * (cy * N + cx) + t1
+            e2 = 2 * ((cy + dy) * N + cx + dx) + t2
+            if e1 == e2:
+                raise SubdivisionError(f"element {e1} belongs to no subdomain")
             raise SubdivisionError(
-                f"interacting element pair ({e1[bad[0]]}, {e2[bad[0]]}) of "
-                f"class {key} is covered by no subdomain"
-            )
+                f"interacting element pair ({e1}, {e2}) of class {key} is "
+                f"covered by no subdomain")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from nlfeti.assembly import Assembler, assemble_global
+from nlfeti.geometry import interacting_classes
 from nlfeti.kernels import KernelSpec
-from nlfeti.mesh import build_structured_mesh
+from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.problems import manufactured_problem
 
 
@@ -22,6 +23,27 @@ def assert_csr_bitwise(got, want) -> None:
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def interacting_pairs(mesh, linf: bool):
+    """(key, e1, e2) per class key = (dx, dy, t1, t2) of
+    ``interacting_classes`` on the mesh's horizon but (0, 0, t, t): its
+    pairs with an interior element, e1 of type t1 in cell (x, y) and e2
+    of type t2 in cell (x + dx, y + dy), sliced per class out of the
+    mesh's grid of element ids.  The oracle of the pairs
+    ``verify_coverage`` checks."""
+    N = mesh.cells_per_side
+    cell = np.arange(N * N).reshape(N, N)
+    interior = (mesh.element_region == INTERIOR).reshape(N, N, 2)
+    # |dx|, dy <= R + 1 < N: every slice bound below lies in [0, N]
+    for key in interacting_classes(round(mesh.delta * mesh.n), linf):
+        dx, dy, t1, t2 = key
+        if dx == dy == 0 and t1 == t2:
+            continue
+        first = (slice(0, N - dy), slice(max(0, -dx), N - max(0, dx)))
+        second = (slice(dy, N), slice(max(0, dx), N - max(0, -dx)))
+        keep = interior[first + (t1,)] | interior[second + (t2,)]
+        yield key, 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
 
 
 def pair_counts(sub, k: int, nodes=None):

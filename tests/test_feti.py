@@ -354,14 +354,16 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
     A.eliminate_zeros()
     assert A.min() < 0
     for floating in (True, False):
+        modes = np.full((n, 1 if floating else 0), n ** -0.5)
         s = SubdomainSystem(
             k=0, components=1, inner_nodes=np.arange(nO),
             interface_nodes=np.arange(nO, n),
             constrained_nodes=np.zeros(0, int),
             A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
             f_O=np.zeros(nO), f_G=np.zeros(n - nO),
-            floating=floating,
-            modes=np.full((n, 1 if floating else 0), n ** -0.5))
+            floating=floating, modes=modes,
+            pinned=(feti._pin_dofs(0, modes, np.arange(n), 1) if floating
+                    else np.zeros(0, np.int64)))
         _assert_neumann(s)
 
 

@@ -1,4 +1,7 @@
-"""Square clipping, cell splitting and the outer cells of disjoint pairs."""
+"""Square clipping, cell splitting, the outer cells of disjoint pairs and
+the class-grid reader."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from nlfeti import assembly, geometry
 from nlfeti.assembly import (Assembler, QuadratureConfig, pair_matrix,
                              regular_pair_matrix)
-from nlfeti.geometry import (_segment_distance, clip_polygon_halfplane,
-                             clip_triangle_square, disk_interaction_cells,
-                             fan_triangulate, interacting_classes,
-                             triangle_distances)
+from nlfeti.geometry import (_segment_distance, class_grids,
+                             clip_polygon_halfplane, clip_triangle_square,
+                             disk_interaction_cells, fan_triangulate,
+                             interacting_classes, triangle_distances)
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import _TRI_T, build_structured_mesh
 from nlfeti.quadrature import map_to_physical, triangle_rule
 
-from conftest import make_spec
+from conftest import make_spec, weight_grid
 
 
 def _tri_area(t):
@@ -372,3 +375,59 @@ def test_outer_cells_match_the_replaced_set_up(family, R, monkeypatch):
         assert X.tobytes() == np.concatenate([x for x, _ in per_cell]).tobytes()
         assert WX.tobytes() == np.concatenate([w for _, w in per_cell]).tobytes()
     assert moved == (_MOVED_AT_3 if R == 3 else set())
+
+
+# ---------------------------------------------------------------------------
+# The class-grid reader
+
+
+def _read(planes, classes):
+    """The reader's (first, second) grids of all ``classes``, joined."""
+    views = [(first, second) for _, first, second in class_grids(planes,
+                                                                classes)]
+    return tuple(np.concatenate([v[i] for v in views]) for i in (0, 1))
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 8), ratio=st.integers(1, 3), chunk=st.sampled_from(
+    [geometry._CHUNK_ENTRIES, 1]), data=st.data())
+def test_class_grids_equal_the_element_id_gathers(n, ratio, chunk, data):
+    """For any classes, also of negative dy, and any cell window, at the
+    mesh edge too, the first and second grids the reader yields equal
+    the per-element quantity gathered at the pair's element ids, 0 where
+    the second element leaves the window; on a plane of ones the second
+    grid is the oracle's validity mask."""
+    mesh = build_structured_mesh(n, ratio / n)
+    N = mesh.cells_per_side
+    x0 = data.draw(st.integers(0, N - 1))
+    y0 = data.draw(st.integers(0, N - 1))
+    x1 = data.draw(st.integers(x0 + 1, N))
+    y1 = data.draw(st.integers(y0 + 1, N))
+    cells = (x0, x1, y0, y1)
+    offset = st.integers(-ratio - 1, ratio + 1)
+    classes = data.draw(st.lists(
+        st.tuples(offset, offset, st.integers(0, 1), st.integers(0, 1)),
+        min_size=1, max_size=12))
+    q = data.draw(st.integers(1, 3))
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))
+                                   ).integers(1, 256, (mesh.n_elements, q),
+                                              dtype=np.uint8)
+    planes = values.reshape(N, N, 2, q)[y0:y1, x0:x1].transpose(2, 3, 0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ENTRIES", chunk)
+        first, second = _read(planes, classes)
+        _, inside = _read(np.ones((2, y1 - y0, x1 - x0), bool), classes)
+    cy, cx = np.mgrid[y0:y1, x0:x1]
+    assert first.shape == second.shape == (len(classes), q, y1 - y0, x1 - x0)
+    for i, (dx, dy, t1, t2) in enumerate(classes):
+        into = ((y0 <= cy + dy) & (cy + dy < y1)
+                & (x0 <= cx + dx) & (cx + dx < x1))
+        e1 = 2 * (cy * N + cx) + t1
+        e2 = np.where(into, 2 * ((cy + dy) * N + cx + dx) + t2, 0)
+        assert np.array_equal(first[i], values[e1].transpose(2, 0, 1))
+        assert np.array_equal(
+            second[i], np.where(into, values[e2].transpose(2, 0, 1), 0))
+    oracle = SimpleNamespace(N=N, classes=lambda: classes)
+    valid = weight_grid(oracle, lambda e1, e2: np.ones(len(e1), bool), cells)
+    assert inside.dtype == valid.dtype
+    assert inside.tobytes() == valid.tobytes()

@@ -164,14 +164,29 @@ def test_different_pins_mean_no_shared_neumann_factor(cache, monkeypatch):
     assert np.abs(moved_u - u).max() <= 1e-8 * np.abs(u).max()
 
 
-def test_a_digest_collision_shares_nothing_more(cache, monkeypatch):
-    """With every key in one bucket, only keys equal array for array
-    share: the groups and the solution stay the same."""
-    plain = _build("constant", 32, 2, 4, 2, cache)
-    monkeypatch.setattr(feti, "_digest", lambda key: b"")
-    merged = _build("constant", 32, 2, 4, 2, cache)
-    assert _groups(merged) == _groups(plain)
-    assert _solve(merged)[1].tobytes() == _solve(plain)[1].tobytes()
+def test_keys_tell_apart_arrays_that_split_the_same_bytes(cache):
+    """Keys whose arrays join to the same bytes but split them
+    differently differ: the header holds the size of every array, so
+    only subdomains with equal arrays share a key."""
+    mesh = cache.mesh(8, 0.25)  # 12 cells, 13 nodes a side
+    cells = (2, 6, 2, 6)
+    nodes = np.array([40, 41, 42, 43, 44])
+    none = np.zeros(0, np.int64)
+    counts = np.ones((3, 4, 4), np.uint8)
+
+    def key(inner, inter, constrained, pinned=none):
+        return feti._local_key(mesh, cells, (inner, inter, constrained),
+                               pinned, counts)
+
+    same = key(nodes[:2], nodes[2:], none)
+    assert same == key(nodes[:2].copy(), nodes[2:].copy(), none.copy())
+    # node 44 lies at position (44 // 13 - 2) 5 + 44 % 13 - 2 = 8
+    splits = [key(nodes[:3], nodes[3:], none),
+              key(nodes[:2], nodes[2:4], nodes[4:]),
+              key(nodes[:2], nodes[2:4], none, np.array([8]))]
+    assert len({same, *splits}) == 4
+    # past the header, the window shape and five sizes, the bytes agree
+    assert len({k[7 * 8:] for k in (same, *splits)}) == 1
 
 
 def test_twins_solve_concurrently_on_one_factor(cache, monkeypatch):

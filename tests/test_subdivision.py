@@ -6,14 +6,13 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from nlfeti import subdivision
+from nlfeti import geometry
 from nlfeti.assembly import Assembler
 from nlfeti.feti import build_feti_system
 from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import (
     SubdivisionError,
-    _interacting_pairs,
     _reach,
     build_constraints,
     build_subdivision,
@@ -23,8 +22,8 @@ from nlfeti.subdivision import (
     verify_coverage,
 )
 
-from conftest import (make_spec, pair_counts, pair_weights, strip_to_owned,
-                      weight_grid)
+from conftest import (interacting_pairs, make_spec, pair_counts, pair_weights,
+                      strip_to_owned, weight_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def _checked_pairs(mesh, ball_norm):
     """(pairs, keys): every pair of distinct elements the coverage check
     takes, as rows, and the class it takes the pair under."""
     parts = [(np.column_stack([e1, e2]), np.tile(key, (len(e1), 1)))
-             for key, e1, e2 in _interacting_pairs(mesh, ball_norm == "linf")]
+             for key, e1, e2 in interacting_pairs(mesh, ball_norm == "linf")]
     return (np.concatenate([p for p, _ in parts]),
             np.concatenate([k for _, k in parts]))
 
@@ -381,6 +380,64 @@ def test_coverage_detects_missing_pair():
         verify_coverage(mesh, sub, ball_norm="l2")
 
 
+def test_coverage_names_an_element_no_subdomain_holds():
+    """An interior element of either type that no subdomain holds is
+    named by its element id, ahead of the pairs it leaves uncovered."""
+    mesh = build_structured_mesh(8, 0.25)
+    for e in (2 * (9 * 12 + 5), 2 * (9 * 12 + 5) + 1):  # cell (5, 9)
+        sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
+        assert mesh.element_region[e] == INTERIOR
+        sub.membership[e] = 0
+        with pytest.raises(SubdivisionError,
+                           match=rf"^element {e} belongs to no subdomain$"):
+            verify_coverage(mesh, sub, ball_norm="l2")
+
+
+def _first_violation(mesh, held, ball_norm):
+    """The message of the first uncovered pair by the element-id oracle:
+    interior elements of type 0, then of type 1, that no subdomain
+    holds, then the pairs of ``interacting_pairs`` in its order."""
+    bad = np.flatnonzero((mesh.element_region == INTERIOR)
+                         & ~held.any(axis=1))
+    if len(bad):
+        return (f"element {bad[np.argsort(bad % 2, kind='stable')][0]} "
+                f"belongs to no subdomain")
+    for key, e1, e2 in interacting_pairs(mesh, ball_norm == "linf"):
+        bad = np.flatnonzero(~(held[e1] & held[e2]).any(axis=1))
+        if len(bad):
+            return (f"interacting element pair ({e1[bad[0]]}, {e2[bad[0]]}) "
+                    f"of class {key} is covered by no subdomain")
+    return None
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 9), ratio=st.integers(1, 3), K=st.integers(1, 12),
+       p=st.sampled_from([0.3, 0.7, 0.95]), each=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       ball_norm=st.sampled_from(["l2", "linf"]))
+def test_coverage_names_the_oracles_first_violation(n, ratio, K, p, each,
+                                                    seed, ball_norm):
+    """On random membership tables, with or without every element held
+    somewhere, the check passes exactly when the element-id oracle finds
+    every pair covered, and otherwise names the oracle's first
+    violation."""
+    mesh = build_structured_mesh(n, ratio / n)
+    sub = build_subdivision(mesh, 1, 1, ball_norm=ball_norm)
+    rng = np.random.default_rng(seed)
+    held = rng.random((mesh.n_elements, K)) < p
+    if each:
+        held[np.arange(mesh.n_elements),
+             rng.integers(K, size=mesh.n_elements)] = True
+    sub.membership = np.packbits(held, axis=1, bitorder="little")
+    want = _first_violation(mesh, held, ball_norm)
+    if want is None:
+        verify_coverage(mesh, sub, ball_norm=ball_norm)
+    else:
+        with pytest.raises(SubdivisionError) as err:
+            verify_coverage(mesh, sub, ball_norm=ball_norm)
+        assert str(err.value) == want
+
+
 def _window(sub, k):
     """Half-open cell rectangle bounding the elements subdomain k holds."""
     cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2,
@@ -441,8 +498,8 @@ def test_pair_counts_equal_the_pairwise_grid(family, n, ratio, k1, k2,
     spec = make_spec(family, ratio / n)
     asm = Assembler(mesh, spec)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
-    for chunk in (subdivision._CHUNK_ENTRIES, 1):
-        monkeypatch.setattr(subdivision, "_CHUNK_ENTRIES", chunk)
+    for chunk in (geometry._CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", chunk)
         for k in range(sub.K):
             kept = np.concatenate([sub.inner_nodes[k],
                                    sub.interface_nodes[k]])
