@@ -137,20 +137,6 @@ class QuadratureConfig:
     polar_angular: int = 4
     load_degree: int = 4
 
-    def refined(self) -> "QuadratureConfig":
-        """All orders bumped (for self-convergence checks)."""
-        return QuadratureConfig(
-            outer_degree=self.outer_degree + 2,
-            inner_degree=self.inner_degree + 2,
-            angular_points=2 * self.angular_points,
-            transform_points=self.transform_points + 4,
-            transform_panels=self.transform_panels + 4,
-            cut_subdiv=self.cut_subdiv + 1,
-            arc_segments=2 * self.arc_segments,
-            polar_angular=self.polar_angular + 4,
-            load_degree=self.load_degree + 1,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Pair integration
@@ -924,16 +910,19 @@ class Assembler:
                          bary, fv)
 
     def assemble_load(self, moments: np.ndarray,
-                      element_weights: np.ndarray | None = None) -> np.ndarray:
-        """Load vector over all mesh dofs from the ``load_moments``, each
-        element optionally scaled by ``element_weights``."""
+                      elements: tuple | None = None) -> np.ndarray:
+        """Load vector over all mesh dofs from the ``load_moments``; with
+        ``elements = (els, w)`` summed over the elements ``els`` only,
+        each scaled by its weight in ``w``."""
         mesh = self.mesh
         c = self.spec.components
-        if element_weights is not None:
-            moments = moments * element_weights[:, None, None]
+        tri = mesh.elements
+        if elements is not None:
+            els, w = elements
+            tri, moments = tri[els], moments[els] * w[:, None, None]
         out = np.zeros(c * mesh.n_vertices)
         for i in range(c):
-            np.add.at(out, c * mesh.elements + i, moments[:, :, i])
+            np.add.at(out, c * tri + i, moments[:, :, i])
         return out
 
 

@@ -31,13 +31,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import Assembler, _node_dofs
 from .kernels import KernelSpec
 from .mesh import Mesh
-from .sparse_linalg import (Factorization, SingularMatrixError, dense_spd_solve,
-                            factorize, projected_pcg)
+from .sparse_linalg import (Factorization, SingularMatrixError, factorize,
+                            projected_pcg)
 from .subdivision import (ConstraintSet, Subdivision, SubdivisionError,
                           build_constraints, rigid_modes)
 
@@ -337,8 +338,8 @@ class FetiSystem:
     sub: Subdivision
     constraints: ConstraintSet
     subsystems: list[SubdomainSystem]
-    G: np.ndarray            # dense (M_C, n_modes); small
-    GtG: np.ndarray
+    G: sp.csr_matrix         # (M_C, n_modes)
+    GtG_factor: tuple        # scipy.linalg.cho_factor of G^T G
     d: np.ndarray
     e: np.ndarray
     g: np.ndarray            # constraint values at every collar dof
@@ -368,10 +369,12 @@ class FetiSystem:
         B = self.constraints.B
         return B @ self.schur_pinv_apply(B.T @ lam)
 
+    def coarse_solve(self, b: np.ndarray) -> np.ndarray:
+        """(G^T G)^-1 b."""
+        return scipy.linalg.cho_solve(self.GtG_factor, b)
+
     def apply_P(self, lam: np.ndarray) -> np.ndarray:
-        if self.G.shape[1] == 0:
-            return lam
-        return lam - self.G @ dense_spd_solve(self.GtG, self.G.T @ lam)
+        return lam - self.G @ self.coarse_solve(self.G.T @ lam)
 
     def apply_Minv(self, r: np.ndarray) -> np.ndarray:
         BD = self.constraints.B_D
@@ -392,7 +395,8 @@ def build_feti_system(
 
     With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
     d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
-    e = concat_s R_s^T f_s.
+    e = concat_s R_s^T f_s.  G stays sparse; G^T G is factored once, here,
+    for every coarse solve of the system.
 
     The subdomains share one table, so twins (equal keys, see
     ``assemble_subdomain``) are scattered and factorized once; the table
@@ -416,16 +420,16 @@ def build_feti_system(
         s.fact_neumann()
     d = cs.B @ np.concatenate(_each_subdomain(
         lambda s, fs: s.pinv_apply(fs)[s.n_O:], subs, loads))
-    G = (cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs],
-                              format="csr")).toarray()
-    GtG = G.T @ G
+    G = cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs], format="csr")
+    GtG = (G.T @ G).toarray()  # small: n_modes x n_modes
     if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
         raise SubdivisionError("coarse matrix G^T G is singular")
     e = np.concatenate([s.modes.T @ fs for s, fs in zip(subs, loads)])
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
     return FetiSystem(
         mesh=mesh, spec=spec, sub=sub, constraints=cs, subsystems=subs,
-        G=G, GtG=GtG, d=d, e=e, g=gv.reshape(-1), tol=tol, maxit=maxit,
+        G=G, GtG_factor=scipy.linalg.cho_factor(GtG, lower=True), d=d, e=e,
+        g=gv.reshape(-1), tol=tol, maxit=maxit,
     )
 
 
@@ -443,34 +447,22 @@ def feti_solve(system: FetiSystem) -> FetiResult:
     """Run the projected-PCG dual iteration and recover all unknowns,
     u_s = K_s^+ (f_s - B_s^T lambda) - R_s alpha_s."""
     cs = system.constraints
-    M_C = cs.B.shape[0]
-    nm = system.G.shape[1]
-    if nm:
-        lam0 = system.G @ dense_spd_solve(system.GtG, system.e)
-    else:
-        lam0 = np.zeros(M_C)
+    lam0 = system.G @ system.coarse_solve(system.e)
 
     def check(lam):
-        if nm:
-            res = np.linalg.norm(system.G.T @ lam - system.e)
-            if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
-                raise CoarseConstraintError(
-                    f"initial multiplier violates the coarse constraint "
-                    f"(residual {res:.3e})")
+        res = np.linalg.norm(system.G.T @ lam - system.e)
+        if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
+            raise CoarseConstraintError(
+                f"initial multiplier violates the coarse constraint "
+                f"(residual {res:.3e})")
 
     trace: list[float] = []
-    if M_C == 0:
-        lam, iters = np.zeros(0), 0
-    else:
-        lam, iters = projected_pcg(
-            system.apply_F, system.apply_P, system.d, lam0,
-            apply_Minv=system.apply_Minv, tol=system.tol,
-            maxit=system.maxit, constraint_check=check, trace=trace,
-        )
-
-    resid = system.d - system.apply_F(lam) if M_C else np.zeros(0)
-    alpha = (dense_spd_solve(system.GtG, system.G.T @ resid)
-             if nm else np.zeros(0))
+    lam, iters = projected_pcg(
+        system.apply_F, system.apply_P, system.d, lam0,
+        apply_Minv=system.apply_Minv, tol=system.tol,
+        maxit=system.maxit, constraint_check=check, trace=trace,
+    )
+    alpha = system.coarse_solve(system.G.T @ (system.d - system.apply_F(lam)))
     subs = system.subsystems
     counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
     u = _each_subdomain(

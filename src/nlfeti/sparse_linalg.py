@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -69,18 +68,6 @@ def factorize(A: sp.spmatrix) -> Factorization:
             f"zero pivot at elimination index {int(bad[0])}"
         )
     return Factorization(lu=lu)
-
-
-def dense_spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a small dense symmetric positive definite system."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return np.zeros_like(np.asarray(b, dtype=float))
-    try:
-        c = scipy.linalg.cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"dense SPD solve failed: {exc}") from exc
-    return scipy.linalg.cho_solve(c, b)
 
 
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,

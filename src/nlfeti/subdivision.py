@@ -109,15 +109,15 @@ class Subdivision:
         return (self.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
 
     def pair_counts(self, k: int, classes, cells,
-                    nodes: np.ndarray | None = None) -> np.ndarray:
+                    nodes: np.ndarray) -> np.ndarray:
         """(class, cy - y0, cx - x0) grid of the pairs of ``classes``
         (dx, dy, t1, t2) anchored in the cell window
         ``cells = (x0, x1, y0, y1)``: element 2 (cy N + cx) + t1 with
         element 2 ((cy + dy) N + cx + dx) + t2.  Each holds the number of
         subdomains holding both elements where subdomain k holds both
-        and, if ``nodes`` are given, one of the two has a vertex among
-        them; 0 elsewhere, also where the second element lies outside the
-        window.  Unsigned, of the smallest type that holds K.
+        and one of the two has a vertex among ``nodes``; 0 elsewhere, also
+        where the second element lies outside the window.  Unsigned, of
+        the smallest type that holds K.
 
         It is read by ``class_grids`` off the window's cell planes of the
         membership bytes and of the kept-vertex mask, so no grid of
@@ -125,12 +125,10 @@ class Subdivision:
         """
         x0, x1, y0, y1 = cells
         nb = self.membership.shape[1]
-        columns = self.membership
-        if nodes is not None:
-            kept = np.zeros(self.mesh.n_vertices, dtype=bool)
-            kept[nodes] = True
-            columns = np.column_stack([columns,
-                                       kept[self.mesh.elements].any(axis=1)])
+        kept = np.zeros(self.mesh.n_vertices, dtype=bool)
+        kept[nodes] = True
+        columns = np.column_stack([self.membership,
+                                   kept[self.mesh.elements].any(axis=1)])
         bit = np.uint8(1 << (k & 7))
         out = np.empty((len(classes), y1 - y0, x1 - x0),
                        np.min_scalar_type(self.K))
@@ -138,8 +136,7 @@ class Subdivision:
                 _cell_planes(self.mesh, columns, cells), classes):
             both = first[:, :nb] & second[:, :nb]  # (class, byte, cy, cx)
             hit = (both[:, k >> 3] & bit) != 0
-            if nodes is not None:
-                hit &= (first[:, nb] | second[:, nb]) != 0
+            hit &= (first[:, nb] | second[:, nb]) != 0
             counts = np.bitwise_count(both)
             n = out[c]
             n[...] = counts[:, 0]
@@ -148,13 +145,11 @@ class Subdivision:
             n[~hit] = 0
         return out
 
-    def element_weights(self, k: int) -> np.ndarray:
-        """Reciprocal element multiplicity on the extended elements of k,
-        0 elsewhere."""
+    def element_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The extended elements of k and their reciprocal
+        multiplicities."""
         els = self.extended_elements[k]
-        w = np.zeros(self.mesh.n_elements)
-        w[els] = 1.0 / _overlap(self.membership[els])
-        return w
+        return els, 1.0 / _overlap(self.membership[els])
 
 
 def _cell_planes(mesh: Mesh, columns: np.ndarray, cells) -> np.ndarray:

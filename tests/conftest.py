@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from nlfeti.assembly import Assembler, assemble_global
+from nlfeti.assembly import Assembler, QuadratureConfig, assemble_global
 from nlfeti.geometry import interacting_classes
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import INTERIOR, build_structured_mesh
@@ -15,6 +15,23 @@ from nlfeti.problems import manufactured_problem
 
 def make_spec(family: str, delta: float) -> KernelSpec:
     return KernelSpec(family, delta, 0.4 if family == "fractional" else None)
+
+
+def refined_quadrature() -> QuadratureConfig:
+    """The default rule with all orders bumped (for self-convergence
+    checks)."""
+    q = QuadratureConfig()
+    return QuadratureConfig(
+        outer_degree=q.outer_degree + 2,
+        inner_degree=q.inner_degree + 2,
+        angular_points=2 * q.angular_points,
+        transform_points=q.transform_points + 4,
+        transform_panels=q.transform_panels + 4,
+        cut_subdiv=q.cut_subdiv + 1,
+        arc_segments=2 * q.arc_segments,
+        polar_angular=q.polar_angular + 4,
+        load_degree=q.load_degree + 1,
+    )
 
 
 def assert_csr_bitwise(got, want) -> None:
@@ -102,6 +119,22 @@ def weight_grid(asm, pair_weights, cells=None) -> np.ndarray:
     grid = np.zeros(inside.shape, w.dtype)
     grid[inside] = w
     return grid
+
+
+def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
+    """Subdomain k's load as a sum over every mesh element, each element
+    weighted by its reciprocal multiplicity on the extended elements of
+    k and by 0 elsewhere.  The oracle of ``Assembler.assemble_load`` over
+    the held elements only."""
+    els = sub.extended_elements[k]
+    w = np.zeros(asm.mesh.n_elements)
+    w[els] = 1.0 / np.bitwise_count(sub.membership[els]).sum(axis=1)
+    weighted = moments * w[:, None, None]
+    c = asm.spec.components
+    out = np.zeros(c * asm.mesh.n_vertices)
+    for i in range(c):
+        np.add.at(out, c * asm.mesh.elements + i, weighted[:, :, i])
+    return out
 
 
 def strip_to_owned(sub) -> None:

@@ -13,7 +13,8 @@ import pytest
 
 from nlfeti.cli import main as cli_main
 from nlfeti.feti import build_feti_system, feti_solve, gather_solution
-from nlfeti.harness import ExperimentConfig, baseline_cg_solve, run_single
+from nlfeti.harness import (ExperimentConfig, baseline_cg_solve, run_single,
+                            study_rungs)
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import l2_error
 from nlfeti.problems import manufactured_problem
@@ -137,6 +138,22 @@ def test_iteration_scalability_fixed_ratio():
     assert max(feti_iters) - min(feti_iters) <= 5, feti_iters
     for a, b in zip(cg_iters, cg_iters[1:]):
         assert b >= 1.6 * a, cg_iters
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("NLFETI_PAPER_SCALE") != "1",
+                    reason="full-size run; set NLFETI_PAPER_SCALE=1")
+def test_peridynamic_iterations_saturate_at_paper_scale():
+    """The peridynamic fixed-ratio ladder up to n=256, 16x16 (26, 35,
+    44 and 45 iterations when this test was written): the last two rungs
+    differ by at most 2 iterations and the whole ladder grows by at most
+    19."""
+    config = ExperimentConfig(family="peridynamic", study="fixed_ratio")
+    iters = [run_single(rung, study="fixed_ratio").records[0].iterations
+             for rung in study_rungs(config, paper_scale=True)]
+    assert len(iters) == 4
+    assert abs(iters[-1] - iters[-2]) <= 2, iters
+    assert iters[-1] - iters[0] <= 19, iters
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
 from conftest import (assert_csr_bitwise, make_spec, pair_counts,
-                      pair_weights, weight_grid)
+                      pair_weights, refined_quadrature, weight_grid)
 
 
 def _pair_matrix(mesh, e1, e2, spec, quad):
@@ -81,7 +81,7 @@ def test_fractional_coinciding_pair_stable_under_order_doubling():
     quad = QuadratureConfig()
     e = 2 * (4 * 8 + 4)  # an element well inside
     M1, _ = _pair_matrix(mesh, e, e, spec, quad)
-    M2, _ = _pair_matrix(mesh, e, e, spec, quad.refined())
+    M2, _ = _pair_matrix(mesh, e, e, spec, refined_quadrature())
     rel = np.abs(M1 - M2).max() / np.abs(M2).max()
     assert rel < 1e-6
 
@@ -577,7 +577,7 @@ def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
     closer to the refined rule than the mesh-coordinate one."""
     delta = 4 / 6
     asm = Assembler(build_structured_mesh(6, delta), make_spec(family, delta))
-    refined = QuadratureConfig().refined()
+    refined = refined_quadrature()
     moved = 0
     for key in asm.classes():
         M, _, _ = asm.class_matrix(key)
@@ -636,7 +636,7 @@ def test_class_memo_is_order_independent(first, then):
         mesh = build_structured_mesh(n, ratio / n)
         spec = KernelSpec(family, ratio / n, s)
         prob = manufactured_problem(family)
-        quad = QuadratureConfig().refined() if refined else None
+        quad = refined_quadrature() if refined else None
         return assemble_global(mesh, spec, prob.forcing, prob.exact,
                                Assembler(mesh, spec, quad))
 
@@ -666,8 +666,10 @@ def test_weighted_load_matches_per_subdomain_moments(family, cache):
     fv = np.asarray(fv, dtype=float).reshape(len(tri), len(wts), -1)
     c = asm.spec.components
     for k in range(sub.K):
-        w = sub.element_weights(k)
-        got = asm.assemble_load(moments, w)
+        els, we = sub.element_weights(k)
+        got = asm.assemble_load(moments, (els, we))
+        w = np.zeros(mesh.n_elements)
+        w[els] = we
         contrib = np.einsum("e,q,qa,eqc->eac", triangle_area(tri) * w, wts,
                             bary, fv)
         want = np.zeros(c * mesh.n_vertices)
@@ -680,7 +682,7 @@ _KNOBS = [f.name for f in dataclasses.fields(QuadratureConfig)]
 
 
 def test_refined_rule_changes_every_knob():
-    default, refined = QuadratureConfig(), QuadratureConfig().refined()
+    default, refined = QuadratureConfig(), refined_quadrature()
     assert [k for k in _KNOBS
             if getattr(refined, k) == getattr(default, k)] == []
 
@@ -701,7 +703,7 @@ def test_every_quadrature_knob_changes_a_result(knob):
     moments take a forcing that no rule integrates exactly; on the
     linear manufactured forcings every load rule here is exact."""
     quad = dataclasses.replace(QuadratureConfig(), **{
-        knob: getattr(QuadratureConfig().refined(), knob)})
+        knob: getattr(refined_quadrature(), knob)})
     if knob == "load_degree":
         mesh, spec = build_structured_mesh(4, 0.5), make_spec("constant", 0.5)
         f = lambda p: np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
@@ -726,7 +728,7 @@ def test_constant_kernel_self_convergence():
     dofs = mesh.interior_nodes
     A1 = Assembler(mesh, spec).assemble()[0][0][dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble()[0][0][dofs]
+                   quad=refined_quadrature()).assemble()[0][0][dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-8
 
@@ -738,7 +740,7 @@ def test_fractional_self_convergence():
     dofs = mesh.interior_nodes
     A1 = Assembler(mesh, spec).assemble()[0][0][dofs]
     A2 = Assembler(mesh, spec,
-                   quad=QuadratureConfig().refined()).assemble()[0][0][dofs]
+                   quad=refined_quadrature()).assemble()[0][0][dofs]
     rel = abs(A1 - A2).max() / abs(A2).max()
     assert rel < 1e-5
 

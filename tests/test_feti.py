@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from nlfeti import feti
-from nlfeti.assembly import Assembler, assemble_global
+from nlfeti.assembly import Assembler, _node_dofs, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
     ConsistencyError,
@@ -31,12 +32,12 @@ from nlfeti.feti import (
 from nlfeti.harness import ExperimentConfig
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
-from nlfeti.sparse_linalg import dense_spd_solve, projected_pcg
+from nlfeti.sparse_linalg import projected_pcg
 from nlfeti.subdivision import (SubdivisionError, build_subdivision,
                                 rigid_modes, verify_coverage)
 
-from conftest import (assert_csr_bitwise, make_spec, pair_weights,
-                      strip_to_owned)
+from conftest import (assert_csr_bitwise, full_mesh_load, make_spec,
+                      pair_weights, strip_to_owned)
 
 
 def _build(family, n, delta, k1, k2, cache, **kw):
@@ -170,10 +171,10 @@ def _condensed_solve(system):
     e = Z.T @ f_schur
     d = cs.B @ system.schur_pinv_apply(f_schur)
     lam, iters = projected_pcg(
-        system.apply_F, lambda v: v - G @ dense_spd_solve(GtG, G.T @ v), d,
-        G @ dense_spd_solve(GtG, e), apply_Minv=system.apply_Minv,
+        system.apply_F, lambda v: v - G @ np.linalg.solve(GtG, G.T @ v), d,
+        G @ np.linalg.solve(GtG, e), apply_Minv=system.apply_Minv,
         tol=system.tol)
-    alpha = dense_spd_solve(GtG, G.T @ (d - system.apply_F(lam)))
+    alpha = np.linalg.solve(GtG, G.T @ (d - system.apply_F(lam)))
     u_G = system._split(system.schur_pinv_apply(f_schur - cs.B.T @ lam)
                         - Z @ alpha)
     u_O = [_interior_solve(s, s.f_O - s.A_OG @ u) for s, u in zip(subs, u_G)]
@@ -370,11 +371,79 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
 def test_coarse_constraint_violation_has_its_own_error(cache):
     system = _build("constant", 16, 0.125, 3, 3, cache)
     assert system.G.shape[1] > 0
-    # a wrong coarse matrix puts the initial multiplier off G^T lam = e
-    system.GtG = 2.0 * system.GtG
+    # a wrong coarse factor puts the initial multiplier off G^T lam = e
+    GtG = (system.G.T @ system.G).toarray()
+    system.GtG_factor = scipy.linalg.cho_factor(2.0 * GtG, lower=True)
     with pytest.raises(CoarseConstraintError, match="coarse constraint"):
         feti_solve(system)
     assert not issubclass(CoarseConstraintError, SubdivisionError)
+
+
+def test_rank_deficient_coarse_matrix_is_refused(cache, monkeypatch):
+    """With the constraint columns of the floating subdomain zeroed, its
+    rigid mode reaches no multiplier, G has a zero column and the build
+    refuses the singular G^T G before factoring it."""
+    build = feti.build_constraints
+
+    def cut(sub, c):
+        cs = build(sub, c)
+        k = int(np.flatnonzero(sub.floating)[0])
+        keep = np.ones(cs.B.shape[1])
+        keep[cs.offsets[k]:cs.offsets[k + 1]] = 0.0
+        cs.B = (cs.B @ sp.diags(keep)).tocsr()
+        return cs
+
+    monkeypatch.setattr(feti, "build_constraints", cut)
+    with pytest.raises(SubdivisionError, match=r"coarse matrix G\^T G"):
+        _build("constant", 16, 0.125, 3, 3, cache)
+
+
+@pytest.mark.parametrize("family,k", [("constant", 3), ("peridynamic", 3),
+                                      ("constant", 1)])
+def test_coarse_matrix_is_factored_once_per_build(family, k, cache,
+                                                  monkeypatch):
+    """G stays sparse; G^T G is factored once by the build and never by
+    the solve, also when it is 0 x 0 (one subdomain, no multiplier)."""
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    system = _build(family, 16, 0.125, k, k, cache)
+    assert sp.issparse(system.G) and system.G.format == "csr"
+    nm = system.G.shape[1]
+    assert calls == [(nm, nm)]
+    assert nm == (0 if k == 1 else 1 if family == "constant" else 3)
+    feti_solve(system)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family,k1,k2", [("constant", 3, 3),
+                                          ("peridynamic", 3, 3),
+                                          ("fractional", 2, 3)])
+def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
+    """Each subdomain's load, summed over the elements it holds, equals
+    byte for byte the weighted sum over every mesh element.  With zero
+    constraint data the lift adds nothing, so f_O and f_G are the load's
+    inner and interface entries."""
+    mesh = cache.mesh(16, 0.125)
+    spec = make_spec(family, 0.125)
+    asm = cache.assembler(family, 16, 0.125)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
+    prob = manufactured_problem(family)
+    system = build_feti_system(mesh, sub, spec, prob.forcing,
+                               lambda xy: np.zeros(len(xy) * spec.components),
+                               assembler=asm)
+    moments = asm.load_moments(prob.forcing)
+    c = spec.components
+    for k, s in enumerate(system.subsystems):
+        want = full_mesh_load(asm, moments, sub, k)
+        assert s.f_O.tobytes() == want[_node_dofs(s.inner_nodes, c)].tobytes()
+        assert (s.f_G.tobytes()
+                == want[_node_dofs(s.interface_nodes, c)].tobytes())
 
 
 def test_iteration_cap_defaults_match_the_config():
@@ -392,8 +461,9 @@ def _solve_bytes(family, k1, k2, cache):
     """Bytes of every array a FETI solve builds, plus its iteration count."""
     system = _build(family, 16, 0.125, k1, k2, cache)
     result = feti_solve(system)
-    arrays = [system.d, system.G, system.e, result.lam, result.alpha,
-              gather_solution(system, result)]
+    G = system.G
+    arrays = [system.d, G.indptr, G.indices, G.data, system.e, result.lam,
+              result.alpha, gather_solution(system, result)]
     for s in system.subsystems:
         arrays += [s.f_O, s.f_G, s.modes]
         arrays += [x for M in (s.A_OO, s.A_OG, s.A_GG)

@@ -17,18 +17,32 @@ import nlfeti
 MODULES = sorted(Path(nlfeti.__file__).parent.glob("*.py"))
 
 
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
 def _unused_imports(source: str) -> list[str]:
+    """Imported names that the module never reads.  A dotted import with
+    no ``as`` counts as read only where its whole chain is: ``import
+    a.b`` by ``a.b`` or ``a.b.c``, not by ``a.c``."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+                imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {_dotted(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -39,8 +53,11 @@ def test_module_uses_every_import(path):
 
 
 def test_checker_flags_an_unused_import():
-    source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys, pi)\n"
-    assert _unused_imports(source) == ["line 1: os", "line 3: tau"]
+    source = ("import os\nimport sys\nfrom math import pi, tau\n"
+              "import scipy.linalg\nimport scipy.sparse\nimport a.b.c\n"
+              "print(sys, pi, scipy.sparse.eye(2), a.b.c.d)\n")
+    assert _unused_imports(source) == ["line 1: os", "line 4: scipy.linalg",
+                                       "line 3: tau"]
 
 
 def _fstrings_without_placeholders(source: str) -> list[str]:

@@ -18,6 +18,8 @@ from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import _TRI_T, p1_gradients
 from nlfeti.quadrature import gauss01, map_to_physical, triangle_rule
 
+from conftest import refined_quadrature
+
 # radial Gauss points per direction of the references: the polar rule's
 # former default order
 RADIAL = 8
@@ -133,7 +135,7 @@ def test_batched_polar_rule_matches_per_point_rule(delta, refined):
     per-point rule's; the triangle-rule points are the inner triangle's;
     and with RADIAL points per direction the rule integrates smooth
     functions as the per-point rule does."""
-    quad = QuadratureConfig().refined() if refined else QuadratureConfig()
+    quad = refined_quadrature() if refined else QuadratureConfig()
     spec = KernelSpec("fractional", delta, 0.4)
     rng = np.random.default_rng(7)
     X = rng.uniform(-0.1 - delta, 0.2 + delta, size=(300, 2))

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from nlfeti.sparse_linalg import (
     ConvergenceFailure,
     SingularMatrixError,
-    dense_spd_solve,
     factorize,
     projected_pcg,
     write_matrix_market,
@@ -22,8 +21,6 @@ def test_solves_two_by_two_by_hand():
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
     # the CSC copies of the factors read by the pivot check are released
     assert fact.lu.L.nnz == fact.lu.U.nnz == 0
-    assert np.allclose(dense_spd_solve(A.toarray(), np.array([3.0, 3.0])),
-                       [1.0, 1.0], atol=1e-14)
 
 
 def test_factorization_residual_random_spd():
@@ -45,14 +42,6 @@ def test_singular_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0 + 4e-15]]))
     with pytest.raises(SingularMatrixError, match="zero pivot"):
         factorize(A)
-    with pytest.raises(SingularMatrixError):
-        dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
-                        np.array([1.0, 1.0]))
-
-
-def test_dense_spd_solve_empty():
-    out = dense_spd_solve(np.zeros((0, 0)), np.zeros(0))
-    assert out.shape == (0,)
 
 
 def cg(apply_A, b, **kwargs):

@@ -449,7 +449,8 @@ def test_counting_function_matches_bruteforce():
     """Pair counts and element weights read off the packed table equal
     brute-force set counting, also when a row spans two bytes (K = 12):
     every pair of the count grid of a subdomain's window and of the whole
-    mesh, with and without the kept-vertex condition."""
+    mesh, with every node kept (no pair left out) and with the
+    subdomain's kept nodes."""
     for n, delta, k1, k2 in [(8, 0.25, 2, 2), (16, 0.125, 3, 4)]:
         mesh = build_structured_mesh(n, delta)
         sub = build_subdivision(mesh, k1, k2, ball_norm="l2")
@@ -471,7 +472,9 @@ def test_counting_function_matches_bruteforce():
                 both = [np.isin(e1, h) & np.isin(e2, h) & inside
                         for h in held]
                 expect = np.where(both[k], sum(both), 0)
-                got = sub.pair_counts(k, classes, cells)
+                # every element has a vertex among all nodes
+                got = sub.pair_counts(k, classes, cells,
+                                      np.arange(mesh.n_vertices))
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, expect)
                 near = (np.isin(mesh.elements[e1], kept).any(axis=-1)
@@ -479,10 +482,10 @@ def test_counting_function_matches_bruteforce():
                 assert np.array_equal(
                     sub.pair_counts(k, classes, cells, kept),
                     np.where(near, expect, 0))
-            elem = np.zeros(mesh.n_elements)
-            for e in sub.extended_elements[k].tolist():
-                elem[e] = 1.0 / sum(e in h for h in held)
-            assert np.array_equal(sub.element_weights(k), elem)
+            els, w = sub.element_weights(k)
+            assert np.array_equal(els, sub.extended_elements[k])
+            assert np.array_equal(
+                w, [1.0 / sum(e in h for h in held) for e in els.tolist()])
 
 
 @pytest.mark.parametrize("family,n,ratio,k1,k2", [
@@ -640,7 +643,7 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
     # Each column of G is supported on the multipliers of one floating
     # subdomain's interface dofs, in subdomain order; the columns per
     # subdomain are its mode count.
-    G = system.G
+    G = system.G.toarray()
     assert G.shape[1] == sum(expected)
     B = cons.B.tocsc()
     for col, k in enumerate(np.repeat(np.arange(sub.K), expected)):
