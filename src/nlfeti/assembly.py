@@ -72,7 +72,8 @@ component.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -932,16 +933,42 @@ class Assembler:
 
 @dataclass
 class AssembledSystem:
-    """Reduced global system  A u = f - B g  over unknown dofs."""
+    """Reduced global system  A u = f - B g  over unknown dofs.
+
+    ``A``, ``B_coupling`` and ``load`` are assembled on first read, from
+    the forcing ``f``, by the run's ``assembler``, whose scatter table
+    the subdomains share: a solve that reads none of them, as FETI does,
+    makes no scatter over the whole mesh.
+    """
 
     mesh: Mesh
     spec: KernelSpec
-    A: sp.csr_matrix
-    B_coupling: sp.csr_matrix
-    load: np.ndarray
     g: np.ndarray
     interior_dofs: np.ndarray
     collar_dofs: np.ndarray
+    assembler: Assembler = field(repr=False)
+    f: Callable = field(repr=False)
+
+    @functools.cached_property
+    def _blocks(self) -> list[sp.csr_matrix]:
+        """[A, B_coupling]: the interior rows against the interior and
+        the collar columns."""
+        nodes = [self.mesh.interior_nodes, self.mesh.collar_nodes]
+        [blocks] = self.assembler.assemble(rows=nodes[:1], columns=nodes)
+        return blocks
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        return self._blocks[0]
+
+    @property
+    def B_coupling(self) -> sp.csr_matrix:
+        return self._blocks[1]
+
+    @functools.cached_property
+    def load(self) -> np.ndarray:
+        asm = self.assembler
+        return asm.assemble_load(asm.load_moments(self.f))[self.interior_dofs]
 
     @property
     def rhs(self) -> np.ndarray:
@@ -991,26 +1018,19 @@ def assemble_global(
     g,
     assembler: Assembler | None = None,
 ) -> AssembledSystem:
-    """Assemble the volume-constrained global system.
+    """The volume-constrained global system, assembled on first read.
 
     ``f`` is the forcing on the interior, ``g`` the constraint data on
     the collar; both map (m, 2) point arrays to values.
     """
-    asm = assembler or Assembler(mesh, spec)
     c = spec.components
-    interior_dofs = _node_dofs(mesh.interior_nodes, c)
-    collar_dofs = _node_dofs(mesh.collar_nodes, c)
-    [[A, B]] = asm.assemble(rows=[mesh.interior_nodes],
-                            columns=[mesh.interior_nodes, mesh.collar_nodes])
-    load_full = asm.assemble_load(asm.load_moments(f))
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float).reshape(-1)
     return AssembledSystem(
         mesh=mesh,
         spec=spec,
-        A=A,
-        B_coupling=B,
-        load=load_full[interior_dofs],
         g=gv,
-        interior_dofs=interior_dofs,
-        collar_dofs=collar_dofs,
+        interior_dofs=_node_dofs(mesh.interior_nodes, c),
+        collar_dofs=_node_dofs(mesh.collar_nodes, c),
+        assembler=assembler or Assembler(mesh, spec),
+        f=f,
     )

@@ -161,10 +161,6 @@ class SubdomainSystem:
     def n_O(self) -> int:
         return self.components * len(self.inner_nodes)
 
-    @property
-    def n_G(self) -> int:
-        return self.components * len(self.interface_nodes)
-
     def fact_OO(self) -> Factorization | None:
         if self.n_O == 0:
             return None
@@ -339,6 +335,7 @@ class FetiSystem:
     constraints: ConstraintSet
     subsystems: list[SubdomainSystem]
     G: sp.csr_matrix         # (M_C, n_modes)
+    Gt: sp.csr_matrix        # G^T, made once: G.T is a new CSC per call
     GtG_factor: tuple        # scipy.linalg.cho_factor of G^T G
     d: np.ndarray
     e: np.ndarray
@@ -374,7 +371,7 @@ class FetiSystem:
         return scipy.linalg.cho_solve(self.GtG_factor, b)
 
     def apply_P(self, lam: np.ndarray) -> np.ndarray:
-        return lam - self.G @ self.coarse_solve(self.G.T @ lam)
+        return lam - self.G @ self.coarse_solve(self.Gt @ lam)
 
     def apply_Minv(self, r: np.ndarray) -> np.ndarray:
         BD = self.constraints.B_D
@@ -421,15 +418,16 @@ def build_feti_system(
     d = cs.B @ np.concatenate(_each_subdomain(
         lambda s, fs: s.pinv_apply(fs)[s.n_O:], subs, loads))
     G = cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs], format="csr")
-    GtG = (G.T @ G).toarray()  # small: n_modes x n_modes
+    Gt = G.T.tocsr()
+    GtG = (Gt @ G).toarray()  # small: n_modes x n_modes
     if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
         raise SubdivisionError("coarse matrix G^T G is singular")
     e = np.concatenate([s.modes.T @ fs for s, fs in zip(subs, loads)])
     gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
     return FetiSystem(
         mesh=mesh, spec=spec, sub=sub, constraints=cs, subsystems=subs,
-        G=G, GtG_factor=scipy.linalg.cho_factor(GtG, lower=True), d=d, e=e,
-        g=gv.reshape(-1), tol=tol, maxit=maxit,
+        G=G, Gt=Gt, GtG_factor=scipy.linalg.cho_factor(GtG, lower=True),
+        d=d, e=e, g=gv.reshape(-1), tol=tol, maxit=maxit,
     )
 
 
@@ -450,7 +448,7 @@ def feti_solve(system: FetiSystem) -> FetiResult:
     lam0 = system.G @ system.coarse_solve(system.e)
 
     def check(lam):
-        res = np.linalg.norm(system.G.T @ lam - system.e)
+        res = np.linalg.norm(system.Gt @ lam - system.e)
         if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
             raise CoarseConstraintError(
                 f"initial multiplier violates the coarse constraint "
@@ -462,7 +460,7 @@ def feti_solve(system: FetiSystem) -> FetiResult:
         apply_Minv=system.apply_Minv, tol=system.tol,
         maxit=system.maxit, constraint_check=check, trace=trace,
     )
-    alpha = system.coarse_solve(system.G.T @ (system.d - system.apply_F(lam)))
+    alpha = system.coarse_solve(system.Gt @ (system.d - system.apply_F(lam)))
     subs = system.subsystems
     counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
     u = _each_subdomain(

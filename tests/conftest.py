@@ -121,6 +121,10 @@ def weight_grid(asm, pair_weights, cells=None) -> np.ndarray:
     return grid
 
 
+def n_G(s) -> int:
+    return s.components * len(s.interface_nodes)
+
+
 def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
     """Subdomain k's load as a sum over every mesh element, each element
     weighted by its reciprocal multiplicity on the extended elements of
@@ -190,3 +194,24 @@ class SolveCache:
 @pytest.fixture(scope="session")
 def cache() -> SolveCache:
     return SolveCache()
+
+
+@pytest.fixture
+def assembler_calls(monkeypatch) -> dict:
+    """Spies on every ``Assembler``: ``calls["assemble"]`` lists the
+    ``cells`` window of each ``assemble`` call (None for the whole mesh)
+    and ``calls["load_moments"]`` counts the ``load_moments`` calls."""
+    calls = {"assemble": [], "load_moments": 0}
+    assemble, load_moments = Assembler.assemble, Assembler.load_moments
+
+    def spy_assemble(self, weights=None, cells=None, *args, **kwargs):
+        calls["assemble"].append(cells)
+        return assemble(self, weights, cells, *args, **kwargs)
+
+    def spy_load_moments(self, f):
+        calls["load_moments"] += 1
+        return load_moments(self, f)
+
+    monkeypatch.setattr(Assembler, "assemble", spy_assemble)
+    monkeypatch.setattr(Assembler, "load_moments", spy_load_moments)
+    return calls

@@ -18,7 +18,7 @@ from nlfeti.problems import manufactured_problem
 from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
-from conftest import (assert_csr_bitwise, make_spec, pair_counts,
+from conftest import (assert_csr_bitwise, make_spec, n_G, pair_counts,
                       pair_weights, refined_quadrature, weight_grid)
 
 
@@ -401,7 +401,7 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
         [[A]] = asm.assemble(weight_grid(asm, pair_weights(sub, k)))
         A = A[dofs][:, dofs]
         O = np.arange(s.n_O)
-        G = np.arange(s.n_O, s.n_O + s.n_G)
+        G = np.arange(s.n_O, s.n_O + n_G(s))
         assert_csr_bitwise(s.A_OO, A[O][:, O].tocsr())
         assert_csr_bitwise(s.A_OG, A[O][:, G].tocsr())
         assert_csr_bitwise(s.A_GG, A[G][:, G].tocsr())
@@ -431,9 +431,10 @@ def test_assembly_working_set_is_bounded():
     try:
         sysm = assemble_global(mesh, spec, prob.forcing, prob.exact,
                                assembler=asm)
+        A, B = sysm.A, sysm.B_coupling  # assembled on this first read
         peak = tracemalloc.get_traced_memory()[1]
-        assert peak <= 3 * _csr_bytes(sysm.A, sysm.B_coupling)
-        del sysm
+        assert peak <= 3 * _csr_bytes(A, B)
+        del sysm, A, B
         for k in range(sub.K):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -637,8 +638,10 @@ def test_class_memo_is_order_independent(first, then):
         spec = KernelSpec(family, ratio / n, s)
         prob = manufactured_problem(family)
         quad = refined_quadrature() if refined else None
-        return assemble_global(mesh, spec, prob.forcing, prob.exact,
+        sysm = assemble_global(mesh, spec, prob.forcing, prob.exact,
                                Assembler(mesh, spec, quad))
+        sysm.rhs  # assembles A, B_coupling and the load, filling the memo
+        return sysm
 
     assembly._lattice_class.cache_clear()
     fresh = system(*then)
@@ -760,6 +763,38 @@ def test_load_vector_linear_forcing():
         oracle[mesh.elements[e]] += (wts[:, None] * bary * f(pts)[:, None]
                                      ).sum(axis=0)
     assert np.allclose(load, oracle, atol=1e-15)
+
+
+@pytest.mark.parametrize("first", ["A", "B_coupling", "load", "rhs"])
+@pytest.mark.parametrize("family", ["constant", "fractional", "peridynamic"])
+def test_global_system_is_assembled_on_first_read(family, first,
+                                                  assembler_calls):
+    """``assemble_global`` returns before any scatter.  Whichever field is
+    read first, the system then makes one whole-mesh scatter and one
+    load, and A, B_coupling, load and rhs have the bytes of an eager
+    reference built from ``Assembler.assemble`` and ``assemble_load``."""
+    mesh = build_structured_mesh(8, 0.25)
+    spec = make_spec(family, 0.25)
+    prob = manufactured_problem(family)
+    ref = Assembler(mesh, spec)
+    nodes = [mesh.interior_nodes, mesh.collar_nodes]
+    [[A, B]] = ref.assemble(rows=nodes[:1], columns=nodes)
+    load = ref.assemble_load(ref.load_moments(prob.forcing))[
+        _node_dofs(mesh.interior_nodes, spec.components)]
+    g = prob.exact(mesh.vertices[mesh.collar_nodes]).reshape(-1)
+    assembler_calls.update(assemble=[], load_moments=0)
+    sysm = assemble_global(mesh, spec, prob.forcing, prob.exact,
+                           assembler=Assembler(mesh, spec))
+    assert assembler_calls == {"assemble": [], "load_moments": 0}
+    assert sysm.g.tobytes() == g.tobytes()
+    getattr(sysm, first)
+    assert assembler_calls["assemble"] == ([] if first == "load" else [None])
+    assert assembler_calls["load_moments"] == (first in ("load", "rhs"))
+    assert_csr_bitwise(sysm.A, A)
+    assert_csr_bitwise(sysm.B_coupling, B)
+    assert sysm.load.tobytes() == load.tobytes()
+    assert sysm.rhs.tobytes() == (load - B @ g).tobytes()
+    assert assembler_calls == {"assemble": [None], "load_moments": 1}
 
 
 def test_global_system_dirichlet_correction():

@@ -48,6 +48,27 @@ def test_solve_with_config_file_and_exports(tmp_path, capsys):
     assert f"wrote {art / 'A.mtx'}" in err.splitlines()
 
 
+def test_export_and_rows_do_not_depend_on_the_solver(tmp_path, capsys):
+    """A FETI-only run, which assembles no global system for its solve,
+    exports the bytes of ``A.mtx``, ``B.mtx`` and ``rhs.csv`` that a CG
+    run exports; a ``both`` run prints the CG and the FETI rows of the
+    single-solver runs, apart from the seconds."""
+    args = ["solve", "--set", "kernel.family=fractional",
+            "--set", "kernel.delta=0.25", "--set", "mesh.n=8",
+            "--set", "partition.k1=2", "--set", "partition.k2=2"]
+    rows = {}
+    for solver in ("cg", "feti", "both"):
+        art = tmp_path / solver
+        assert main(args + ["--solver", solver, "--export-mm", str(art)]) == 0
+        rows[solver] = [r[:-1] for r in csv.reader(
+            io.StringIO(capsys.readouterr().out))]
+    for name in ("A.mtx", "B.mtx", "rhs.csv"):
+        want = (tmp_path / "cg" / name).read_bytes()
+        for solver in ("feti", "both"):
+            assert (tmp_path / solver / name).read_bytes() == want, name
+    assert rows["both"] == rows["cg"] + rows["feti"]
+
+
 def test_solve_determinism_bitwise(tmp_path):
     args = ["solve", "--set", "kernel.family=peridynamic",
             "--set", "kernel.delta=0.25", "--set", "mesh.n=8",

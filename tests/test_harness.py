@@ -195,6 +195,24 @@ def test_run_single_both_solvers_agree(tmp_path):
     assert text.splitlines()[0] == "node,x,y,u1"
 
 
+@pytest.mark.parametrize("solver", ["feti", "cg"])
+def test_global_system_is_built_only_when_read(solver, assembler_calls):
+    """A FETI-only run makes no whole-mesh scatter and computes the load
+    moments once, for its subdomains; a CG run assembles the global
+    system once.  Either way it is there, once, when read after the run."""
+    out = run_single(ExperimentConfig(family="constant", delta=0.125, n=16,
+                                      k1=2, k2=2, solver=solver))
+    N = out.mesh.cells_per_side
+    whole = [c for c in assembler_calls["assemble"]
+             if c is None or tuple(c) == (0, N, 0, N)]
+    assert len(whole) == (solver == "cg")
+    assert assembler_calls["load_moments"] == 1
+    out.assembled.rhs
+    whole = [c for c in assembler_calls["assemble"] if c is None]
+    assert len(whole) == 1
+    assert assembler_calls["load_moments"] == 1 + (solver == "feti")
+
+
 def test_study_rungs_ladders():
     fh = study_rungs(ExperimentConfig(study="fixed_horizon", delta=0.0625))
     assert [(r.n, r.delta) for r in fh] == [(32, 0.0625), (64, 0.0625),

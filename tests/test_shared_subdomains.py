@@ -13,7 +13,7 @@ from nlfeti.feti import build_feti_system, feti_solve, gather_solution
 from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import build_subdivision
 
-from conftest import assert_csr_bitwise, make_spec
+from conftest import assert_csr_bitwise, make_spec, n_G
 
 # (family, n, delta / h, k1, k2, distinct local systems)
 SHARED = [("peridynamic", 32, 2, 4, 4, 9),
@@ -199,7 +199,7 @@ def test_twins_solve_concurrently_on_one_factor(cache, monkeypatch):
     twins = [system.subsystems[k] for k in group]
     rng = np.random.default_rng(5)
     work = [twins[i % len(twins)] for i in range(16)]
-    rhs = [rng.standard_normal(s.n_O + s.n_G) for s in work]
+    rhs = [rng.standard_normal(s.n_O + n_G(s)) for s in work]
     serial = [s.pinv_apply(f).tobytes() for s, f in zip(work, rhs)]
     for _ in range(10):
         pooled = feti._each_subdomain(lambda s, f: s.pinv_apply(f),
