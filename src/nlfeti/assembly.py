@@ -125,7 +125,6 @@ class QuadratureConfig:
       polar inner rule of the Euclidean ball (its radial integrals are
       exact).
 
-    ``load_degree`` is the triangle rule of the element load moments.
     """
 
     outer_degree: int = 3
@@ -136,7 +135,6 @@ class QuadratureConfig:
     cut_subdiv: int = 3
     arc_segments: int = 3
     polar_angular: int = 4
-    load_degree: int = 4
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +663,8 @@ def _straddles_horizon(v1: np.ndarray, v2: np.ndarray,
 # working set of a strip of the scatter.
 _STRIP_ENTRIES = 1 << 16
 
+_LOAD_DEGREE = 4  # of the triangle rule of the element load moments
+
 
 @functools.cache
 def _lattice_class(spec: KernelSpec, quad: QuadratureConfig,
@@ -902,7 +902,7 @@ class Assembler:
         """Element moments ``int_E psi_a f`` of every element E, shape
         (n_elements, 3 local vertices, components)."""
         mesh = self.mesh
-        bary, wts = triangle_rule(self.quad.load_degree)
+        bary, wts = triangle_rule(_LOAD_DEGREE)
         tri_verts = mesh.vertices[mesh.elements]
         pts = np.einsum("qb,ebx->eqx", bary, tri_verts)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
@@ -935,10 +935,10 @@ class Assembler:
 class AssembledSystem:
     """Reduced global system  A u = f - B g  over unknown dofs.
 
-    ``A``, ``B_coupling`` and ``load`` are assembled on first read, from
-    the forcing ``f``, by the run's ``assembler``, whose scatter table
-    the subdomains share: a solve that reads none of them, as FETI does,
-    makes no scatter over the whole mesh.
+    ``A``, ``B_coupling``, ``moments`` and ``load`` are made on first
+    read, from the forcing ``f``, by the run's ``assembler``, whose
+    scatter table the subdomains share: a FETI solve reads only the
+    ``moments`` and makes no scatter over the whole mesh.
     """
 
     mesh: Mesh
@@ -966,9 +966,13 @@ class AssembledSystem:
         return self._blocks[1]
 
     @functools.cached_property
+    def moments(self) -> np.ndarray:
+        """The forcing's ``Assembler.load_moments``."""
+        return self.assembler.load_moments(self.f)
+
+    @functools.cached_property
     def load(self) -> np.ndarray:
-        asm = self.assembler
-        return asm.assemble_load(asm.load_moments(self.f))[self.interior_dofs]
+        return self.assembler.assemble_load(self.moments)[self.interior_dofs]
 
     @property
     def rhs(self) -> np.ndarray:

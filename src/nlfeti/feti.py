@@ -26,7 +26,6 @@ rigid modes and right-hand sides stay their own.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,48 +54,20 @@ class CoarseConstraintError(RuntimeError):
 # Per-subdomain work
 
 # SuperLU solves and the sparse products release the interpreter lock,
-# so subdomains solve side by side.  The threads start on first use; the
-# calling thread works too, so at most cpu_count - 1 are added.
-_POOL = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+# so subdomains solve side by side, on one thread per processor while
+# the calling thread waits.  The threads start on first use.
+_POOL = ThreadPoolExecutor(os.cpu_count() or 1,
                            thread_name_prefix="nlfeti-subdomain")
 
 
 def _each_subdomain(fn, *seqs) -> list:
-    """``list(map(fn, *seqs))`` over the subdomains, shared between the
-    calling thread and min(K, cpu_count) - 1 pool threads.
+    """``list(map(fn, *seqs))`` over the subdomains, on the pool.
 
     Results come in subdomain order.  When calls raise, the exception of
-    the lowest index is raised, as in a serial loop: indices are claimed
-    in order and none is claimed after a failure.
+    the lowest index is raised, as in a serial loop, and the calls not
+    yet started are cancelled.
     """
-    args = list(zip(*seqs))
-    helpers = min(len(args), os.cpu_count() or 1) - 1
-    if helpers <= 0:
-        return [fn(*a) for a in args]
-    results: list = [None] * len(args)
-    errors: dict[int, Exception] = {}
-    lock = threading.Lock()
-    indices = iter(range(len(args)))
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(indices, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(*args[i])
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-
-    futures = [_POOL.submit(work) for _ in range(helpers)]
-    work()
-    for fut in futures:
-        fut.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    return list(_POOL.map(fn, *seqs))
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +113,13 @@ class SubdomainSystem:
     objects and ``_factors``.
     """
 
-    k: int
     components: int
     inner_nodes: np.ndarray
     interface_nodes: np.ndarray
     constrained_nodes: np.ndarray
     A_OO: sp.csr_matrix
     A_OG: sp.csr_matrix
+    A_GO: sp.csc_matrix  # A_OG^T, a view made once: .T is new per call
     A_GG: sp.csr_matrix
     f_O: np.ndarray
     f_G: np.ndarray
@@ -172,7 +143,7 @@ class SubdomainSystem:
         """[[A_OO, A_OG], [A_OG^T, A_GG]], as CSC: the form SuperLU takes,
         reached from the blocks with no CSR copy on the way."""
         return sp.bmat([[self.A_OO, self.A_OG],
-                        [self.A_OG.T, self.A_GG]], format="csc")
+                        [self.A_GO, self.A_GG]], format="csc")
 
     def _neumann_matrix(self) -> sp.csc_matrix:
         """The full matrix; on a floating subdomain the pinned rows and
@@ -207,7 +178,7 @@ class SubdomainSystem:
         """S v = A_GG v - A_OG^T solve(A_OO, A_OG v)."""
         out = self.A_GG @ v
         if self.n_O:
-            out = out - self.A_OG.T @ self.fact_OO().solve(self.A_OG @ v)
+            out = out - self.A_GO @ self.fact_OO().solve(self.A_OG @ v)
         return out
 
     def pinv_apply(self, f: np.ndarray) -> np.ndarray:
@@ -307,15 +278,15 @@ def assemble_subdomain(
         # only the kept rows: a constrained row is never read
         (A_OO, A_OG, A_OC), (_, A_GG, A_GC) = asm.assemble(
             overlap, cells, (inner, inter), (inner, inter, constrained))
-        local = table[key] = (A_OO, A_OG, A_GG, A_OC, A_GC, _Factors())
-    A_OO, A_OG, A_GG, A_OC, A_GC, factors = local
+        local = table[key] = (A_OO, A_OG, A_OG.T, A_GG, A_OC, A_GC,
+                              _Factors())
+    A_OO, A_OG, A_GO, A_GG, A_OC, A_GC, factors = local
     load = asm.assemble_load(moments, sub.element_weights(k))
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
     return SubdomainSystem(
-        k=k, components=c,
-        inner_nodes=inner, interface_nodes=inter,
+        components=c, inner_nodes=inner, interface_nodes=inter,
         constrained_nodes=constrained,
-        A_OO=A_OO, A_OG=A_OG, A_GG=A_GG,
+        A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
         f_O=load[O] - A_OC @ gv, f_G=load[G] - A_GC @ gv,
         floating=floating, modes=modes, pinned=pinned, _factors=factors,
     )
@@ -382,13 +353,14 @@ def build_feti_system(
     mesh: Mesh,
     sub: Subdivision,
     spec: KernelSpec,
-    f,
+    moments: np.ndarray,
     g,
     tol: float = 1e-10,
     maxit: int = 20_000,
     assembler: Assembler | None = None,
 ) -> FetiSystem:
-    """Assemble all subdomain systems and the coarse problem.
+    """Assemble all subdomain systems and the coarse problem;
+    ``moments`` are the forcing's ``Assembler.load_moments``.
 
     With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
     d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
@@ -401,7 +373,6 @@ def build_feti_system(
     """
     asm = assembler or Assembler(mesh, spec)
     cs = build_constraints(sub, spec.components)
-    moments = asm.load_moments(f)
     # serial: on the pool, assembly raised the peak memory of the
     # constant n=64, delta=8h, 4x4 solve from 206.7 to 219-220 MB
     table: dict = {}

@@ -227,7 +227,7 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
         sub = build_subdivision(mesh, config.k1, config.k2,
                                 ball_norm=spec.ball_norm)
         feti_system = build_feti_system(
-            mesh, sub, spec, prob.forcing, prob.exact,
+            mesh, sub, spec, assembled.moments, prob.exact,
             tol=config.tol, maxit=config.maxit, assembler=asm)
         result = feti_solve(feti_system)
         full = gather_solution(feti_system, result)

@@ -156,13 +156,9 @@ def p1_values(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_error(
-    mesh: Mesh,
-    nodal_values: np.ndarray,
-    exact,
-    degree: int = 4,
-) -> float:
-    """L2 norm of ``u_h - exact`` over the interior elements.
+def l2_error(mesh: Mesh, nodal_values: np.ndarray, exact) -> float:
+    """L2 norm of ``u_h - exact`` over the interior elements, by the
+    degree-4 triangle rule.
 
     ``nodal_values`` has shape (n_vertices,) for scalar fields or
     (n_vertices, c) for vector fields; ``exact`` maps (m, 2) points to
@@ -172,7 +168,7 @@ def l2_error(
     scalar = vals.ndim == 1
     if scalar:
         vals = vals[:, None]
-    bary, wts = triangle_rule(degree)
+    bary, wts = triangle_rule(4)
     els = np.flatnonzero(mesh.element_region == INTERIOR)
     tri_verts = mesh.vertices[mesh.elements[els]]  # (ne, 3, 2)
     pts = np.einsum("qb,ebx->eqx", bary, tri_verts)  # (ne, q, 2)

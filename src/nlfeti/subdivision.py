@@ -73,14 +73,12 @@ def partition_rectangles(mesh: Mesh, k1: int, k2: int) -> np.ndarray:
 class Subdivision:
     """Overlapping subdomain family over a mesh.
 
-    ``owned_elements[k]`` are the disjoint rectangles; ``extended_elements[k]``
-    additionally contain the half-horizon overlap ring of interior
-    elements, and ``collar_elements[k]`` are the constrained collar
-    elements within the horizon.  The unconstrained nodes seen by
+    ``extended_elements[k]`` are the interior elements of subdomain k:
+    its rectangle of ``partition_rectangles`` and the half-horizon
+    overlap ring around it.  The unconstrained nodes seen by
     subdomain k split into ``inner_nodes[k]`` (multiplicity 1) and
     ``interface_nodes[k]`` (shared with another subdomain);
     ``constrained_nodes[k]`` carry Dirichlet-type data.
-    ``node_zeta`` counts the subdomains seeing each node.
 
     ``membership`` is the (n_elements, ceil(K / 8)) uint8 table
     ``np.packbits(member, axis=1, bitorder="little")`` of the boolean
@@ -90,19 +88,16 @@ class Subdivision:
     """
 
     mesh: Mesh
-    owned_elements: list[np.ndarray]
     extended_elements: list[np.ndarray]
-    collar_elements: list[np.ndarray]
     inner_nodes: list[np.ndarray]
     interface_nodes: list[np.ndarray]
     constrained_nodes: list[np.ndarray]
     floating: np.ndarray
-    node_zeta: np.ndarray = field(repr=False)
     membership: np.ndarray = field(repr=False)
 
     @property
     def K(self) -> int:
-        return len(self.owned_elements)
+        return len(self.inner_nodes)
 
     def holds(self, k: int) -> np.ndarray:
         """Mask of the elements subdomain k holds."""
@@ -214,7 +209,7 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
     # of any of those elements.
     radius = np.where(interior, r_ext, r_col)
     held = np.zeros((mesh.n_elements, K), dtype=bool)
-    owned, extended, collars, nrows = [], [], [], []
+    extended, nrows = [], []
     for k in range(K):
         own = np.flatnonzero(owner == k)
         ys, xs = cy[own], cx[own]
@@ -229,9 +224,7 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
             d = np.minimum(d, np.sqrt(diff[:, 0] * diff[:, 0]
                                       + diff[:, 1] * diff[:, 1]))
         held[:, k] = d <= radius
-        owned.append(own)
         extended.append(np.flatnonzero(held[:, k] & interior))
-        collars.append(np.flatnonzero(held[:, k] & ~interior))
         nrows.append(np.unique(mesh.elements[held[:, k]]))
     membership = np.packbits(held, axis=1, bitorder="little")
     zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
@@ -251,12 +244,9 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
     floating = np.array([len(c) == 0 for c in constrained])
 
     sub = Subdivision(
-        mesh=mesh,
-        owned_elements=owned, extended_elements=extended,
-        collar_elements=collars,
-        inner_nodes=inner_nodes,
+        mesh=mesh, extended_elements=extended, inner_nodes=inner_nodes,
         interface_nodes=interface_nodes, constrained_nodes=constrained,
-        floating=floating, node_zeta=zeta, membership=membership,
+        floating=floating, membership=membership,
     )
     verify_coverage(mesh, sub, ball_norm=ball_norm)
     return sub
@@ -318,11 +308,10 @@ class ConstraintSet:
     (offsets in ``offsets``); every row links the copy of one physical
     dof held by the lowest-index subdomain to exactly one other copy.
     ``B_D = (B D^-1 B^T)^-1 B D^-1`` with D the diagonal multiplicity
-    scaling.
+    scaling, the number of copies of each dof.
     """
 
     B: sp.csr_matrix
-    D: np.ndarray
     B_D: sp.csr_matrix
     offsets: np.ndarray
 
@@ -356,7 +345,7 @@ def _scaled_block(node: int, m: int) -> np.ndarray:
 
 def build_constraints(sub: Subdivision,
                       dof_multiplicity: int = 1) -> ConstraintSet:
-    """Build B, D, B_D over the concatenated interface dofs.
+    """Build B and B_D over the concatenated interface dofs.
 
     For a physical node held by m subdomains the chain anchored at the
     lowest subdomain index contributes m - 1 rows per dof component,
@@ -369,7 +358,6 @@ def build_constraints(sub: Subdivision,
     offsets = np.concatenate([[0], np.cumsum(c * sizes)])
     total = int(offsets[-1])
     copies = np.concatenate(sub.interface_nodes)
-    D = np.repeat(sub.node_zeta[copies].astype(float), c)
 
     # Copy i of the concatenated interface lists holds dofs c i .. c i + c-1.
     # Sorted stably by node, the copies of a node follow in subdomain
@@ -415,7 +403,7 @@ def build_constraints(sub: Subdivision,
     B_D = sp.csr_matrix(
         (np.repeat(vals, c), (row[row_copy].ravel(), dof[col_copy].ravel())),
         shape=(M_C, total))
-    return ConstraintSet(B=B, D=D, B_D=B_D, offsets=offsets)
+    return ConstraintSet(B=B, B_D=B_D, offsets=offsets)
 
 
 def rigid_modes(xy: np.ndarray, c: int) -> np.ndarray:

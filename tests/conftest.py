@@ -11,6 +11,7 @@ from nlfeti.geometry import interacting_classes
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import INTERIOR, build_structured_mesh
 from nlfeti.problems import manufactured_problem
+from nlfeti.subdivision import partition_rectangles
 
 
 def make_spec(family: str, delta: float) -> KernelSpec:
@@ -30,7 +31,6 @@ def refined_quadrature() -> QuadratureConfig:
         cut_subdiv=q.cut_subdiv + 1,
         arc_segments=2 * q.arc_segments,
         polar_angular=q.polar_angular + 4,
-        load_degree=q.load_degree + 1,
     )
 
 
@@ -141,12 +141,14 @@ def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
     return out
 
 
-def strip_to_owned(sub) -> None:
-    """Sabotage a subdivision: clear the membership bits of every
+def strip_to_owned(sub, k1: int, k2: int) -> None:
+    """Sabotage a k1 x k2 subdivision: clear the membership bits of every
     subdomain's overlap elements, so pairs straddling a partition
     boundary lose their common subdomain."""
+    owner = partition_rectangles(sub.mesh, k1, k2)
     for k in range(sub.K):
-        extra = np.setdiff1d(sub.extended_elements[k], sub.owned_elements[k])
+        extra = np.setdiff1d(sub.extended_elements[k],
+                             np.flatnonzero(owner == k))
         sub.membership[extra, k // 8] &= np.uint8(~(1 << (k % 8)) & 0xFF)
 
 

@@ -33,8 +33,9 @@ def _feti_unknowns(cache, family, n, delta, k1, k2):
     spec = make_spec(family, delta)
     prob = manufactured_problem(family)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
-    system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
-                               assembler=cache.assembler(family, n, delta))
+    asm = cache.assembler(family, n, delta)
+    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
+                               prob.exact, assembler=asm)
     result = feti_solve(system)
     full = gather_solution(system, result)
     assembled = cache.system(family, n, delta)
@@ -176,21 +177,23 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
 
     # coverage of every interacting pair (raises on violation)
     verify_coverage(mesh, sub, ball_norm=spec.ball_norm)
-    # multiplicity is a partition of unity: zeta >= 1 on every unknown node
-    unknowns = mesh.interior_nodes
-    assert np.all(sub.node_zeta[unknowns] >= 1)
+    # multiplicity is a partition of unity: every unknown node is seen
+    seen = np.concatenate(sub.inner_nodes + sub.interface_nodes)
+    assert np.isin(mesh.interior_nodes, seen).all()
 
     cons = build_constraints(sub, c)
     # full row rank with the predicted row count
-    shared = np.unique(np.concatenate(sub.interface_nodes))
-    M_C = c * int(np.sum(sub.node_zeta[shared] - 1))
+    _, zeta = np.unique(np.concatenate(sub.interface_nodes),
+                        return_counts=True)
+    M_C = c * int(np.sum(zeta - 1))
     assert cons.B.shape[0] == M_C
     eye = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(eye - np.eye(M_C))) < 1e-12  # implies full rank
 
     prob = manufactured_problem(family)
-    system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
-                               assembler=cache.assembler(family, n, delta))
+    asm = cache.assembler(family, n, delta)
+    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
+                               prob.exact, assembler=asm)
     rng = np.random.default_rng(0)
 
     # projection: P^2 = P and G^T P = 0 to 1e-12

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from nlfeti import assembly
-from nlfeti.assembly import (Assembler, QuadratureConfig, _node_dofs,
-                             assemble_global, pair_matrix)
+from nlfeti.assembly import (_LOAD_DEGREE, Assembler, QuadratureConfig,
+                             _node_dofs, assemble_global, pair_matrix)
 from nlfeti.feti import assemble_subdomain
 from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
@@ -663,7 +663,7 @@ def test_weighted_load_matches_per_subdomain_moments(family, cache):
     prob = manufactured_problem(family)
     sub = build_subdivision(mesh, 3, 3, ball_norm=asm.spec.ball_norm)
     moments = asm.load_moments(prob.forcing)
-    bary, wts = triangle_rule(asm.quad.load_degree)
+    bary, wts = triangle_rule(_LOAD_DEGREE)
     tri = mesh.vertices[mesh.elements]
     fv = prob.forcing(np.einsum("qb,ebx->eqx", bary, tri).reshape(-1, 2))
     fv = np.asarray(fv, dtype=float).reshape(len(tri), len(wts), -1)
@@ -701,19 +701,10 @@ def test_every_quadrature_knob_changes_a_result(knob):
     """Each field of QuadratureConfig, set alone to its refined value,
     changes a class matrix of the default path (constant at delta = 2h,
     fractional at delta = 4h) by more than 1e-12 of that matrix's largest
-    entry, or the load moments for ``load_degree``: every knob is read by
-    a rule of the default path, and it changes more than rounding.  The
-    moments take a forcing that no rule integrates exactly; on the
-    linear manufactured forcings every load rule here is exact."""
+    entry: every knob is read by a rule of the default path, and it
+    changes more than rounding."""
     quad = dataclasses.replace(QuadratureConfig(), **{
         knob: getattr(refined_quadrature(), knob)})
-    if knob == "load_degree":
-        mesh, spec = build_structured_mesh(4, 0.5), make_spec("constant", 0.5)
-        f = lambda p: np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
-        moments = [Assembler(mesh, spec, quad=q).load_moments(f)
-                   for q in (QuadratureConfig(), quad)]
-        assert _moved(*moments)
-        return
     pairs = []
     for family, delta in (("constant", 0.5), ("fractional", 1.0)):
         mesh, spec = build_structured_mesh(4, delta), make_spec(family, delta)

@@ -45,9 +45,9 @@ def _build(family, n, delta, k1, k2, cache, **kw):
     spec = make_spec(family, delta)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
-    return build_feti_system(
-        mesh, sub, spec, prob.forcing, prob.exact,
-        assembler=cache.assembler(family, n, delta), **kw)
+    asm = cache.assembler(family, n, delta)
+    return build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
+                             prob.exact, assembler=asm, **kw)
 
 
 def _global_dof_map(mesh, c):
@@ -289,7 +289,7 @@ def test_uncovered_pair_is_rejected_before_assembly(cache):
     the split silently; coverage verification rejects such a table."""
     mesh = cache.mesh(8, 0.25)
     sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
-    strip_to_owned(sub)
+    strip_to_owned(sub, 2, 2)
     with pytest.raises(SubdivisionError, match="covered by no subdomain") as err:
         verify_coverage(mesh, sub, ball_norm="l2")
     pair = [np.array([int(v)]) for v in
@@ -356,11 +356,12 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
     assert A.min() < 0
     for floating in (True, False):
         modes = np.full((n, 1 if floating else 0), n ** -0.5)
+        A_OG = A[:nO, nO:]
         s = SubdomainSystem(
-            k=0, components=1, inner_nodes=np.arange(nO),
+            components=1, inner_nodes=np.arange(nO),
             interface_nodes=np.arange(nO, n),
             constrained_nodes=np.zeros(0, int),
-            A_OO=A[:nO, :nO], A_OG=A[:nO, nO:], A_GG=A[nO:, nO:],
+            A_OO=A[:nO, :nO], A_OG=A_OG, A_GO=A_OG.T, A_GG=A[nO:, nO:],
             f_O=np.zeros(nO), f_G=np.zeros(n - nO),
             floating=floating, modes=modes,
             pinned=(feti._pin_dofs(0, modes, np.arange(n), 1) if floating
@@ -434,10 +435,10 @@ def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
     asm = cache.assembler(family, 16, 0.125)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
-    system = build_feti_system(mesh, sub, spec, prob.forcing,
+    moments = asm.load_moments(prob.forcing)
+    system = build_feti_system(mesh, sub, spec, moments,
                                lambda xy: np.zeros(len(xy) * spec.components),
                                assembler=asm)
-    moments = asm.load_moments(prob.forcing)
     c = spec.components
     for k, s in enumerate(system.subsystems):
         want = full_mesh_load(asm, moments, sub, k)
@@ -543,7 +544,7 @@ def test_each_subdomain_raises_the_lowest_failure(monkeypatch):
 
 def test_pool_threads_follow_the_cpu_count():
     """Importing the package starts no thread; a 2 x 2 solve adds
-    at most cpu_count - 1, the calling thread doing its share."""
+    at most cpu_count, while the calling thread waits."""
     script = (
         "import os, threading\n"
         "start = threading.active_count()\n"
@@ -559,4 +560,4 @@ def test_pool_threads_follow_the_cpu_count():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     added, cpus = map(int, out.stdout.split())
-    assert min(cpus - 1, 1) <= added <= cpus - 1
+    assert 1 <= added <= cpus

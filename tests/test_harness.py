@@ -197,9 +197,9 @@ def test_run_single_both_solvers_agree(tmp_path):
 
 @pytest.mark.parametrize("solver", ["feti", "cg"])
 def test_global_system_is_built_only_when_read(solver, assembler_calls):
-    """A FETI-only run makes no whole-mesh scatter and computes the load
-    moments once, for its subdomains; a CG run assembles the global
-    system once.  Either way it is there, once, when read after the run."""
+    """A FETI-only run makes no whole-mesh scatter; a CG run assembles
+    the global system once.  Either way it is there, once, when read
+    after the run, and the load moments are computed once per run."""
     out = run_single(ExperimentConfig(family="constant", delta=0.125, n=16,
                                       k1=2, k2=2, solver=solver))
     N = out.mesh.cells_per_side
@@ -210,7 +210,7 @@ def test_global_system_is_built_only_when_read(solver, assembler_calls):
     out.assembled.rhs
     whole = [c for c in assembler_calls["assemble"] if c is None]
     assert len(whole) == 1
-    assert assembler_calls["load_moments"] == 1 + (solver == "feti")
+    assert assembler_calls["load_moments"] == 1
 
 
 def test_study_rungs_ladders():

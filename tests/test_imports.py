@@ -1,8 +1,8 @@
 """Code hygiene: every name a package module imports is used in it,
 every top-level function or class is referenced from elsewhere in the
-package, every function reads each of its parameters, every f-string
-has a placeholder, and a solve imports no scipy module it does not
-need."""
+package, every function reads each of its parameters, every dataclass
+field is read, every f-string has a placeholder, and a solve imports no
+scipy module it does not need."""
 
 import ast
 import os
@@ -174,6 +174,51 @@ def test_checker_flags_an_unread_parameter():
     assert _unread_parameters(source) == [
         "line 2: f: b", "line 2: f: args", "line 2: f: d",
         "line 6: lambda: y"]
+
+
+def _unread_fields(sources: dict[str, str], exempt=()) -> list[str]:
+    """Fields of the dataclasses in ``sources``, those of the classes in
+    ``exempt`` excepted, that no attribute load in any of ``sources``
+    reads; an assignment to the attribute is not a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if (not isinstance(cls, ast.ClassDef) or cls.name in exempt
+                    or not any(_dotted(getattr(d, "func", d))
+                               in ("dataclass", "dataclasses.dataclass")
+                               for d in cls.decorator_list)):
+                continue
+            out += [f"{module}: {cls.name}.{stmt.target.id}"
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read]
+    return out
+
+
+def test_package_reads_every_dataclass_field():
+    """A field that nothing reads is state that nothing needs; the
+    result record ``FetiResult`` is handed to the caller whole."""
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unread_fields(sources, exempt={"FetiResult"}) == []
+
+
+def test_checker_flags_an_unread_field():
+    sources = {
+        "a.py": "import dataclasses\nfrom dataclasses import dataclass, field"
+                "\n\n\n@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+                "    z: list = field(default_factory=list)\n\n\n"
+                "@dataclasses.dataclass(frozen=True)\nclass B:\n    w: int\n"
+                "\n\nclass C:\n    v: int\n\n\n"
+                "@dataclass\nclass Result:\n    r: int\n",
+        "b.py": "def f(a, b):\n    a.y = 1\n    return a.x + len(b.z)\n",
+    }
+    assert _unread_fields(sources, exempt={"Result"}) == ["a.py: A.y",
+                                                          "a.py: B.w"]
 
 
 def test_a_solve_imports_neither_spatial_nor_io():

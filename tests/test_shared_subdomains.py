@@ -33,9 +33,10 @@ def _build(family, n, ratio, k1, k2, cache, sub=None):
     mesh = cache.mesh(n, ratio / n)
     sub = sub or _subdivision(family, n, ratio, k1, k2, cache)
     prob = manufactured_problem(family)
+    asm = cache.assembler(family, n, ratio / n)
     return build_feti_system(mesh, sub, make_spec(family, ratio / n),
-                             prob.forcing, prob.exact,
-                             assembler=cache.assembler(family, n, ratio / n))
+                             asm.load_moments(prob.forcing), prob.exact,
+                             assembler=asm)
 
 
 def _unshared(monkeypatch):
@@ -50,8 +51,8 @@ def _unshared(monkeypatch):
 def _groups(system) -> list[list[int]]:
     """Subdomains by the factorizations object they hold, in order."""
     groups: dict[int, list[int]] = {}
-    for s in system.subsystems:
-        groups.setdefault(id(s._factors), []).append(s.k)
+    for k, s in enumerate(system.subsystems):
+        groups.setdefault(id(s._factors), []).append(k)
     return list(groups.values())
 
 

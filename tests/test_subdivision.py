@@ -86,7 +86,7 @@ def bfs_extension(mesh, owner, delta, ball_norm):
 
 
 def loop_constraints(sub, c):
-    """B, D, B_D and offsets, one interface node at a time, each node's
+    """B, B_D and offsets, one interface node at a time, each node's
     block factorized on its own."""
     sizes = np.array([len(g) for g in sub.interface_nodes])
     offsets = np.concatenate([[0], np.cumsum(c * sizes)])
@@ -98,10 +98,6 @@ def loop_constraints(sub, c):
             node_subs.setdefault(int(node), []).append(k)
     rows_b, cols_b, vals_b = [], [], []
     rows_d, cols_d, vals_d = [], [], []
-    D = np.empty(total)
-    for k in range(sub.K):
-        z = sub.node_zeta[sub.interface_nodes[k]].astype(float)
-        D[offsets[k]:offsets[k + 1]] = np.repeat(z, c)
     row = 0
     for node in sorted(node_subs):
         ks = node_subs[node]
@@ -126,7 +122,7 @@ def loop_constraints(sub, c):
             row += m - 1
     B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(row, total))
     B_D = sp.csr_matrix((vals_d, (rows_d, cols_d)), shape=(row, total))
-    return B, D, B_D, offsets
+    return B, B_D, offsets
 
 
 def _assert_same_bytes(got, want):
@@ -169,21 +165,21 @@ def test_corner_collar_triangle_has_two_neighbors():
 @example(n=8, ratio=5, k1=4, k2=4, ball_norm="linf")  # multiplicity 16
 @example(n=6, ratio=1, k1=1, k2=1, ball_norm="l2")  # no interface
 def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
-    """Every extended and collar set, and B, D, B_D and the offsets
-    for scalar and vector dofs, equal the loop oracles byte for byte."""
+    """Every extended and collar set, and B, B_D and the offsets for
+    scalar and vector dofs, equal the loop oracles byte for byte."""
     mesh = build_structured_mesh(n, ratio / n)
     owner = partition_rectangles(mesh, k1, k2)
     sub = extend_nonlocal(mesh, owner, ball_norm=ball_norm)
     extended, collars = bfs_extension(mesh, owner, mesh.delta, ball_norm)
     assert sub.K == len(extended) == k1 * k2
+    collar = mesh.element_region != INTERIOR
     for k in range(sub.K):
         _assert_same_bytes(sub.extended_elements[k], extended[k])
-        _assert_same_bytes(sub.collar_elements[k], collars[k])
+        _assert_same_bytes(np.flatnonzero(sub.holds(k) & collar), collars[k])
     for c in (1, 2):
         cons = build_constraints(sub, dof_multiplicity=c)
-        B, D, B_D, offsets = loop_constraints(sub, c)
+        B, B_D, offsets = loop_constraints(sub, c)
         _assert_same_bytes(cons.B, B)
-        _assert_same_bytes(cons.D, D)
         _assert_same_bytes(cons.B_D, B_D)
         _assert_same_bytes(cons.offsets, offsets)
 
@@ -198,9 +194,7 @@ def _unknown_nodes(sub, k):
 
 def _held(sub):
     """Brute-force membership: the element set of every subdomain."""
-    return [set(np.concatenate([sub.extended_elements[k],
-                                sub.collar_elements[k]]).tolist())
-            for k in range(sub.K)]
+    return [set(np.flatnonzero(sub.holds(k)).tolist()) for k in range(sub.K)]
 
 
 def test_partition_counts_even_split():
@@ -252,10 +246,12 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
 
     K = k1 * k2
     assert sub.K == K
-    # Owned sets partition the interior elements.
+    # Owned sets partition the interior elements, and each is held.
     interior_els = np.flatnonzero(mesh.element_region == INTERIOR)
-    owned_all = np.concatenate(sub.owned_elements)
-    assert len(owned_all) == len(np.unique(owned_all)) == len(interior_els)
+    owner = partition_rectangles(mesh, k1, k2)
+    assert np.array_equal(np.flatnonzero(owner >= 0), interior_els)
+    for k in range(K):
+        assert sub.holds(k)[owner == k].all()
     # Unknown nodes of each subdomain split into inner + interface.
     for k in range(K):
         unk = set(_unknown_nodes(sub, k).tolist())
@@ -271,10 +267,12 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     zeta = np.zeros(mesh.n_vertices, dtype=np.int64)
     for els in _held(sub):
         zeta[np.unique(mesh.elements[sorted(els)])] += 1
-    assert np.array_equal(zeta, sub.node_zeta)
     for k in range(K):
-        assert np.all(sub.node_zeta[sub.inner_nodes[k]] == 1)
-        assert np.all(sub.node_zeta[sub.interface_nodes[k]] >= 2)
+        assert np.all(zeta[sub.inner_nodes[k]] == 1)
+        assert np.all(zeta[sub.interface_nodes[k]] >= 2)
+    copies, counts = np.unique(np.concatenate(sub.interface_nodes),
+                               return_counts=True)
+    assert np.array_equal(counts, zeta[copies])
 
 
 def _class_of(mesh, e1, e2):
@@ -375,7 +373,7 @@ def test_checked_pairs_split_into_unit_weights(n, ratio, k1, k2, ball_norm):
 def test_coverage_detects_missing_pair():
     mesh = build_structured_mesh(8, 0.25)
     sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
-    strip_to_owned(sub)
+    strip_to_owned(sub, 2, 2)
     with pytest.raises(SubdivisionError, match="covered by no subdomain"):
         verify_coverage(mesh, sub, ball_norm="l2")
 
@@ -568,7 +566,7 @@ def test_cross_point_multiplicity():
             center = i
             break
     assert center is not None
-    assert sub.node_zeta[center] == 4
+    assert sum(center in nodes for nodes in sub.interface_nodes) == 4
 
 
 def test_floating_detection():
@@ -601,14 +599,9 @@ def test_constraints_annihilate_consistent_vectors(c):
     assert cons.B.shape[1] == len(v)
     assert np.max(np.abs(cons.B @ v)) == 0.0
     # Expected row count: (multiplicity - 1) * c per shared node.
-    zeta = sub.node_zeta
-    shared = np.unique(np.concatenate(sub.interface_nodes))
-    assert cons.B.shape[0] == c * int(np.sum(zeta[shared] - 1))
-    # D holds the multiplicity of each interface dof.
-    for k in range(sub.K):
-        g = sub.interface_nodes[k]
-        seg = cons.D[cons.offsets[k]:cons.offsets[k + 1]]
-        assert np.array_equal(seg, np.repeat(zeta[g].astype(float), c))
+    _, zeta = np.unique(np.concatenate(sub.interface_nodes),
+                        return_counts=True)
+    assert cons.B.shape[0] == c * int(np.sum(zeta - 1))
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -618,8 +611,11 @@ def test_scaled_constraints_are_left_inverse(c):
     cons = build_constraints(sub, dof_multiplicity=c)
     M = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-12
-    # B_D is exactly (B D^-1 B^T)^-1 B D^-1.
-    BDinv = cons.B @ sp.diags(1.0 / cons.D)
+    # B_D is exactly (B D^-1 B^T)^-1 B D^-1, D the multiplicity of each
+    # interface dof.
+    _, copy, zeta = np.unique(np.concatenate(sub.interface_nodes),
+                              return_inverse=True, return_counts=True)
+    BDinv = cons.B @ sp.diags(1.0 / np.repeat(zeta[copy].astype(float), c))
     blk = (BDinv @ cons.B.T).toarray()
     expect = np.linalg.solve(blk, BDinv.toarray())
     assert np.max(np.abs(cons.B_D.toarray() - expect)) < 1e-10
@@ -632,8 +628,9 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
     spec = make_spec(family, 0.125)
     sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
-    system = build_feti_system(mesh, sub, spec, prob.forcing, prob.exact,
-                               assembler=cache.assembler(family, 16, 0.125))
+    asm = cache.assembler(family, 16, 0.125)
+    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
+                               prob.exact, assembler=asm)
     cons = system.constraints
     expected = [(1 if c == 1 else 3) if f else 0 for f in sub.floating]
     assert [s.modes.shape[1] for s in system.subsystems] == expected
@@ -672,8 +669,8 @@ def test_construction_is_deterministic():
     b = build_subdivision(mesh, 3, 3, ball_norm="l2")
     for k in range(a.K):
         assert np.array_equal(a.extended_elements[k], b.extended_elements[k])
-        assert np.array_equal(a.collar_elements[k], b.collar_elements[k])
         assert np.array_equal(a.interface_nodes[k], b.interface_nodes[k])
+    assert np.array_equal(a.membership, b.membership)
     assert dump_subdivision(a) == dump_subdivision(b)
 
 
@@ -685,7 +682,7 @@ def test_dump_subdivision_format():
     assert lines[0] == "element,x,y,zeta,subdomains"
     assert len(lines) == mesh.n_elements + 1
     # Spot-check one owned element against the membership matrix.
-    e = int(sub.owned_elements[3][0])
+    e = int(np.flatnonzero(partition_rectangles(mesh, 2, 2) == 3)[0])
     fields = lines[e + 1].split(",")
     assert int(fields[0]) == e
     ks = [int(s) for s in fields[4].split(";")]
