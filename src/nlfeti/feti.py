@@ -116,7 +116,6 @@ class SubdomainSystem:
     components: int
     inner_nodes: np.ndarray
     interface_nodes: np.ndarray
-    constrained_nodes: np.ndarray
     A_OO: sp.csr_matrix
     A_OG: sp.csr_matrix
     A_GO: sp.csc_matrix  # A_OG^T, a view made once: .T is new per call
@@ -285,7 +284,6 @@ def assemble_subdomain(
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
     return SubdomainSystem(
         components=c, inner_nodes=inner, interface_nodes=inter,
-        constrained_nodes=constrained,
         A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
         f_O=load[O] - A_OC @ gv, f_G=load[G] - A_GC @ gv,
         floating=floating, modes=modes, pinned=pinned, _factors=factors,

@@ -71,26 +71,26 @@ def factorize(A: sp.spmatrix) -> Factorization:
 
 
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
-                  apply_Minv=None, tol: float = 1e-10, maxit: int = 10_000,
-                  constraint_check=None,
-                  trace: list[float] | None = None) -> tuple[np.ndarray, int]:
+                  apply_Minv, trace: list[float], tol: float = 1e-10,
+                  maxit: int = 10_000,
+                  constraint_check=None) -> tuple[np.ndarray, int]:
     """Projected preconditioned CG for constrained dual problems.
 
     Solves ``P F lambda = P d`` starting from ``lambda0`` (which must
     already satisfy the affine constraint; ``constraint_check(lambda0)``
     is invoked when given and must raise on violation).  Search
     directions are projected before and after preconditioning, so all
-    iterates stay on the constraint manifold.
+    iterates stay on the constraint manifold.  The relative residual of
+    every iteration is appended to ``trace``.
     """
     lam = np.asarray(lambda0, dtype=float).copy()
     if constraint_check is not None:
         constraint_check(lam)
     r = apply_P(d - apply_F(lam))
-    z = apply_P(apply_Minv(r)) if apply_Minv is not None else r
+    z = apply_P(apply_Minv(r))
     p = z.copy()
     rz = float(r @ z)
     norm0 = max(np.sqrt(abs(rz)), 1e-50)
-    residuals = [1.0]
     if norm0 <= 1e-50:
         return lam, 0
     for it in range(1, maxit + 1):
@@ -99,20 +99,19 @@ def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
         if pFp <= 0.0:
             raise ConvergenceFailure(
                 f"projected operator indefinite at iteration {it}"
-                f" (p^T F p = {pFp:.3e})", lam, it, residuals)
+                f" (p^T F p = {pFp:.3e})", lam, it, [1.0] + trace)
         alpha = rz / pFp
         lam = lam + alpha * p
         r = r - alpha * apply_P(Fp)
-        z = apply_P(apply_Minv(r)) if apply_Minv is not None else r
+        z = apply_P(apply_Minv(r))
         rz_new = float(r @ z)
         res = np.sqrt(abs(rz_new)) / norm0
-        residuals.append(res)
-        if trace is not None:
-            trace.append(res)
+        trace.append(res)
         if res < tol:
             return lam, it
         p = z + (rz_new / rz) * p
         rz = rz_new
+    residuals = [1.0] + trace
     raise ConvergenceFailure(
         f"projected CG did not reach tol={tol:g} in {maxit} iterations "
         f"(last residual {residuals[-1]:.3e})", lam, maxit, residuals)

@@ -1,14 +1,15 @@
 """Overlapping subdomain construction for nonlocal problems.
 
-A rectangular partition of the interior elements is grown into an
+A partition of the interior cells into rectangles is grown into an
 overlapping family: every pair of elements whose interaction balls can
 touch must end up together in at least one subdomain, so the global
 bilinear form can be split into subdomain forms, each element pair
 weighted by the reciprocal of the number of subdomains holding both.
-Each rectangle grows by the distance of every element to its nearest
-owned barycenter, read off the rectangle without a search.  Membership
-is stored once, as a packed element x subdomain bit table; every overlap
-count is the popcount of a membership row or of the AND of two rows.
+Each rectangle grows by the distance of every element in a window of
+cells around it to its nearest owned barycenter, read off the rectangle
+without a search.  Membership is stored once, as a packed element x
+subdomain bit table set window by window; every overlap count is the
+popcount of a membership row or of the AND of two rows.
 Coverage is checked on the pairs the assembler weights, per class of
 ``geometry.interacting_classes``; the check and the pair counts read a
 class's pairs off cell planes by ``geometry.class_grids``, so no list of
@@ -39,12 +40,11 @@ class SubdivisionError(RuntimeError):
 
 
 def partition_rectangles(mesh: Mesh, k1: int, k2: int) -> np.ndarray:
-    """Assign every interior element to one of k1 x k2 rectangles.
+    """Split the interior cells into k1 x k2 rectangles.
 
-    Rectangle boundaries are snapped to the nearest grid line; ownership
-    is decided by the element barycenter.  Returns an owner index per
-    element (-1 on collar elements, which are attached later by the
-    horizon-neighborhood rule).
+    Rectangle boundaries are snapped to the nearest grid line.  Returns
+    the (k1 k2, 4) half-open cell rectangles ``(x0, x1, y0, y1)`` in the
+    mesh's cell coordinates, numbered x fastest.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be at least 1")
@@ -54,41 +54,33 @@ def partition_rectangles(mesh: Mesh, k1: int, k2: int) -> np.ndarray:
             raise ValueError(
                 f"{name}={k} exceeds n={mesh.n}: a rectangle would hold "
                 f"no element")
-    interior = mesh.element_region == INTERIOR
     n = mesh.n
-    # Snapped cut positions in cell units, 0 = left edge of the unit square.
-    cuts1 = np.round(n * np.arange(k1 + 1) / k1).astype(np.int64)
-    cuts2 = np.round(n * np.arange(k2 + 1) / k2).astype(np.int64)
-    bary = mesh.barycenters
-    cellx = np.floor(bary[:, 0] * n).astype(np.int64)
-    celly = np.floor(bary[:, 1] * n).astype(np.int64)
-    i1 = np.clip(np.searchsorted(cuts1, cellx, side="right") - 1, 0, k1 - 1)
-    i2 = np.clip(np.searchsorted(cuts2, celly, side="right") - 1, 0, k2 - 1)
-    owner = i2 * k1 + i1
-    owner[~interior] = -1
-    return owner
+    # snapped cut positions, shifted past the collar
+    collar = round(mesh.delta * n)
+    cuts1 = collar + np.round(n * np.arange(k1 + 1) / k1).astype(np.int64)
+    cuts2 = collar + np.round(n * np.arange(k2 + 1) / k2).astype(np.int64)
+    i2, i1 = np.divmod(np.arange(k1 * k2), k1)
+    return np.column_stack([cuts1[i1], cuts1[i1 + 1], cuts2[i2],
+                            cuts2[i2 + 1]])
 
 
 @dataclass
 class Subdivision:
     """Overlapping subdomain family over a mesh.
 
-    ``extended_elements[k]`` are the interior elements of subdomain k:
-    its rectangle of ``partition_rectangles`` and the half-horizon
-    overlap ring around it.  The unconstrained nodes seen by
-    subdomain k split into ``inner_nodes[k]`` (multiplicity 1) and
-    ``interface_nodes[k]`` (shared with another subdomain);
-    ``constrained_nodes[k]`` carry Dirichlet-type data.
+    Subdomain k holds its rectangle of ``partition_rectangles``, the
+    half-horizon overlap ring around it and the collar elements attached
+    to them.  The unconstrained nodes seen by subdomain k split into
+    ``inner_nodes[k]`` (multiplicity 1) and ``interface_nodes[k]``
+    (shared with another subdomain); ``constrained_nodes[k]`` carry
+    Dirichlet-type data.
 
-    ``membership`` is the (n_elements, ceil(K / 8)) uint8 table
-    ``np.packbits(member, axis=1, bitorder="little")`` of the boolean
-    element x subdomain matrix (extended and collar elements): bit
-    ``k % 8`` of byte ``k // 8`` is set when subdomain k holds the
-    element.
+    ``membership`` is the (n_elements, ceil(K / 8)) uint8 table of the
+    element x subdomain relation: bit ``k % 8`` of byte ``k // 8`` is set
+    when subdomain k holds the element.
     """
 
     mesh: Mesh
-    extended_elements: list[np.ndarray]
     inner_nodes: list[np.ndarray]
     interface_nodes: list[np.ndarray]
     constrained_nodes: list[np.ndarray]
@@ -118,17 +110,17 @@ class Subdivision:
         membership bytes and of the kept-vertex mask, so no grid of
         element ids is formed.
         """
-        x0, x1, y0, y1 = cells
+        mesh = self.mesh
         nb = self.membership.shape[1]
-        kept = np.zeros(self.mesh.n_vertices, dtype=bool)
+        kept = np.zeros(mesh.n_vertices, dtype=bool)
         kept[nodes] = True
-        columns = np.column_stack([self.membership,
-                                   kept[self.mesh.elements].any(axis=1)])
+        near = kept[_window(mesh, mesh.elements, cells)].any(axis=-1)
+        planes = _cell_planes(_window(mesh, self.membership, cells), near)
         bit = np.uint8(1 << (k & 7))
+        x0, x1, y0, y1 = cells
         out = np.empty((len(classes), y1 - y0, x1 - x0),
                        np.min_scalar_type(self.K))
-        for c, first, second in class_grids(
-                _cell_planes(self.mesh, columns, cells), classes):
+        for c, first, second in class_grids(planes, classes):
             both = first[:, :nb] & second[:, :nb]  # (class, byte, cy, cx)
             hit = (both[:, k >> 3] & bit) != 0
             hit &= (first[:, nb] | second[:, nb]) != 0
@@ -141,18 +133,27 @@ class Subdivision:
         return out
 
     def element_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The extended elements of k and their reciprocal
+        """The interior elements k holds and their reciprocal
         multiplicities."""
-        els = self.extended_elements[k]
+        els = np.flatnonzero(self.holds(k)
+                             & (self.mesh.element_region == INTERIOR))
         return els, 1.0 / _overlap(self.membership[els])
 
 
-def _cell_planes(mesh: Mesh, columns: np.ndarray, cells) -> np.ndarray:
-    """(type, column, cy - y0, cx - x0) cell planes of the per-element
-    ``columns`` (n_elements, m) over the window ``cells``."""
+def _window(mesh: Mesh, a: np.ndarray, cells) -> np.ndarray:
+    """View (cy - y0, cx - x0, type, ...) of the per-element array ``a``
+    over the cell window ``cells = (x0, x1, y0, y1)``."""
     N = mesh.cells_per_side
     x0, x1, y0, y1 = cells
-    return columns.reshape(N, N, 2, -1)[y0:y1, x0:x1].transpose(2, 3, 0, 1)
+    return a.reshape(N, N, 2, *a.shape[1:])[y0:y1, x0:x1]
+
+
+def _cell_planes(*windows: np.ndarray) -> np.ndarray:
+    """(type, column, cy - y0, cx - x0) cell planes of the ``_window``
+    views of one window, each with no or one column axis, stacked in
+    order."""
+    return np.concatenate([w.reshape(w.shape[:3] + (-1,)) for w in windows],
+                          axis=-1).transpose(2, 3, 0, 1)
 
 
 def _overlap(rows: np.ndarray) -> np.ndarray:
@@ -174,26 +175,25 @@ def _reach(delta: float, ball_norm: str) -> float:
     return delta * np.sqrt(2.0) if ball_norm == "linf" else delta
 
 
-def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
+def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
                     ball_norm: str) -> Subdivision:
-    """Grow a rectangular partition into an overlapping subdivision.
+    """Grow the cell rectangles ``rects`` of ``partition_rectangles``
+    into an overlapping subdivision.
 
-    Each subdomain's owned elements must fill a rectangle of cells, as
-    ``partition_rectangles`` makes them.  It takes the interior elements
-    within half the mesh's horizon (plus a mesh-size safety margin) of
-    its owned barycenters and the collar elements within a full horizon,
-    both measured for the interaction ball of ``ball_norm``.  The nearest
+    Subdomain k takes the interior elements within half the mesh's
+    horizon (plus a mesh-size safety margin) of the barycenters in its
+    rectangle and the collar elements within a full horizon, both
+    measured for the interaction ball of ``ball_norm``.  The nearest
     owned barycenter of each triangle type is the one of the element's
     cell clamped into the rectangle: the squared distance is a sum of
-    one term per axis.  The resulting family is verified to contain every
-    interacting element pair in at least one common subdomain.
+    one term per axis.  Only the rectangle's window, grown by the larger
+    radius, is measured.  The resulting family is verified to contain
+    every interacting element pair in at least one common subdomain.
     """
-    K = int(owner.max()) + 1
+    K = len(rects)
     N = mesh.cells_per_side
-    bary = mesh.barycenters
     interior = mesh.element_region == INTERIOR
-    cy, cx = np.divmod(np.arange(mesh.n_elements) // 2, N)
-    # Safety margins: ownership is decided on barycenters, so the
+    # Safety margins: distances are measured between barycenters, so the
     # half-horizon criterion needs slack of about one element diameter:
     # two interacting barycenters lie within reach + 2 sqrt(5) / 3 cells
     # (about reach + h) of each other; their midpoint belongs to some
@@ -203,30 +203,30 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
     reach = _reach(mesh.delta, ball_norm)
     r_ext = 0.5 * (reach + mesh.h) + mesh.h + 1e-12
     r_col = reach + mesh.h + 1e-12
-
-    # Element membership over the extended sets (interior extension plus
-    # attached collar elements); a node belongs to k when it is a vertex
-    # of any of those elements.
     radius = np.where(interior, r_ext, r_col)
-    held = np.zeros((mesh.n_elements, K), dtype=bool)
-    extended, nrows = [], []
-    for k in range(K):
-        own = np.flatnonzero(owner == k)
-        ys, xs = cy[own], cx[own]
-        if len(own) != 2 * (np.ptp(ys) + 1) * (np.ptp(xs) + 1):
-            raise ValueError(
-                f"the elements owned by subdomain {k} fill no cell rectangle")
-        cell = (np.clip(cy, ys.min(), ys.max()) * N
-                + np.clip(cx, xs.min(), xs.max()))
-        d = np.inf
-        for t in range(2):
-            diff = bary - bary[2 * cell + t]
-            d = np.minimum(d, np.sqrt(diff[:, 0] * diff[:, 0]
-                                      + diff[:, 1] * diff[:, 1]))
-        held[:, k] = d <= radius
-        extended.append(np.flatnonzero(held[:, k] & interior))
-        nrows.append(np.unique(mesh.elements[held[:, k]]))
-    membership = np.packbits(held, axis=1, bitorder="little")
+    # an element in a cell more than `grow` cells beyond the rectangle
+    # along an axis lies at least grow + 2/3 cells, farther than either
+    # radius, from every owned barycenter along that axis
+    grow = int(np.ceil(max(r_ext, r_col) * mesh.n))
+
+    # Membership bits are set window by window; a node belongs to k when
+    # it is a vertex of an element k holds.
+    membership = np.zeros((mesh.n_elements, -(-K // 8)), np.uint8)
+    bary = mesh.barycenters.reshape(N, N, 2, 2)
+    nrows = []
+    for k, (x0, x1, y0, y1) in enumerate(rects):
+        win = (max(x0 - grow, 0), min(x1 + grow, N),
+               max(y0 - grow, 0), min(y1 + grow, N))
+        ys = np.clip(np.arange(win[2], win[3]), y0, y1 - 1)
+        xs = np.clip(np.arange(win[0], win[1]), x0, x1 - 1)
+        # (cy, cx, type, owned type, xy)
+        diff = (_window(mesh, mesh.barycenters, win)[:, :, :, None]
+                - bary[ys[:, None], xs][:, :, None])
+        d = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+        held = d.min(axis=-1) <= _window(mesh, radius, win)
+        _window(mesh, membership, win)[..., k >> 3][held] |= np.uint8(
+            1 << (k & 7))
+        nrows.append(np.unique(_window(mesh, mesh.elements, win)[held]))
     zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
 
     inner_nodes, interface_nodes, constrained = [], [], []
@@ -244,9 +244,9 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
     floating = np.array([len(c) == 0 for c in constrained])
 
     sub = Subdivision(
-        mesh=mesh, extended_elements=extended, inner_nodes=inner_nodes,
-        interface_nodes=interface_nodes, constrained_nodes=constrained,
-        floating=floating, membership=membership,
+        mesh=mesh, inner_nodes=inner_nodes, interface_nodes=interface_nodes,
+        constrained_nodes=constrained, floating=floating,
+        membership=membership,
     )
     verify_coverage(mesh, sub, ball_norm=ball_norm)
     return sub
@@ -255,8 +255,8 @@ def extend_nonlocal(mesh: Mesh, owner: np.ndarray, *,
 def build_subdivision(mesh: Mesh, k1: int, k2: int, *,
                       ball_norm: str) -> Subdivision:
     """Partition into k1 x k2 rectangles and extend nonlocally."""
-    owner = partition_rectangles(mesh, k1, k2)
-    return extend_nonlocal(mesh, owner, ball_norm=ball_norm)
+    rects = partition_rectangles(mesh, k1, k2)
+    return extend_nonlocal(mesh, rects, ball_norm=ball_norm)
 
 
 def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
@@ -273,8 +273,8 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
     """
     N = mesh.cells_per_side
     interior = mesh.element_region == INTERIOR
-    planes = _cell_planes(mesh, np.column_stack([sub.membership, interior]),
-                          (0, N, 0, N))
+    planes = _cell_planes(*(_window(mesh, a, (0, N, 0, N))
+                            for a in (sub.membership, interior)))
     # the self-pair classes (0, 0, t, t) first, so that an element no
     # subdomain holds is named rather than a pair it belongs to
     classes = sorted(interacting_classes(round(mesh.delta * mesh.n),

@@ -127,10 +127,11 @@ def n_G(s) -> int:
 
 def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
     """Subdomain k's load as a sum over every mesh element, each element
-    weighted by its reciprocal multiplicity on the extended elements of
-    k and by 0 elsewhere.  The oracle of ``Assembler.assemble_load`` over
-    the held elements only."""
-    els = sub.extended_elements[k]
+    weighted by its reciprocal multiplicity on the interior elements k
+    holds and by 0 elsewhere.  The oracle of ``Assembler.assemble_load``
+    over the held elements only."""
+    els = np.flatnonzero(sub.holds(k)
+                         & (asm.mesh.element_region == INTERIOR))
     w = np.zeros(asm.mesh.n_elements)
     w[els] = 1.0 / np.bitwise_count(sub.membership[els]).sum(axis=1)
     weighted = moments * w[:, None, None]
@@ -141,14 +142,24 @@ def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
     return out
 
 
+def rectangle_owner(mesh, rects) -> np.ndarray:
+    """Owner subdomain of every element under the cell rectangles
+    ``rects`` (x0, x1, y0, y1), -1 on elements in no rectangle: the
+    element-by-element form of ``partition_rectangles``."""
+    cy, cx = np.divmod(np.arange(mesh.n_elements) // 2, mesh.cells_per_side)
+    owner = np.full(mesh.n_elements, -1)
+    for k, (x0, x1, y0, y1) in enumerate(rects):
+        owner[(x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)] = k
+    return owner
+
+
 def strip_to_owned(sub, k1: int, k2: int) -> None:
     """Sabotage a k1 x k2 subdivision: clear the membership bits of every
     subdomain's overlap elements, so pairs straddling a partition
     boundary lose their common subdomain."""
-    owner = partition_rectangles(sub.mesh, k1, k2)
+    owner = rectangle_owner(sub.mesh, partition_rectangles(sub.mesh, k1, k2))
     for k in range(sub.K):
-        extra = np.setdiff1d(sub.extended_elements[k],
-                             np.flatnonzero(owner == k))
+        extra = (owner >= 0) & (owner != k)
         sub.membership[extra, k // 8] &= np.uint8(~(1 << (k % 8)) & 0xFF)
 
 

@@ -141,6 +141,20 @@ def test_iteration_scalability_fixed_ratio():
         assert b >= 1.6 * a, cg_iters
 
 
+def test_fractional_iterations_saturate_fixed_ratio():
+    """The fractional fixed-ratio ladder at delta = 4h, H/h = 16 (20, 26
+    and 27 iterations when this test was written): the whole ladder grows
+    by at most 7 and its last two rungs differ by at most 2."""
+    iters = []
+    for n, k in ((32, 2), (64, 4), (128, 8)):
+        config = ExperimentConfig(family="fractional", delta=4.0 / n, n=n,
+                                  k1=k, k2=k, solver="feti")
+        iters.append(run_single(config, study="fixed_ratio")
+                     .records[0].iterations)
+    assert iters[-1] - iters[0] <= 7, iters
+    assert abs(iters[-1] - iters[-2]) <= 2, iters
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("NLFETI_PAPER_SCALE") != "1",
                     reason="full-size run; set NLFETI_PAPER_SCALE=1")

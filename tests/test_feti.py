@@ -173,7 +173,7 @@ def _condensed_solve(system):
     lam, iters = projected_pcg(
         system.apply_F, lambda v: v - G @ np.linalg.solve(GtG, G.T @ v), d,
         G @ np.linalg.solve(GtG, e), apply_Minv=system.apply_Minv,
-        tol=system.tol)
+        trace=[], tol=system.tol)
     alpha = np.linalg.solve(GtG, G.T @ (d - system.apply_F(lam)))
     u_G = system._split(system.schur_pinv_apply(f_schur - cs.B.T @ lam)
                         - Z @ alpha)
@@ -360,7 +360,6 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
         s = SubdomainSystem(
             components=1, inner_nodes=np.arange(nO),
             interface_nodes=np.arange(nO, n),
-            constrained_nodes=np.zeros(0, int),
             A_OO=A[:nO, :nO], A_OG=A_OG, A_GO=A_OG.T, A_GG=A[nO:, nO:],
             f_O=np.zeros(nO), f_G=np.zeros(n - nO),
             floating=floating, modes=modes,

@@ -44,10 +44,12 @@ def test_singular_matrix_raises():
         factorize(A)
 
 
-def cg(apply_A, b, **kwargs):
+def cg(apply_A, b, apply_Minv=lambda r: r, **kwargs):
     """Plain CG as the global baseline runs it: projected CG with the
-    identity projection from a zero start."""
-    return projected_pcg(apply_A, lambda v: v, b, np.zeros_like(b), **kwargs)
+    identity projection from a zero start, unpreconditioned by
+    default."""
+    return projected_pcg(apply_A, lambda v: v, b, np.zeros_like(b),
+                         apply_Minv=apply_Minv, trace=[], **kwargs)
 
 
 def test_cg_matches_direct_and_decreases_energy_error():
@@ -137,7 +139,8 @@ def test_projected_pcg_solves_kkt_system():
     F, G, d, e, P, lam0, lam_star = _toy_constrained_problem()
     trace = []
     lam, it = projected_pcg(
-        lambda v: F @ v, lambda v: P @ v, d, lam0, tol=1e-12, trace=trace,
+        lambda v: F @ v, lambda v: P @ v, d, lam0, apply_Minv=lambda r: r,
+        trace=trace, tol=1e-12,
     )
     assert np.linalg.norm(lam - lam_star) <= 1e-8 * np.linalg.norm(lam_star)
     assert np.linalg.norm(G.T @ lam - e) <= 1e-9 * (1 + np.linalg.norm(e))
@@ -158,7 +161,7 @@ def test_projected_pcg_keeps_iterates_on_constraint():
         return r
 
     lam, _ = projected_pcg(lambda v: F @ v, lambda v: P @ v, d, lam0,
-                           apply_Minv=spy_Minv, tol=1e-10)
+                           apply_Minv=spy_Minv, trace=[], tol=1e-10)
     assert np.linalg.norm(G.T @ lam - e) <= 1e-9 * (1 + np.linalg.norm(e))
 
 
@@ -171,7 +174,8 @@ def test_projected_pcg_constraint_check_hook():
         calls.append(np.linalg.norm(G.T @ lam - e))
 
     projected_pcg(lambda v: F @ v, lambda v: P @ v, d, lam0,
-                  tol=1e-10, constraint_check=check)
+                  apply_Minv=lambda r: r, trace=[], tol=1e-10,
+                  constraint_check=check)
     assert calls and calls[0] <= 1e-10
 
 

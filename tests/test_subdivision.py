@@ -1,5 +1,7 @@
 """Tests for the overlapping subdomain construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,7 +25,7 @@ from nlfeti.subdivision import (
 )
 
 from conftest import (interacting_pairs, make_spec, pair_counts, pair_weights,
-                      strip_to_owned, weight_grid)
+                      rectangle_owner, strip_to_owned, weight_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +166,24 @@ def test_corner_collar_triangle_has_two_neighbors():
 @example(n=16, ratio=2, k1=3, k2=4, ball_norm="l2")  # two membership bytes
 @example(n=8, ratio=5, k1=4, k2=4, ball_norm="linf")  # multiplicity 16
 @example(n=6, ratio=1, k1=1, k2=1, ball_norm="l2")  # no interface
+# one-cell rectangles, 32 membership bytes, windows clipped at the edge
+@example(n=16, ratio=2, k1=16, k2=16, ball_norm="linf")
+@example(n=32, ratio=4, k1=16, k2=16, ball_norm="l2")
 def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
     """Every extended and collar set, and B, B_D and the offsets for
     scalar and vector dofs, equal the loop oracles byte for byte."""
     mesh = build_structured_mesh(n, ratio / n)
-    owner = partition_rectangles(mesh, k1, k2)
-    sub = extend_nonlocal(mesh, owner, ball_norm=ball_norm)
-    extended, collars = bfs_extension(mesh, owner, mesh.delta, ball_norm)
+    rects = partition_rectangles(mesh, k1, k2)
+    sub = extend_nonlocal(mesh, rects, ball_norm=ball_norm)
+    extended, collars = bfs_extension(mesh, rectangle_owner(mesh, rects),
+                                      mesh.delta, ball_norm)
     assert sub.K == len(extended) == k1 * k2
-    collar = mesh.element_region != INTERIOR
+    interior = mesh.element_region == INTERIOR
     for k in range(sub.K):
-        _assert_same_bytes(sub.extended_elements[k], extended[k])
-        _assert_same_bytes(np.flatnonzero(sub.holds(k) & collar), collars[k])
+        _assert_same_bytes(np.flatnonzero(sub.holds(k) & interior),
+                           extended[k])
+        _assert_same_bytes(np.flatnonzero(sub.holds(k) & ~interior),
+                           collars[k])
     for c in (1, 2):
         cons = build_constraints(sub, dof_multiplicity=c)
         B, B_D, offsets = loop_constraints(sub, c)
@@ -198,14 +206,14 @@ def _held(sub):
 
 
 def test_partition_counts_even_split():
+    """8x8 interior cells past a two-cell collar split into four 4x4
+    quadrants, x fastest; they cover exactly the interior elements."""
     mesh = build_structured_mesh(8, 0.25)
-    owner = partition_rectangles(mesh, 2, 2)
-    interior = mesh.element_region == INTERIOR
-    assert np.all(owner[~interior] == -1)
-    assert np.all(owner[interior] >= 0)
-    counts = np.bincount(owner[interior], minlength=4)
-    # 8x8 interior cells, 2 triangles each, split into four 4x4 quadrants
-    assert list(counts) == [32, 32, 32, 32]
+    rects = partition_rectangles(mesh, 2, 2)
+    assert rects.tolist() == [[2, 6, 2, 6], [6, 10, 2, 6],
+                              [2, 6, 6, 10], [6, 10, 6, 10]]
+    owner = rectangle_owner(mesh, rects)
+    assert np.array_equal(owner >= 0, mesh.element_region == INTERIOR)
 
 
 def test_partition_rejects_bad_arguments():
@@ -227,9 +235,8 @@ def test_partition_rejects_more_rectangles_than_cells():
         mesh = build_structured_mesh(n, 1.0 / n)
         for k in range(1, n + 1):
             for k1, k2 in ((k, 1), (1, k)):
-                owner = partition_rectangles(mesh, k1, k2)
-                counts = np.bincount(owner[owner >= 0], minlength=k)
-                assert len(counts) == k and counts.min() > 0
+                x0, x1, y0, y1 = partition_rectangles(mesh, k1, k2).T
+                assert len(x0) == k and (x1 > x0).all() and (y1 > y0).all()
 
 
 @pytest.mark.parametrize("n,ratio", [(8, 2), (8, 4), (16, 2), (16, 4)])
@@ -248,7 +255,7 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     assert sub.K == K
     # Owned sets partition the interior elements, and each is held.
     interior_els = np.flatnonzero(mesh.element_region == INTERIOR)
-    owner = partition_rectangles(mesh, k1, k2)
+    owner = rectangle_owner(mesh, partition_rectangles(mesh, k1, k2))
     assert np.array_equal(np.flatnonzero(owner >= 0), interior_els)
     for k in range(K):
         assert sub.holds(k)[owner == k].all()
@@ -481,7 +488,8 @@ def test_counting_function_matches_bruteforce():
                     sub.pair_counts(k, classes, cells, kept),
                     np.where(near, expect, 0))
             els, w = sub.element_weights(k)
-            assert np.array_equal(els, sub.extended_elements[k])
+            assert np.array_equal(els, np.flatnonzero(
+                sub.holds(k) & (mesh.element_region == INTERIOR)))
             assert np.array_equal(
                 w, [1.0 / sum(e in h for h in held) for e in els.tolist()])
 
@@ -514,17 +522,20 @@ def test_pair_counts_equal_the_pairwise_grid(family, n, ratio, k1, k2,
 # (n, delta n, k1, k2, ball norm)
 EXTENSIONS = [(64, 8, 4, 4, "linf"), (32, 2, 3, 3, "l2"), (64, 2, 4, 4, "l2"),
               (24, 3, 5, 2, "l2"), (30, 4, 7, 3, "linf"), (17, 1, 4, 3, "l2"),
-              (40, 5, 3, 5, "linf"), (64, 2, 1, 1, "l2"), (48, 3, 6, 6, "l2")]
+              (40, 5, 3, 5, "linf"), (64, 2, 1, 1, "l2"), (48, 3, 6, 6, "l2"),
+              (16, 2, 16, 16, "linf"), (32, 4, 16, 16, "l2")]
 
 
 @pytest.mark.parametrize("n,ratio,k1,k2,ball_norm", EXTENSIONS)
 def test_extension_equals_the_kdtree_query(n, ratio, k1, k2, ball_norm):
-    """Distances read off the owned rectangles give, byte for byte, the
-    membership of a nearest-owned-barycenter query of every element
-    against a KD-tree of each subdomain's owned barycenters."""
+    """Distances read off the owned rectangles, in a window around each,
+    give, byte for byte, the membership of a nearest-owned-barycenter
+    query of every element against a KD-tree of each subdomain's owned
+    barycenters."""
     mesh = build_structured_mesh(n, ratio / n)
-    owner = partition_rectangles(mesh, k1, k2)
-    sub = extend_nonlocal(mesh, owner, ball_norm=ball_norm)
+    rects = partition_rectangles(mesh, k1, k2)
+    sub = extend_nonlocal(mesh, rects, ball_norm=ball_norm)
+    owner = rectangle_owner(mesh, rects)
     bary = mesh.barycenters
     reach = _reach(mesh.delta, ball_norm)
     radius = np.where(mesh.element_region == INTERIOR,
@@ -539,12 +550,19 @@ def test_extension_equals_the_kdtree_query(n, ratio, k1, k2, ball_norm):
     assert sub.membership.tobytes() == want.tobytes()
 
 
-def test_extension_rejects_an_owned_set_that_is_no_rectangle():
-    mesh = build_structured_mesh(8, 0.25)
-    owner = partition_rectangles(mesh, 2, 2)
-    owner[np.flatnonzero(owner == 1)[0]] = 0
-    with pytest.raises(ValueError, match="subdomain 0 fill no cell rect"):
-        extend_nonlocal(mesh, owner, ball_norm="l2")
+def test_subdivision_working_set_is_bounded():
+    """The traced peak of a 16 x 16 subdivision at n=128, delta=4h (256
+    subdomains over 51 200 elements) stays below 12 MB: each subdomain is
+    measured on its own window of cells, and no element x subdomain table
+    of bools (13 MB here) is formed."""
+    mesh = build_structured_mesh(128, 4 / 128)
+    tracemalloc.start()
+    try:
+        build_subdivision(mesh, 16, 16, ball_norm="l2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_extend_nonlocal_counts_its_subdomains():
@@ -552,7 +570,7 @@ def test_extend_nonlocal_counts_its_subdomains():
     sub = extend_nonlocal(mesh, partition_rectangles(mesh, 3, 2),
                           ball_norm="l2")
     assert sub.K == 6
-    assert len(sub.extended_elements) == len(sub.floating) == 6
+    assert len(sub.interface_nodes) == len(sub.floating) == 6
 
 
 def test_cross_point_multiplicity():
@@ -668,7 +686,6 @@ def test_construction_is_deterministic():
     a = build_subdivision(mesh, 3, 3, ball_norm="l2")
     b = build_subdivision(mesh, 3, 3, ball_norm="l2")
     for k in range(a.K):
-        assert np.array_equal(a.extended_elements[k], b.extended_elements[k])
         assert np.array_equal(a.interface_nodes[k], b.interface_nodes[k])
     assert np.array_equal(a.membership, b.membership)
     assert dump_subdivision(a) == dump_subdivision(b)
@@ -682,7 +699,8 @@ def test_dump_subdivision_format():
     assert lines[0] == "element,x,y,zeta,subdomains"
     assert len(lines) == mesh.n_elements + 1
     # Spot-check one owned element against the membership matrix.
-    e = int(np.flatnonzero(partition_rectangles(mesh, 2, 2) == 3)[0])
+    owner = rectangle_owner(mesh, partition_rectangles(mesh, 2, 2))
+    e = int(np.flatnonzero(owner == 3)[0])
     fields = lines[e + 1].split(",")
     assert int(fields[0]) == e
     ks = [int(s) for s in fields[4].split(";")]
