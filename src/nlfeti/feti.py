@@ -255,8 +255,7 @@ def assemble_subdomain(
     constrained = sub.constrained_nodes[k]
     kept = np.concatenate([inner, inter])
     O, G = (_node_dofs(nodes, c) for nodes in (inner, inter))
-    cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2, mesh.cells_per_side)
-    cells = (cx.min(), cx.max() + 1, cy.min(), cy.max() + 1)
+    cells = sub.cells(k)
     # a pair with no kept vertex reaches only constrained rows, which are
     # never kept: counted 0, so that it sets no two subdomains apart; the
     # counts stand for the weights, their reciprocals, in the key

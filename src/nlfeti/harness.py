@@ -296,13 +296,14 @@ def run_study(config: ExperimentConfig, out_csv=None,
 
     A failing rung is recorded as one row per solver (iterations -1,
     error NaN), labelled as a successful rung's rows would be, and the
-    remaining rungs are still attempted.
+    remaining rungs are still attempted.  Only the rows of a rung are
+    kept, so its FETI system, blocks and factors are freed before the
+    next rung assembles.
     """
     records: list[RunRecord] = []
     for rung in study_rungs(config, paper_scale):
         try:
-            out = run_single(rung, study=config.study)
-            records.extend(out.records)
+            records.extend(run_single(rung, study=config.study).records)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             grids = {"cg": "1x1", "feti": f"{rung.k1}x{rung.k2}"}
             records.extend(RunRecord(

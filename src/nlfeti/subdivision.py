@@ -77,7 +77,9 @@ class Subdivision:
 
     ``membership`` is the (n_elements, ceil(K / 8)) uint8 table of the
     element x subdomain relation: bit ``k % 8`` of byte ``k // 8`` is set
-    when subdomain k holds the element.
+    when subdomain k holds the element.  Subdomain k holds elements only
+    in the cells of ``windows[k] = (x0, x1, y0, y1)``, so what is read
+    of one subdomain is read over its window.
     """
 
     mesh: Mesh
@@ -86,14 +88,26 @@ class Subdivision:
     constrained_nodes: list[np.ndarray]
     floating: np.ndarray
     membership: np.ndarray = field(repr=False)
+    windows: np.ndarray = field(repr=False)
 
     @property
     def K(self) -> int:
         return len(self.inner_nodes)
 
-    def holds(self, k: int) -> np.ndarray:
-        """Mask of the elements subdomain k holds."""
-        return (self.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
+    def _held(self, k: int) -> np.ndarray:
+        """(cy - y0, cx - x0, type) mask of the elements k holds over its
+        window."""
+        return (_window(self.mesh, self.membership, self.windows[k])
+                [..., k >> 3] & np.uint8(1 << (k & 7))) != 0
+
+    def cells(self, k: int) -> tuple:
+        """Half-open cell rectangle ``(x0, x1, y0, y1)`` bounding the
+        elements subdomain k holds."""
+        held = self._held(k)
+        x0, _, y0, _ = self.windows[k]
+        ys = np.flatnonzero(held.any(axis=(1, 2)))
+        xs = np.flatnonzero(held.any(axis=(0, 2)))
+        return x0 + xs[0], x0 + xs[-1] + 1, y0 + ys[0], y0 + ys[-1] + 1
 
     def pair_counts(self, k: int, classes, cells,
                     nodes: np.ndarray) -> np.ndarray:
@@ -135,8 +149,13 @@ class Subdivision:
     def element_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The interior elements k holds and their reciprocal
         multiplicities."""
-        els = np.flatnonzero(self.holds(k)
-                             & (self.mesh.element_region == INTERIOR))
+        mesh = self.mesh
+        win = self.windows[k]
+        x0, _, y0, _ = win
+        cy, cx, t = np.nonzero(
+            self._held(k) & (_window(mesh, mesh.element_region, win)
+                             == INTERIOR))
+        els = 2 * ((cy + y0) * mesh.cells_per_side + cx + x0) + t
         return els, 1.0 / _overlap(self.membership[els])
 
 
@@ -213,10 +232,9 @@ def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
     # it is a vertex of an element k holds.
     membership = np.zeros((mesh.n_elements, -(-K // 8)), np.uint8)
     bary = mesh.barycenters.reshape(N, N, 2, 2)
+    windows = np.clip(rects + np.array([-grow, grow, -grow, grow]), 0, N)
     nrows = []
-    for k, (x0, x1, y0, y1) in enumerate(rects):
-        win = (max(x0 - grow, 0), min(x1 + grow, N),
-               max(y0 - grow, 0), min(y1 + grow, N))
+    for k, ((x0, x1, y0, y1), win) in enumerate(zip(rects, windows)):
         ys = np.clip(np.arange(win[2], win[3]), y0, y1 - 1)
         xs = np.clip(np.arange(win[0], win[1]), x0, x1 - 1)
         # (cy, cx, type, owned type, xy)
@@ -246,7 +264,7 @@ def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
     sub = Subdivision(
         mesh=mesh, inner_nodes=inner_nodes, interface_nodes=interface_nodes,
         constrained_nodes=constrained, floating=floating,
-        membership=membership,
+        membership=membership, windows=windows,
     )
     verify_coverage(mesh, sub, ball_norm=ball_norm)
     return sub

@@ -63,13 +63,19 @@ def interacting_pairs(mesh, linf: bool):
         yield key, 2 * cell[first][keep] + t1, 2 * cell[second][keep] + t2
 
 
+def holds(sub, k: int) -> np.ndarray:
+    """Mask of the elements subdomain k holds, read off the whole
+    membership column."""
+    return (sub.membership[:, k >> 3] & np.uint8(1 << (k & 7))) != 0
+
+
 def pair_counts(sub, k: int, nodes=None):
     """``(e1, e2) -> n``, element pair by element pair: the number of
     subdomains holding both elements where subdomain k holds both and,
     if ``nodes`` are given, one of the two has a vertex among them; 0
     elsewhere.  The oracle of ``Subdivision.pair_counts``."""
     m = sub.membership
-    held = sub.holds(k)
+    held = holds(sub, k)
     near = None
     if nodes is not None:
         near = np.zeros(sub.mesh.n_vertices, bool)
@@ -130,7 +136,7 @@ def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:
     weighted by its reciprocal multiplicity on the interior elements k
     holds and by 0 elsewhere.  The oracle of ``Assembler.assemble_load``
     over the held elements only."""
-    els = np.flatnonzero(sub.holds(k)
+    els = np.flatnonzero(holds(sub, k)
                          & (asm.mesh.element_region == INTERIOR))
     w = np.zeros(asm.mesh.n_elements)
     w[els] = 1.0 / np.bitwise_count(sub.membership[els]).sum(axis=1)

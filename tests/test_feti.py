@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from nlfeti import feti
+from nlfeti import feti, sparse_linalg
 from nlfeti.assembly import Assembler, _node_dofs, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
@@ -32,7 +32,8 @@ from nlfeti.feti import (
 from nlfeti.harness import ExperimentConfig
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
-from nlfeti.sparse_linalg import projected_pcg
+from nlfeti.sparse_linalg import (SingularMatrixError, factorize,
+                                  projected_pcg)
 from nlfeti.subdivision import (SubdivisionError, build_subdivision,
                                 rigid_modes, verify_coverage)
 
@@ -509,6 +510,41 @@ def test_factorizations_run_on_the_calling_thread(cache, monkeypatch):
     # a Neumann factor each, and an A_OO factor where there are inner dofs
     assert len(threads) == sum(1 + (s.n_O > 0) for s in system.subsystems)
     assert set(threads) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic", "fractional"])
+def test_unpinned_floating_matrix_is_singular(family, cache):
+    """The full matrix of a floating subdomain (n=16, delta=2h, 4 x 4),
+    rigid modes not pinned, is refused.  Its smallest pivot can sit above
+    a fixed pivot bound (fractional: 1.3e-14), but one solve grows by
+    more than 1e14."""
+    mesh = cache.mesh(16, 0.125)
+    spec = make_spec(family, 0.125)
+    sub = build_subdivision(mesh, 4, 4, ball_norm=spec.ball_norm)
+    prob = manufactured_problem(family)
+    asm = cache.assembler(family, 16, 0.125)
+    k = int(np.flatnonzero(sub.floating)[0])
+    s = assemble_subdomain(mesh, sub, k, spec, asm.load_moments(prob.forcing),
+                           prob.exact, assembler=asm)
+    with pytest.raises(SingularMatrixError, match="zero pivot"):
+        factorize(s.full_matrix())
+
+
+@pytest.mark.parametrize("family", ["constant", "peridynamic", "fractional"])
+def test_solves_stay_far_below_the_growth_bound(family, cache, monkeypatch):
+    """No factorization of a 2 x 2 or a 4 x 4 solve (n=16, delta=2h)
+    comes within four orders of magnitude of ``GROWTH_BOUND``; the
+    largest growth is 2.3e4 (peridynamic, 4 x 4)."""
+    growths, real = [], sparse_linalg.solve_growth
+
+    def recording(lu, A):
+        growths.append(real(lu, A))
+        return growths[-1]
+
+    monkeypatch.setattr(sparse_linalg, "solve_growth", recording)
+    for k in (2, 4):
+        feti_solve(_build(family, 16, 0.125, k, k, cache))
+    assert growths and max(growths) < 1e-4 * sparse_linalg.GROWTH_BOUND
 
 
 def test_each_subdomain_keeps_subdomain_order(monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,6 +292,28 @@ def test_run_study_records_failures(tmp_path, monkeypatch, capsys):
         written = list(csv.DictReader(io.StringIO(
             (tmp_path / "fail.csv").read_text())))
         assert [(r["solver"], r["K"]) for r in written] == rows
+
+
+def test_study_holds_one_rung(monkeypatch):
+    """A study keeps only the rows of a rung: each rung's FETI system is
+    freed before the next rung's build starts."""
+    import nlfeti.harness as harness
+
+    real, rungs, alive = harness.build_feti_system, [], []
+
+    def spy(*args, **kwargs):
+        alive.append([r() is not None for r in rungs])
+        system = real(*args, **kwargs)
+        rungs.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(harness, "build_feti_system", spy)
+    records = run_study(ExperimentConfig(family="constant", delta=0.125,
+                                         n=16, study="strong_scaling",
+                                         solver="feti"))
+    assert [(r.K, r.iterations >= 0) for r in records] == [
+        ("1x1", True), ("2x2", True), ("4x4", True)]
+    assert alive == [[], [False], [False, False]]
 
 
 def test_write_csv_roundtrip(tmp_path):

@@ -13,7 +13,7 @@ from nlfeti.feti import build_feti_system, feti_solve, gather_solution
 from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import build_subdivision
 
-from conftest import assert_csr_bitwise, make_spec, n_G
+from conftest import assert_csr_bitwise, holds, make_spec, n_G
 
 # (family, n, delta / h, k1, k2, distinct local systems)
 SHARED = [("peridynamic", 32, 2, 4, 4, 9),
@@ -129,7 +129,7 @@ def test_key_holds_exactly_the_pairs_that_reach_kept_rows(cache):
     groups = _groups(plain)
     twins = next(g for g in groups if len(g) > 1)
     k = twins[0]
-    held = np.flatnonzero(sub.holds(k))
+    held = np.flatnonzero(holds(sub, k))
     kept = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k]])
     constrained = held[np.isin(mesh.elements[held],
                                sub.constrained_nodes[k]).all(axis=1)]

@@ -1,10 +1,17 @@
 """Direct factorizations, CG variants, and matrix exchange formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from nlfeti.assembly import Assembler
+from nlfeti.feti import assemble_subdomain
+from nlfeti.kernels import KernelSpec
+from nlfeti.mesh import build_structured_mesh
+from nlfeti.problems import manufactured_problem
 from nlfeti.sparse_linalg import (
     ConvergenceFailure,
     SingularMatrixError,
@@ -12,6 +19,7 @@ from nlfeti.sparse_linalg import (
     projected_pcg,
     write_matrix_market,
 )
+from nlfeti.subdivision import build_subdivision
 
 
 def test_solves_two_by_two_by_hand():
@@ -19,8 +27,31 @@ def test_solves_two_by_two_by_hand():
     fact = factorize(A)
     x = fact.solve(np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-    # the CSC copies of the factors read by the pivot check are released
-    assert fact.lu.L.nnz == fact.lu.U.nnz == 0
+
+
+def test_healthy_factorization_copies_no_factor():
+    """Factoring the K=1 Neumann matrix of fractional n=64, delta=2h
+    (162 201 nonzeros, 1 035 124 factor entries) traces below 1 MB: the
+    singularity check reads neither factor, whose CSC copies would take
+    12 MB, nor a copy of the matrix."""
+    n, delta = 64, 2 / 64
+    mesh = build_structured_mesh(n, delta)
+    spec = KernelSpec("fractional", delta, 0.4)
+    asm = Assembler(mesh, spec)
+    prob = manufactured_problem("fractional")
+    sub = build_subdivision(mesh, 1, 1, ball_norm=spec.ball_norm)
+    A = assemble_subdomain(mesh, sub, 0, spec,
+                           asm.load_moments(prob.forcing), prob.exact,
+                           assembler=asm)._neumann_matrix()
+    assert A.nnz == 162_201
+    tracemalloc.start()
+    try:
+        fact = factorize(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.lu.nnz == 1_035_124
+    assert peak < 1e6, peak
 
 
 def test_factorization_residual_random_spd():

@@ -24,8 +24,9 @@ from nlfeti.subdivision import (
     verify_coverage,
 )
 
-from conftest import (interacting_pairs, make_spec, pair_counts, pair_weights,
-                      rectangle_owner, strip_to_owned, weight_grid)
+from conftest import (holds, interacting_pairs, make_spec, pair_counts,
+                      pair_weights, rectangle_owner, strip_to_owned,
+                      weight_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +181,9 @@ def test_array_setup_matches_loop_oracles(n, ratio, k1, k2, ball_norm):
     assert sub.K == len(extended) == k1 * k2
     interior = mesh.element_region == INTERIOR
     for k in range(sub.K):
-        _assert_same_bytes(np.flatnonzero(sub.holds(k) & interior),
+        _assert_same_bytes(np.flatnonzero(holds(sub, k) & interior),
                            extended[k])
-        _assert_same_bytes(np.flatnonzero(sub.holds(k) & ~interior),
+        _assert_same_bytes(np.flatnonzero(holds(sub, k) & ~interior),
                            collars[k])
     for c in (1, 2):
         cons = build_constraints(sub, dof_multiplicity=c)
@@ -202,7 +203,7 @@ def _unknown_nodes(sub, k):
 
 def _held(sub):
     """Brute-force membership: the element set of every subdomain."""
-    return [set(np.flatnonzero(sub.holds(k)).tolist()) for k in range(sub.K)]
+    return [set(np.flatnonzero(holds(sub, k)).tolist()) for k in range(sub.K)]
 
 
 def test_partition_counts_even_split():
@@ -258,7 +259,7 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     owner = rectangle_owner(mesh, partition_rectangles(mesh, k1, k2))
     assert np.array_equal(np.flatnonzero(owner >= 0), interior_els)
     for k in range(K):
-        assert sub.holds(k)[owner == k].all()
+        assert holds(sub, k)[owner == k].all()
     # Unknown nodes of each subdomain split into inner + interface.
     for k in range(K):
         unk = set(_unknown_nodes(sub, k).tolist())
@@ -445,7 +446,7 @@ def test_coverage_names_the_oracles_first_violation(n, ratio, K, p, each,
 
 def _window(sub, k):
     """Half-open cell rectangle bounding the elements subdomain k holds."""
-    cy, cx = np.divmod(np.flatnonzero(sub.holds(k)) // 2,
+    cy, cx = np.divmod(np.flatnonzero(holds(sub, k)) // 2,
                        sub.mesh.cells_per_side)
     return cx.min(), cx.max() + 1, cy.min(), cy.max() + 1
 
@@ -489,7 +490,7 @@ def test_counting_function_matches_bruteforce():
                     np.where(near, expect, 0))
             els, w = sub.element_weights(k)
             assert np.array_equal(els, np.flatnonzero(
-                sub.holds(k) & (mesh.element_region == INTERIOR)))
+                holds(sub, k) & (mesh.element_region == INTERIOR)))
             assert np.array_equal(
                 w, [1.0 / sum(e in h for h in held) for e in els.tolist()])
 
@@ -548,6 +549,30 @@ def test_extension_equals_the_kdtree_query(n, ratio, k1, k2, ball_norm):
         held[:, k] = d <= radius
     want = np.packbits(held, axis=1, bitorder="little")
     assert sub.membership.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,ratio,k1,k2,ball_norm", EXTENSIONS)
+def test_window_reads_equal_the_whole_mesh_scans(n, ratio, k1, k2,
+                                                  ball_norm):
+    """The cell bounding box and the element weights of each subdomain,
+    read over its window, equal byte for byte what a scan of the whole
+    membership column gives; no element outside the window is held."""
+    mesh = build_structured_mesh(n, ratio / n)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=ball_norm)
+    assert sub.windows.shape == (sub.K, 4)
+    interior = mesh.element_region == INTERIOR
+    for k in range(sub.K):
+        x0, x1, y0, y1 = sub.windows[k]
+        cy, cx = np.divmod(np.flatnonzero(holds(sub, k)) // 2,
+                           mesh.cells_per_side)
+        assert x0 <= cx.min() and cx.max() < x1
+        assert y0 <= cy.min() and cy.max() < y1
+        assert sub.cells(k) == _window(sub, k)
+        els, w = sub.element_weights(k)
+        want = np.flatnonzero(holds(sub, k) & interior)
+        _assert_same_bytes(els, want)
+        _assert_same_bytes(w, 1.0 / np.bitwise_count(
+            sub.membership[want]).sum(axis=1))
 
 
 def test_subdivision_working_set_is_bounded():
