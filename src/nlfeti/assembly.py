@@ -55,18 +55,20 @@ before the product rule is applied.
 For disjoint pairs and a Euclidean ball the inner rule is polar around
 each outer quadrature point, with every radial interval cut exactly at the
 horizon.  Its directions are found for all outer points of a pair at once:
-the angular panels of each point (three vertex directions plus at most two
-horizon crossings per edge) are padded to nine, a mask drops the unused
-panels and the directions that miss the inner element, and the outer
-points are taken in blocks that bound the working set.  Along each
-direction the radial integral is exact and in closed form, as for the
-touching pairs: the hat differences are affine in the radius and the
-kernel is homogeneous, so three radial moments per direction give it.
-For the max-norm ball of the constant kernel the inner element is clipped
-against the square around each outer point, which is exact for that ball.
-So each ball norm has one inner rule, chosen by the kernel.  The kernel
-contraction of every pair integrator is one weighted GEMM per kernel
-component.
+the angular panel bounds of each point (three vertex directions plus at
+most two horizon crossings per edge) are sorted in rows padded to nine,
+only the panels whose mid direction meets the inner element inside the
+horizon get directions, a mask keeps those of their directions that do,
+and the outer points are taken in blocks that bound the working set.
+Along each direction the radial integral is exact and in closed form, as
+for the touching pairs: the hat differences are affine in the radius and
+the kernel is homogeneous, so three radial moments and one kernel value
+per direction give it.  For the max-norm ball of the constant kernel the
+inner element is clipped against the square around each outer point,
+which is exact for that ball.  So each ball norm has one inner rule,
+chosen by the kernel.  The kernel contraction of every pair integrator is
+one weighted GEMM per kernel component, one for both off-diagonal
+components of the peridynamic kernel.
 """
 
 from __future__ import annotations
@@ -180,20 +182,21 @@ def _basis_differences(
     return D
 
 
-def _tensor_contract(spec: KernelSpec, W: np.ndarray, m: np.ndarray,
+def _tensor_contract(spec: KernelSpec, W: np.ndarray, K: np.ndarray,
                      D: np.ndarray, E: np.ndarray | None = None) -> np.ndarray:
-    """sum_q W[q] K(m[q]) E[q,a] D[q,b], with E = D by default, interleaved
-    for vector kernels; one weighted GEMM per kernel component."""
-    K = kernel_on_support(spec, m)
+    """sum_q W[q] K[q] E[q,a] D[q,b] with the kernel values K, and E = D by
+    default, interleaved for vector kernels; one weighted GEMM per kernel
+    component, and one for both off-diagonal ones: the kernel is
+    symmetric, they are the same products."""
     E = D if E is None else E
     if spec.components == 1:
         return (E * (W * K)[:, None]).T @ D
     WK = W[:, None, None] * K  # (q, 2, 2)
     p = D.shape[1]
     M = np.empty((p, 2, p, 2))
-    for i in range(2):
-        for j in range(2):
-            M[:, i, :, j] = (E * WK[:, i, j, None]).T @ D
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        M[:, i, :, j] = (E * WK[:, i, j, None]).T @ D
+    M[:, 1, :, 0] = M[:, 0, :, 1]
     return M.reshape(2 * p, 2 * p)
 
 
@@ -222,11 +225,13 @@ def _ray_contract(spec: KernelSpec, W: np.ndarray, u: np.ndarray,
     is K(u) [mu_0 A A^T + mu_1 (A B^T + B A^T) + mu_2 B B^T] with the
     radial moments of ``_radial_moments``: the rays stacked twice, with
     left factors (mu_0 A + mu_1 B, mu_1 A + mu_2 B) and right factors
-    (A, B), take one weighted GEMM per kernel component.
+    (A, B), take one weighted GEMM per kernel component.  K(u) is
+    evaluated once per ray and serves both stacked halves.
     """
     mu0, mu1, mu2 = (mu[:, None] for mu in
                      _radial_moments(lo, hi, spec.homogeneity))
-    return _tensor_contract(spec, np.tile(W, 2), np.tile(u, (2, 1)),
+    K = kernel_on_support(spec, u)
+    return _tensor_contract(spec, np.tile(W, 2), np.concatenate([K, K]),
                             np.concatenate([A, B]),
                             np.concatenate([mu0 * A + mu1 * B,
                                             mu1 * A + mu2 * B]))
@@ -248,10 +253,11 @@ def _polar_inner_rule(
     integrates along it in closed form.  The angular range is paneled at
     the triangle vertex angles and at the angles where the horizon circle
     crosses a triangle edge, the only non-smooth directions.  All outer
-    points are handled at once on arrays padded to ``_POLAR_PANELS``
-    panels; a mask drops the unused panels and the directions that miss
-    the triangle.  Points whose triangle lies inside the horizon and well
-    away take the plain triangle rule instead.
+    points are handled at once: their sorted panel bounds are padded to
+    ``_POLAR_PANELS``, and only the panels whose mid direction meets the
+    triangle inside the horizon get directions, of which a mask keeps
+    those that do.  Points whose triangle lies inside the horizon and
+    well away take the plain triangle rule instead.
 
     Returns (rays, points).  ``rays = (owner, u, lo, hi, wa)`` are the kept
     directions: unit vector u[k] from outer point ``X[owner[k]]``, radial
@@ -276,7 +282,8 @@ def _polar_inner_rule(
         n = np.array([-e[1], e[0]])
         if n @ (tri[(i + 2) % 3] - a) < 0:
             n = -n
-        normals.append((a, n))
+        # with the offset n . (x - a) of every outer point from the edge
+        normals.append((n, ((x - a)[:, None, :] @ n[:, None])[:, 0, 0]))
         # horizon crossings a + t e, 0 < t < 1, of the circle around x;
         # row-wise dot products are taken as stacked matmuls, which round
         # each row as a 1-D dot product does
@@ -299,28 +306,37 @@ def _polar_inner_rule(
     t1[np.arange(len(rows)), count - 1] = th[:, 0] + 2.0 * np.pi
     with np.errstate(invalid="ignore"):
         width = t1 - th
-    panel = ((np.arange(_POLAR_PANELS)[None, :] < count[:, None])
-             & (width >= 1e-14))
-    width = np.where(panel, width, 0.0)
-    t0 = np.where(panel, th, 0.0)
+    owner, j = np.nonzero((np.arange(_POLAR_PANELS)[None, :] < count[:, None])
+                          & (width >= 1e-14))
+
+    def clip(theta, owner):
+        # (u, kept, lo, hi) of the directions theta from the points
+        # x[owner], which broadcasts against theta
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        lo = np.zeros(theta.shape)
+        hi = np.full(theta.shape, delta)
+        ok = np.ones(theta.shape, bool)
+        for n, num in normals:
+            num = num[owner]
+            den = u @ n
+            ok &= ~((np.abs(den) < 1e-14) & (num < 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rr = -num / den
+            lo = np.where(den > 1e-14, np.maximum(lo, rr), lo)
+            hi = np.where(den < -1e-14, np.minimum(hi, rr), hi)
+        return u, ok & (hi > lo + 1e-15), lo, hi
+
+    # a panel whose mid direction misses the triangle inside the horizon
+    # is missed by all of its directions: the panel bounds are the angles
+    # where the entry or exit edge or the horizon cut changes
+    t0, width = th[owner, j], width[owner, j]
+    hit = clip(t0 + 0.5 * width, owner)[1]
+    owner, t0, width = owner[hit], t0[hit], width[hit]
     ga, gwa = gauss01(quad.polar_angular)
-    theta = t0[:, :, None] + width[:, :, None] * ga  # (m, panels, na)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    lo = np.zeros(theta.shape)
-    hi = np.full(theta.shape, delta)
-    ok = np.broadcast_to(panel[:, :, None], theta.shape).copy()
-    for a, n in normals:
-        num = (x - a[None, :])[:, None, :] @ n[:, None]  # (m, 1, 1)
-        den = u @ n
-        ok &= ~((np.abs(den) < 1e-14) & (num < 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rr = -num / den
-        lo = np.where(den > 1e-14, np.maximum(lo, rr), lo)
-        hi = np.where(den < -1e-14, np.minimum(hi, rr), hi)
-    ok &= hi > lo + 1e-15
+    u, ok, lo, hi = clip(t0[:, None] + width[:, None] * ga, owner[:, None])
     # kept directions, in (point, panel, direction) order
-    rays = (rows[np.nonzero(ok)[0]], u[ok], lo[ok], hi[ok],
-            (gwa * width[:, :, None])[ok])
+    rays = (rows[owner[np.nonzero(ok)[0]]], u[ok], lo[ok], hi[ok],
+            (gwa * width[:, None])[ok])
     bary, wts = triangle_rule(quad.inner_degree)
     ys, ws = map_to_physical(tri, bary, wts)
     near = np.flatnonzero(smooth)
@@ -389,7 +405,8 @@ def regular_pair_matrix(
     def contract(owner, Y, W):
         # inner points Y with weights W of the outer points X[owner]
         D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
-        return _tensor_contract(spec, WX[owner] * W, Y - X[owner], D)
+        return _tensor_contract(spec, WX[owner] * W,
+                                kernel_on_support(spec, Y - X[owner]), D)
 
     if spec.ball_norm == "linf":
         # a few clipped pieces per outer point: one contraction holds all
@@ -467,7 +484,8 @@ def common_vertex_pair_matrix(
         rho_max = np.minimum(1.0, spec.delta / nrm)
         radial = rho_max ** (6.0 - beta) / (6.0 - beta)
         D = V[:, None] * (Ain @ Pb.T) - Aout @ Pa.T  # (q, p)
-        M += _tensor_contract(spec, GW * V * radial * J, m, D)
+        M += _tensor_contract(spec, GW * V * radial * J,
+                              kernel_on_support(spec, m), D)
     return M
 
 
@@ -540,7 +558,8 @@ def common_edge_pair_matrix(
         tcut = np.minimum(np.minimum(1.0, spec.delta / nrm), t_zero)
         radial = tcut**ex / ex - c1l * tcut ** (ex + 1.0) / (ex + 1.0)
         D = P @ B.T  # (q, p) basis differences per unit t
-        M += _tensor_contract(spec, GW * scale * radial * J, m, D)
+        M += _tensor_contract(spec, GW * scale * radial * J,
+                              kernel_on_support(spec, m), D)
     return M
 
 
@@ -592,7 +611,8 @@ def coinciding_pair_matrix(
             + 2.0 * cu * cu / ((alpha + 2.0) * (alpha + 3.0)))
         # (2|E|) converts the reference overlap area to physical.
         P = mw @ grads.T  # (nt, 3): grad(psi_a) . m
-        M += _tensor_contract(spec, t_wts * radial * 2.0 * area * detB, mw, P)
+        M += _tensor_contract(spec, t_wts * radial * 2.0 * area * detB,
+                              kernel_on_support(spec, mw), P)
     return M
 
 
@@ -910,20 +930,32 @@ class Assembler:
         return np.einsum("e,q,qa,eqc->eac", triangle_area(tri_verts), wts,
                          bary, fv)
 
-    def assemble_load(self, moments: np.ndarray,
-                      elements: tuple | None = None) -> np.ndarray:
-        """Load vector over all mesh dofs from the ``load_moments``; with
-        ``elements = (els, w)`` summed over the elements ``els`` only,
-        each scaled by its weight in ``w``."""
+    def assemble_load(self, moments: np.ndarray, elements: tuple | None = None,
+                      nodes: np.ndarray | None = None) -> np.ndarray:
+        """Load vector from the ``load_moments`` over the dofs of the
+        distinct ``nodes``, in their order (every mesh node by default);
+        with ``elements = (els, w)`` summed over the elements ``els``
+        only, each scaled by its weight in ``w``.  Each entry adds its
+        terms in element order; vertices outside ``nodes`` are dropped."""
         mesh = self.mesh
         c = self.spec.components
         tri = mesh.elements
         if elements is not None:
             els, w = elements
             tri, moments = tri[els], moments[els] * w[:, None, None]
-        out = np.zeros(c * mesh.n_vertices)
+        nodes = np.arange(mesh.n_vertices) if nodes is None else nodes
+        # the place of each element vertex among the nodes, -1 for none,
+        # from a table over the range of vertex ids the elements span
+        lo, hi = (tri.min(), tri.max()) if tri.size else (0, -1)
+        place = np.full(hi - lo + 1, -1)
+        inside = (lo <= nodes) & (nodes <= hi)
+        place[nodes[inside] - lo] = np.flatnonzero(inside)
+        at = place[tri - lo]
+        kept = at >= 0
+        at, moments = at[kept], moments[kept]
+        out = np.zeros(c * len(nodes))
         for i in range(c):
-            np.add.at(out, c * tri + i, moments[:, :, i])
+            np.add.at(out, c * at + i, moments[:, i])
         return out
 
 
@@ -972,7 +1004,8 @@ class AssembledSystem:
 
     @functools.cached_property
     def load(self) -> np.ndarray:
-        return self.assembler.assemble_load(self.moments)[self.interior_dofs]
+        return self.assembler.assemble_load(self.moments,
+                                            nodes=self.mesh.interior_nodes)
 
     @property
     def rhs(self) -> np.ndarray:

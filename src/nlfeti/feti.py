@@ -254,7 +254,7 @@ def assemble_subdomain(
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
     kept = np.concatenate([inner, inter])
-    O, G = (_node_dofs(nodes, c) for nodes in (inner, inter))
+    n_O = c * len(inner)
     cells = sub.cells(k)
     # a pair with no kept vertex reaches only constrained rows, which are
     # never kept: counted 0, so that it sets no two subdomains apart; the
@@ -265,7 +265,7 @@ def assemble_subdomain(
         modes = rigid_modes(mesh.vertices[kept], c)
         pinned = _pin_dofs(k, modes, kept, c)
     else:
-        modes = np.zeros((len(O) + len(G), 0))
+        modes = np.zeros((c * len(kept), 0))
         pinned = np.zeros(0, dtype=np.int64)
 
     table = {} if table is None else table
@@ -279,12 +279,12 @@ def assemble_subdomain(
         local = table[key] = (A_OO, A_OG, A_OG.T, A_GG, A_OC, A_GC,
                               _Factors())
     A_OO, A_OG, A_GO, A_GG, A_OC, A_GC, factors = local
-    load = asm.assemble_load(moments, sub.element_weights(k))
+    load = asm.assemble_load(moments, sub.element_weights(k), kept)
     gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
     return SubdomainSystem(
         components=c, inner_nodes=inner, interface_nodes=inter,
         A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
-        f_O=load[O] - A_OC @ gv, f_G=load[G] - A_GC @ gv,
+        f_O=load[:n_O] - A_OC @ gv, f_G=load[n_O:] - A_GC @ gv,
         floating=floating, modes=modes, pinned=pinned, _factors=factors,
     )
 

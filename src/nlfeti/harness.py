@@ -206,7 +206,7 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
     records: list[RunRecord] = []
     solution = None
     feti_system = None
-    errors = {}
+    solutions = []
 
     if config.solver in ("cg", "both"):
         assembled.rhs  # assembles the global system, which is not timed
@@ -215,12 +215,12 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
         seconds = time.perf_counter() - t0
         full = _full_vector(assembled, u)
         err = _record_error(mesh, spec, full, prob.exact)
-        errors["cg"] = err
         records.append(RunRecord(
             study=study, kernel=config.family, K="1x1", h=mesh.spacing,
             delta=config.delta, solver="cg", iterations=iters, residual=res,
             l2_error=err, seconds=seconds))
         solution = full
+        solutions.append(u)
 
     if config.solver in ("feti", "both"):
         t0 = time.perf_counter()
@@ -233,20 +233,24 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
         full = gather_solution(feti_system, result)
         seconds = time.perf_counter() - t0
         err = _record_error(mesh, spec, full, prob.exact)
-        errors["feti"] = err
         res = result.trace[-1] if result.trace else 0.0
         records.append(RunRecord(
             study=study, kernel=config.family, K=label, h=mesh.spacing,
             delta=config.delta, solver="feti", iterations=result.iterations,
             residual=res, l2_error=err, seconds=seconds))
         solution = full
+        solutions.append(full[assembled.interior_dofs])
 
-    if len(errors) == 2:
-        a, b = errors["cg"], errors["feti"]
-        if abs(a - b) > 1e-6 * max(abs(a), abs(b)):
+    if len(solutions) == 2:
+        # both solvers stop near the tolerance, so their solutions agree
+        # to about it in energy, whatever the discretization error is
+        A = assembled.A
+        u, e = solutions[0], solutions[0] - solutions[1]
+        diff = np.sqrt(e @ (A @ e) / (u @ (A @ u)))
+        if not diff <= 1e3 * config.tol:
             raise RuntimeError(
-                f"CG and FETI disagree on the discretization error "
-                f"({a:.9e} vs {b:.9e})")
+                f"CG and FETI solutions differ by {diff:.3e} in relative "
+                f"energy norm, above {1e3 * config.tol:.1e}")
 
     return SolveOutput(config=config, records=records, solution=solution,
                        mesh=mesh, assembled=assembled,

@@ -10,13 +10,16 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
+from nlfeti.assembly import Assembler, assemble_global
 from nlfeti.cli import main as cli_main
 from nlfeti.feti import build_feti_system, feti_solve, gather_solution
 from nlfeti.harness import (ExperimentConfig, baseline_cg_solve, run_single,
                             study_rungs)
 from nlfeti.kernels import KernelSpec
-from nlfeti.mesh import l2_error
+from nlfeti.mesh import build_structured_mesh, l2_error
 from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import (build_constraints, build_subdivision,
                                 verify_coverage)
@@ -66,6 +69,31 @@ def test_equivalence_covers_a_floating_subdomain(cache):
     mesh = cache.mesh(16, 0.125)
     sub = build_subdivision(mesh, 3, 3, ball_norm="l2")
     assert bool(sub.floating[4])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.integers(5, 13), ratio=st.sampled_from([1, 2, 3]),
+       k1=st.integers(2, 4), k2=st.integers(2, 4))
+def test_feti_equals_direct_solve_on_uneven_grids(family, n, ratio, k1, k2):
+    """On small meshes that neither subdomain count divides, with
+    k1 != k2, FETI matches a sparse direct solve of the reduced global
+    system to 1e-7 in relative energy norm."""
+    assume(k1 != k2 and n % k1 and n % k2)
+    mesh = build_structured_mesh(n, ratio / n)
+    spec = make_spec(family, ratio / n)
+    prob = manufactured_problem(family)
+    asm = Assembler(mesh, spec)
+    assembled = assemble_global(mesh, spec, prob.forcing, prob.exact,
+                                assembler=asm)
+    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
+    system = build_feti_system(mesh, sub, spec, assembled.moments,
+                               prob.exact, assembler=asm)
+    u = gather_solution(system, feti_solve(system))[assembled.interior_dofs]
+    A = assembled.A
+    direct = spla.spsolve(A.tocsc(), assembled.rhs)
+    e = u - direct
+    assert np.sqrt(e @ (A @ e) / (direct @ (A @ direct))) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
+from nlfeti import harness
 from nlfeti.assembly import Assembler
 from nlfeti.harness import (
     CSV_HEADER,
@@ -194,6 +195,35 @@ def test_run_single_both_solvers_agree(tmp_path):
     assert "subdivision.csv" in names  # a FETI system was built
     text = (tmp_path / "artifacts" / "solution.csv").read_text()
     assert text.splitlines()[0] == "node,x,y,u1"
+
+
+def _scaled_feti_solution(monkeypatch, factor):
+    """Make ``run_single`` gather FETI's solution times ``factor``."""
+    gather = harness.gather_solution
+    monkeypatch.setattr(harness, "gather_solution",
+                        lambda *args, **kw: factor * gather(*args, **kw))
+
+
+@pytest.mark.parametrize("family", ["constant", "fractional", "peridynamic"])
+def test_both_solvers_agree_in_energy_not_in_l2_error(family, monkeypatch):
+    """A FETI solution 5e-8 off in relative energy norm is within the
+    bound of 1e3 * tol = 1e-7, although its L2 error moves by more than
+    1e-6 relative: the check compares the solutions, not the errors."""
+    _scaled_feti_solution(monkeypatch, 1.0 + 5e-8)
+    out = run_single(ExperimentConfig(family=family, delta=0.25, n=8,
+                                      k1=2, k2=2, solver="both"))
+    errs = {r.solver: r.l2_error for r in out.records}
+    assert abs(errs["feti"] - errs["cg"]) > 1e-6 * errs["cg"]
+
+
+def test_both_solvers_disagreeing_in_energy_raise(monkeypatch):
+    """A FETI solution 1e-6 off in relative energy norm is beyond the
+    bound, and the error names the difference reached."""
+    _scaled_feti_solution(monkeypatch, 1.0 + 1e-6)
+    config = ExperimentConfig(family="peridynamic", delta=0.25, n=8,
+                              k1=2, k2=2, solver="both")
+    with pytest.raises(RuntimeError, match=r"differ by 1\.000e-06 .*1\.0e-07"):
+        run_single(config)
 
 
 @pytest.mark.parametrize("solver", ["feti", "cg"])

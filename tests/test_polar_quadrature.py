@@ -1,6 +1,7 @@
 """The polar rules.  The inner rule of the Euclidean ball: its batched
-directions against the per-point polar rule, and its closed-form radial
-integrals against the radial Gauss expansion they replace.  The
+directions against the per-point polar rule and, bit for bit, against
+the padded rule that gave every panel its directions; its closed-form
+radial integrals against the radial Gauss expansion they replace.  The
 coinciding pair's relative polar rule: its closed-form radial integrals
 against the Gauss-Jacobi rule they replace.  The replaced rules are kept
 here as references."""
@@ -14,7 +15,7 @@ from nlfeti.assembly import (QuadratureConfig, _lattice_class,
                              _polar_inner_rule, coinciding_pair_matrix,
                              pair_matrix)
 from nlfeti.geometry import interacting_classes
-from nlfeti.kernels import KernelSpec
+from nlfeti.kernels import KernelSpec, kernel_on_support
 from nlfeti.mesh import _TRI_T, p1_gradients
 from nlfeti.quadrature import gauss01, map_to_physical, triangle_rule
 
@@ -92,6 +93,83 @@ def _polar_directions(x, tri, spec, quad):
     return [np.concatenate(parts) for parts in zip(*rays)]
 
 
+def _padded_polar_inner_rule(X, tri, spec, quad, panels=9):
+    """Reference: ``_polar_inner_rule`` as it was before the panels were
+    selected.  Every outer point's panels are padded to ``panels``, each
+    gets its directions, and one mask drops the unused panels and the
+    directions that miss the triangle."""
+    delta = spec.delta
+    rel = tri[None, :, :] - X[:, None, :]
+    d = np.linalg.norm(rel, axis=2)
+    diam = max(np.linalg.norm(tri[1] - tri[0]), np.linalg.norm(tri[2] - tri[0]),
+               np.linalg.norm(tri[2] - tri[1]))
+    smooth = (d.max(axis=1) <= delta) & (d.min(axis=1) >= 2.0 * diam)
+    rows = np.flatnonzero(~smooth)
+    x = X[rows]
+    bounds = np.full((len(rows), panels), np.inf)
+    bounds[:, :3] = np.arctan2(rel[rows, :, 1], rel[rows, :, 0])
+    normals = []
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        e = b - a
+        n = np.array([-e[1], e[0]])
+        if n @ (tri[(i + 2) % 3] - a) < 0:
+            n = -n
+        normals.append((a, n))
+        f = (a[None, :] - x)[:, None, :]
+        A = e @ e
+        B = 2.0 * (f @ e)[:, 0]
+        disc = B * B - 4.0 * A * ((f @ f.transpose(0, 2, 1))[:, 0, 0]
+                                  - delta * delta)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        for k, t in enumerate(((-B - sq) / (2 * A), (-B + sq) / (2 * A))):
+            hit = (disc > 0.0) & (1e-12 < t) & (t < 1.0 - 1e-12)
+            p = a[None, :] + t[:, None] * e[None, :]
+            ang = np.arctan2(p[:, 1] - x[:, 1], p[:, 0] - x[:, 0])
+            bounds[:, 3 + 2 * i + k] = np.where(hit, ang, np.inf)
+    th = np.sort(bounds, axis=1)
+    count = np.isfinite(th).sum(axis=1)
+    t1 = np.concatenate([th[:, 1:], np.full((len(rows), 1), np.inf)], axis=1)
+    t1[np.arange(len(rows)), count - 1] = th[:, 0] + 2.0 * np.pi
+    with np.errstate(invalid="ignore"):
+        width = t1 - th
+    panel = (np.arange(panels)[None, :] < count[:, None]) & (width >= 1e-14)
+    width = np.where(panel, width, 0.0)
+    t0 = np.where(panel, th, 0.0)
+    ga, gwa = gauss01(quad.polar_angular)
+    theta = t0[:, :, None] + width[:, :, None] * ga
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    lo = np.zeros(theta.shape)
+    hi = np.full(theta.shape, delta)
+    ok = np.broadcast_to(panel[:, :, None], theta.shape).copy()
+    for a, n in normals:
+        num = (x - a[None, :])[:, None, :] @ n[:, None]
+        den = u @ n
+        ok &= ~((np.abs(den) < 1e-14) & (num < 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rr = -num / den
+        lo = np.where(den > 1e-14, np.maximum(lo, rr), lo)
+        hi = np.where(den < -1e-14, np.minimum(hi, rr), hi)
+    ok &= hi > lo + 1e-15
+    rays = (rows[np.nonzero(ok)[0]], u[ok], lo[ok], hi[ok],
+            (gwa * width[:, :, None])[ok])
+    bary, wts = triangle_rule(quad.inner_degree)
+    ys, ws = map_to_physical(tri, bary, wts)
+    near = np.flatnonzero(smooth)
+    points = (np.repeat(near, len(ws)), np.tile(ys, (len(near), 1)),
+              np.tile(ws, len(near)))
+    return rays, points
+
+
+def _assert_rules_bitwise(got, want):
+    """Both rules' rays and triangle-rule points, array by array, with
+    equal dtypes, shapes and bytes."""
+    for part, (a, b) in enumerate(zip((*got[0], *got[1]),
+                                      (*want[0], *want[1]))):
+        assert a.dtype == b.dtype and a.shape == b.shape, part
+        assert a.tobytes() == b.tobytes(), part
+
+
 def _radial_gauss_points(X, rays, order):
     """The radial Gauss expansion that the closed form replaces: each
     direction of ``rays = (owner, u, lo, hi, wa)`` from the outer point
@@ -134,12 +212,15 @@ def test_batched_polar_rule_matches_per_point_rule(delta, refined):
     """Directions, radial intervals and angular weights equal the
     per-point rule's; the triangle-rule points are the inner triangle's;
     and with RADIAL points per direction the rule integrates smooth
-    functions as the per-point rule does."""
+    functions as the per-point rule does.  The whole rule has the bytes
+    of the padded rule."""
     quad = refined_quadrature() if refined else QuadratureConfig()
     spec = KernelSpec("fractional", delta, 0.4)
     rng = np.random.default_rng(7)
     X = rng.uniform(-0.1 - delta, 0.2 + delta, size=(300, 2))
-    rays, (near, Ys, Ws) = _polar_inner_rule(X, TRI, spec, quad)
+    rule = _polar_inner_rule(X, TRI, spec, quad)
+    _assert_rules_bitwise(rule, _padded_polar_inner_rule(X, TRI, spec, quad))
+    rays, (near, Ys, Ws) = rule
     owner, u, lo, hi, wa = rays
     assert np.all(np.diff(owner) >= 0) and np.all(np.diff(near) >= 0)
     o_pts, Y, W = _radial_gauss_points(X, rays, RADIAL)
@@ -174,6 +255,57 @@ def test_batched_polar_rule_matches_per_point_rule(delta, refined):
                 np.abs(w_ref) @ np.abs(f(y_ref)))
     expected = {"smooth"} if delta == 0.5 else {0, 1, 2, "outside"}
     assert expected <= seen
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("R", [2, 3, 4, 5, 8])
+def test_selected_panels_equal_the_padded_rule_on_every_class(
+        R, refined, monkeypatch):
+    """Every call the disjoint classes of the lattice horizon R make to
+    the rule returns the bytes of the padded rule.  The classes take the
+    three singular kernels in turn.  The calls return no directions to
+    their pair, which then has nothing to contract."""
+    quad = refined_quadrature() if refined else QuadratureConfig()
+    specs = [KernelSpec("peridynamic", float(R)),
+             KernelSpec("fractional", float(R), 0.4),
+             KernelSpec("fractional", float(R), 0.7)]
+    calls = []
+
+    def compared(X, tri, spec, quad):
+        _assert_rules_bitwise(_polar_inner_rule(X, tri, spec, quad),
+                              _padded_polar_inner_rule(X, tri, spec, quad))
+        calls.append(spec)
+        owner, u, r = np.empty(0, dtype=np.intp), np.empty((0, 2)), np.empty(0)
+        return (owner, u, r, r, r), (owner, u, r)
+
+    monkeypatch.setattr(assembly, "_polar_inner_rule", compared)
+    keys = interacting_classes(R, False)
+    for i, (dx, dy, t1, t2) in enumerate(keys):
+        v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
+        if not (v[:3, None] == v[None, 3:]).all(axis=2).any():
+            pair_matrix(v[:3], v[3:], specs[i % 3], quad)
+    assert set(calls) == set(specs)
+
+
+def test_kernel_is_evaluated_once_per_ray(monkeypatch):
+    """Over the 46 peridynamic classes at R = 2, the kernel is evaluated
+    on 390 800 offsets: once on each kept direction of the polar rule
+    (526 864 when the stacked halves of every ray each took one)."""
+    spec = KernelSpec("peridynamic", 2.0)
+    rows = []
+    kernel = assembly.kernel_on_support
+
+    def counted(spec, z):
+        rows.append(len(z))
+        return kernel(spec, z)
+
+    monkeypatch.setattr(assembly, "kernel_on_support", counted)
+    keys = interacting_classes(2, False)
+    for dx, dy, t1, t2 in keys:
+        v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
+        pair_matrix(v[:3], v[3:], spec, QuadratureConfig())
+    assert len(keys) == 46
+    assert sum(rows) == 390_800
 
 
 def _gauss_radial_rule(order):
@@ -275,8 +407,9 @@ def _gauss_jacobi_coinciding(verts, spec, quad, radial_points=4):
               - np.maximum(0.0, -wa[:, :, 0]) - np.maximum(0.0, -wa[:, :, 1]))
         Aref = 0.5 * np.maximum(Lr, 0.0) ** 2
         radial = cut ** (alpha + 1.0) * (Aref * r_wts[None, :]).sum(axis=1)
-        M += assembly._tensor_contract(spec, t_wts * radial * 2.0 * area * detB,
-                                       mw, mw @ grads.T)
+        M += assembly._tensor_contract(
+            spec, t_wts * radial * 2.0 * area * detB,
+            kernel_on_support(spec, mw), mw @ grads.T)
     return M
 
 
