@@ -969,8 +969,10 @@ class AssembledSystem:
 
     ``A``, ``B_coupling``, ``moments`` and ``load`` are made on first
     read, from the forcing ``f``, by the run's ``assembler``, whose
-    scatter table the subdomains share: a FETI solve reads only the
-    ``moments`` and makes no scatter over the whole mesh.
+    scatter table the subdomains share.  ``g`` holds the constraint
+    values of every collar dof, in ``collar_dofs`` order.  A FETI build
+    reads the mesh, the spec, the assembler, the ``moments`` and ``g``,
+    and still makes no scatter over the whole mesh.
     """
 
     mesh: Mesh

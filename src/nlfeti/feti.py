@@ -12,6 +12,10 @@ problem built from those rigid modes.  The interior block A_OO is
 factorized only for the Dirichlet preconditioner B_D S B_D^T, whose
 Schur complement S eliminates the interior unknowns.
 
+A build reads the run's ``AssembledSystem`` (mesh, kernel, assembler,
+load moments, collar values ``g``) and ``Subdivision`` (nodes, windows,
+pair counts) and derives neither again; it builds no global matrix.
+
 On a structured mesh with even cuts most subdomains are translates of
 one another, and their blocks are bitwise equal.  Within one build such
 twins are found by a key of what the blocks are made from, translation
@@ -33,8 +37,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import Assembler, _node_dofs
-from .kernels import KernelSpec
+from .assembly import AssembledSystem, _node_dofs
 from .mesh import Mesh
 from .sparse_linalg import (Factorization, SingularMatrixError, factorize,
                             projected_pcg)
@@ -48,6 +51,9 @@ class ConsistencyError(RuntimeError):
 
 class CoarseConstraintError(RuntimeError):
     """A dual iterate violates the coarse constraint G^T lambda = e."""
+
+
+GATHER_TOL = 1e-7  # relative agreement of interface copies when gathered
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +227,17 @@ def _local_key(mesh: Mesh, cells, nodes, pinned: np.ndarray,
     return b"".join(a.tobytes() for a in (header, *arrays))
 
 
-def assemble_subdomain(
-    mesh: Mesh,
-    sub: Subdivision,
-    k: int,
-    spec: KernelSpec,
-    moments: np.ndarray,
-    g,
-    assembler: Assembler | None = None,
-    table: dict | None = None,
-) -> SubdomainSystem:
-    """Assemble the multiplicity-weighted system of subdomain k;
-    ``moments`` are the forcing's ``Assembler.load_moments``.
+def assemble_subdomain(system: AssembledSystem, sub: Subdivision, k: int,
+                       table: dict | None = None) -> SubdomainSystem:
+    """Assemble the multiplicity-weighted system of subdomain k from the
+    run's ``system``: its assembler, load moments and collar values ``g``.
 
     Every element pair is weighted by the reciprocal of the number of
     subdomains containing both elements, and the load by the reciprocal
     element multiplicity, so subdomain energies sum exactly to the
     global energy.  Only pairs with both elements in subdomain k weigh
-    anything, so the scatter runs on the cell bounding box of the
-    elements k holds.
+    anything, so the scatter runs on k's window, the cell bounding box
+    of the elements k holds.
 
     ``table`` is shared by the subdomains of one build.  It maps the
     ``_local_key`` of each local system met so far to its blocks.  A
@@ -247,19 +245,19 @@ def assemble_subdomain(
     blocks and their ``_Factors``; its load, ``g`` values, modes and
     right-hand side stay its own.
     """
-    asm = assembler or Assembler(mesh, spec)
-    c = spec.components
+    asm, mesh = system.assembler, system.mesh
+    c = system.spec.components
 
     inner = sub.inner_nodes[k]
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
     kept = np.concatenate([inner, inter])
     n_O = c * len(inner)
-    cells = sub.cells(k)
+    cells = tuple(sub.windows[k])
     # a pair with no kept vertex reaches only constrained rows, which are
     # never kept: counted 0, so that it sets no two subdomains apart; the
     # counts stand for the weights, their reciprocals, in the key
-    overlap = sub.pair_counts(k, asm.classes(), cells, kept)
+    overlap = sub.pair_counts(k, asm.classes())
     floating = bool(sub.floating[k])
     if floating:
         modes = rigid_modes(mesh.vertices[kept], c)
@@ -279,8 +277,9 @@ def assemble_subdomain(
         local = table[key] = (A_OO, A_OG, A_OG.T, A_GG, A_OC, A_GC,
                               _Factors())
     A_OO, A_OG, A_GO, A_GG, A_OC, A_GC, factors = local
-    load = asm.assemble_load(moments, sub.element_weights(k), kept)
-    gv = np.asarray(g(mesh.vertices[constrained]), dtype=float).reshape(-1)
+    load = asm.assemble_load(system.moments, sub.element_weights(k), kept)
+    gv = system.g[np.searchsorted(system.collar_dofs,
+                                  _node_dofs(constrained, c))]
     return SubdomainSystem(
         components=c, inner_nodes=inner, interface_nodes=inter,
         A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
@@ -295,10 +294,9 @@ def assemble_subdomain(
 
 @dataclass
 class FetiSystem:
-    """All state of a one-level FETI solve."""
+    """All state of a one-level FETI solve of the ``assembled`` system."""
 
-    mesh: Mesh
-    spec: KernelSpec
+    assembled: AssembledSystem
     sub: Subdivision
     constraints: ConstraintSet
     subsystems: list[SubdomainSystem]
@@ -307,7 +305,6 @@ class FetiSystem:
     GtG_factor: tuple        # scipy.linalg.cho_factor of G^T G
     d: np.ndarray
     e: np.ndarray
-    g: np.ndarray            # constraint values at every collar dof
     tol: float = 1e-10
     maxit: int = 20_000
 
@@ -346,18 +343,11 @@ class FetiSystem:
         return BD @ self.schur_apply(BD.T @ r)
 
 
-def build_feti_system(
-    mesh: Mesh,
-    sub: Subdivision,
-    spec: KernelSpec,
-    moments: np.ndarray,
-    g,
-    tol: float = 1e-10,
-    maxit: int = 20_000,
-    assembler: Assembler | None = None,
-) -> FetiSystem:
-    """Assemble all subdomain systems and the coarse problem;
-    ``moments`` are the forcing's ``Assembler.load_moments``.
+def build_feti_system(system: AssembledSystem, sub: Subdivision,
+                      tol: float = 1e-10, maxit: int = 20_000) -> FetiSystem:
+    """Assemble all subdomain systems of ``sub`` by the run's ``system``
+    (see ``assemble_subdomain``) and the coarse problem.  No global
+    matrix is built.
 
     With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
     d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
@@ -368,13 +358,11 @@ def build_feti_system(
     ``assemble_subdomain``) are scattered and factorized once; the table
     is dropped before the factorizations.
     """
-    asm = assembler or Assembler(mesh, spec)
-    cs = build_constraints(sub, spec.components)
+    cs = build_constraints(sub, system.spec.components)
     # serial: on the pool, assembly raised the peak memory of the
     # constant n=64, delta=8h, 4x4 solve from 206.7 to 219-220 MB
     table: dict = {}
-    subs = [assemble_subdomain(mesh, sub, k, spec, moments, g, assembler=asm,
-                               table=table)
+    subs = [assemble_subdomain(system, sub, k, table=table)
             for k in range(sub.K)]
     del table
     loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
@@ -391,11 +379,10 @@ def build_feti_system(
     if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
         raise SubdivisionError("coarse matrix G^T G is singular")
     e = np.concatenate([s.modes.T @ fs for s, fs in zip(subs, loads)])
-    gv = np.asarray(g(mesh.vertices[mesh.collar_nodes]), dtype=float)
     return FetiSystem(
-        mesh=mesh, spec=spec, sub=sub, constraints=cs, subsystems=subs,
+        assembled=system, sub=sub, constraints=cs, subsystems=subs,
         G=G, Gt=Gt, GtG_factor=scipy.linalg.cho_factor(GtG, lower=True),
-        d=d, e=e, g=gv.reshape(-1), tol=tol, maxit=maxit,
+        d=d, e=e, tol=tol, maxit=maxit,
     )
 
 
@@ -414,19 +401,16 @@ def feti_solve(system: FetiSystem) -> FetiResult:
     u_s = K_s^+ (f_s - B_s^T lambda) - R_s alpha_s."""
     cs = system.constraints
     lam0 = system.G @ system.coarse_solve(system.e)
-
-    def check(lam):
-        res = np.linalg.norm(system.Gt @ lam - system.e)
-        if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
-            raise CoarseConstraintError(
-                f"initial multiplier violates the coarse constraint "
-                f"(residual {res:.3e})")
-
+    res = np.linalg.norm(system.Gt @ lam0 - system.e)
+    if res > 1e-10 * max(1.0, np.linalg.norm(system.e)):
+        raise CoarseConstraintError(
+            f"initial multiplier violates the coarse constraint "
+            f"(residual {res:.3e})")
     trace: list[float] = []
     lam, iters = projected_pcg(
         system.apply_F, system.apply_P, system.d, lam0,
         apply_Minv=system.apply_Minv, tol=system.tol,
-        maxit=system.maxit, constraint_check=check, trace=trace,
+        maxit=system.maxit, trace=trace,
     )
     alpha = system.coarse_solve(system.Gt @ (system.d - system.apply_F(lam)))
     subs = system.subsystems
@@ -441,17 +425,16 @@ def feti_solve(system: FetiSystem) -> FetiResult:
                       iterations=iters, trace=trace)
 
 
-def gather_solution(system: FetiSystem, result: FetiResult,
-                    tol: float = 1e-7) -> np.ndarray:
+def gather_solution(system: FetiSystem, result: FetiResult) -> np.ndarray:
     """Merge subdomain solutions into one global nodal coefficient
     vector (unknowns and constrained values).
 
-    Interface copies must agree to ``tol`` relative; the copy of the
-    lowest-index subdomain wins.  Raises ConsistencyError otherwise.
+    Interface copies must agree to ``GATHER_TOL`` relative; the copy of
+    the lowest-index subdomain wins.  Raises ConsistencyError otherwise.
     """
-    mesh = system.mesh
-    c = system.spec.components
-    out = np.full(c * mesh.n_vertices, np.nan)
+    assembled = system.assembled
+    c = assembled.spec.components
+    out = np.full(c * assembled.mesh.n_vertices, np.nan)
     scale = max(
         max((np.abs(u).max() for u in result.u_interface if u.size),
             default=0.0),
@@ -468,11 +451,11 @@ def gather_solution(system: FetiSystem, result: FetiResult,
             seen = ~np.isnan(prev)
             if np.any(seen):
                 diff = np.abs(prev[seen] - vals[seen]) / scale
-                if diff.max() > tol:
+                if diff.max() > GATHER_TOL:
                     bad = dofs[seen][int(np.argmax(diff))]
                     raise ConsistencyError(
                         f"interface copies disagree at dof {int(bad)} "
                         f"(relative difference {diff.max():.3e})")
             out[dofs] = vals
-    out[_node_dofs(mesh.collar_nodes, c)] = system.g
+    out[assembled.collar_dofs] = assembled.g
     return out

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import Assembler, AssembledSystem, assemble_global
+from .assembly import AssembledSystem, assemble_global
 from .feti import (FetiSystem, build_feti_system, feti_solve, gather_solution)
 from .kernels import KernelSpec
 from .mesh import Mesh, build_structured_mesh, l2_error
@@ -198,9 +198,7 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
     spec = config.kernel_spec()
     prob = manufactured_problem(config.family)
     mesh = build_structured_mesh(config.n, config.delta)
-    asm = Assembler(mesh, spec)
-    assembled = assemble_global(mesh, spec, prob.forcing, prob.exact,
-                                assembler=asm)
+    assembled = assemble_global(mesh, spec, prob.forcing, prob.exact)
     study = study or config.study
     label = f"{config.k1}x{config.k2}"
     records: list[RunRecord] = []
@@ -226,9 +224,8 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
         t0 = time.perf_counter()
         sub = build_subdivision(mesh, config.k1, config.k2,
                                 ball_norm=spec.ball_norm)
-        feti_system = build_feti_system(
-            mesh, sub, spec, assembled.moments, prob.exact,
-            tol=config.tol, maxit=config.maxit, assembler=asm)
+        feti_system = build_feti_system(assembled, sub, tol=config.tol,
+                                        maxit=config.maxit)
         result = feti_solve(feti_system)
         full = gather_solution(feti_system, result)
         seconds = time.perf_counter() - t0

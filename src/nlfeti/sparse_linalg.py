@@ -86,20 +86,16 @@ def factorize(A: sp.spmatrix) -> Factorization:
 
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
                   apply_Minv, trace: list[float], tol: float = 1e-10,
-                  maxit: int = 10_000,
-                  constraint_check=None) -> tuple[np.ndarray, int]:
+                  maxit: int = 10_000) -> tuple[np.ndarray, int]:
     """Projected preconditioned CG for constrained dual problems.
 
-    Solves ``P F lambda = P d`` starting from ``lambda0`` (which must
-    already satisfy the affine constraint; ``constraint_check(lambda0)``
-    is invoked when given and must raise on violation).  Search
-    directions are projected before and after preconditioning, so all
-    iterates stay on the constraint manifold.  The relative residual of
-    every iteration is appended to ``trace``.
+    Solves ``P F lambda = P d`` starting from ``lambda0``, which must
+    already satisfy the affine constraint.  Search directions are
+    projected before and after preconditioning, so all iterates stay on
+    the constraint manifold.  The relative residual of every iteration
+    is appended to ``trace``.
     """
     lam = np.asarray(lambda0, dtype=float).copy()
-    if constraint_check is not None:
-        constraint_check(lam)
     r = apply_P(d - apply_F(lam))
     z = apply_P(apply_Minv(r))
     p = z.copy()

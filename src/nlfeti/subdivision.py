@@ -9,7 +9,9 @@ Each rectangle grows by the distance of every element in a window of
 cells around it to its nearest owned barycenter, read off the rectangle
 without a search.  Membership is stored once, as a packed element x
 subdomain bit table set window by window; every overlap count is the
-popcount of a membership row or of the AND of two rows.
+popcount of a membership row or of the AND of two rows.  Each window is
+then shrunk to the cells its subdomain holds, and every read of that
+subdomain stays inside it.
 Coverage is checked on the pairs the assembler weights, per class of
 ``geometry.interacting_classes``; the check and the pair counts read a
 class's pairs off cell planes by ``geometry.class_grids``, so no list of
@@ -77,9 +79,10 @@ class Subdivision:
 
     ``membership`` is the (n_elements, ceil(K / 8)) uint8 table of the
     element x subdomain relation: bit ``k % 8`` of byte ``k // 8`` is set
-    when subdomain k holds the element.  Subdomain k holds elements only
-    in the cells of ``windows[k] = (x0, x1, y0, y1)``, so what is read
-    of one subdomain is read over its window.
+    when subdomain k holds the element.  ``windows[k] = (x0, x1, y0,
+    y1)`` is the half-open cell rectangle bounding the elements k holds,
+    so what is read of one subdomain (element weights, pair counts, the
+    scatter of its blocks) is read over its window.
     """
 
     mesh: Mesh
@@ -94,44 +97,30 @@ class Subdivision:
     def K(self) -> int:
         return len(self.inner_nodes)
 
-    def _held(self, k: int) -> np.ndarray:
-        """(cy - y0, cx - x0, type) mask of the elements k holds over its
-        window."""
-        return (_window(self.mesh, self.membership, self.windows[k])
-                [..., k >> 3] & np.uint8(1 << (k & 7))) != 0
-
-    def cells(self, k: int) -> tuple:
-        """Half-open cell rectangle ``(x0, x1, y0, y1)`` bounding the
-        elements subdomain k holds."""
-        held = self._held(k)
-        x0, _, y0, _ = self.windows[k]
-        ys = np.flatnonzero(held.any(axis=(1, 2)))
-        xs = np.flatnonzero(held.any(axis=(0, 2)))
-        return x0 + xs[0], x0 + xs[-1] + 1, y0 + ys[0], y0 + ys[-1] + 1
-
-    def pair_counts(self, k: int, classes, cells,
-                    nodes: np.ndarray) -> np.ndarray:
+    def pair_counts(self, k: int, classes) -> np.ndarray:
         """(class, cy - y0, cx - x0) grid of the pairs of ``classes``
-        (dx, dy, t1, t2) anchored in the cell window
-        ``cells = (x0, x1, y0, y1)``: element 2 (cy N + cx) + t1 with
-        element 2 ((cy + dy) N + cx + dx) + t2.  Each holds the number of
+        (dx, dy, t1, t2) anchored in k's window ``windows[k] = (x0, x1,
+        y0, y1)``: element 2 (cy N + cx) + t1 with element
+        2 ((cy + dy) N + cx + dx) + t2.  Each holds the number of
         subdomains holding both elements where subdomain k holds both
-        and one of the two has a vertex among ``nodes``; 0 elsewhere, also
-        where the second element lies outside the window.  Unsigned, of
-        the smallest type that holds K.
+        and one of the two has a vertex among k's inner and interface
+        nodes; 0 elsewhere, also where the second element lies outside
+        the window.  Unsigned, of the smallest type that holds K.
 
         It is read by ``class_grids`` off the window's cell planes of the
         membership bytes and of the kept-vertex mask, so no grid of
         element ids is formed.
         """
         mesh = self.mesh
+        win = self.windows[k]
         nb = self.membership.shape[1]
         kept = np.zeros(mesh.n_vertices, dtype=bool)
-        kept[nodes] = True
-        near = kept[_window(mesh, mesh.elements, cells)].any(axis=-1)
-        planes = _cell_planes(_window(mesh, self.membership, cells), near)
+        kept[self.inner_nodes[k]] = True
+        kept[self.interface_nodes[k]] = True
+        near = kept[_window(mesh, mesh.elements, win)].any(axis=-1)
+        planes = _cell_planes(_window(mesh, self.membership, win), near)
         bit = np.uint8(1 << (k & 7))
-        x0, x1, y0, y1 = cells
+        x0, x1, y0, y1 = win
         out = np.empty((len(classes), y1 - y0, x1 - x0),
                        np.min_scalar_type(self.K))
         for c, first, second in class_grids(planes, classes):
@@ -153,8 +142,9 @@ class Subdivision:
         win = self.windows[k]
         x0, _, y0, _ = win
         cy, cx, t = np.nonzero(
-            self._held(k) & (_window(mesh, mesh.element_region, win)
-                             == INTERIOR))
+            (_window(mesh, self.membership, win)[..., k >> 3]
+             & np.uint8(1 << (k & 7)) != 0)
+            & (_window(mesh, mesh.element_region, win) == INTERIOR))
         els = 2 * ((cy + y0) * mesh.cells_per_side + cx + x0) + t
         return els, 1.0 / _overlap(self.membership[els])
 
@@ -206,8 +196,9 @@ def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
     owned barycenter of each triangle type is the one of the element's
     cell clamped into the rectangle: the squared distance is a sum of
     one term per axis.  Only the rectangle's window, grown by the larger
-    radius, is measured.  The resulting family is verified to contain
-    every interacting element pair in at least one common subdomain.
+    radius, is measured; it is then shrunk to the cells of the elements
+    k holds.  The resulting family is verified to contain every
+    interacting element pair in at least one common subdomain.
     """
     K = len(rects)
     N = mesh.cells_per_side
@@ -245,6 +236,10 @@ def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
         _window(mesh, membership, win)[..., k >> 3][held] |= np.uint8(
             1 << (k & 7))
         nrows.append(np.unique(_window(mesh, mesh.elements, win)[held]))
+        # the window shrinks to the cells of the elements k holds
+        cy, cx = np.nonzero(held.any(axis=2))
+        win[:] = (win[0] + cx.min(), win[0] + cx.max() + 1,
+                  win[2] + cy.min(), win[2] + cy.max() + 1)
     zeta = np.bincount(np.concatenate(nrows), minlength=mesh.n_vertices)
 
     inner_nodes, interface_nodes, constrained = [], [], []
@@ -266,7 +261,7 @@ def extend_nonlocal(mesh: Mesh, rects: np.ndarray, *,
         constrained_nodes=constrained, floating=floating,
         membership=membership, windows=windows,
     )
-    verify_coverage(mesh, sub, ball_norm=ball_norm)
+    verify_coverage(sub, ball_norm=ball_norm)
     return sub
 
 
@@ -277,7 +272,7 @@ def build_subdivision(mesh: Mesh, k1: int, k2: int, *,
     return extend_nonlocal(mesh, rects, ball_norm=ball_norm)
 
 
-def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
+def verify_coverage(sub: Subdivision, *, ball_norm: str) -> None:
     """Assert that every element pair the assembler weights for a kernel
     on the ``ball_norm`` ball (every pair of an interacting class with
     an interior element, the element self-pairs included) lies in a
@@ -289,6 +284,7 @@ def verify_coverage(mesh: Mesh, sub: Subdivision, *, ball_norm: str) -> None:
     the collar's width, so a pair with an interior element lies in the
     mesh.
     """
+    mesh = sub.mesh
     N = mesh.cells_per_side
     interior = mesh.element_region == INTERIOR
     planes = _cell_planes(*(_window(mesh, a, (0, N, 0, N))

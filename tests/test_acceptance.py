@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
-from nlfeti.assembly import Assembler, assemble_global
+from nlfeti.assembly import assemble_global
 from nlfeti.cli import main as cli_main
 from nlfeti.feti import build_feti_system, feti_solve, gather_solution
 from nlfeti.harness import (ExperimentConfig, baseline_cg_solve, run_single,
@@ -32,16 +32,13 @@ FAMILIES = ("constant", "fractional", "peridynamic")
 def _feti_unknowns(cache, family, n, delta, k1, k2):
     """FETI solution restricted to the global unknown dofs, plus the
     system it came from."""
-    mesh = cache.mesh(n, delta)
     spec = make_spec(family, delta)
-    prob = manufactured_problem(family)
-    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
-    asm = cache.assembler(family, n, delta)
-    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
-                               prob.exact, assembler=asm)
+    sub = build_subdivision(cache.mesh(n, delta), k1, k2,
+                            ball_norm=spec.ball_norm)
+    assembled = cache.system(family, n, delta)
+    system = build_feti_system(assembled, sub)
     result = feti_solve(system)
     full = gather_solution(system, result)
-    assembled = cache.system(family, n, delta)
     return full[assembled.interior_dofs], system, result
 
 
@@ -83,12 +80,9 @@ def test_feti_equals_direct_solve_on_uneven_grids(family, n, ratio, k1, k2):
     mesh = build_structured_mesh(n, ratio / n)
     spec = make_spec(family, ratio / n)
     prob = manufactured_problem(family)
-    asm = Assembler(mesh, spec)
-    assembled = assemble_global(mesh, spec, prob.forcing, prob.exact,
-                                assembler=asm)
+    assembled = assemble_global(mesh, spec, prob.forcing, prob.exact)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
-    system = build_feti_system(mesh, sub, spec, assembled.moments,
-                               prob.exact, assembler=asm)
+    system = build_feti_system(assembled, sub)
     u = gather_solution(system, feti_solve(system))[assembled.interior_dofs]
     A = assembled.A
     direct = spla.spsolve(A.tocsc(), assembled.rhs)
@@ -218,7 +212,7 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
 
     # coverage of every interacting pair (raises on violation)
-    verify_coverage(mesh, sub, ball_norm=spec.ball_norm)
+    verify_coverage(sub, ball_norm=spec.ball_norm)
     # multiplicity is a partition of unity: every unknown node is seen
     seen = np.concatenate(sub.inner_nodes + sub.interface_nodes)
     assert np.isin(mesh.interior_nodes, seen).all()
@@ -232,10 +226,7 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
     eye = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(eye - np.eye(M_C))) < 1e-12  # implies full rank
 
-    prob = manufactured_problem(family)
-    asm = cache.assembler(family, n, delta)
-    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
-                               prob.exact, assembler=asm)
+    system = build_feti_system(cache.system(family, n, delta), sub)
     rng = np.random.default_rng(0)
 
     # projection: P^2 = P and G^T P = 0 to 1e-12

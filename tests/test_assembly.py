@@ -277,11 +277,10 @@ def test_one_row_strips_change_no_byte(family, monkeypatch):
     spec = make_spec(family, 0.25)
     asm = Assembler(mesh, spec)
     sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
-    cells = (2, 10, 1, 11)
+    cells = tuple(sub.windows[4])
     blocks = (sub.inner_nodes[4], sub.interface_nodes[4],
               sub.constrained_nodes[4])
-    counts = sub.pair_counts(4, asm.classes(), cells,
-                             np.concatenate(blocks[:2]))
+    counts = sub.pair_counts(4, asm.classes())
     calls = [dict(), dict(rows=[mesh.interior_nodes]),
              dict(weights=weight_grid(asm, pair_weights(sub, 4), cells),
                   cells=cells),
@@ -388,13 +387,11 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
     asm = cache.assembler(family, 16, 0.125)
-    prob = manufactured_problem(family)
+    system = cache.system(family, 16, 0.125)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     c = spec.components
-    moments = asm.load_moments(prob.forcing)
     for k in range(sub.K):
-        s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
-                               assembler=asm)
+        s = assemble_subdomain(system, sub, k)
         nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k],
                                 sub.constrained_nodes[k]])
         dofs = (c * nodes[:, None] + np.arange(c)[None, :]).ravel()
@@ -425,7 +422,6 @@ def test_assembly_working_set_is_bounded():
     asm = Assembler(mesh, spec)
     asm._scatter_table()  # the class matrices are not assembly's
     sub = build_subdivision(mesh, 4, 4, ball_norm=spec.ball_norm)
-    moments = asm.load_moments(prob.forcing)
     table, seen, twins = {}, set(), 0
     tracemalloc.start()
     try:
@@ -434,12 +430,12 @@ def test_assembly_working_set_is_bounded():
         A, B = sysm.A, sysm.B_coupling  # assembled on this first read
         peak = tracemalloc.get_traced_memory()[1]
         assert peak <= 3 * _csr_bytes(A, B)
-        del sysm, A, B
+        del A, B
+        sysm.moments  # the forcing's moments are not subdomain assembly's
         for k in range(sub.K):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
-                                   assembler=asm, table=table)
+            s = assemble_subdomain(sysm, sub, k, table=table)
             peak = tracemalloc.get_traced_memory()[1] - base
             if id(s.A_OO) in seen:
                 twins += 1
@@ -523,10 +519,7 @@ def test_dropping_zero_classes_leaves_matrices_bitwise(family):
         assert np.array_equal(a.data, b.data)
     sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
     for k in range(sub.K):
-        s1, s2 = (assemble_subdomain(mesh, sub, k, spec,
-                                     asm.load_moments(prob.forcing),
-                                     prob.exact, assembler=asm)
-                  for asm in (kept, full))
+        s1, s2 = (assemble_subdomain(g, sub, k) for g in glob)
         for name in ("A_OO", "A_OG", "A_GG"):
             a, b = getattr(s1, name), getattr(s2, name)
             assert np.array_equal(a.indptr, b.indptr)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from nlfeti import feti, sparse_linalg
-from nlfeti.assembly import Assembler, _node_dofs, assemble_global
+from nlfeti.assembly import _node_dofs, assemble_global
 from nlfeti.feti import (
     CoarseConstraintError,
     ConsistencyError,
@@ -41,14 +41,10 @@ from conftest import (assert_csr_bitwise, full_mesh_load, make_spec, n_G,
                       pair_weights, strip_to_owned)
 
 
-def _build(family, n, delta, k1, k2, cache, **kw):
-    mesh = cache.mesh(n, delta)
-    spec = make_spec(family, delta)
-    sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
-    prob = manufactured_problem(family)
-    asm = cache.assembler(family, n, delta)
-    return build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
-                             prob.exact, assembler=asm, **kw)
+def _build(family, n, delta, k1, k2, cache):
+    sub = build_subdivision(cache.mesh(n, delta), k1, k2,
+                            ball_norm=make_spec(family, delta).ball_norm)
+    return build_feti_system(cache.system(family, n, delta), sub)
 
 
 def _global_dof_map(mesh, c):
@@ -60,7 +56,7 @@ def _global_dof_map(mesh, c):
 
 def _local_to_global(system, k):
     """Global unknown-dof indices for subdomain k's [inner|interface]."""
-    mesh, c = system.mesh, system.spec.components
+    mesh, c = system.assembled.mesh, system.assembled.spec.components
     lut = _global_dof_map(mesh, c)
     s = system.subsystems[k]
     nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
@@ -139,9 +135,7 @@ def test_feti_matches_direct_solve(family, n, delta, k1, k2, cache):
     result = feti_solve(system)
     u = gather_solution(system, result)
     direct = cache.direct_solution(family, n, delta)
-    c = system.spec.components
-    dofs = (c * system.mesh.interior_nodes[:, None]
-            + np.arange(c)[None, :]).ravel()
+    dofs = system.assembled.interior_dofs
     diff = np.abs(u[dofs] - direct).max()
     assert diff <= 1e-7 * max(1.0, np.abs(direct).max())
 
@@ -161,10 +155,10 @@ def _condensed_solve(system):
     each floating subdomain's interface dofs only (Z), and interior
     unknowns by back-substitution."""
     cs, subs = system.constraints, system.subsystems
-    c = system.spec.components
+    mesh, c = system.assembled.mesh, system.assembled.spec.components
     f_schur = np.concatenate([_condensed_load(s) for s in subs])
     Z = sp.block_diag(
-        [rigid_modes(system.mesh.vertices[s.interface_nodes], c)
+        [rigid_modes(mesh.vertices[s.interface_nodes], c)
          if s.floating else np.zeros((n_G(s), 0)) for s in subs],
         format="csr")
     G = (cs.B @ Z).toarray()
@@ -209,8 +203,7 @@ def test_single_subdomain_degenerates_to_direct(cache):
     assert result.iterations == 0
     u = gather_solution(system, result)
     direct = cache.direct_solution("constant", 8, 0.25)
-    mesh = system.mesh
-    assert np.abs(u[mesh.interior_nodes] - direct).max() <= 1e-9
+    assert np.abs(u[system.assembled.interior_dofs] - direct).max() <= 1e-9
 
 
 def test_energy_partition_is_exact(cache):
@@ -241,16 +234,13 @@ def test_energy_splitting_property(n, ratio, k1, k2, family):
     mesh = build_structured_mesh(n, ratio / n)
     spec = make_spec(family, ratio / n)
     prob = manufactured_problem(family)
-    asm = Assembler(mesh, spec)
-    A = assemble_global(mesh, spec, prob.forcing, prob.exact,
-                        assembler=asm).A
+    system = assemble_global(mesh, spec, prob.forcing, prob.exact)
+    A = system.A
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     c = spec.components
     total = sp.csr_matrix(A.shape)
-    moments = asm.load_moments(prob.forcing)
     for k in range(sub.K):
-        s = assemble_subdomain(mesh, sub, k, spec, moments, prob.exact,
-                               assembler=asm)
+        s = assemble_subdomain(system, sub, k)
         nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
         pos = np.searchsorted(mesh.interior_nodes, nodes)
         dofs = (c * pos[:, None] + np.arange(c)[None, :]).ravel()
@@ -267,18 +257,13 @@ def test_gather_rejects_inconsistent_copies(cache):
     result.u_interface[1] = result.u_interface[1].copy()
     result.u_interface[1][0] += 1.0
     with pytest.raises(ConsistencyError):
-        gather_solution(system, result, tol=1e-7)
+        gather_solution(system, result)
 
 
 def test_empty_interior_schur_is_stiffness_block(cache):
     """A subdomain with no inner nodes condenses to A_GG itself."""
-    mesh = cache.mesh(8, 0.25)
-    spec = make_spec("constant", 0.25)
-    sub = build_subdivision(mesh, 2, 2, ball_norm=spec.ball_norm)
-    prob = manufactured_problem("constant")
-    asm = cache.assembler("constant", 8, 0.25)
-    s = assemble_subdomain(mesh, sub, 0, spec, asm.load_moments(prob.forcing),
-                           prob.exact, assembler=asm)
+    sub = build_subdivision(cache.mesh(8, 0.25), 2, 2, ball_norm="l2")
+    s = assemble_subdomain(cache.system("constant", 8, 0.25), sub, 0)
     assert s.n_O == 0
     v = np.ones(n_G(s))
     assert np.allclose(s.schur_apply(v), s.A_GG @ v)
@@ -292,7 +277,7 @@ def test_uncovered_pair_is_rejected_before_assembly(cache):
     sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     strip_to_owned(sub, 2, 2)
     with pytest.raises(SubdivisionError, match="covered by no subdomain") as err:
-        verify_coverage(mesh, sub, ball_norm="l2")
+        verify_coverage(sub, ball_norm="l2")
     pair = [np.array([int(v)]) for v in
             re.search(r"pair \((\d+), (\d+)\)", str(err.value)).groups()]
     assert sum(pair_weights(sub, k)(*pair)[0] for k in range(sub.K)) == 0.0
@@ -435,16 +420,42 @@ def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
     asm = cache.assembler(family, 16, 0.125)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     prob = manufactured_problem(family)
-    moments = asm.load_moments(prob.forcing)
-    system = build_feti_system(mesh, sub, spec, moments,
-                               lambda xy: np.zeros(len(xy) * spec.components),
-                               assembler=asm)
+    system = build_feti_system(assemble_global(
+        mesh, spec, prob.forcing,
+        lambda xy: np.zeros(len(xy) * spec.components), assembler=asm), sub)
+    moments = system.assembled.moments
     c = spec.components
     for k, s in enumerate(system.subsystems):
         want = full_mesh_load(asm, moments, sub, k)
         assert s.f_O.tobytes() == want[_node_dofs(s.inner_nodes, c)].tobytes()
         assert (s.f_G.tobytes()
                 == want[_node_dofs(s.interface_nodes, c)].tobytes())
+
+
+def test_build_reads_the_constraint_values_of_the_global_system(cache):
+    """The constraint function is evaluated once, by ``assemble_global``
+    on the collar: the build (peridynamic n=32, delta=2h, 3 x 3) takes
+    every subdomain's constrained values from the assembled ``g``, and
+    its solve gathers the same bytes as the cached system's."""
+    n, delta = 32, 2 / 32
+    spec = make_spec("peridynamic", delta)
+    prob = manufactured_problem("peridynamic")
+    calls = []
+
+    def g(xy):
+        calls.append(len(xy))
+        return prob.exact(xy)
+
+    assembled = assemble_global(
+        cache.mesh(n, delta), spec, prob.forcing, g,
+        assembler=cache.assembler("peridynamic", n, delta))
+    assert len(calls) == 1
+    sub = build_subdivision(assembled.mesh, 3, 3, ball_norm=spec.ball_norm)
+    system = build_feti_system(assembled, sub)
+    assert len(calls) == 1
+    want = build_feti_system(cache.system("peridynamic", n, delta), sub)
+    assert (gather_solution(system, feti_solve(system)).tobytes()
+            == gather_solution(want, feti_solve(want)).tobytes())
 
 
 def test_iteration_cap_defaults_match_the_config():
@@ -521,11 +532,8 @@ def test_unpinned_floating_matrix_is_singular(family, cache):
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
     sub = build_subdivision(mesh, 4, 4, ball_norm=spec.ball_norm)
-    prob = manufactured_problem(family)
-    asm = cache.assembler(family, 16, 0.125)
     k = int(np.flatnonzero(sub.floating)[0])
-    s = assemble_subdomain(mesh, sub, k, spec, asm.load_moments(prob.forcing),
-                           prob.exact, assembler=asm)
+    s = assemble_subdomain(cache.system(family, 16, 0.125), sub, k)
     with pytest.raises(SingularMatrixError, match="zero pivot"):
         factorize(s.full_matrix())
 

@@ -10,7 +10,6 @@ import pytest
 
 from nlfeti import feti
 from nlfeti.feti import build_feti_system, feti_solve, gather_solution
-from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import build_subdivision
 
 from conftest import assert_csr_bitwise, holds, make_spec, n_G
@@ -30,13 +29,8 @@ def _subdivision(family, n, ratio, k1, k2, cache):
 
 
 def _build(family, n, ratio, k1, k2, cache, sub=None):
-    mesh = cache.mesh(n, ratio / n)
     sub = sub or _subdivision(family, n, ratio, k1, k2, cache)
-    prob = manufactured_problem(family)
-    asm = cache.assembler(family, n, ratio / n)
-    return build_feti_system(mesh, sub, make_spec(family, ratio / n),
-                             asm.load_moments(prob.forcing), prob.exact,
-                             assembler=asm)
+    return build_feti_system(cache.system(family, n, ratio / n), sub)
 
 
 def _unshared(monkeypatch):
@@ -125,7 +119,7 @@ def test_key_holds_exactly_the_pairs_that_reach_kept_rows(cache):
     apart from its twins; one of a pair whose vertices are all
     constrained does not."""
     plain = _build("fractional", 24, 2, 6, 6, cache)
-    mesh, sub = plain.mesh, plain.sub
+    mesh, sub = plain.assembled.mesh, plain.sub
     groups = _groups(plain)
     twins = next(g for g in groups if len(g) > 1)
     k = twins[0]

@@ -7,7 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from nlfeti.assembly import Assembler
+from nlfeti.assembly import assemble_global
 from nlfeti.feti import assemble_subdomain
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import build_structured_mesh
@@ -37,12 +37,10 @@ def test_healthy_factorization_copies_no_factor():
     n, delta = 64, 2 / 64
     mesh = build_structured_mesh(n, delta)
     spec = KernelSpec("fractional", delta, 0.4)
-    asm = Assembler(mesh, spec)
     prob = manufactured_problem("fractional")
+    system = assemble_global(mesh, spec, prob.forcing, prob.exact)
     sub = build_subdivision(mesh, 1, 1, ball_norm=spec.ball_norm)
-    A = assemble_subdomain(mesh, sub, 0, spec,
-                           asm.load_moments(prob.forcing), prob.exact,
-                           assembler=asm)._neumann_matrix()
+    A = assemble_subdomain(system, sub, 0)._neumann_matrix()
     assert A.nnz == 162_201
     tracemalloc.start()
     try:
@@ -194,20 +192,6 @@ def test_projected_pcg_keeps_iterates_on_constraint():
     lam, _ = projected_pcg(lambda v: F @ v, lambda v: P @ v, d, lam0,
                            apply_Minv=spy_Minv, trace=[], tol=1e-10)
     assert np.linalg.norm(G.T @ lam - e) <= 1e-9 * (1 + np.linalg.norm(e))
-
-
-def test_projected_pcg_constraint_check_hook():
-    F, G, d, e, P, lam0, _ = _toy_constrained_problem(seed=13)
-
-    calls = []
-
-    def check(lam):
-        calls.append(np.linalg.norm(G.T @ lam - e))
-
-    projected_pcg(lambda v: F @ v, lambda v: P @ v, d, lam0,
-                  apply_Minv=lambda r: r, trace=[], tol=1e-10,
-                  constraint_check=check)
-    assert calls and calls[0] <= 1e-10
 
 
 def test_matrix_market_roundtrip_bitwise(tmp_path):

@@ -12,7 +12,6 @@ from nlfeti import geometry
 from nlfeti.assembly import Assembler
 from nlfeti.feti import build_feti_system
 from nlfeti.mesh import INTERIOR, build_structured_mesh
-from nlfeti.problems import manufactured_problem
 from nlfeti.subdivision import (
     SubdivisionError,
     _reach,
@@ -250,7 +249,7 @@ def test_coverage_property(n, ratio, k1, k2, ball_norm):
     mesh = build_structured_mesh(n, delta)
     sub = build_subdivision(mesh, k1, k2, ball_norm=ball_norm)
     # build_subdivision already ran verify_coverage; run it once more explicitly
-    verify_coverage(mesh, sub, ball_norm=ball_norm)
+    verify_coverage(sub, ball_norm=ball_norm)
 
     K = k1 * k2
     assert sub.K == K
@@ -343,7 +342,7 @@ def test_coverage_rejects_a_pair_beyond_the_barycenter_bound():
     sub.membership = np.packbits(held, axis=1, bitorder="little")
     with pytest.raises(SubdivisionError,
                        match=r"pair \(505, 792\) of class \(9, 5, 1, 0\)"):
-        verify_coverage(mesh, sub, ball_norm="l2")
+        verify_coverage(sub, ball_norm="l2")
     pair = np.array([505]), np.array([792])
     assert sum(pair_weights(sub, k)(*pair)[0] for k in range(sub.K)) == 0.0
 
@@ -355,7 +354,7 @@ def test_coverage_rejects_a_table_built_for_the_other_ball():
     mesh = build_structured_mesh(16, 0.25)
     sub = build_subdivision(mesh, 4, 4, ball_norm="l2")
     with pytest.raises(SubdivisionError, match="covered by no subdomain"):
-        verify_coverage(mesh, sub, ball_norm="linf")
+        verify_coverage(sub, ball_norm="linf")
 
 
 @settings(deadline=None, max_examples=25)
@@ -383,7 +382,7 @@ def test_coverage_detects_missing_pair():
     sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     strip_to_owned(sub, 2, 2)
     with pytest.raises(SubdivisionError, match="covered by no subdomain"):
-        verify_coverage(mesh, sub, ball_norm="l2")
+        verify_coverage(sub, ball_norm="l2")
 
 
 def test_coverage_names_an_element_no_subdomain_holds():
@@ -396,7 +395,7 @@ def test_coverage_names_an_element_no_subdomain_holds():
         sub.membership[e] = 0
         with pytest.raises(SubdivisionError,
                            match=rf"^element {e} belongs to no subdomain$"):
-            verify_coverage(mesh, sub, ball_norm="l2")
+            verify_coverage(sub, ball_norm="l2")
 
 
 def _first_violation(mesh, held, ball_norm):
@@ -437,10 +436,10 @@ def test_coverage_names_the_oracles_first_violation(n, ratio, K, p, each,
     sub.membership = np.packbits(held, axis=1, bitorder="little")
     want = _first_violation(mesh, held, ball_norm)
     if want is None:
-        verify_coverage(mesh, sub, ball_norm=ball_norm)
+        verify_coverage(sub, ball_norm=ball_norm)
     else:
         with pytest.raises(SubdivisionError) as err:
-            verify_coverage(mesh, sub, ball_norm=ball_norm)
+            verify_coverage(sub, ball_norm=ball_norm)
         assert str(err.value) == want
 
 
@@ -454,13 +453,14 @@ def _window(sub, k):
 def test_counting_function_matches_bruteforce():
     """Pair counts and element weights read off the packed table equal
     brute-force set counting, also when a row spans two bytes (K = 12):
-    every pair of the count grid of a subdomain's window and of the whole
-    mesh, with every node kept (no pair left out) and with the
-    subdomain's kept nodes."""
+    every pair of the count grid of a subdomain's window with the
+    subdomain's kept nodes.  The pair-by-pair oracle of the counts
+    equals it too, there and on the whole mesh with no pair left out."""
     for n, delta, k1, k2 in [(8, 0.25, 2, 2), (16, 0.125, 3, 4)]:
         mesh = build_structured_mesh(n, delta)
         sub = build_subdivision(mesh, k1, k2, ball_norm="l2")
-        classes = Assembler(mesh, make_spec("fractional", delta)).classes()
+        asm = Assembler(mesh, make_spec("fractional", delta))
+        classes = asm.classes()
         dx, dy, t1, t2 = np.array(classes).T[:, :, None, None]
         N = mesh.cells_per_side
         held = [np.array(sorted(h)) for h in _held(sub)]
@@ -468,7 +468,8 @@ def test_counting_function_matches_bruteforce():
         for k in range(sub.K):
             kept = np.concatenate([sub.inner_nodes[k],
                                    sub.interface_nodes[k]])
-            for cells in (_window(sub, k), (0, N, 0, N)):
+            for whole in (False, True):
+                cells = (0, N, 0, N) if whole else _window(sub, k)
                 x0, x1, y0, y1 = cells
                 cy, cx = np.mgrid[y0:y1, x0:x1]
                 inside = ((cy + dy < y1) & (x0 <= cx + dx) & (cx + dx < x1)
@@ -478,16 +479,19 @@ def test_counting_function_matches_bruteforce():
                 both = [np.isin(e1, h) & np.isin(e2, h) & inside
                         for h in held]
                 expect = np.where(both[k], sum(both), 0)
-                # every element has a vertex among all nodes
-                got = sub.pair_counts(k, classes, cells,
-                                      np.arange(mesh.n_vertices))
+                got = weight_grid(asm, pair_counts(sub, k), cells)
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, expect)
                 near = (np.isin(mesh.elements[e1], kept).any(axis=-1)
                         | np.isin(mesh.elements[e2], kept).any(axis=-1))
+                expect = np.where(near, expect, 0)
                 assert np.array_equal(
-                    sub.pair_counts(k, classes, cells, kept),
-                    np.where(near, expect, 0))
+                    weight_grid(asm, pair_counts(sub, k, kept), cells),
+                    expect)
+                if not whole:
+                    got = sub.pair_counts(k, classes)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, expect)
             els, w = sub.element_weights(k)
             assert np.array_equal(els, np.flatnonzero(
                 holds(sub, k) & (mesh.element_region == INTERIOR)))
@@ -513,9 +517,8 @@ def test_pair_counts_equal_the_pairwise_grid(family, n, ratio, k1, k2,
         for k in range(sub.K):
             kept = np.concatenate([sub.inner_nodes[k],
                                    sub.interface_nodes[k]])
-            cells = _window(sub, k)
-            got = sub.pair_counts(k, asm.classes(), cells, kept)
-            want = weight_grid(asm, pair_counts(sub, k, kept), cells)
+            got = sub.pair_counts(k, asm.classes())
+            want = weight_grid(asm, pair_counts(sub, k, kept), _window(sub, k))
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -554,20 +557,15 @@ def test_extension_equals_the_kdtree_query(n, ratio, k1, k2, ball_norm):
 @pytest.mark.parametrize("n,ratio,k1,k2,ball_norm", EXTENSIONS)
 def test_window_reads_equal_the_whole_mesh_scans(n, ratio, k1, k2,
                                                   ball_norm):
-    """The cell bounding box and the element weights of each subdomain,
-    read over its window, equal byte for byte what a scan of the whole
-    membership column gives; no element outside the window is held."""
+    """Each subdomain's window is the cell bounding box of the elements
+    it holds, and its element weights, read over the window, equal byte
+    for byte what a scan of the whole membership column gives."""
     mesh = build_structured_mesh(n, ratio / n)
     sub = build_subdivision(mesh, k1, k2, ball_norm=ball_norm)
     assert sub.windows.shape == (sub.K, 4)
     interior = mesh.element_region == INTERIOR
     for k in range(sub.K):
-        x0, x1, y0, y1 = sub.windows[k]
-        cy, cx = np.divmod(np.flatnonzero(holds(sub, k)) // 2,
-                           mesh.cells_per_side)
-        assert x0 <= cx.min() and cx.max() < x1
-        assert y0 <= cy.min() and cy.max() < y1
-        assert sub.cells(k) == _window(sub, k)
+        assert tuple(sub.windows[k]) == _window(sub, k)
         els, w = sub.element_weights(k)
         want = np.flatnonzero(holds(sub, k) & interior)
         _assert_same_bytes(els, want)
@@ -670,10 +668,7 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
     sub = build_subdivision(mesh, 3, 3, ball_norm=spec.ball_norm)
-    prob = manufactured_problem(family)
-    asm = cache.assembler(family, 16, 0.125)
-    system = build_feti_system(mesh, sub, spec, asm.load_moments(prob.forcing),
-                               prob.exact, assembler=asm)
+    system = build_feti_system(cache.system(family, 16, 0.125), sub)
     cons = system.constraints
     expected = [(1 if c == 1 else 3) if f else 0 for f in sub.floating]
     assert [s.modes.shape[1] for s in system.subsystems] == expected
