@@ -32,14 +32,15 @@ inner, interface and constrained columns.
 The scatter is a sparse times dense product.  A scatter table, built
 once per assembler, has a column per (class, patch node a) and a row per
 (node-id shift, component pair), holding the class matrix entries.  The
-weights of a window's pairs sit in a grid of anchor cells per class, as
-a validity mask or as pair counts, both read by ``geometry.class_grids``
-off cell planes, and zero-padded only as far as the requested rows
-reach; a row node reads, for each table column, the weight of the anchor
-it is node a of.  The rows are taken in strips of node rows, whose
-shifted weights are gathered at once and made float there, with a size
-bound like the one of the quadrature flushes; each entry goes straight
-to its row and column block.
+weights of a window's pairs sit in a grid of anchor cells per class as
+unsigned pair counts, the weight being the reciprocal count (0/1 counts
+for the global matrix), read by ``geometry.class_grids`` off cell
+planes, and zero-padded only as far as the requested rows reach; a row
+node reads, for each table column, the count of the anchor it is node a
+of.  The rows are taken in strips of node rows, whose shifted counts are
+gathered at once and turned into weights there, with a size bound like
+the one of the quadrature flushes; each entry goes straight to its row
+and column block.
 
 Element pairs with coinciding or touching supports use
 singularity-aware schemes.  Coinciding pairs integrate in relative polar
@@ -732,7 +733,6 @@ class Assembler:
         self.N = mesh.cells_per_side
         # the kernel in cell units: horizon R = delta * n, cell side 1
         self.lattice_spec = KernelSpec(spec.family, spec.delta * mesh.n, spec.s)
-        self._table = None
 
     # -- translation classes ------------------------------------------------
 
@@ -754,6 +754,7 @@ class Assembler:
         factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
         return M, lat, factor
 
+    @functools.cached_property
     def _scatter_table(self):
         """(Ct, shifts, lattice, klass): the scatter table.
 
@@ -764,8 +765,6 @@ class Assembler:
         every class's, sorted) and a component pair.  The entry in column
         r and the row of the shift from a to b is ``factor * M[a, b]``.
         """
-        if self._table is not None:
-            return self._table
         c = self.spec.components
         N1 = self.N + 1
         mats = [self.class_matrix(key) for key in self.classes()]
@@ -795,8 +794,7 @@ class Assembler:
         Ct.eliminate_zeros()
         lattice = np.concatenate([lat for _, lat, _ in mats]).reshape(-1, 2)
         klass = np.repeat(np.arange(len(mats)), [len(lat) for _, lat, _ in mats])
-        self._table = (Ct, shifts, lattice, klass)
-        return self._table
+        return Ct, shifts, lattice, klass
 
     # -- assembly -----------------------------------------------------------
 
@@ -809,9 +807,9 @@ class Assembler:
         ``cells = (x0, x1, y0, y1)`` is the half-open cell rectangle of
         the window, the whole mesh by default.  ``weights`` is the
         (class, cy - y0, cx - x0) grid of the pairs anchored in the
-        window: bool or float weights, or unsigned pair counts whose
-        reciprocals are the weights (a count of 0 weighs 0).  By default
-        every pair with both elements in the window weighs 1.
+        window as unsigned pair counts, whose reciprocals are the weights
+        (a count of 0 weighs 0).  By default every pair with both elements
+        in the window is counted once, so weighs 1.
 
         ``rows`` and ``columns`` are disjoint blocks of node ids, each
         sorted; by default one block of every node of the window and one
@@ -824,8 +822,8 @@ class Assembler:
         The grid is zero-padded, in its own type, only as far as that
         rectangle reaches.  Row node q takes, for table column
         r = (class, a), the weight of anchor q - lattice[r], so per strip
-        of node rows the shifted weights are one gather ``Wsh``
-        (r x node), made float there, and the entries are ``Ct @ Wsh``
+        of node rows the shifted counts are one gather ``Wsh``
+        (r x node), made weights there, and the entries are ``Ct @ Wsh``
         over (shift, node).  Each entry sums its (class, a) terms in table
         order.  With the shifts sorted, each row's columns come out
         sorted by node, and so within each column block, where place
@@ -833,15 +831,15 @@ class Assembler:
         """
         c = self.spec.components
         N, N1 = self.N, self.N + 1
-        Ct, shifts, lat, klass = self._scatter_table()
+        Ct, shifts, lat, klass = self._scatter_table
         x0, x1, y0, y1 = cells or (0, N, 0, N)
         if weights is None:
-            # the validity mask: on a plane of ones, a pair's second
-            # element reads 1 where it lies in the window
+            # the validity mask as 0/1 counts: on a plane of ones, a
+            # pair's second element reads 1 where it lies in the window
             classes = self.classes()
-            weights = np.empty((len(classes), y1 - y0, x1 - x0), bool)
+            weights = np.empty((len(classes), y1 - y0, x1 - x0), np.uint8)
             for chunk, _, inside in class_grids(
-                    np.ones((2, y1 - y0, x1 - x0), bool), classes):
+                    np.ones((2, y1 - y0, x1 - x0), np.uint8), classes):
                 weights[chunk] = inside
         if rows is None:
             rows = [(np.arange(y0, y1 + 1)[:, None] * N1
@@ -868,7 +866,6 @@ class Assembler:
         grid[:, ay0 - gy0:ay1 - gy0, ax0 - gx0:ax1 - gx0] = \
             weights[:, ay0 - y0:ay1 - y0, ax0 - x0:ax1 - x0]
         del weights
-        counts = np.issubdtype(grid.dtype, np.unsignedinteger)
         # table column r reads the weight of node (y, x) from grid row
         # top[r] + y and column left[r] + x - rx0
         top = klass * Hg - lat[:, 1] - gy0
@@ -884,7 +881,7 @@ class Assembler:
             h = min(step, ry1 - y)
             Wsh = sliding_window_view(grid, (h, L))[top + y, left]
             Wsh = Wsh.reshape(len(lat), h * L)
-            Wsh = _reciprocal(Wsh) if counts else Wsh.astype(float)
+            Wsh = _reciprocal(Wsh)
             # (shift, i, j, node) -> rows (node, i), columns (shift, j)
             acc = (Ct @ Wsh).reshape(S, c, c, h * L)
             acc = acc.transpose(3, 1, 0, 2).reshape(h * L * c, S * c)

@@ -58,7 +58,8 @@ def main(argv=None) -> int:
                 print(rec.csv_row())
             if args.out:
                 Path(args.out).write_text(solution_csv(
-                    out.mesh, out.assembled.spec.components, out.solution))
+                    out.assembled.mesh, out.assembled.spec.components,
+                    out.solution))
             if args.export_mm:
                 for path in export_artifacts(out, args.export_mm):
                     print(f"wrote {path}", file=sys.stderr)

@@ -10,7 +10,10 @@ matrix and R_s the orthonormal rigid modes of a floating subdomain.  It
 is solved by projected preconditioned conjugate gradients with a coarse
 problem built from those rigid modes.  The interior block A_OO is
 factorized only for the Dirichlet preconditioner B_D S B_D^T, whose
-Schur complement S eliminates the interior unknowns.
+Schur complement S eliminates the interior unknowns.  Each subdomain's
+load f_s and solution u_s are one [inner | interface] vector from
+assembly to gather, where ``B`` checks the interface copies.  The dual
+iteration takes its stopping rule from the caller.
 
 A build reads the run's ``AssembledSystem`` (mesh, kernel, assembler,
 load moments, collar values ``g``) and ``Subdivision`` (nodes, windows,
@@ -112,8 +115,9 @@ class SubdomainSystem:
     """Weighted stiffness blocks and factorizations of one subdomain.
 
     Dof layout is [inner nodes | interface nodes] (each sorted by global
-    id, interleaved components for vector problems); constrained collar
-    values are already moved to the right-hand side.  ``pinned`` are the
+    id, interleaved components for vector problems), for the blocks, the
+    load ``f`` and the modes alike; constrained collar values are already
+    moved to ``f``.  ``pinned`` are the
     dofs pinned for the Neumann solve of a floating subdomain, none on
     any other (see ``_pin_dofs``).  Twins of one build hold the same block
     objects and ``_factors``.
@@ -126,8 +130,7 @@ class SubdomainSystem:
     A_OG: sp.csr_matrix
     A_GO: sp.csc_matrix  # A_OG^T, a view made once: .T is new per call
     A_GG: sp.csr_matrix
-    f_O: np.ndarray
-    f_G: np.ndarray
+    f: np.ndarray
     floating: bool
     modes: np.ndarray  # orthonormal rigid modes over (O, G) dofs; (n, m)
     pinned: np.ndarray = field(repr=False)
@@ -252,7 +255,6 @@ def assemble_subdomain(system: AssembledSystem, sub: Subdivision, k: int,
     inter = sub.interface_nodes[k]
     constrained = sub.constrained_nodes[k]
     kept = np.concatenate([inner, inter])
-    n_O = c * len(inner)
     cells = tuple(sub.windows[k])
     # a pair with no kept vertex reaches only constrained rows, which are
     # never kept: counted 0, so that it sets no two subdomains apart; the
@@ -283,7 +285,7 @@ def assemble_subdomain(system: AssembledSystem, sub: Subdivision, k: int,
     return SubdomainSystem(
         components=c, inner_nodes=inner, interface_nodes=inter,
         A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
-        f_O=load[:n_O] - A_OC @ gv, f_G=load[n_O:] - A_GC @ gv,
+        f=load - np.concatenate([A_OC @ gv, A_GC @ gv]),
         floating=floating, modes=modes, pinned=pinned, _factors=factors,
     )
 
@@ -305,8 +307,6 @@ class FetiSystem:
     GtG_factor: tuple        # scipy.linalg.cho_factor of G^T G
     d: np.ndarray
     e: np.ndarray
-    tol: float = 1e-10
-    maxit: int = 20_000
 
     # -- block operators over concatenated interface dofs -------------------
 
@@ -343,8 +343,7 @@ class FetiSystem:
         return BD @ self.schur_apply(BD.T @ r)
 
 
-def build_feti_system(system: AssembledSystem, sub: Subdivision,
-                      tol: float = 1e-10, maxit: int = 20_000) -> FetiSystem:
+def build_feti_system(system: AssembledSystem, sub: Subdivision) -> FetiSystem:
     """Assemble all subdomain systems of ``sub`` by the run's ``system``
     (see ``assemble_subdomain``) and the coarse problem.  No global
     matrix is built.
@@ -365,24 +364,23 @@ def build_feti_system(system: AssembledSystem, sub: Subdivision,
     subs = [assemble_subdomain(system, sub, k, table=table)
             for k in range(sub.K)]
     del table
-    loads = [np.concatenate([s.f_O, s.f_G]) for s in subs]
     # factorized on this thread, before the pool solves with them: the
     # factors made on a pool thread live in a malloc arena of their own,
     # which raised peak memory by 2-5 %
     for s in subs:
         s.fact_neumann()
     d = cs.B @ np.concatenate(_each_subdomain(
-        lambda s, fs: s.pinv_apply(fs)[s.n_O:], subs, loads))
+        lambda s: s.pinv_apply(s.f)[s.n_O:], subs))
     G = cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs], format="csr")
     Gt = G.T.tocsr()
     GtG = (Gt @ G).toarray()  # small: n_modes x n_modes
     if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
         raise SubdivisionError("coarse matrix G^T G is singular")
-    e = np.concatenate([s.modes.T @ fs for s, fs in zip(subs, loads)])
+    e = np.concatenate([s.modes.T @ s.f for s in subs])
     return FetiSystem(
         assembled=system, sub=sub, constraints=cs, subsystems=subs,
         G=G, Gt=Gt, GtG_factor=scipy.linalg.cho_factor(GtG, lower=True),
-        d=d, e=e, tol=tol, maxit=maxit,
+        d=d, e=e,
     )
 
 
@@ -390,14 +388,14 @@ def build_feti_system(system: AssembledSystem, sub: Subdivision,
 class FetiResult:
     lam: np.ndarray
     alpha: np.ndarray
-    u_interface: list[np.ndarray]
-    u_inner: list[np.ndarray]
+    u: list[np.ndarray]  # per subdomain, over its [O | G] dofs
     iterations: int
     trace: list[float]
 
 
-def feti_solve(system: FetiSystem) -> FetiResult:
-    """Run the projected-PCG dual iteration and recover all unknowns,
+def feti_solve(system: FetiSystem, tol: float, maxit: int) -> FetiResult:
+    """Run the projected-PCG dual iteration to the relative residual
+    ``tol`` within ``maxit`` iterations and recover all unknowns,
     u_s = K_s^+ (f_s - B_s^T lambda) - R_s alpha_s."""
     cs = system.constraints
     lam0 = system.G @ system.coarse_solve(system.e)
@@ -409,53 +407,48 @@ def feti_solve(system: FetiSystem) -> FetiResult:
     trace: list[float] = []
     lam, iters = projected_pcg(
         system.apply_F, system.apply_P, system.d, lam0,
-        apply_Minv=system.apply_Minv, tol=system.tol,
-        maxit=system.maxit, trace=trace,
+        apply_Minv=system.apply_Minv, trace=trace, tol=tol, maxit=maxit,
     )
     alpha = system.coarse_solve(system.Gt @ (system.d - system.apply_F(lam)))
     subs = system.subsystems
     counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
     u = _each_subdomain(
         lambda s, jump, a:
-            s.pinv_apply(np.concatenate([s.f_O, s.f_G - jump])) - s.modes @ a,
+            s.pinv_apply(s.f - np.concatenate([np.zeros(s.n_O), jump]))
+            - s.modes @ a,
         subs, system._split(cs.B.T @ lam), np.split(alpha, counts))
-    return FetiResult(lam=lam, alpha=alpha,
-                      u_interface=[w[s.n_O:] for s, w in zip(subs, u)],
-                      u_inner=[w[:s.n_O] for s, w in zip(subs, u)],
-                      iterations=iters, trace=trace)
+    return FetiResult(lam=lam, alpha=alpha, u=u, iterations=iters,
+                      trace=trace)
 
 
 def gather_solution(system: FetiSystem, result: FetiResult) -> np.ndarray:
     """Merge subdomain solutions into one global nodal coefficient
     vector (unknowns and constrained values).
 
-    Interface copies must agree to ``GATHER_TOL`` relative; the copy of
-    the lowest-index subdomain wins.  Raises ConsistencyError otherwise.
+    Every interface copy must agree to ``GATHER_TOL``, relative to the
+    largest entry of any subdomain solution, with the copy of the
+    lowest-index subdomain, which is the one ``B`` links it to and the
+    one that wins.  Raises ConsistencyError otherwise.
     """
     assembled = system.assembled
     c = assembled.spec.components
+    subs = system.subsystems
+    B = system.constraints.B
+    scale = max(np.abs(u).max(initial=1e-30) for u in result.u)
+    jumps = np.abs(B @ np.concatenate(
+        [u[s.n_O:] for s, u in zip(subs, result.u)])) / scale
+    if jumps.size and jumps.max() > GATHER_TOL:
+        row = int(np.argmax(jumps))
+        # both copies a row links carry the same dof
+        copy = B.indices[B.indptr[row]]
+        dofs = np.concatenate([_node_dofs(s.interface_nodes, c) for s in subs])
+        raise ConsistencyError(
+            f"interface copies disagree at dof {int(dofs[copy])} "
+            f"(relative difference {jumps[row]:.3e})")
     out = np.full(c * assembled.mesh.n_vertices, np.nan)
-    scale = max(
-        max((np.abs(u).max() for u in result.u_interface if u.size),
-            default=0.0),
-        max((np.abs(u).max() for u in result.u_inner if u.size), default=0.0),
-        1e-30,
-    )
-    # serial: cheap, and the lowest-index copy wins by writing last
-    for k in reversed(range(len(system.subsystems))):
-        s = system.subsystems[k]
-        for nodes, vals in ((s.inner_nodes, result.u_inner[k]),
-                            (s.interface_nodes, result.u_interface[k])):
-            dofs = _node_dofs(nodes, c)
-            prev = out[dofs]
-            seen = ~np.isnan(prev)
-            if np.any(seen):
-                diff = np.abs(prev[seen] - vals[seen]) / scale
-                if diff.max() > GATHER_TOL:
-                    bad = dofs[seen][int(np.argmax(diff))]
-                    raise ConsistencyError(
-                        f"interface copies disagree at dof {int(bad)} "
-                        f"(relative difference {diff.max():.3e})")
-            out[dofs] = vals
+    # the lowest-index copy wins by writing last
+    for s, u in zip(reversed(subs), reversed(result.u)):
+        out[_node_dofs(np.concatenate([s.inner_nodes, s.interface_nodes]),
+                       c)] = u
     out[assembled.collar_dofs] = assembled.g
     return out

@@ -152,16 +152,14 @@ def write_csv(path, records: list[RunRecord]) -> None:
 class SolveOutput:
     """Everything a single run produces."""
 
-    config: ExperimentConfig
     records: list[RunRecord]
     solution: np.ndarray            # full nodal coefficient vector
-    mesh: Mesh
     assembled: AssembledSystem
     feti_system: FetiSystem | None = None
 
 
-def baseline_cg_solve(assembled: AssembledSystem, tol: float = 1e-10,
-                      maxit: int = 20_000) -> tuple[np.ndarray, int, float]:
+def baseline_cg_solve(assembled: AssembledSystem, tol: float,
+                      maxit: int) -> tuple[np.ndarray, int, float]:
     """Jacobi-preconditioned CG on the reduced global system; returns
     the solution, the iteration count and the relative residual reached."""
     A = assembled.A
@@ -224,9 +222,8 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
         t0 = time.perf_counter()
         sub = build_subdivision(mesh, config.k1, config.k2,
                                 ball_norm=spec.ball_norm)
-        feti_system = build_feti_system(assembled, sub, tol=config.tol,
-                                        maxit=config.maxit)
-        result = feti_solve(feti_system)
+        feti_system = build_feti_system(assembled, sub)
+        result = feti_solve(feti_system, config.tol, config.maxit)
         full = gather_solution(feti_system, result)
         seconds = time.perf_counter() - t0
         err = _record_error(mesh, spec, full, prob.exact)
@@ -249,9 +246,8 @@ def run_single(config: ExperimentConfig, study: str | None = None) -> SolveOutpu
                 f"CG and FETI solutions differ by {diff:.3e} in relative "
                 f"energy norm, above {1e3 * config.tol:.1e}")
 
-    return SolveOutput(config=config, records=records, solution=solution,
-                       mesh=mesh, assembled=assembled,
-                       feti_system=feti_system)
+    return SolveOutput(records=records, solution=solution,
+                       assembled=assembled, feti_system=feti_system)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +355,8 @@ def export_artifacts(out: SolveOutput, directory) -> list[Path]:
         written.append(directory / "rhs.csv")
         if out.solution is not None:
             (directory / "solution.csv").write_text(
-                solution_csv(out.mesh, out.assembled.spec.components,
-                             out.solution))
+                solution_csv(out.assembled.mesh,
+                             out.assembled.spec.components, out.solution))
             written.append(directory / "solution.csv")
         if out.feti_system is not None:
             (directory / "subdivision.csv").write_text(

@@ -9,7 +9,8 @@ main (lower-left to upper-right) diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,6 @@ class Mesh:
     node_region: np.ndarray
     n: int
     delta: float
-    _barycenters: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def spacing(self) -> float:
@@ -72,11 +72,9 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    @property
+    @functools.cached_property
     def barycenters(self) -> np.ndarray:
-        if self._barycenters is None:
-            self._barycenters = self.vertices[self.elements].mean(axis=1)
-        return self._barycenters
+        return self.vertices[self.elements].mean(axis=1)
 
     @property
     def interior_nodes(self) -> np.ndarray:

@@ -85,8 +85,8 @@ def factorize(A: sp.spmatrix) -> Factorization:
 
 
 def projected_pcg(apply_F, apply_P, d: np.ndarray, lambda0: np.ndarray,
-                  apply_Minv, trace: list[float], tol: float = 1e-10,
-                  maxit: int = 10_000) -> tuple[np.ndarray, int]:
+                  apply_Minv, trace: list[float], tol: float,
+                  maxit: int) -> tuple[np.ndarray, int]:
     """Projected preconditioned CG for constrained dual problems.
 
     Solves ``P F lambda = P d`` starting from ``lambda0``, which must

@@ -95,16 +95,21 @@ def pair_counts(sub, k: int, nodes=None):
     return counts
 
 
-def pair_weights(sub, k: int):
-    """``(e1, e2) -> w``: the reciprocal number of subdomains holding
-    both elements where subdomain k holds both, 0 elsewhere."""
-    counts = pair_counts(sub, k)
+def reciprocals(counts):
+    """``(e1, e2) -> w``: the reciprocal of ``counts(e1, e2)``, 0 where
+    the count is 0."""
 
     def weights(e1, e2):
         n = counts(e1, e2)
         return np.divide(1.0, n, out=np.zeros(n.shape), where=n > 0)
 
     return weights
+
+
+def pair_weights(sub, k: int):
+    """``(e1, e2) -> w``: the reciprocal number of subdomains holding
+    both elements where subdomain k holds both, 0 elsewhere."""
+    return reciprocals(pair_counts(sub, k))
 
 
 def weight_grid(asm, pair_weights, cells=None) -> np.ndarray:

@@ -37,7 +37,7 @@ def _feti_unknowns(cache, family, n, delta, k1, k2):
                             ball_norm=spec.ball_norm)
     assembled = cache.system(family, n, delta)
     system = build_feti_system(assembled, sub)
-    result = feti_solve(system)
+    result = feti_solve(system, 1e-10, 20_000)
     full = gather_solution(system, result)
     return full[assembled.interior_dofs], system, result
 
@@ -83,7 +83,8 @@ def test_feti_equals_direct_solve_on_uneven_grids(family, n, ratio, k1, k2):
     assembled = assemble_global(mesh, spec, prob.forcing, prob.exact)
     sub = build_subdivision(mesh, k1, k2, ball_norm=spec.ball_norm)
     system = build_feti_system(assembled, sub)
-    u = gather_solution(system, feti_solve(system))[assembled.interior_dofs]
+    u = gather_solution(system, feti_solve(system, 1e-10, 20_000))
+    u = u[assembled.interior_dofs]
     A = assembled.A
     direct = spla.spsolve(A.tocsc(), assembled.rhs)
     e = u - direct
@@ -105,7 +106,7 @@ def test_fixed_horizon_convergence_rate(family, lo, hi, cache):
     errs = []
     for n in (32, 64, 128):
         assembled = cache.system(family, n, delta)
-        u, iters, _ = baseline_cg_solve(assembled, tol=1e-12)
+        u, iters, _ = baseline_cg_solve(assembled, tol=1e-12, maxit=20_000)
         assert iters > 0
         full = np.zeros(assembled.mesh.n_vertices * assembled.spec.components)
         full[assembled.interior_dofs] = u
@@ -137,7 +138,7 @@ def test_full_scale_error_spot_check(cache):
     family = "constant"
     prob = manufactured_problem(family)
     assembled = cache.system(family, n, delta)
-    u, iters, _ = baseline_cg_solve(assembled, tol=1e-12)
+    u, iters, _ = baseline_cg_solve(assembled, tol=1e-12, maxit=20_000)
     full = np.zeros(assembled.mesh.n_vertices)
     full[assembled.interior_dofs] = u
     full[assembled.collar_dofs] = assembled.g

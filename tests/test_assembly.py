@@ -19,7 +19,7 @@ from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
 from conftest import (assert_csr_bitwise, make_spec, n_G, pair_counts,
-                      pair_weights, refined_quadrature, weight_grid)
+                      reciprocals, refined_quadrature, weight_grid)
 
 
 def _pair_matrix(mesh, e1, e2, spec, quad):
@@ -179,43 +179,46 @@ def test_coordinate_patch_matches_patch_by_node_ids():
 
 
 def _unit_weights(e1, e2):
-    return np.ones(len(e1))
+    """Every pair counted once: weight 1."""
+    return np.ones(len(e1), np.uint8)
 
 
 def _mixed_weights(e1, e2):
-    """Symmetric and nonuniform; zero on a quarter of the pairs and, as
-    for a subdomain, on every pair with an element in the lowest cell row
-    or the leftmost cell column of the 6 x 6 cells of the n=4 mesh."""
+    """Pair counts in {0, 1, 2, 3}, so weights 0, 1, 1/2 and 1/3:
+    symmetric and nonuniform; zero on a quarter of the pairs and, as for
+    a subdomain, on every pair with an element in the lowest cell row or
+    the leftmost cell column of the 6 x 6 cells of the n=4 mesh."""
     cell1, cell2 = e1 // 2, e2 // 2
     outside = (cell1 < 6) | (cell2 < 6) | (cell1 % 6 == 0) | (cell2 % 6 == 0)
-    return np.where(outside, 0.0, ((e1 + e2) % 4) / 3.0)
+    return np.where(outside, 0, (e1 + e2) % 4).astype(np.uint8)
 
 
-@pytest.mark.parametrize("weights", [_unit_weights, _mixed_weights])
+@pytest.mark.parametrize("counts", [_unit_weights, _mixed_weights])
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
-def test_assemble_matches_pairwise_oracle(family, weights):
+def test_assemble_matches_pairwise_oracle(family, counts):
     """The class scatter over all mesh dofs, collar rows included, equals
-    a dense scatter of every interacting element pair."""
+    a dense scatter of every interacting element pair, weighted by the
+    reciprocal of its count."""
     mesh = build_structured_mesh(4, 0.25)
     spec = make_spec(family, 0.25)
-    oracle = _dense_oracle(mesh, spec, weights)
+    oracle = _dense_oracle(mesh, spec, reciprocals(counts))
     asm = Assembler(mesh, spec)
-    [[got]] = asm.assemble(None if weights is _unit_weights
-                           else weight_grid(asm, weights))
+    [[got]] = asm.assemble(None if counts is _unit_weights
+                           else weight_grid(asm, counts))
     assert got.has_sorted_indices
     assert np.abs(got.toarray() - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def _in_cells(cells, N):
-    """``pair_weights`` factor: 1 where both elements lie in the half-open
-    cell rectangle ``cells = (x0, x1, y0, y1)`` of an N x N cell mesh."""
+    """Pair count factor: 1 where both elements lie in the half-open cell
+    rectangle ``cells = (x0, x1, y0, y1)`` of an N x N cell mesh, else 0."""
     x0, x1, y0, y1 = cells
 
     def inside(e):
         cy, cx = np.divmod(e // 2, N)
         return (x0 <= cx) & (cx < x1) & (y0 <= cy) & (cy < y1)
 
-    return lambda e1, e2: (inside(e1) & inside(e2)).astype(float)
+    return lambda e1, e2: (inside(e1) & inside(e2)).astype(np.uint8)
 
 
 def _window_dofs(mesh, cells, c):
@@ -234,9 +237,9 @@ WINDOWS = {"interior": (1, 5, 1, 5), "corner": (0, 3, 0, 3),
            "collar_side": (0, 6, 2, 5), "narrow": (2, 3, 0, 6)}
 
 
-@pytest.mark.parametrize("weights", [_unit_weights, _mixed_weights])
+@pytest.mark.parametrize("counts", [_unit_weights, _mixed_weights])
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
-def test_window_rows_match_oracle_and_whole_mesh(family, weights):
+def test_window_rows_match_oracle_and_whole_mesh(family, counts):
     """A window's rows equal the dense scatter of the pairs inside it, and
     bitwise the same rows of the whole-mesh scatter of those pairs."""
     mesh = build_structured_mesh(4, 0.25)
@@ -247,13 +250,13 @@ def test_window_rows_match_oracle_and_whole_mesh(family, weights):
         inside = _in_cells(cells, mesh.cells_per_side)
 
         def masked(e1, e2):
-            return weights(e1, e2) * inside(e1, e2)
+            return counts(e1, e2) * inside(e1, e2)
 
         dofs = _window_dofs(mesh, cells, spec.components)
-        [[got]] = asm.assemble(None if weights is _unit_weights
-                               else weight_grid(asm, weights, cells),
+        [[got]] = asm.assemble(None if counts is _unit_weights
+                               else weight_grid(asm, counts, cells),
                                cells=cells)
-        oracle = _dense_oracle(mesh, spec, masked)[dofs]
+        oracle = _dense_oracle(mesh, spec, reciprocals(masked))[dofs]
         assert got.has_sorted_indices
         assert (np.abs(got.toarray() - oracle).max()
                 <= 1e-13 * np.abs(oracle).max())
@@ -282,12 +285,12 @@ def test_one_row_strips_change_no_byte(family, monkeypatch):
               sub.constrained_nodes[4])
     counts = sub.pair_counts(4, asm.classes())
     calls = [dict(), dict(rows=[mesh.interior_nodes]),
-             dict(weights=weight_grid(asm, pair_weights(sub, 4), cells),
+             dict(weights=weight_grid(asm, pair_counts(sub, 4), cells),
                   cells=cells),
              dict(weights=counts, cells=cells, rows=blocks[:2],
                   columns=blocks)]
     whole = [asm.assemble(**kw) for kw in calls]
-    Ct = asm._scatter_table()[0]
+    Ct = asm._scatter_table[0]
     # by default each call is one strip of all 13 x 13 node rows
     assert assembly._STRIP_ENTRIES >= max(Ct.shape) * 13 * 13
     monkeypatch.setattr(assembly, "_STRIP_ENTRIES", 1)
@@ -300,8 +303,7 @@ def test_grid_padded_around_the_rows_changes_no_byte(family, monkeypatch):
     """The weight grid is padded only around the node box of the rows
     asked for, not around the whole window: the rows come out byte-equal
     to the same rows of the whole window's scatter, with one strip or
-    one node row per strip, from a grid of weights or of the counts
-    whose reciprocals they are."""
+    one node row per strip, from a grid of pair counts."""
     mesh = build_structured_mesh(8, 0.25)
     spec = make_spec(family, 0.25)
     asm = Assembler(mesh, spec)
@@ -310,11 +312,9 @@ def test_grid_padded_around_the_rows_changes_no_byte(family, monkeypatch):
     cells = (2, 10, 1, 11)
     middle = np.array([5 * N1 + 6, 6 * N1 + 5, 6 * N1 + 7, 7 * N1 + 6])
     kept = [sub.inner_nodes[4], sub.interface_nodes[4]]
-    weights = weight_grid(asm, pair_weights(sub, 4), cells)
     counts = weight_grid(asm, pair_counts(sub, 4), cells)
     assert counts.dtype == np.uint8
     calls = [dict(rows=[mesh.interior_nodes]), dict(rows=[middle]),
-             dict(weights=weights, cells=cells, rows=kept),
              dict(weights=counts, cells=cells, rows=kept)]
     wants = []
     for kw in calls:
@@ -382,7 +382,7 @@ def test_rows_of_a_box_prefix_are_only_those_nodes(family):
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
 def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
     """Every subdomain block from its window equals, bitwise, the block
-    sliced out of the whole-mesh scatter of the subdomain's weights (3 x 4
+    sliced out of the whole-mesh scatter of the subdomain's counts (3 x 4
     has twelve subdomains, two bytes per membership row)."""
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
@@ -395,7 +395,7 @@ def test_subdomain_blocks_match_whole_mesh_scatter(family, k1, k2, cache):
         nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k],
                                 sub.constrained_nodes[k]])
         dofs = (c * nodes[:, None] + np.arange(c)[None, :]).ravel()
-        [[A]] = asm.assemble(weight_grid(asm, pair_weights(sub, k)))
+        [[A]] = asm.assemble(weight_grid(asm, pair_counts(sub, k)))
         A = A[dofs][:, dofs]
         O = np.arange(s.n_O)
         G = np.arange(s.n_O, s.n_O + n_G(s))
@@ -420,7 +420,7 @@ def test_assembly_working_set_is_bounded():
     spec = KernelSpec("constant", 0.125)
     prob = manufactured_problem("constant")
     asm = Assembler(mesh, spec)
-    asm._scatter_table()  # the class matrices are not assembly's
+    asm._scatter_table  # the class matrices are not assembly's
     sub = build_subdivision(mesh, 4, 4, ball_norm=spec.ball_norm)
     table, seen, twins = {}, set(), 0
     tracemalloc.start()
@@ -525,8 +525,7 @@ def test_dropping_zero_classes_leaves_matrices_bitwise(family):
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
-        assert np.array_equal(s1.f_O, s2.f_O)
-        assert np.array_equal(s1.f_G, s2.f_G)
+        assert np.array_equal(s1.f, s2.f)
 
 
 def _mesh_class(asm, key):

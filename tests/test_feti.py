@@ -29,7 +29,7 @@ from nlfeti.feti import (
     feti_solve,
     gather_solution,
 )
-from nlfeti.harness import ExperimentConfig
+from nlfeti.harness import ExperimentConfig, baseline_cg_solve
 from nlfeti.mesh import build_structured_mesh
 from nlfeti.problems import manufactured_problem
 from nlfeti.sparse_linalg import (SingularMatrixError, factorize,
@@ -39,6 +39,8 @@ from nlfeti.subdivision import (SubdivisionError, build_subdivision,
 
 from conftest import (assert_csr_bitwise, full_mesh_load, make_spec, n_G,
                       pair_weights, strip_to_owned)
+
+TOL, MAXIT = 1e-10, 20_000  # the ExperimentConfig defaults
 
 
 def _build(family, n, delta, k1, k2, cache):
@@ -132,7 +134,7 @@ def test_scaled_jump_operator_identity(cache):
 ])
 def test_feti_matches_direct_solve(family, n, delta, k1, k2, cache):
     system = _build(family, n, delta, k1, k2, cache)
-    result = feti_solve(system)
+    result = feti_solve(system, TOL, MAXIT)
     u = gather_solution(system, result)
     direct = cache.direct_solution(family, n, delta)
     dofs = system.assembled.interior_dofs
@@ -145,8 +147,9 @@ def _interior_solve(s, rhs):
 
 
 def _condensed_load(s):
-    """f_G - A_GO A_OO^-1 f_O."""
-    return s.f_G - s.A_OG.T @ _interior_solve(s, s.f_O)
+    """f_G - A_GO A_OO^-1 f_O, with f = [f_O | f_G]."""
+    f_O, f_G = s.f[:s.n_O], s.f[s.n_O:]
+    return f_G - s.A_OG.T @ _interior_solve(s, f_O)
 
 
 def _condensed_solve(system):
@@ -168,13 +171,13 @@ def _condensed_solve(system):
     lam, iters = projected_pcg(
         system.apply_F, lambda v: v - G @ np.linalg.solve(GtG, G.T @ v), d,
         G @ np.linalg.solve(GtG, e), apply_Minv=system.apply_Minv,
-        trace=[], tol=system.tol)
+        trace=[], tol=TOL, maxit=MAXIT)
     alpha = np.linalg.solve(GtG, G.T @ (d - system.apply_F(lam)))
     u_G = system._split(system.schur_pinv_apply(f_schur - cs.B.T @ lam)
                         - Z @ alpha)
-    u_O = [_interior_solve(s, s.f_O - s.A_OG @ u) for s, u in zip(subs, u_G)]
-    return FetiResult(lam=lam, alpha=alpha, u_interface=u_G, u_inner=u_O,
-                      iterations=iters, trace=[])
+    u = [np.concatenate([_interior_solve(s, s.f[:s.n_O] - s.A_OG @ u_s), u_s])
+         for s, u_s in zip(subs, u_G)]
+    return FetiResult(lam=lam, alpha=alpha, u=u, iterations=iters, trace=[])
 
 
 @pytest.mark.parametrize("family", ["constant", "peridynamic"])
@@ -191,7 +194,7 @@ def test_whole_vector_dual_matches_condensed_oracle(family, n, cache):
     assert (s.n_O > 0) == (n == 32)
     condensed = s.modes[s.n_O:].T @ _condensed_load(s)
     assert np.abs(system.e - condensed).max() <= 1e-12 * np.abs(system.e).max()
-    u = gather_solution(system, feti_solve(system))
+    u = gather_solution(system, feti_solve(system, TOL, MAXIT))
     oracle = gather_solution(system, _condensed_solve(system))
     assert np.abs(u - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
@@ -199,7 +202,7 @@ def test_whole_vector_dual_matches_condensed_oracle(family, n, cache):
 def test_single_subdomain_degenerates_to_direct(cache):
     system = _build("constant", 8, 0.25, 1, 1, cache)
     assert system.constraints.B.shape[0] == 0
-    result = feti_solve(system)
+    result = feti_solve(system, TOL, MAXIT)
     assert result.iterations == 0
     u = gather_solution(system, result)
     direct = cache.direct_solution("constant", 8, 0.25)
@@ -251,13 +254,38 @@ def test_energy_splitting_property(n, ratio, k1, k2, family):
 
 
 def test_gather_rejects_inconsistent_copies(cache):
+    """A corrupted interface copy is refused, and the error names its
+    dof."""
     system = _build("constant", 16, 0.125, 2, 2, cache)
-    result = feti_solve(system)
-    # corrupt one subdomain's copy of a shared interface value
-    result.u_interface[1] = result.u_interface[1].copy()
-    result.u_interface[1][0] += 1.0
-    with pytest.raises(ConsistencyError):
+    result = feti_solve(system, TOL, MAXIT)
+    s = system.subsystems[1]
+    # corrupt subdomain 1's copy of its first interface dof
+    result.u[1] = result.u[1].copy()
+    result.u[1][s.n_O] += 1.0
+    dof = _node_dofs(s.interface_nodes, system.assembled.spec.components)[0]
+    with pytest.raises(ConsistencyError, match=rf"at dof {dof} "):
         gather_solution(system, result)
+
+
+def test_gather_takes_the_lowest_index_copy(cache):
+    """A copy within ``GATHER_TOL`` of the copy of the lowest-index
+    subdomain holding its node is accepted, and the gathered value is the
+    lowest-index copy's."""
+    system = _build("constant", 16, 0.125, 2, 2, cache)
+    result = feti_solve(system, TOL, MAXIT)
+    subs = system.subsystems
+    s = subs[-1]
+    node = s.interface_nodes[0]
+    low = min(k for k, t in enumerate(subs) if node in t.interface_nodes)
+    assert low < len(subs) - 1
+    t = subs[low]
+    at = t.n_O + np.searchsorted(t.interface_nodes, node)
+    want = result.u[low][at]
+    scale = max(np.abs(u).max() for u in result.u)
+    result.u[-1] = result.u[-1].copy()
+    result.u[-1][s.n_O] += 0.5 * feti.GATHER_TOL * scale
+    assert result.u[-1][s.n_O] != want
+    assert gather_solution(system, result)[node] == want
 
 
 def test_empty_interior_schur_is_stiffness_block(cache):
@@ -347,7 +375,7 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
             components=1, inner_nodes=np.arange(nO),
             interface_nodes=np.arange(nO, n),
             A_OO=A[:nO, :nO], A_OG=A_OG, A_GO=A_OG.T, A_GG=A[nO:, nO:],
-            f_O=np.zeros(nO), f_G=np.zeros(n - nO),
+            f=np.zeros(n),
             floating=floating, modes=modes,
             pinned=(feti._pin_dofs(0, modes, np.arange(n), 1) if floating
                     else np.zeros(0, np.int64)))
@@ -361,7 +389,7 @@ def test_coarse_constraint_violation_has_its_own_error(cache):
     GtG = (system.G.T @ system.G).toarray()
     system.GtG_factor = scipy.linalg.cho_factor(2.0 * GtG, lower=True)
     with pytest.raises(CoarseConstraintError, match="coarse constraint"):
-        feti_solve(system)
+        feti_solve(system, TOL, MAXIT)
     assert not issubclass(CoarseConstraintError, SubdivisionError)
 
 
@@ -403,7 +431,7 @@ def test_coarse_matrix_is_factored_once_per_build(family, k, cache,
     nm = system.G.shape[1]
     assert calls == [(nm, nm)]
     assert nm == (0 if k == 1 else 1 if family == "constant" else 3)
-    feti_solve(system)
+    feti_solve(system, TOL, MAXIT)
     assert len(calls) == 1
 
 
@@ -413,8 +441,8 @@ def test_coarse_matrix_is_factored_once_per_build(family, k, cache,
 def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
     """Each subdomain's load, summed over the elements it holds, equals
     byte for byte the weighted sum over every mesh element.  With zero
-    constraint data the lift adds nothing, so f_O and f_G are the load's
-    inner and interface entries."""
+    constraint data the lift adds nothing, so f holds the load's inner,
+    then interface entries."""
     mesh = cache.mesh(16, 0.125)
     spec = make_spec(family, 0.125)
     asm = cache.assembler(family, 16, 0.125)
@@ -427,9 +455,8 @@ def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
     c = spec.components
     for k, s in enumerate(system.subsystems):
         want = full_mesh_load(asm, moments, sub, k)
-        assert s.f_O.tobytes() == want[_node_dofs(s.inner_nodes, c)].tobytes()
-        assert (s.f_G.tobytes()
-                == want[_node_dofs(s.interface_nodes, c)].tobytes())
+        nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
+        assert s.f.tobytes() == want[_node_dofs(nodes, c)].tobytes()
 
 
 def test_build_reads_the_constraint_values_of_the_global_system(cache):
@@ -454,15 +481,23 @@ def test_build_reads_the_constraint_values_of_the_global_system(cache):
     system = build_feti_system(assembled, sub)
     assert len(calls) == 1
     want = build_feti_system(cache.system("peridynamic", n, delta), sub)
-    assert (gather_solution(system, feti_solve(system)).tobytes()
-            == gather_solution(want, feti_solve(want)).tobytes())
+    assert (gather_solution(system, feti_solve(system, TOL, MAXIT)).tobytes()
+            == gather_solution(want, feti_solve(want, TOL, MAXIT)).tobytes())
 
 
-def test_iteration_cap_defaults_match_the_config():
-    cap = ExperimentConfig().maxit
-    assert FetiSystem.__dataclass_fields__["maxit"].default == cap
-    params = inspect.signature(build_feti_system).parameters
-    assert params["maxit"].default == cap
+def test_stopping_rule_comes_from_the_config_only():
+    """The run's ``ExperimentConfig`` is the one owner of the stopping
+    rule: the FETI system keeps no copy of it, and every solve takes it
+    with no default of its own."""
+    rule = {"tol", "maxit"}
+    assert not rule & set(FetiSystem.__dataclass_fields__)
+    assert not rule & set(inspect.signature(build_feti_system).parameters)
+    for solve in (feti_solve, projected_pcg, baseline_cg_solve):
+        params = inspect.signature(solve).parameters
+        assert all(params[name].default is inspect.Parameter.empty
+                   for name in rule)
+    config = ExperimentConfig()
+    assert (config.tol, config.maxit) == (TOL, MAXIT)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +507,12 @@ def test_iteration_cap_defaults_match_the_config():
 def _solve_bytes(family, k1, k2, cache):
     """Bytes of every array a FETI solve builds, plus its iteration count."""
     system = _build(family, 16, 0.125, k1, k2, cache)
-    result = feti_solve(system)
+    result = feti_solve(system, TOL, MAXIT)
     G = system.G
     arrays = [system.d, G.indptr, G.indices, G.data, system.e, result.lam,
               result.alpha, gather_solution(system, result)]
     for s in system.subsystems:
-        arrays += [s.f_O, s.f_G, s.modes]
+        arrays += [s.f, s.modes]
         arrays += [x for M in (s.A_OO, s.A_OG, s.A_GG)
                    for x in (M.indptr, M.indices, M.data)]
     return [a.tobytes() for a in arrays], result.iterations, system
@@ -517,7 +552,7 @@ def test_factorizations_run_on_the_calling_thread(cache, monkeypatch):
 
     monkeypatch.setattr(feti, "factorize", recording)
     system = _build("constant", 16, 0.125, 3, 3, cache)
-    feti_solve(system)
+    feti_solve(system, TOL, MAXIT)
     # a Neumann factor each, and an A_OO factor where there are inner dofs
     assert len(threads) == sum(1 + (s.n_O > 0) for s in system.subsystems)
     assert set(threads) == {threading.current_thread()}
@@ -551,7 +586,7 @@ def test_solves_stay_far_below_the_growth_bound(family, cache, monkeypatch):
 
     monkeypatch.setattr(sparse_linalg, "solve_growth", recording)
     for k in (2, 4):
-        feti_solve(_build(family, 16, 0.125, k, k, cache))
+        feti_solve(_build(family, 16, 0.125, k, k, cache), TOL, MAXIT)
     assert growths and max(growths) < 1e-4 * sparse_linalg.GROWTH_BOUND
 
 

@@ -79,7 +79,7 @@ def test_feti_solution_sets_every_collar_dof():
                                       k1=2, k2=2, solver="both"))
     sub, a = out.feti_system.sub, out.assembled
     held = np.unique(np.concatenate(sub.constrained_nodes))
-    assert len(held) < len(out.mesh.collar_nodes)
+    assert len(held) < len(out.assembled.mesh.collar_nodes)
     assert [r.solver for r in out.records] == ["cg", "feti"]
     assert not np.isnan(out.solution).any()
     cg = _full_vector(a, np.zeros(len(a.interior_dofs)))
@@ -174,7 +174,7 @@ def test_manufactured_solutions_satisfy_strong_operator():
 
 def test_baseline_cg_matches_direct(cache):
     assembled = cache.system("constant", 8, 0.25)
-    u, iters, res = baseline_cg_solve(assembled, tol=1e-12)
+    u, iters, res = baseline_cg_solve(assembled, tol=1e-12, maxit=20_000)
     direct = spla.spsolve(assembled.A.tocsc(), assembled.rhs)
     assert iters > 0
     assert np.abs(u - direct).max() <= 1e-9 * max(1.0, np.abs(direct).max())
@@ -233,7 +233,7 @@ def test_global_system_is_built_only_when_read(solver, assembler_calls):
     after the run, and the load moments are computed once per run."""
     out = run_single(ExperimentConfig(family="constant", delta=0.125, n=16,
                                       k1=2, k2=2, solver=solver))
-    N = out.mesh.cells_per_side
+    N = out.assembled.mesh.cells_per_side
     whole = [c for c in assembler_calls["assemble"]
              if c is None or tuple(c) == (0, N, 0, N)]
     assert len(whole) == (solver == "cg")

@@ -51,7 +51,7 @@ def _groups(system) -> list[list[int]]:
 
 
 def _solve(system):
-    result = feti_solve(system)
+    result = feti_solve(system, 1e-10, 20_000)
     return result.iterations, gather_solution(system, result)
 
 
@@ -75,7 +75,7 @@ def test_shared_build_matches_the_unshared_one(family, n, ratio, k1, k2,
     for a, b in zip(shared.subsystems, alone.subsystems):
         for name in ("A_OO", "A_OG", "A_GG"):
             assert_csr_bitwise(getattr(a, name), getattr(b, name))
-        for name in ("f_O", "f_G", "pinned", "modes"):
+        for name in ("f", "pinned", "modes"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     assert shared.d.tobytes() == alone.d.tobytes()
     alone_iters, alone_u = _solve(alone)

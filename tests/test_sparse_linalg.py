@@ -105,7 +105,7 @@ def test_cg_matches_direct_and_decreases_energy_error():
     # CG minimizes the A-norm error over growing Krylov spaces
     assert all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
 
-    x, it = cg(apply_A, b, tol=1e-12)
+    x, it = cg(apply_A, b, tol=1e-12, maxit=20_000)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert 0 < it <= n + 2
 
@@ -126,7 +126,7 @@ def test_cg_jacobi_preconditioning_reduces_iterations():
 
 
 def test_cg_zero_rhs_terminates_immediately():
-    x, it = cg(lambda v: 2.0 * v, np.zeros(5))
+    x, it = cg(lambda v: 2.0 * v, np.zeros(5), tol=1e-10, maxit=20_000)
     assert it == 0 and np.all(x == 0)
 
 
@@ -169,7 +169,7 @@ def test_projected_pcg_solves_kkt_system():
     trace = []
     lam, it = projected_pcg(
         lambda v: F @ v, lambda v: P @ v, d, lam0, apply_Minv=lambda r: r,
-        trace=trace, tol=1e-12,
+        trace=trace, tol=1e-12, maxit=20_000,
     )
     assert np.linalg.norm(lam - lam_star) <= 1e-8 * np.linalg.norm(lam_star)
     assert np.linalg.norm(G.T @ lam - e) <= 1e-9 * (1 + np.linalg.norm(e))
@@ -190,7 +190,8 @@ def test_projected_pcg_keeps_iterates_on_constraint():
         return r
 
     lam, _ = projected_pcg(lambda v: F @ v, lambda v: P @ v, d, lam0,
-                           apply_Minv=spy_Minv, trace=[], tol=1e-10)
+                           apply_Minv=spy_Minv, trace=[], tol=1e-10,
+                           maxit=20_000)
     assert np.linalg.norm(G.T @ lam - e) <= 1e-9 * (1 + np.linalg.norm(e))
 
 
