@@ -12,8 +12,10 @@ problem built from those rigid modes.  The interior block A_OO is
 factorized only for the Dirichlet preconditioner B_D S B_D^T, whose
 Schur complement S eliminates the interior unknowns.  Each subdomain's
 load f_s and solution u_s are one [inner | interface] vector from
-assembly to gather, where ``B`` checks the interface copies.  The dual
-iteration takes its stopping rule from the caller.
+assembly to gather, and ``B`` and ``B_D`` act on the concatenated
+whole vectors, so only ``SubdomainSystem.schur_apply`` reads where the
+interface starts.  The dual iteration takes its stopping rule from the
+caller.
 
 A build reads the run's ``AssembledSystem`` (mesh, kernel, assembler,
 load moments, collar values ``g``) and ``Subdivision`` (nodes, windows,
@@ -116,16 +118,13 @@ class SubdomainSystem:
 
     Dof layout is [inner nodes | interface nodes] (each sorted by global
     id, interleaved components for vector problems), for the blocks, the
-    load ``f`` and the modes alike; constrained collar values are already
-    moved to ``f``.  ``pinned`` are the
-    dofs pinned for the Neumann solve of a floating subdomain, none on
-    any other (see ``_pin_dofs``).  Twins of one build hold the same block
-    objects and ``_factors``.
+    load ``f`` and the modes alike, so the n_O rows of ``A_OO`` come
+    first; constrained collar values are already moved to ``f``.
+    ``pinned`` are the dofs pinned for the Neumann solve of a floating
+    subdomain, none on any other (see ``_pin_dofs``).  Twins of one build
+    hold the same block objects and ``_factors``.
     """
 
-    components: int
-    inner_nodes: np.ndarray
-    interface_nodes: np.ndarray
     A_OO: sp.csr_matrix
     A_OG: sp.csr_matrix
     A_GO: sp.csc_matrix  # A_OG^T, a view made once: .T is new per call
@@ -138,7 +137,7 @@ class SubdomainSystem:
 
     @property
     def n_O(self) -> int:
-        return self.components * len(self.inner_nodes)
+        return self.A_OO.shape[0]
 
     def fact_OO(self) -> Factorization | None:
         if self.n_O == 0:
@@ -156,7 +155,7 @@ class SubdomainSystem:
     def _neumann_matrix(self) -> sp.csc_matrix:
         """The full matrix; on a floating subdomain the pinned rows and
         columns are replaced by those of the identity: their entries are
-        dropped in place and the ones put in by one copy."""
+        dropped in place and the ones added by one sparse sum."""
         A = self.full_matrix()
         if not self.floating:
             return A
@@ -167,13 +166,7 @@ class SubdomainSystem:
         A.data[pinned[A.indices] | pinned[col]] = 0.0
         del col
         A.eliminate_zeros()
-        # each pinned column is empty now and takes its 1
-        pins = np.sort(self.pinned)
-        at = A.indptr[pins]
-        indptr = A.indptr + np.searchsorted(pins, np.arange(n + 1))
-        return sp.csc_matrix((np.insert(A.data, at, 1.0),
-                              np.insert(A.indices, at, pins), indptr),
-                             shape=(n, n))
+        return A + sp.diags(pinned.astype(float), format="csc")
 
     def fact_neumann(self) -> Factorization:
         if self._factors.neumann is None:
@@ -183,11 +176,15 @@ class SubdomainSystem:
     # -- operators ---------------------------------------------------------
 
     def schur_apply(self, v: np.ndarray) -> np.ndarray:
-        """S v = A_GG v - A_OG^T solve(A_OO, A_OG v)."""
-        out = self.A_GG @ v
-        if self.n_O:
-            out = out - self.A_GO @ self.fact_OO().solve(self.A_OG @ v)
-        return out
+        """[0 | S v_G] for the [O | G] vector v = [v_O | v_G], with
+        S v_G = A_GG v_G - A_OG^T solve(A_OO, A_OG v_G): the Schur
+        complement on the interface part, v_O unread."""
+        n_O = self.n_O
+        v_G = v[n_O:]
+        out = self.A_GG @ v_G
+        if n_O:
+            out = out - self.A_GO @ self.fact_OO().solve(self.A_OG @ v_G)
+        return np.concatenate([np.zeros(n_O), out])
 
     def pinv_apply(self, f: np.ndarray) -> np.ndarray:
         """A generalized inverse of the full subdomain matrix applied to
@@ -205,12 +202,6 @@ class SubdomainSystem:
         rhs[self.pinned] = 0.0
         w = fact.solve(rhs)
         return w - self.modes @ (self.modes.T @ w)
-
-    def schur_pinv_apply(self, v: np.ndarray) -> np.ndarray:
-        """A generalized inverse of the Schur complement applied to the
-        interface vector v."""
-        w = self.pinv_apply(np.concatenate([np.zeros(self.n_O), v]))
-        return w[self.n_O:]
 
 
 def _local_key(mesh: Mesh, cells, nodes, pinned: np.ndarray,
@@ -283,7 +274,6 @@ def assemble_subdomain(system: AssembledSystem, sub: Subdivision, k: int,
     gv = system.g[np.searchsorted(system.collar_dofs,
                                   _node_dofs(constrained, c))]
     return SubdomainSystem(
-        components=c, inner_nodes=inner, interface_nodes=inter,
         A_OO=A_OO, A_OG=A_OG, A_GO=A_GO, A_GG=A_GG,
         f=load - np.concatenate([A_OC @ gv, A_GC @ gv]),
         floating=floating, modes=modes, pinned=pinned, _factors=factors,
@@ -308,28 +298,22 @@ class FetiSystem:
     d: np.ndarray
     e: np.ndarray
 
-    # -- block operators over concatenated interface dofs -------------------
+    # -- dual operators over the concatenated whole subdomain vectors --------
 
     def _split(self, v: np.ndarray) -> list[np.ndarray]:
-        off = self.constraints.offsets
-        return [v[off[k]:off[k + 1]] for k in range(len(self.subsystems))]
+        return np.split(v, self.constraints.offsets[1:-1])
 
-    def schur_apply(self, v: np.ndarray) -> np.ndarray:
-        if not v.size:
-            return v
-        for s in self.subsystems:  # on this thread: see build_feti_system
-            s.fact_OO()
-        return np.concatenate(_each_subdomain(
-            SubdomainSystem.schur_apply, self.subsystems, self._split(v)))
-
-    def schur_pinv_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate(_each_subdomain(
-            SubdomainSystem.schur_pinv_apply, self.subsystems, self._split(v))
-        ) if v.size else v
+    def _sweep(self, fn, v: np.ndarray) -> np.ndarray:
+        """concat_s fn(s, v_s) over the subdomains, on the pool."""
+        return np.concatenate(_each_subdomain(fn, self.subsystems,
+                                              self._split(v)))
 
     def apply_F(self, lam: np.ndarray) -> np.ndarray:
+        """B K^+ B^T lam; with no multiplier, lam itself and no sweep."""
+        if not lam.size:
+            return lam
         B = self.constraints.B
-        return B @ self.schur_pinv_apply(B.T @ lam)
+        return B @ self._sweep(SubdomainSystem.pinv_apply, B.T @ lam)
 
     def coarse_solve(self, b: np.ndarray) -> np.ndarray:
         """(G^T G)^-1 b."""
@@ -339,8 +323,13 @@ class FetiSystem:
         return lam - self.G @ self.coarse_solve(self.Gt @ lam)
 
     def apply_Minv(self, r: np.ndarray) -> np.ndarray:
+        """B_D S B_D^T r; with no multiplier, r itself and no factor."""
+        if not r.size:
+            return r
+        for s in self.subsystems:  # on this thread: see build_feti_system
+            s.fact_OO()
         BD = self.constraints.B_D
-        return BD @ self.schur_apply(BD.T @ r)
+        return BD @ self._sweep(SubdomainSystem.schur_apply, BD.T @ r)
 
 
 def build_feti_system(system: AssembledSystem, sub: Subdivision) -> FetiSystem:
@@ -349,7 +338,7 @@ def build_feti_system(system: AssembledSystem, sub: Subdivision) -> FetiSystem:
     matrix is built.
 
     With K_s^+ = ``pinv_apply`` and R_s = ``modes`` of subdomain s,
-    d = B concat_s (K_s^+ f_s)_G, G = B blockdiag_s (R_s)_G and
+    d = B concat_s (K_s^+ f_s), G = B blockdiag_s (R_s) and
     e = concat_s R_s^T f_s.  G stays sparse; G^T G is factored once, here,
     for every coarse solve of the system.
 
@@ -370,8 +359,8 @@ def build_feti_system(system: AssembledSystem, sub: Subdivision) -> FetiSystem:
     for s in subs:
         s.fact_neumann()
     d = cs.B @ np.concatenate(_each_subdomain(
-        lambda s: s.pinv_apply(s.f)[s.n_O:], subs))
-    G = cs.B @ sp.block_diag([s.modes[s.n_O:] for s in subs], format="csr")
+        lambda s: s.pinv_apply(s.f), subs))
+    G = cs.B @ sp.block_diag([s.modes for s in subs], format="csr")
     Gt = G.T.tocsr()
     GtG = (Gt @ G).toarray()  # small: n_modes x n_modes
     if G.shape[1] and np.linalg.matrix_rank(GtG) < G.shape[1]:
@@ -413,9 +402,7 @@ def feti_solve(system: FetiSystem, tol: float, maxit: int) -> FetiResult:
     subs = system.subsystems
     counts = np.cumsum([s.modes.shape[1] for s in subs])[:-1]
     u = _each_subdomain(
-        lambda s, jump, a:
-            s.pinv_apply(s.f - np.concatenate([np.zeros(s.n_O), jump]))
-            - s.modes @ a,
+        lambda s, jump, a: s.pinv_apply(s.f - jump) - s.modes @ a,
         subs, system._split(cs.B.T @ lam), np.split(alpha, counts))
     return FetiResult(lam=lam, alpha=alpha, u=u, iterations=iters,
                       trace=trace)
@@ -428,27 +415,28 @@ def gather_solution(system: FetiSystem, result: FetiResult) -> np.ndarray:
     Every interface copy must agree to ``GATHER_TOL``, relative to the
     largest entry of any subdomain solution, with the copy of the
     lowest-index subdomain, which is the one ``B`` links it to and the
-    one that wins.  Raises ConsistencyError otherwise.
+    one that is written.  Raises ConsistencyError otherwise.
     """
     assembled = system.assembled
     c = assembled.spec.components
-    subs = system.subsystems
+    sub = system.sub
     B = system.constraints.B
-    scale = max(np.abs(u).max(initial=1e-30) for u in result.u)
-    jumps = np.abs(B @ np.concatenate(
-        [u[s.n_O:] for s, u in zip(subs, result.u)])) / scale
+    u = np.concatenate(result.u)
+    # the global dof of each entry of u
+    dofs = _node_dofs(np.concatenate(
+        [nodes for k in range(sub.K)
+         for nodes in (sub.inner_nodes[k], sub.interface_nodes[k])]), c)
+    jumps = np.abs(B @ u) / np.abs(u).max(initial=1e-30)
     if jumps.size and jumps.max() > GATHER_TOL:
         row = int(np.argmax(jumps))
         # both copies a row links carry the same dof
-        copy = B.indices[B.indptr[row]]
-        dofs = np.concatenate([_node_dofs(s.interface_nodes, c) for s in subs])
         raise ConsistencyError(
-            f"interface copies disagree at dof {int(dofs[copy])} "
+            f"interface copies disagree at dof "
+            f"{int(dofs[B.indices[B.indptr[row]]])} "
             f"(relative difference {jumps[row]:.3e})")
     out = np.full(c * assembled.mesh.n_vertices, np.nan)
-    # the lowest-index copy wins by writing last
-    for s, u in zip(reversed(subs), reversed(result.u)):
-        out[_node_dofs(np.concatenate([s.inner_nodes, s.interface_nodes]),
-                       c)] = u
+    # u's first copy of a dof is the lowest-index subdomain's
+    first = np.unique(dofs, return_index=True)[1]
+    out[dofs[first]] = u[first]
     out[assembled.collar_dofs] = assembled.g
     return out

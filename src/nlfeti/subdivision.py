@@ -16,7 +16,8 @@ Coverage is checked on the pairs the assembler weights, per class of
 ``geometry.interacting_classes``; the check and the pair counts read a
 class's pairs off cell planes by ``geometry.class_grids``, so no list of
 pairs is formed.  The module also builds the interface constraint matrix
-and its multiplicity scaling used by the FETI solver, from one
+and its multiplicity scaling used by the FETI solver, over the
+concatenated [inner | interface] vectors of the subdomains, from one
 node-sorted table of all interface copies and one scaled block per
 multiplicity, and the rigid modes of a node set.
 """
@@ -318,9 +319,11 @@ def verify_coverage(sub: Subdivision, *, ball_norm: str) -> None:
 class ConstraintSet:
     """Interface continuity constraints and their scaled variants.
 
-    ``B`` acts on the concatenation of per-subdomain interface dofs
-    (offsets in ``offsets``); every row links the copy of one physical
-    dof held by the lowest-index subdomain to exactly one other copy.
+    ``B`` acts on the concatenation of the whole subdomain vectors, each
+    over the dofs of its [inner | interface] nodes (subdomain k from
+    ``offsets[k]`` to ``offsets[k + 1]``); its inner-dof columns are
+    empty.  Every row links the copy of one physical dof held by the
+    lowest-index subdomain to exactly one other copy.
     ``B_D = (B D^-1 B^T)^-1 B D^-1`` with D the diagonal multiplicity
     scaling, the number of copies of each dof.
     """
@@ -359,7 +362,7 @@ def _scaled_block(node: int, m: int) -> np.ndarray:
 
 def build_constraints(sub: Subdivision,
                       dof_multiplicity: int = 1) -> ConstraintSet:
-    """Build B and B_D over the concatenated interface dofs.
+    """Build B and B_D over the concatenated [inner | interface] dofs.
 
     For a physical node held by m subdomains the chain anchored at the
     lowest subdomain index contributes m - 1 rows per dof component,
@@ -368,12 +371,15 @@ def build_constraints(sub: Subdivision,
     m, so B_D is read off one exactly factorized block per multiplicity.
     """
     c = dof_multiplicity
+    inner = np.array([len(o) for o in sub.inner_nodes])
     sizes = np.array([len(g) for g in sub.interface_nodes])
-    offsets = np.concatenate([[0], np.cumsum(c * sizes)])
+    offsets = np.concatenate([[0], np.cumsum(c * (inner + sizes))])
     total = int(offsets[-1])
     copies = np.concatenate(sub.interface_nodes)
+    # copy i of the concatenated interface lists is node slot[i] of the
+    # concatenated [inner | interface] lists, with dofs from c slot[i]
+    slot = np.arange(len(copies)) + np.repeat(np.cumsum(inner), sizes)
 
-    # Copy i of the concatenated interface lists holds dofs c i .. c i + c-1.
     # Sorted stably by node, the copies of a node follow in subdomain
     # order, the anchor first.
     order = np.argsort(copies, kind="stable")
@@ -394,7 +400,7 @@ def build_constraints(sub: Subdivision,
     # row0 + component (m - 1) + j - 1, row0 the first row of its node
     row0 = c * (np.cumsum(mult - 1) - (mult - 1))
     row = (row0[group] + rank - 1)[:, None] + (m - 1)[:, None] * comp
-    dof = c * order[:, None] + comp
+    dof = c * slot[order][:, None] + comp
     link = np.flatnonzero(rank > 0)
     M_C = len(link) * c
     B = sp.csr_matrix(

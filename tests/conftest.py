@@ -133,7 +133,8 @@ def weight_grid(asm, pair_weights, cells=None) -> np.ndarray:
 
 
 def n_G(s) -> int:
-    return s.components * len(s.interface_nodes)
+    """Number of interface dofs of a subdomain system."""
+    return s.A_GG.shape[0]
 
 
 def full_mesh_load(asm, moments, sub, k: int) -> np.ndarray:

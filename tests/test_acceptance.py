@@ -250,10 +250,11 @@ def test_invariant_suite(family, n, ratio, k1, k2, cache):
         if s.floating:
             A = s.full_matrix()
             assert np.abs(A @ s.modes).max() <= 1e-9 * abs(A).max()
-            # S S+ S = S to 1e-8, checked on random vectors
-            v = rng.standard_normal(n_G(s))
+            # S S+ S = S to 1e-8, checked on random vectors; S^+ v is
+            # pinv_apply([0 | v])_G, and schur_apply returns [0 | S v_G]
+            v = rng.standard_normal(s.n_O + n_G(s))
             Sv = s.schur_apply(v)
-            back = s.schur_apply(s.schur_pinv_apply(Sv))
+            back = s.schur_apply(s.pinv_apply(Sv))
             assert np.abs(back - Sv).max() <= 1e-8 * max(
                 1.0, np.abs(Sv).max())
 

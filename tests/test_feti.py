@@ -60,8 +60,8 @@ def _local_to_global(system, k):
     """Global unknown-dof indices for subdomain k's [inner|interface]."""
     mesh, c = system.assembled.mesh, system.assembled.spec.components
     lut = _global_dof_map(mesh, c)
-    s = system.subsystems[k]
-    nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
+    sub = system.sub
+    nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k]])
     pos = np.array([lut[int(nd)] for nd in nodes])
     return (c * pos[:, None] + np.arange(c)[None, :]).ravel()
 
@@ -74,8 +74,9 @@ def test_schur_apply_matches_dense_oracle(cache):
         if s.n_O:
             S = S - s.A_OG.T.toarray() @ np.linalg.solve(
                 s.A_OO.toarray(), s.A_OG.toarray())
-        v = rng.standard_normal(n_G(s))
-        assert np.allclose(s.schur_apply(v), S @ v,
+        v = rng.standard_normal(s.n_O + n_G(s))
+        want = np.concatenate([np.zeros(s.n_O), S @ v[s.n_O:]])
+        assert np.allclose(s.schur_apply(v), want,
                            atol=1e-10 * abs(S).max())
 
 
@@ -87,10 +88,13 @@ def test_floating_schur_pseudoinverse(cache):
     # The full matrix annihilates the rigid modes.
     A = s.full_matrix()
     assert np.abs(A @ s.modes).max() <= 1e-10 * abs(A).max()
-    # S S^+ S = S column by column.
-    nG = n_G(s)
-    S = np.column_stack([s.schur_apply(np.eye(nG)[:, j]) for j in range(nG)])
-    SpS = np.column_stack([s.schur_pinv_apply(S[:, j]) for j in range(nG)])
+    # S S^+ S = S column by column, with S^+ v = pinv_apply([0 | v])_G;
+    # schur_apply returns [0 | S v_G].
+    n_O = s.n_O
+    unit = np.eye(n_O + n_G(s))[n_O:]  # the unit vectors of the G dofs
+    S = np.column_stack([s.schur_apply(e)[n_O:] for e in unit])
+    SpS = np.column_stack([s.pinv_apply(s.schur_apply(e))[n_O:]
+                           for e in unit])
     assert np.allclose(S @ SpS, S, atol=1e-8 * abs(S).max())
 
 
@@ -154,27 +158,43 @@ def _condensed_load(s):
 
 def _condensed_solve(system):
     """The condensed dual solve that the whole-vector one replaced, kept
-    as an oracle: Schur-condensed loads, rigid modes orthonormal over
-    each floating subdomain's interface dofs only (Z), and interior
-    unknowns by back-substitution."""
-    cs, subs = system.constraints, system.subsystems
+    as an oracle: Schur-condensed loads, multipliers on the concatenated
+    interface dofs only (the interface columns of B), rigid modes
+    orthonormal over each floating subdomain's interface dofs only (Z),
+    S_s^+ v = (K_s^+ [0 | v])_G, and interior unknowns by
+    back-substitution."""
+    cs, subs, sub = system.constraints, system.subsystems, system.sub
     mesh, c = system.assembled.mesh, system.assembled.spec.components
+    B = cs.B[:, np.concatenate([np.arange(cs.offsets[k] + s.n_O,
+                                          cs.offsets[k + 1])
+                                for k, s in enumerate(subs)])]
+    ends = np.cumsum([n_G(s) for s in subs])[:-1]
+
+    def schur_pinv(v):
+        return np.concatenate([
+            s.pinv_apply(np.concatenate([np.zeros(s.n_O), w]))[s.n_O:]
+            for s, w in zip(subs, np.split(v, ends))])
+
     f_schur = np.concatenate([_condensed_load(s) for s in subs])
     Z = sp.block_diag(
-        [rigid_modes(mesh.vertices[s.interface_nodes], c)
-         if s.floating else np.zeros((n_G(s), 0)) for s in subs],
+        [rigid_modes(mesh.vertices[sub.interface_nodes[k]], c)
+         if s.floating else np.zeros((n_G(s), 0))
+         for k, s in enumerate(subs)],
         format="csr")
-    G = (cs.B @ Z).toarray()
+    G = (B @ Z).toarray()
     GtG = G.T @ G
     e = Z.T @ f_schur
-    d = cs.B @ system.schur_pinv_apply(f_schur)
+    d = B @ schur_pinv(f_schur)
+
+    def apply_F(lam):
+        return B @ schur_pinv(B.T @ lam)
+
     lam, iters = projected_pcg(
-        system.apply_F, lambda v: v - G @ np.linalg.solve(GtG, G.T @ v), d,
+        apply_F, lambda v: v - G @ np.linalg.solve(GtG, G.T @ v), d,
         G @ np.linalg.solve(GtG, e), apply_Minv=system.apply_Minv,
         trace=[], tol=TOL, maxit=MAXIT)
-    alpha = np.linalg.solve(GtG, G.T @ (d - system.apply_F(lam)))
-    u_G = system._split(system.schur_pinv_apply(f_schur - cs.B.T @ lam)
-                        - Z @ alpha)
+    alpha = np.linalg.solve(GtG, G.T @ (d - apply_F(lam)))
+    u_G = np.split(schur_pinv(f_schur - B.T @ lam) - Z @ alpha, ends)
     u = [np.concatenate([_interior_solve(s, s.f[:s.n_O] - s.A_OG @ u_s), u_s])
          for s, u_s in zip(subs, u_G)]
     return FetiResult(lam=lam, alpha=alpha, u=u, iterations=iters, trace=[])
@@ -207,6 +227,34 @@ def test_single_subdomain_degenerates_to_direct(cache):
     u = gather_solution(system, result)
     direct = cache.direct_solution("constant", 8, 0.25)
     assert np.abs(u[system.assembled.interior_dofs] - direct).max() <= 1e-9
+
+
+def test_single_subdomain_factors_once_and_sweeps_nothing(cache,
+                                                         monkeypatch):
+    """A 1 x 1 solve has no multiplier: it makes the Neumann factor only,
+    never the A_OO one, and apply_F and apply_Minv return the empty
+    vector without a subdomain sweep."""
+    calls, real = [], feti.factorize
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(feti, "factorize", counted)
+    system = _build("constant", 8, 0.25, 1, 1, cache)
+    feti_solve(system, TOL, MAXIT)
+    [s] = system.subsystems
+    assert s.n_O > 0
+    assert len(calls) == 1
+    assert s._factors.OO is None and s._factors.neumann is not None
+
+    def no_sweep(fn, *seqs):
+        raise AssertionError("the subdomains were swept")
+
+    monkeypatch.setattr(feti, "_each_subdomain", no_sweep)
+    for apply in (system.apply_F, system.apply_Minv):
+        assert apply(np.zeros(0)).shape == (0,)
+    assert len(calls) == 1
 
 
 def test_energy_partition_is_exact(cache):
@@ -244,7 +292,7 @@ def test_energy_splitting_property(n, ratio, k1, k2, family):
     total = sp.csr_matrix(A.shape)
     for k in range(sub.K):
         s = assemble_subdomain(system, sub, k)
-        nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
+        nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k]])
         pos = np.searchsorted(mesh.interior_nodes, nodes)
         dofs = (c * pos[:, None] + np.arange(c)[None, :]).ravel()
         R = sp.csr_matrix((np.ones(len(dofs)), (np.arange(len(dofs)), dofs)),
@@ -262,7 +310,8 @@ def test_gather_rejects_inconsistent_copies(cache):
     # corrupt subdomain 1's copy of its first interface dof
     result.u[1] = result.u[1].copy()
     result.u[1][s.n_O] += 1.0
-    dof = _node_dofs(s.interface_nodes, system.assembled.spec.components)[0]
+    dof = _node_dofs(system.sub.interface_nodes[1],
+                     system.assembled.spec.components)[0]
     with pytest.raises(ConsistencyError, match=rf"at dof {dof} "):
         gather_solution(system, result)
 
@@ -273,13 +322,12 @@ def test_gather_takes_the_lowest_index_copy(cache):
     lowest-index copy's."""
     system = _build("constant", 16, 0.125, 2, 2, cache)
     result = feti_solve(system, TOL, MAXIT)
-    subs = system.subsystems
+    subs, interface = system.subsystems, system.sub.interface_nodes
     s = subs[-1]
-    node = s.interface_nodes[0]
-    low = min(k for k, t in enumerate(subs) if node in t.interface_nodes)
+    node = interface[-1][0]
+    low = min(k for k, nodes in enumerate(interface) if node in nodes)
     assert low < len(subs) - 1
-    t = subs[low]
-    at = t.n_O + np.searchsorted(t.interface_nodes, node)
+    at = subs[low].n_O + np.searchsorted(interface[low], node)
     want = result.u[low][at]
     scale = max(np.abs(u).max() for u in result.u)
     result.u[-1] = result.u[-1].copy()
@@ -372,8 +420,6 @@ def test_neumann_matrix_matches_lil_edit_on_random_spd():
         modes = np.full((n, 1 if floating else 0), n ** -0.5)
         A_OG = A[:nO, nO:]
         s = SubdomainSystem(
-            components=1, inner_nodes=np.arange(nO),
-            interface_nodes=np.arange(nO, n),
             A_OO=A[:nO, :nO], A_OG=A_OG, A_GO=A_OG.T, A_GG=A[nO:, nO:],
             f=np.zeros(n),
             floating=floating, modes=modes,
@@ -455,7 +501,7 @@ def test_subdomain_loads_equal_the_full_mesh_sum(family, k1, k2, cache):
     c = spec.components
     for k, s in enumerate(system.subsystems):
         want = full_mesh_load(asm, moments, sub, k)
-        nodes = np.concatenate([s.inner_nodes, s.interface_nodes])
+        nodes = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k]])
         assert s.f.tobytes() == want[_node_dofs(nodes, c)].tobytes()
 
 

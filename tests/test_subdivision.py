@@ -88,9 +88,11 @@ def bfs_extension(mesh, owner, delta, ball_norm):
 
 
 def loop_constraints(sub, c):
-    """B, B_D and offsets, one interface node at a time, each node's
-    block factorized on its own."""
-    sizes = np.array([len(g) for g in sub.interface_nodes])
+    """B, B_D and offsets over the concatenated [inner | interface] dofs,
+    one interface node at a time, each node's block factorized on its
+    own."""
+    sizes = np.array([len(o) + len(g) for o, g in
+                      zip(sub.inner_nodes, sub.interface_nodes)])
     offsets = np.concatenate([[0], np.cumsum(c * sizes)])
     total = int(offsets[-1])
     pos = [dict(zip(g.tolist(), range(len(g)))) for g in sub.interface_nodes]
@@ -105,7 +107,8 @@ def loop_constraints(sub, c):
         ks = node_subs[node]
         m = len(ks)
         zinv = 1.0 / float(m)
-        dofs = [offsets[k] + c * pos[k][node] for k in ks]
+        dofs = [offsets[k] + c * (len(sub.inner_nodes[k]) + pos[k][node])
+                for k in ks]
         for comp in range(c):
             for j in range(1, m):
                 r = row + j - 1
@@ -628,12 +631,12 @@ def test_constraints_annihilate_consistent_vectors(c):
     sub = build_subdivision(mesh, 2, 2, ball_norm="l2")
     cons = build_constraints(sub, dof_multiplicity=c)
     rng = np.random.default_rng(1)
-    # A globally consistent interface vector (same physical value in every
+    # A globally consistent vector (same physical value in every
     # subdomain copy) lies in the null space of B.
     glob = rng.standard_normal(c * mesh.n_vertices)
     parts = []
     for k in range(sub.K):
-        g = sub.interface_nodes[k]
+        g = np.concatenate([sub.inner_nodes[k], sub.interface_nodes[k]])
         idx = (c * g[:, None] + np.arange(c)[None, :]).ravel()
         parts.append(glob[idx])
     v = np.concatenate(parts)
@@ -653,9 +656,11 @@ def test_scaled_constraints_are_left_inverse(c):
     M = (cons.B_D @ cons.B.T).toarray()
     assert np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-12
     # B_D is exactly (B D^-1 B^T)^-1 B D^-1, D the multiplicity of each
-    # interface dof.
-    _, copy, zeta = np.unique(np.concatenate(sub.interface_nodes),
-                              return_inverse=True, return_counts=True)
+    # dof, 1 on the inner ones.
+    _, copy, zeta = np.unique(
+        np.concatenate([nodes for k in range(sub.K) for nodes in
+                        (sub.inner_nodes[k], sub.interface_nodes[k])]),
+        return_inverse=True, return_counts=True)
     BDinv = cons.B @ sp.diags(1.0 / np.repeat(zeta[copy].astype(float), c))
     blk = (BDinv @ cons.B.T).toarray()
     expect = np.linalg.solve(blk, BDinv.toarray())
@@ -688,8 +693,10 @@ def test_rigid_modes_orthonormal_blocks(c, cache):
         assert support.size and np.isin(support, rows).all()
     if c == 2:
         # The floating block spans translations and the rotation.
-        s = system.subsystems[int(np.flatnonzero(sub.floating)[0])]
-        xy = mesh.vertices[np.concatenate([s.inner_nodes, s.interface_nodes])]
+        k = int(np.flatnonzero(sub.floating)[0])
+        s = system.subsystems[k]
+        xy = mesh.vertices[np.concatenate([sub.inner_nodes[k],
+                                           sub.interface_nodes[k]])]
         ctr = xy.mean(axis=0)
         modes = np.zeros((2 * len(xy), 3))
         modes[0::2, 0] = 1.0
