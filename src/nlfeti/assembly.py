@@ -66,10 +66,13 @@ for the touching pairs: the hat differences are affine in the radius and
 the kernel is homogeneous, so three radial moments and one kernel value
 per direction give it.  For the max-norm ball of the constant kernel the
 inner element is clipped against the square around each outer point,
-which is exact for that ball.  So each ball norm has one inner rule,
-chosen by the kernel.  The kernel contraction of every pair integrator is
-one weighted GEMM per kernel component, one for both off-diagonal
-components of the peridynamic kernel.
+which is exact for that ball; ``square_pair_matrices`` clips around
+every outer point of every pair of a batch in one
+``geometry.clip_triangles_square`` pass, and the class memo forms all
+the constant classes it lacks in one such batch.  So each ball norm has
+one inner rule, chosen by the kernel.  The kernel contraction of every
+pair integrator is one weighted GEMM per kernel component, one for both
+off-diagonal components of the peridynamic kernel.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import (class_grids, clip_triangle_square,
-                       disk_interaction_cells, fan_triangulate,
+from .geometry import (class_grids, clip_triangles_square,
+                       disk_interaction_cells, fan_triangles,
                        interacting_classes, triangle_distances)
 from .kernels import KernelSpec, kernel_on_support
 from .mesh import _TRI_T, Mesh, p1_gradients, p1_values
@@ -346,21 +349,6 @@ def _polar_inner_rule(
     return rays, points
 
 
-def _inner_rule_points(
-    x: np.ndarray, v2: np.ndarray, spec: KernelSpec, quad: QuadratureConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points/weights for int_{v2 cap B(x)} around outer point x
-    for the max-norm ball: ``v2`` clipped against the square of half-width
-    delta around x, which is exact for that ball."""
-    if np.max(np.abs(v2 - x)) <= spec.delta:
-        subs = [v2]
-    else:
-        subs = fan_triangulate(clip_triangle_square(v2, x, spec.delta))
-    ys, ws = map_to_physical(np.reshape(subs, (-1, 3, 2)),
-                             *triangle_rule(quad.inner_degree))
-    return ys.reshape(-1, 2), ws.ravel()
-
-
 def subdivide_triangle(tris: np.ndarray, levels) -> np.ndarray:
     """Uniform midpoint subdivision of the triangles of a (k, 3, 2) array,
     triangle i into 4^levels[i] congruent ones (``levels`` may be one
@@ -393,29 +381,14 @@ def regular_pair_matrix(
     spec: KernelSpec, quad: QuadratureConfig,
     cells: np.ndarray, outer_degree: int,
 ) -> np.ndarray:
-    """Pair matrix by outer rule of degree ``outer_degree`` on the (k, 3, 2)
-    array of cells of v1 x the inner rule of the kernel's ball norm on v2:
-    the polar rule for the Euclidean ball, square clipping for the
-    max-norm ball."""
+    """Pair matrix of a Euclidean-ball kernel by outer rule of degree
+    ``outer_degree`` on the (k, 3, 2) array of cells of v1 x the polar
+    inner rule on v2."""
     X, WX = map_to_physical(cells, *triangle_rule(outer_degree))
     X, WX = X.reshape(-1, 2), WX.ravel()
     PX = p1_values(v1, X)
     c = spec.components
     M = np.zeros((len(loc1) * c, len(loc1) * c))
-
-    def contract(owner, Y, W):
-        # inner points Y with weights W of the outer points X[owner]
-        D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
-        return _tensor_contract(spec, WX[owner] * W,
-                                kernel_on_support(spec, Y - X[owner]), D)
-
-    if spec.ball_norm == "linf":
-        # a few clipped pieces per outer point: one contraction holds all
-        inner = [_inner_rule_points(x, v2, spec, quad) for x in X]
-        owner = np.repeat(np.arange(len(X)), [len(w) for _, w in inner])
-        M += contract(owner, np.concatenate([y for y, _ in inner]),
-                      np.concatenate([w for _, w in inner]))
-        return M
     # along the ray x + r u the basis differences are A + r (grad psi) . u,
     # with A those of v2's hats, extended affinely, at the outer point x
     A = _basis_differences(PX, p1_values(v2, X), loc1, loc2)
@@ -427,8 +400,72 @@ def regular_pair_matrix(
         owner = start + owner
         M += _ray_contract(spec, WX[owner] * wa, u, lo, hi, A[owner],
                            u @ grad.T)
-        M += contract(start + near, Y, W)
+        M += _points_contract(spec, v2, loc1, loc2, (X, WX, PX), start + near,
+                              Y, W)
     return M
+
+
+def _points_contract(spec: KernelSpec, v2: np.ndarray, loc1: np.ndarray,
+                     loc2: np.ndarray, outer, owner: np.ndarray,
+                     Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Contraction of the inner points Y, with weights W, of the outer
+    points ``X[owner]``, where ``outer = (X, WX, PX)`` holds the outer
+    points, their weights and the hat values of the first element."""
+    X, WX, PX = outer
+    D = _basis_differences(PX[owner], p1_values(v2, Y), loc1, loc2)
+    return _tensor_contract(spec, WX[owner] * W,
+                            kernel_on_support(spec, Y - X[owner]), D)
+
+
+def square_pair_matrices(pairs, spec: KernelSpec,
+                         quad: QuadratureConfig) -> list[np.ndarray]:
+    """Pair matrices of the constant kernel on its max-norm ball, for the
+    non-coinciding pairs ``(v1, v2, loc1, loc2)``, all in one pass.
+
+    The outer rule of degree ``max(outer_degree, 5)`` on v1 is exact on
+    the lattice (see ``pair_matrix``).  Around every outer point of every
+    pair the inner element v2 is taken whole where it lies inside the
+    square of half-width delta, and is otherwise clipped against that
+    square, which is exact for the max-norm ball: one
+    ``clip_triangles_square`` over all outer points of all pairs, one
+    ``fan_triangles`` and one ``map_to_physical`` give every pair's inner
+    points, ordered by pair, outer point, piece and point.  Each pair
+    keeps its own contraction over its own contiguous rows, so its
+    matrix does not depend on the other pairs of the batch.
+    """
+    v1s = np.array([pair[0] for pair in pairs], dtype=float).reshape(-1, 3, 2)
+    v2s = np.array([pair[1] for pair in pairs], dtype=float).reshape(-1, 3, 2)
+    X, WX = map_to_physical(v1s, *triangle_rule(max(quad.outer_degree, 5)))
+    m = X.shape[1]  # outer points per pair
+    # every (pair, outer point): its inner element and the square centre;
+    # the elements inside their square, most of them, skip the clip,
+    # which keeps its padded arrays small
+    tris, centers = np.repeat(v2s, m, axis=0), X.reshape(-1, 2)
+    whole = (np.abs(tris - centers[:, None]).max(axis=(1, 2))
+             <= spec.delta)
+    cut = np.flatnonzero(~whole)
+    pieces, at = fan_triangles(*clip_triangles_square(
+        tris[cut], centers[cut], spec.delta))
+    owner = np.concatenate([np.flatnonzero(whole), cut[at]])
+    order = np.argsort(owner, kind="stable")
+    Y, W = map_to_physical(np.concatenate([tris[whole], pieces])[order],
+                           *triangle_rule(quad.inner_degree))
+    owner = np.repeat(owner[order], W.shape[1])
+    Y, W = Y.reshape(-1, 2), W.ravel()
+    ends = np.searchsorted(owner, m * np.arange(len(v1s) + 1))
+    hats = {}  # hat values at the outer points, per first element
+    out = []
+    for i, (v1, v2, loc1, loc2) in enumerate(pairs):
+        rows = slice(ends[i], ends[i + 1])
+        first = v1s[i].tobytes()
+        if first not in hats:
+            hats[first] = p1_values(v1, X[i])
+        outer = (X[i], WX[i], hats[first])
+        M = np.zeros((len(loc1), len(loc1)))
+        M += _points_contract(spec, v2, loc1, loc2, outer,
+                              owner[rows] - m * i, Y[rows], W[rows])
+        out.append(M)
+    return out
 
 
 def _patch_gradients(
@@ -640,8 +677,7 @@ def pair_matrix(
         # the lattice, with delta * n an integer, every such line lies at
         # an integer cell offset, so none cuts the outer element and the
         # fixed-order rule on the whole element is exact.
-        M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
-                                v1[None], max(quad.outer_degree, 5))
+        [M] = square_pair_matrices([(v1, v2, loc1, loc2)], spec, quad)
     elif n_shared == 2:
         M = common_edge_pair_matrix(v1, v2, loc1, loc2, spec, quad)
     elif n_shared == 1:
@@ -687,28 +723,54 @@ _STRIP_ENTRIES = 1 << 16
 _LOAD_DEGREE = 4  # of the triangle rule of the element load moments
 
 
-@functools.cache
-def _lattice_class(spec: KernelSpec, quad: QuadratureConfig,
-                   key: tuple[int, int, int, int]):
-    """(M, lat): the matrix of class ``key`` on the reference lattice and
-    the (p, 2) lattice offsets of its patch nodes from the anchor corner,
-    both read-only.
+# One memo of reference-lattice classes per (lattice kernel, quadrature):
+# class key -> (M, lat), filled by ``_lattice_classes``.
+_CLASS_MEMOS: dict[tuple[KernelSpec, QuadratureConfig], dict] = {}
+
+
+def _lattice_classes(spec: KernelSpec, quad: QuadratureConfig, keys):
+    """(M, lat) of each class of ``keys``: the matrix of the class on the
+    reference lattice and the (p, 2) lattice offsets of its patch nodes
+    from the anchor corner, both read-only.
 
     The two triangles have integer vertices (cell side 1) and ``spec`` is
     the kernel at the horizon in cell units, R = delta * n.  All three
     kernels make the class matrix independent of the cell side at fixed
     R (the h^4 of the two area elements cancels the kernel's scaling), so
-    one computation serves every mesh with the same delta / h, and a
-    solve's bits do not depend on which solve filled the memo.
+    one computation serves every mesh with the same delta / h.  The
+    classes missing from the memo of (spec, quad) are formed here: the
+    constant kernel's non-coinciding classes in one
+    ``square_pair_matrices`` batch, every other class by ``pair_matrix``.
+    A class's matrix does not depend on the batch that formed it, so a
+    solve's bits do not depend on which solve or which call filled the
+    memo.
     """
-    dx, dy, t1, t2 = key
-    lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
-    v = lat.astype(float)
-    M, rows = pair_matrix(v[:3], v[3:], spec, quad)
-    lat = lat[rows]
-    M.flags.writeable = False
-    lat.flags.writeable = False
-    return M, lat
+    memo = _CLASS_MEMOS.setdefault((spec, quad), {})
+    batch = {}
+    for key in keys:
+        if key in memo or key in batch:
+            continue
+        dx, dy, t1, t2 = key
+        lat = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)])
+        v = lat.astype(float)
+        if spec.singular or (dx, dy, t1) == (0, 0, t2):
+            M, rows = pair_matrix(v[:3], v[3:], spec, quad)
+            memo[key] = _read_only(M, lat[rows])
+        else:
+            rows, loc1, loc2 = _patch(v[:3], v[3:])
+            batch[key] = (lat[rows], (v[:3], v[3:], loc1, loc2))
+    mats = square_pair_matrices([pair for _, pair in batch.values()], spec,
+                                quad)
+    for (key, (lat, _)), M in zip(batch.items(), mats):
+        memo[key] = _read_only(M, lat)
+    return [memo[key] for key in keys]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class Assembler:
@@ -742,17 +804,17 @@ class Assembler:
         return interacting_classes(round(self.lattice_spec.delta),
                                    self.spec.ball_norm == "linf")
 
-    def class_matrix(self, key: tuple[int, int, int, int]):
+    def class_matrices(self, keys) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """(patch matrix, (p, 2) lattice offsets of the patch nodes from the
-        anchor corner, multiplicity factor).
+        anchor corner, multiplicity factor) of each class of ``keys``.
 
-        The matrix and the offsets are the read-only, process-wide
-        reference-lattice class of ``_lattice_class``.
+        The matrices and the offsets are the read-only, process-wide
+        reference-lattice classes of ``_lattice_classes``; the ones not
+        yet formed are formed in one batch.
         """
-        dx, dy, t1, t2 = key
-        M, lat = _lattice_class(self.lattice_spec, self.quad, key)
-        factor = 1 if (dx, dy) == (0, 0) and t1 == t2 else 2
-        return M, lat, factor
+        mats = _lattice_classes(self.lattice_spec, self.quad, keys)
+        return [(M, lat, 1 if (dx, dy) == (0, 0) and t1 == t2 else 2)
+                for (dx, dy, t1, t2), (M, lat) in zip(keys, mats)]
 
     @functools.cached_property
     def _scatter_table(self):
@@ -767,7 +829,7 @@ class Assembler:
         """
         c = self.spec.components
         N1 = self.N + 1
-        mats = [self.class_matrix(key) for key in self.classes()]
+        mats = self.class_matrices(self.classes())
         ids = [lat[:, 1] * N1 + lat[:, 0] for _, lat, _ in mats]
         node_shifts = [i[None, :] - i[:, None] for i in ids]  # [a, b]: b - a
         shifts = np.unique(np.concatenate([d.ravel() for d in node_shifts]))

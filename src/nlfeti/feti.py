@@ -415,7 +415,8 @@ def gather_solution(system: FetiSystem, result: FetiResult) -> np.ndarray:
     Every interface copy must agree to ``GATHER_TOL``, relative to the
     largest entry of any subdomain solution, with the copy of the
     lowest-index subdomain, which is the one ``B`` links it to and the
-    one that is written.  Raises ConsistencyError otherwise.
+    one that is written.  Raises ConsistencyError otherwise, and also
+    when an entry of a subdomain solution is not finite.
     """
     assembled = system.assembled
     c = assembled.spec.components
@@ -427,7 +428,12 @@ def gather_solution(system: FetiSystem, result: FetiResult) -> np.ndarray:
         [nodes for k in range(sub.K)
          for nodes in (sub.inner_nodes[k], sub.interface_nodes[k])]), c)
     jumps = np.abs(B @ u) / np.abs(u).max(initial=1e-30)
-    if jumps.size and jumps.max() > GATHER_TOL:
+    # a NaN jump fails the test as well
+    if jumps.size and not jumps.max() <= GATHER_TOL:
+        if not np.isfinite(u).all():
+            raise ConsistencyError(
+                f"the copy of dof {int(dofs[np.argmin(np.isfinite(u))])} "
+                f"is not finite")
         row = int(np.argmax(jumps))
         # both copies a row links carry the same dof
         raise ConsistencyError(

@@ -3,8 +3,11 @@
 The inner integration domain of every element pair is the intersection of
 the inner triangle with the horizon ball around the outer quadrature
 point.  For the max-norm ball that intersection is exact: the triangle is
-clipped against the axis-aligned square (``clip_triangle_square``) and the
-convex polygon left is fanned into triangles.  The Euclidean ball is
+clipped against the axis-aligned square and the convex polygon left is
+fanned into triangles.  ``clip_triangles_square`` clips any number of
+(triangle, square) pairs at once, by the four ``clip_polygon_halfplane``
+steps on padded polygons, and ``fan_triangles`` fans every polygon it
+leaves in one pass.  The Euclidean ball is
 integrated by the polar rule of ``assembly``, which needs no clipping
 here; for pairs that straddle its horizon ``disk_interaction_cells`` splits
 the outer triangle along the curves where the intersection loses
@@ -57,20 +60,61 @@ def clip_polygon_halfplane(
     return np.asarray(out)
 
 
-def clip_triangle_square(tri: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """Clip a triangle against the axis-aligned square of half-width r."""
-    poly = np.asarray(tri, dtype=float)
-    cx, cy = center
-    for normal, offset in (
-        ((1.0, 0.0), cx + r),
-        ((-1.0, 0.0), -(cx - r)),
-        ((0.0, 1.0), cy + r),
-        ((0.0, -1.0), -(cy - r)),
-    ):
-        poly = clip_polygon_halfplane(poly, np.asarray(normal), offset)
-        if len(poly) == 0:
-            break
-    return poly
+def clip_triangles_square(
+    tris: np.ndarray, centers: np.ndarray, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip each triangle of the (k, 3, 2) array ``tris`` against the
+    axis-aligned square of half-width r around its centre, row k of the
+    (k, 2) array ``centers``, all triangles at once.
+
+    Returns (polys, counts): polygon k is ``polys[k, :counts[k]]``, the
+    slots after it are zero.  Each of the four steps (sides x <= cx + r,
+    -x <= -(cx - r), y <= cy + r, -y <= -(cy - r), in this order) makes,
+    per polygon, the vertices and the ``_EPS`` tests of one
+    ``clip_polygon_halfplane`` call: vertex i is kept when its offset d_i
+    is at most ``_EPS``, and the edge to vertex i + 1 is cut when the two
+    offsets lie beyond ``_EPS`` on either side, in that order, so every
+    polygon has the bytes and the vertex order of that call's result.
+    """
+    poly = np.asarray(tris, dtype=float)
+    count = np.full(len(poly), poly.shape[1])
+    cx, cy = np.asarray(centers, dtype=float).T
+    for axis, sign, offset in ((0, 1.0, cx + r), (0, -1.0, -(cx - r)),
+                               (1, 1.0, cy + r), (1, -1.0, -(cy - r))):
+        slot = np.arange(poly.shape[1])
+        live = slot < count[:, None]
+        # the next vertex of each slot, the last one wrapping around
+        nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
+        d = sign * poly[..., axis] - offset[:, None]
+        dn = np.take_along_axis(d, nxt, axis=1)
+        keep = live & (d <= _EPS)
+        cut = live & (((d < -_EPS) & (dn > _EPS))
+                      | ((d > _EPS) & (dn < -_EPS)))
+        # slot i writes its vertex, then its cut, after those of slots < i
+        size = keep.astype(np.intp) + cut
+        at = np.cumsum(size, axis=1) - size
+        count = size.sum(axis=1)
+        out = np.zeros((len(poly), count.max(initial=0), 2))
+        out[np.nonzero(keep)[0], at[keep]] = poly[keep]
+        rows = np.nonzero(cut)[0]
+        p, q, di = poly[cut], poly[rows, nxt[cut]], d[cut]
+        t = di / (di - dn[cut])
+        out[rows, (at + keep)[cut]] = p + t[:, None] * (q - p)
+        poly = out
+    return poly, count
+
+
+def fan_triangles(polys: np.ndarray,
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fan_triangulate`` of every padded polygon of
+    ``clip_triangles_square`` in one pass: (tris, owner), the (s, 3, 2)
+    triangles of all polygons, polygon by polygon in fan order, and the
+    polygon ``owner[i]`` that triangle i comes from."""
+    i = np.arange(1, polys.shape[1] - 1)
+    tris = np.stack(np.broadcast_arrays(polys[:, :1], polys[:, i],
+                                        polys[:, i + 1]), axis=2)
+    keep = (i < counts[:, None] - 1) & (triangle_area(tris) > 1e-30)
+    return tris[keep], np.nonzero(keep)[0]
 
 
 def disk_interaction_cells(

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from nlfeti import assembly
 from nlfeti.assembly import Assembler, QuadratureConfig, assemble_global
-from nlfeti.geometry import interacting_classes
-from nlfeti.kernels import KernelSpec
-from nlfeti.mesh import INTERIOR, build_structured_mesh
+from nlfeti.geometry import (clip_polygon_halfplane, fan_triangulate,
+                             interacting_classes)
+from nlfeti.kernels import KernelSpec, kernel_on_support
+from nlfeti.mesh import INTERIOR, build_structured_mesh, p1_values
 from nlfeti.problems import manufactured_problem
+from nlfeti.quadrature import map_to_physical, triangle_rule
 from nlfeti.subdivision import partition_rectangles
 
 
@@ -40,6 +43,54 @@ def assert_csr_bitwise(got, want) -> None:
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def clip_triangle_square(tri, center, r) -> np.ndarray:
+    """Oracle: a triangle clipped against the axis-aligned square of
+    half-width r around ``center`` by four ``clip_polygon_halfplane``
+    calls, one polygon at a time."""
+    poly = np.asarray(tri, dtype=float)
+    cx, cy = center
+    for normal, offset in (((1.0, 0.0), cx + r), ((-1.0, 0.0), -(cx - r)),
+                           ((0.0, 1.0), cy + r), ((0.0, -1.0), -(cy - r))):
+        poly = clip_polygon_halfplane(poly, np.asarray(normal), offset)
+        if len(poly) == 0:
+            break
+    return poly
+
+
+def square_pair_matrix(v1, v2, spec: KernelSpec, quad: QuadratureConfig,
+                       cells=None, outer_degree=None) -> np.ndarray:
+    """Oracle: the constant-kernel pair matrix of ``pair_matrix`` formed
+    one outer point at a time.  Around each outer point of the rule of
+    degree ``outer_degree`` (``max(outer_degree, 5)`` of ``quad`` by
+    default) on the (k, 3, 2) ``cells`` (v1 by default), v2 is taken
+    whole when it lies inside the square of half-width delta, and is
+    otherwise clipped by ``clip_triangle_square`` and fanned by
+    ``fan_triangulate``; one contraction takes every inner point."""
+    _, loc1, loc2 = assembly._patch(v1, v2)
+    cells = v1[None] if cells is None else cells
+    X, WX = map_to_physical(cells, *triangle_rule(
+        outer_degree or max(quad.outer_degree, 5)))
+    X, WX = X.reshape(-1, 2), WX.ravel()
+    inner = []
+    for x in X:
+        if np.max(np.abs(v2 - x)) <= spec.delta:
+            subs = [v2]
+        else:
+            subs = fan_triangulate(clip_triangle_square(v2, x, spec.delta))
+        ys, ws = map_to_physical(np.reshape(subs, (-1, 3, 2)),
+                                 *triangle_rule(quad.inner_degree))
+        inner.append((ys.reshape(-1, 2), ws.ravel()))
+    owner = np.repeat(np.arange(len(X)), [len(w) for _, w in inner])
+    Y = np.concatenate([y for y, _ in inner])
+    W = np.concatenate([w for _, w in inner])
+    D = assembly._basis_differences(p1_values(v1, X)[owner],
+                                    p1_values(v2, Y), loc1, loc2)
+    M = np.zeros((len(loc1), len(loc1)))
+    M += assembly._tensor_contract(spec, WX[owner] * W,
+                                   kernel_on_support(spec, Y - X[owner]), D)
+    return M
 
 
 def interacting_pairs(mesh, linf: bool):

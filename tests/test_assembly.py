@@ -11,6 +11,7 @@ from nlfeti import assembly
 from nlfeti.assembly import (_LOAD_DEGREE, Assembler, QuadratureConfig,
                              _node_dofs, assemble_global, pair_matrix)
 from nlfeti.feti import assemble_subdomain
+from nlfeti.geometry import interacting_classes
 from nlfeti.harness import ExperimentConfig, run_study, study_rungs
 from nlfeti.kernels import KernelSpec, scaling_constant
 from nlfeti.mesh import INTERIOR, _TRI_T, build_structured_mesh, p1_values
@@ -19,7 +20,8 @@ from nlfeti.quadrature import map_to_physical, triangle_area, triangle_rule
 from nlfeti.subdivision import build_subdivision
 
 from conftest import (assert_csr_bitwise, make_spec, n_G, pair_counts,
-                      reciprocals, refined_quadrature, weight_grid)
+                      reciprocals, refined_quadrature, square_pair_matrix,
+                      weight_grid)
 
 
 def _pair_matrix(mesh, e1, e2, spec, quad):
@@ -498,7 +500,8 @@ def test_classes_drop_exactly_the_zero_classes(family, n, ratio):
     mesh = build_structured_mesh(n, ratio / n)
     asm = Assembler(mesh, make_spec(family, ratio / n))
     candidates = _classes_by_barycenter_reach(asm)
-    nonzero = [key for key in candidates if np.any(asm.class_matrix(key)[0])]
+    nonzero = [key for key, (M, _, _) in
+               zip(candidates, asm.class_matrices(candidates)) if np.any(M)]
     assert list(asm.classes()) == nonzero
     assert len(nonzero) < len(candidates)
 
@@ -554,8 +557,8 @@ def test_lattice_classes_match_mesh_coordinates(family, n, ratio):
     vertex (see the next test)."""
     delta = ratio / n
     asm = Assembler(build_structured_mesh(n, delta), make_spec(family, delta))
-    for key in asm.classes():
-        M, lat, _ = asm.class_matrix(key)
+    for key, (M, lat, _) in zip(asm.classes(),
+                                asm.class_matrices(asm.classes())):
         want, want_lat = _mesh_class(asm, key)
         assert np.array_equal(lat, want_lat), key
         assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max(), key
@@ -572,8 +575,8 @@ def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
     asm = Assembler(build_structured_mesh(6, delta), make_spec(family, delta))
     refined = refined_quadrature()
     moved = 0
-    for key in asm.classes():
-        M, _, _ = asm.class_matrix(key)
+    for key, (M, _, _) in zip(asm.classes(),
+                              asm.class_matrices(asm.classes())):
         want, _ = _mesh_class(asm, key)
         scale = np.abs(want).max()
         if np.abs(M - want).max() <= 1e-13 * scale:
@@ -590,15 +593,22 @@ def test_lattice_classes_are_exact_where_mesh_coordinates_round(family):
                                            ("fixed_ratio", "constant")])
 def test_study_computes_each_class_once(study, family, monkeypatch):
     """Every rung of a study at one delta / h reads the same memoized
-    classes: the pair rule runs once per class in the whole study."""
-    real, calls = assembly.pair_matrix, []
+    classes: the pair rule runs once per class in the whole study, by
+    ``pair_matrix`` or as one pair of the constant kernel's batch."""
+    real, real_batch, calls = (assembly.pair_matrix,
+                               assembly.square_pair_matrices, [])
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_batch(pairs, *args):
+        calls.extend(pairs)
+        return real_batch(pairs, *args)
+
     monkeypatch.setattr(assembly, "pair_matrix", counting)
-    assembly._lattice_class.cache_clear()
+    monkeypatch.setattr(assembly, "square_pair_matrices", counting_batch)
+    assembly._CLASS_MEMOS.clear()
     config = ExperimentConfig(family=family, delta=0.125, n=16, study=study,
                               solver="feti" if study == "strong_scaling"
                               else "cg")
@@ -609,6 +619,50 @@ def test_study_computes_each_class_once(study, family, monkeypatch):
     rung = rungs[-1]
     mesh = build_structured_mesh(rung.n, rung.delta)
     assert len(calls) == len(Assembler(mesh, rung.kernel_spec()).classes())
+
+
+def _constant_classes(R: int) -> list[tuple[bytes, bytes]]:
+    """(matrix bytes, offset bytes) of every constant class at the lattice
+    horizon R, in ``interacting_classes`` order, all read in one call."""
+    spec, quad = KernelSpec("constant", float(R)), QuadratureConfig()
+    return [(M.tobytes(), lat.tobytes()) for M, lat in
+            assembly._lattice_classes(spec, quad,
+                                      interacting_classes(R, True))]
+
+
+@pytest.mark.parametrize("R", [2, 5])
+def test_constant_classes_do_not_depend_on_the_batch(R):
+    """A constant class has the same bytes whichever batch filled the
+    memo: all classes at once, each class alone, or all of them in
+    reverse order."""
+    spec, quad = KernelSpec("constant", float(R)), QuadratureConfig()
+    keys = interacting_classes(R, True)
+    assembly._CLASS_MEMOS.clear()
+    together = _constant_classes(R)
+    assembly._CLASS_MEMOS.clear()
+    for key in keys:
+        assembly._lattice_classes(spec, quad, [key])
+    alone = _constant_classes(R)
+    assembly._CLASS_MEMOS.clear()
+    assembly._lattice_classes(spec, quad, keys[::-1])
+    reverse = _constant_classes(R)
+    assert together == alone == reverse
+
+
+@pytest.mark.parametrize("R", range(1, 9))
+def test_constant_classes_equal_the_per_point_oracle(R):
+    """Every constant class at the lattice horizon R = 1..8 that does not
+    coincide has the bytes of the per-point oracle, which clips the inner
+    element one outer point at a time; the batch keeps each class's
+    contraction to its own rows."""
+    spec, quad = KernelSpec("constant", float(R)), QuadratureConfig()
+    keys = [key for key in interacting_classes(R, True)
+            if key[:3] != (0, 0, key[3])]
+    for key, (M, _) in zip(keys, assembly._lattice_classes(spec, quad, keys)):
+        dx, dy, t1, t2 = key
+        v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
+        want = square_pair_matrix(v[:3], v[3:], spec, quad)
+        assert M.tobytes() == want.tobytes(), key
 
 
 @pytest.mark.parametrize("first, then", [
@@ -635,9 +689,9 @@ def test_class_memo_is_order_independent(first, then):
         sysm.rhs  # assembles A, B_coupling and the load, filling the memo
         return sysm
 
-    assembly._lattice_class.cache_clear()
+    assembly._CLASS_MEMOS.clear()
     fresh = system(*then)
-    assembly._lattice_class.cache_clear()
+    assembly._CLASS_MEMOS.clear()
     system(*first)
     after = system(*then)
     assert_csr_bitwise(after.A, fresh.A)
@@ -702,8 +756,9 @@ def test_every_quadrature_knob_changes_a_result(knob):
         mesh, spec = build_structured_mesh(4, delta), make_spec(family, delta)
         pairs.append((Assembler(mesh, spec),
                       Assembler(mesh, spec, quad=quad)))
-    assert any(_moved(old.class_matrix(key)[0], new.class_matrix(key)[0])
-               for old, new in pairs for key in old.classes())
+    assert any(_moved(a[0], b[0]) for old, new in pairs
+               for a, b in zip(old.class_matrices(old.classes()),
+                               new.class_matrices(old.classes())))
 
 
 def test_constant_kernel_self_convergence():

@@ -316,6 +316,22 @@ def test_gather_rejects_inconsistent_copies(cache):
         gather_solution(system, result)
 
 
+def test_gather_rejects_a_copy_that_is_not_finite(cache):
+    """A NaN interface copy is refused, though every comparison with it
+    is false, and the error names its dof; the copy is not the one the
+    gather would write."""
+    system = _build("constant", 16, 0.125, 2, 2, cache)
+    result = feti_solve(system, TOL, MAXIT)
+    s = system.subsystems[1]
+    result.u[1] = result.u[1].copy()
+    result.u[1][s.n_O] = np.nan
+    dof = _node_dofs(system.sub.interface_nodes[1],
+                     system.assembled.spec.components)[0]
+    with pytest.raises(ConsistencyError,
+                       match=rf"copy of dof {dof} is not finite"):
+        gather_solution(system, result)
+
+
 def test_gather_takes_the_lowest_index_copy(cache):
     """A copy within ``GATHER_TOL`` of the copy of the lowest-index
     subdomain holding its node is accepted, and the gathered value is the

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlfeti import assembly, geometry
-from nlfeti.assembly import (Assembler, QuadratureConfig, pair_matrix,
-                             regular_pair_matrix)
+from nlfeti.assembly import Assembler, QuadratureConfig, pair_matrix
 from nlfeti.geometry import (_segment_distance, class_grids,
-                             clip_polygon_halfplane, clip_triangle_square,
-                             disk_interaction_cells, fan_triangulate,
-                             interacting_classes, triangle_distances)
+                             clip_polygon_halfplane, clip_triangles_square,
+                             disk_interaction_cells, fan_triangles,
+                             fan_triangulate, interacting_classes,
+                             triangle_distances)
 from nlfeti.kernels import KernelSpec
 from nlfeti.mesh import _TRI_T, build_structured_mesh
 from nlfeti.quadrature import map_to_physical, triangle_rule
 
-from conftest import make_spec, weight_grid
+from conftest import (clip_triangle_square, make_spec, square_pair_matrix,
+                      weight_grid)
 
 
 def _tri_area(t):
@@ -32,32 +33,87 @@ def _cells_area(cells):
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
 
+def _clipped_area(tri, center, r):
+    """Area of the fan of ``tri`` clipped by the batch, as a batch of
+    one."""
+    pieces, _ = fan_triangles(*clip_triangles_square(
+        np.array([tri]), np.array([center], dtype=float), r))
+    return _cells_area(pieces)
+
+
 def test_square_clip_full_and_empty():
-    inside = clip_triangle_square(TRI, np.array([0.5, 0.5]), 2.0)
-    assert np.isclose(_cells_area(fan_triangulate(inside)), 0.5)
-    outside = clip_triangle_square(TRI, np.array([5.0, 5.0]), 1.0)
-    assert len(outside) == 0
+    assert np.isclose(_clipped_area(TRI, (0.5, 0.5), 2.0), 0.5)
+    polys, counts = clip_triangles_square(TRI[None], np.array([[5.0, 5.0]]),
+                                          1.0)
+    assert counts.tolist() == [0] and polys.shape == (1, 0, 2)
 
 
 def test_square_clip_half():
     # square [0,1]x[-0.5,0.5] cuts the unit right triangle at y=0.5,
     # removing the top corner of area 1/8
-    poly = clip_triangle_square(TRI, np.array([0.5, 0.0]), 0.5)
-    assert np.isclose(_cells_area(fan_triangulate(poly)), 0.375)
+    assert np.isclose(_clipped_area(TRI, (0.5, 0.0), 0.5), 0.375)
     # square [-0.5,0.5]^2 keeps the half-square below the diagonal,
     # {0 <= y <= x <= 0.5}, area 1/8
-    poly = clip_triangle_square(TRI, np.array([0.0, 0.0]), 0.5)
-    assert np.isclose(_cells_area(fan_triangulate(poly)), 0.125)
+    assert np.isclose(_clipped_area(TRI, (0.0, 0.0), 0.5), 0.125)
 
 
 @settings(deadline=None, max_examples=40)
 @given(cx=st.floats(-1.5, 2.5), cy=st.floats(-1.5, 2.5),
        r=st.floats(0.05, 2.0))
 def test_square_clip_bounded_by_both(cx, cy, r):
-    poly = clip_triangle_square(TRI, np.array([cx, cy]), r)
-    area = _cells_area(fan_triangulate(poly)) if len(poly) else 0.0
+    area = _clipped_area(TRI, (cx, cy), r)
     assert area <= 0.5 + 1e-12
     assert area <= (2 * r) ** 2 + 1e-12
+
+
+# Coordinates on a coarse grid put vertices on square sides and edges
+# along them far more often than uniform floats do.
+_COORD = st.one_of(st.floats(-3.0, 3.0),
+                   st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+_SQUARE_CASES = [  # (triangle, centre) against the square of half-width 1
+    ([(-0.5, -0.5), (0.5, -0.5), (0.0, 0.5)], (0.0, 0.0)),  # inside
+    ([(2.0, 2.0), (3.0, 2.0), (2.0, 3.0)], (0.0, 0.0)),  # outside
+    ([(1.0, 0.0), (2.0, 0.5), (2.0, -0.5)], (0.0, 0.0)),  # vertex on a side
+    ([(1.0, 0.0), (0.0, 0.5), (0.0, -0.5)], (0.0, 0.0)),
+    ([(1.0, -0.5), (1.0, 0.5), (0.0, 0.0)], (0.0, 0.0)),  # edge along a side
+    ([(1.0, -0.5), (1.0, 0.5), (2.0, 0.0)], (0.0, 0.0)),
+    ([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)], (0.0, 0.0)),
+    ([(-5.0, -5.0), (5.0, -5.0), (0.0, 5.0)], (0.0, 0.0)),  # square inside
+    ([(0.5, 0.5), (1.5, 0.5), (1.5, 1.5)], (1.0, 1.0)),
+    # a vertex exactly _EPS beyond, then within, the side x <= 0: kept,
+    # and no cut on either edge
+    ([(1e-14, 0.0), (-0.5, 0.5), (-0.5, -0.5)], (-1.0, 0.0)),
+    ([(-1e-14, 0.0), (0.5, 0.5), (0.5, -0.5)], (-1.0, 0.0)),
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(cases=st.lists(st.tuples(st.lists(st.tuples(_COORD, _COORD),
+                                         min_size=3, max_size=3),
+                                st.tuples(_COORD, _COORD)),
+                      min_size=1, max_size=8),
+       r=st.one_of(st.floats(0.01, 3.0), st.sampled_from([0.5, 1.0, 2.0])))
+@example(cases=_SQUARE_CASES, r=1.0)
+@example(cases=_SQUARE_CASES[7:], r=0.5)
+def test_batched_square_clip_equals_per_polygon_clip(cases, r):
+    """Polygon by polygon, the batched clip has the vertex count and the
+    vertex bytes of four ``clip_polygon_halfplane`` calls, and its pad is
+    zero; the batched fan has the triangles of ``fan_triangulate`` of
+    each polygon, in polygon order and fan order."""
+    tris = np.array([tri for tri, _ in cases], dtype=float)
+    centers = np.array([center for _, center in cases], dtype=float)
+    polys, counts = clip_triangles_square(tris, centers, r)
+    want = [clip_triangle_square(tri, center, r)
+            for tri, center in zip(tris, centers)]
+    assert counts.tolist() == [len(w) for w in want]
+    for poly, count, w in zip(polys, counts, want):
+        assert poly[:count].tobytes() == np.asarray(w, float).tobytes()
+        assert not poly[count:].any()
+    pieces, owner = fan_triangles(polys, counts)
+    fans = [fan_triangulate(w) for w in want]
+    assert owner.tolist() == [k for k, fan in enumerate(fans) for _ in fan]
+    assert pieces.tobytes() == np.array(
+        [t for fan in fans for t in fan]).reshape(-1, 3, 2).tobytes()
 
 
 def test_interaction_cells_partition_outer_triangle():
@@ -140,16 +196,15 @@ def test_lattice_constant_classes_need_one_outer_cell(n, ratio):
     mesh = build_structured_mesh(n, delta)
     asm = Assembler(mesh, KernelSpec("constant", delta))
     spec, quad = KernelSpec("constant", delta * n), asm.quad
-    for key in asm.classes():
+    for key, (got, _, _) in zip(asm.classes(),
+                                asm.class_matrices(asm.classes())):
         dx, dy, t1, t2 = key
         v1 = _TRI_T[t1].astype(float)
         v2 = (_TRI_T[t2] + (dx, dy)).astype(float)
         cells = square_interaction_cells(v1, v2, spec.delta)
         if (dx, dy, t1) != (0, 0, t2):
-            _, loc1, loc2 = assembly._patch(v1, v2)
-            M = regular_pair_matrix(v1, v2, loc1, loc2, spec, quad,
-                                    np.array(cells), max(quad.outer_degree, 5))
-            assert M.tobytes() == asm.class_matrix(key)[0].tobytes(), key
+            M = square_pair_matrix(v1, v2, spec, quad, np.array(cells))
+            assert M.tobytes() == got.tobytes(), key
         assert len(cells) == 1 and np.array_equal(cells[0], v1), key
 
 
@@ -346,7 +401,9 @@ def test_outer_cells_match_the_replaced_set_up(family, R, monkeypatch):
     points and weights are the per-cell maps of the replaced rule: the
     class matrix, a deterministic function of these, is bitwise
     unchanged.  Only the two classes of ``_MOVED_AT_3`` differ; each
-    matrix moves by less than 5e-6 of its largest entry."""
+    matrix moves by less than 5e-6 of its largest entry.  A constant
+    class that does not coincide has the bytes of the per-point oracle
+    on the replaced set-up's cells and degree."""
     spec, quad = make_spec(family, float(R)), QuadratureConfig()
     outer_rule = assembly.regular_pair_matrix
     seen = []
@@ -357,9 +414,14 @@ def test_outer_cells_match_the_replaced_set_up(family, R, monkeypatch):
         dx, dy, t1, t2 = key
         v = np.concatenate([_TRI_T[t1], _TRI_T[t2] + (dx, dy)]).astype(float)
         seen.clear()
-        pair_matrix(v[:3], v[3:], spec, quad)
+        M, _ = pair_matrix(v[:3], v[3:], spec, quad)
+        if family == "constant" and (dx, dy, t1) != (0, 0, t2):
+            old, old_deg = _replaced_outer_cells(v[:3], v[3:], spec, quad)
+            want = square_pair_matrix(v[:3], v[3:], spec, quad,
+                                      np.array(old), old_deg)
+            assert M.tobytes() == want.tobytes(), key
         if not seen:
-            continue  # coinciding or touching pair
+            continue  # constant, coinciding or touching pair
         (args,) = seen
         cells, deg = args[6:]
         old, old_deg = _replaced_outer_cells(v[:3], v[3:], spec, quad)

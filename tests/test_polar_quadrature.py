@@ -11,7 +11,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from nlfeti import assembly
-from nlfeti.assembly import (QuadratureConfig, _lattice_class,
+from nlfeti.assembly import (QuadratureConfig, _lattice_classes,
                              _polar_inner_rule, coinciding_pair_matrix,
                              pair_matrix)
 from nlfeti.geometry import interacting_classes
@@ -330,7 +330,7 @@ def _class_errors(spec, quad, monkeypatch, order):
     ``order`` points, relative to the largest entry."""
     R = round(spec.delta)
     keys = interacting_classes(R, False)
-    closed = [_lattice_class(spec, quad, key)[0] for key in keys]
+    closed = [M for M, _ in _lattice_classes(spec, quad, keys)]
     errors = {}
     with monkeypatch.context() as m:
         m.setattr(assembly, "_polar_inner_rule", _gauss_radial_rule(order))
